@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 import jsonschema
-from scipy.interpolate import RegularGridInterpolator
 
+from . import jet
 from .errors import ValidationError
 from .geometry import (
     BoundaryDef,
@@ -64,7 +64,6 @@ CONFIG_SCHEMA = {
                 "entries": {"type": "array"},
                 "matrix": {"type": "array"},
                 "expressions": {"type": "array"},
-                "grid_n": {"type": "integer", "minimum": 9},
             },
         },
         "boundary": {
@@ -101,6 +100,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate re-checks the schema against its metaschema
+# on every call, which costs more than the validation itself.
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 _EXPR_FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -118,22 +121,37 @@ _EXPR_FUNCS = {
 }
 
 
+def _compile(expr: str, names: tuple[str, ...]):
+    code = compile(expr, "<scenario expression>", "eval")
+    allowed = set(names) | set(_EXPR_FUNCS)
+    unknown = set(code.co_names) - allowed
+    if unknown:
+        raise ValidationError(f"expression uses unknown names {sorted(unknown)}: {expr!r}")
+    return code
+
+
 def compile_expression(expr: str, names: tuple[str, ...]):
     """Compile a scalar expression over the given variable names.
 
     Only the listed names and a fixed table of numpy math functions are
     visible; no builtins. Returns a function of keyword arguments.
     """
-    code = compile(expr, "<scenario expression>", "eval")
-    allowed = set(names) | set(_EXPR_FUNCS)
-    unknown = set(code.co_names) - allowed
-    if unknown:
-        raise ValidationError(f"expression uses unknown names {sorted(unknown)}: {expr!r}")
+    code = _compile(expr, names)
 
     def fn(**env):
         return eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, **env})
 
     return fn
+
+
+def compile_jet(expr: str):
+    """Compile an expression in x1, x2 to its exact second-order jet.
+
+    Same names as ``compile_expression``; returns a function of a point x
+    giving a ``jet.Jet`` with the value, gradient and Hessian at x.
+    """
+    code = _compile(expr, ("x1", "x2"))
+    return lambda x: jet.evaluate(code, x[0], x[1])
 
 
 @dataclass
@@ -239,27 +257,20 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
     return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi)
 
 
-def _expression_boundary(phi_expr: str, fd_step: float = 1e-5) -> BoundaryDef:
+def _expression_boundary(phi_expr: str) -> BoundaryDef:
     fn = compile_expression(phi_expr, ("x1", "x2"))
+    phi_jet = compile_jet(phi_expr)
 
     def phi(x):
         return float(fn(x1=x[0], x2=x[1]))
 
     def dphi(x):
-        out = np.empty(2)
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = fd_step
-            out[k] = (phi(x + e) - phi(x - e)) / (2.0 * fd_step)
-        return out
+        j = phi_jet(x)
+        return np.array([j.d1, j.d2])
 
     def d2phi(x):
-        out = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = fd_step
-            out[k] = (dphi(x + e) - dphi(x - e)) / (2.0 * fd_step)
-        return 0.5 * (out + out.T)
+        j = phi_jet(x)
+        return np.array([[j.d11, j.d12], [j.d12, j.d22]])
 
     return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi)
 
@@ -277,39 +288,30 @@ def _metric_from_block(block: dict, dim: int, box) -> MetricEval:
     if kind == "constant":
         return constant_metric(block["matrix"])
     if kind == "expression":
-        return _grid_metric(block, dim, box)
+        return _expression_metric(block, dim, box)
     raise ValidationError(f"unknown metric kind {kind!r}")
 
 
-def _grid_metric(block: dict, dim: int, box) -> MetricEval:
-    """Expression entries sampled on a regular grid and splined.
-
-    The interpolant itself is the metric; derivatives come from central
-    differences of the interpolant.
-    """
+def _expression_metric(block: dict, dim: int, box) -> MetricEval:
+    """Expression entries evaluated exactly: jet values give g, jet gradients dg."""
     exprs = block["expressions"]
-    n = int(block.get("grid_n", 65))
-    lo, hi = box
-    axes = [np.linspace(lo[k], hi[k], n) for k in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    env = {f"x{k + 1}": mesh[k] for k in range(dim)}
-    interps = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            fn = compile_expression(str(exprs[i][j]), tuple(env))
-            values = np.broadcast_to(np.asarray(fn(**env), dtype=float), mesh[0].shape)
-            interps[(i, j)] = RegularGridInterpolator(
-                axes, np.array(values), method="cubic", bounds_error=False, fill_value=None
-            )
+    entries = [(i, j, compile_jet(str(exprs[i][j]))) for i in range(dim) for j in range(i, dim)]
 
     def g(x):
         out = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(i, dim):
-                out[i, j] = out[j, i] = float(interps[(i, j)](x)[0])
+        for i, j, f in entries:
+            out[i, j] = out[j, i] = f(x).v
         return out
 
-    metric = callable_metric(dim, g)
+    def dg(x):
+        out = np.empty((dim, dim, dim))
+        for i, j, f in entries:
+            e = f(x)
+            out[:, i, j] = out[:, j, i] = (e.d1, e.d2)
+        return out
+
+    metric = callable_metric(dim, g, dg)
+    lo, hi = box
     sample = g(0.5 * (np.asarray(lo) + np.asarray(hi)))
     if np.linalg.eigvalsh(sample).min() <= 0:
         raise ValidationError("expression metric is not positive definite at the box center")
@@ -407,10 +409,9 @@ def _reject_corners(boundary: BoundaryDef, lo, hi, n: int = 41) -> None:
 
 def resolve_config(config: dict) -> dict:
     """Validate against the schema and fill defaults; returns the resolved dict."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"scenario config invalid: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ValidationError(f"scenario config invalid: {error.message}") from error
     if "builtin" not in config and "boundary" not in config:
         raise ValidationError("scenario config needs either 'builtin' or a 'boundary' block")
     resolved = {
@@ -443,9 +444,8 @@ def from_config(config: dict) -> Scenario:
         box = block.get("box", [[-2.0, -2.0], [2.0, 2.0]])
         lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
         boundary = _expression_boundary(block["phi"])
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    _reject_corners(boundary, lo, hi)
+        # Builtin defining functions have no critical point on their zero set.
+        _reject_corners(boundary, lo, hi)
     metric = _metric_from_block(resolved["metric"], dim, (lo, hi))
     thresholds = ClassifyThresholds(**resolved["thresholds"])
     return Scenario(

@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from glancer import scenarios as scen
+from glancer import symbol as sym
 from glancer.errors import ValidationError
 
 
@@ -139,3 +143,112 @@ def test_describe_mentions_hash():
     s = scen.builtin("strip")
     d = s.describe()
     assert d["scenario_hash"] == s.config_hash
+
+
+def test_expression_metric_is_exact():
+    s = scen.from_config(
+        {
+            "schema": 1,
+            "builtin": "half_plane",
+            "metric": {
+                "kind": "expression",
+                "expressions": [["2 + sin(x1)", "0.1 * x1 * x2"], ["0.1 * x1 * x2", "1 + x2 ** 2"]],
+            },
+        }
+    )
+    for a, b in [(0.3, 0.7), (-5.1, 2.2), (7.0, 11.5)]:
+        x = np.array([a, b])
+        g = np.array([[2 + np.sin(a), 0.1 * a * b], [0.1 * a * b, 1 + b * b]])
+        dg = np.array(
+            [
+                [[np.cos(a), 0.1 * b], [0.1 * b, 0.0]],
+                [[0.0, 0.1 * a], [0.1 * a, 2.0 * b]],
+            ]
+        )
+        assert np.allclose(s.metric.g(x), g, rtol=1e-15, atol=0.0)
+        assert np.allclose(s.metric.dg(x), dg, rtol=1e-15, atol=0.0)
+
+
+def test_grid_n_is_rejected():
+    config = {
+        "schema": 1,
+        "builtin": "half_plane",
+        "metric": {"kind": "expression", "expressions": [["1", "0"], ["0", "1"]], "grid_n": 65},
+    }
+    with pytest.raises(ValidationError, match="grid_n"):
+        scen.from_config(config)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"builtin": "strip"},
+        {"schema": 2, "builtin": "strip"},
+        {"schema": 1, "builtin": "strip", "params": {"height": -1.0}},
+        {"schema": 1, "builtin": "strip", "band": "wide"},
+        {"schema": 1, "boundary": {"phi": "x2"}, "extra": 1},
+    ],
+)
+def test_validation_messages_match_jsonschema(config):
+    jsonschema.validators.validator_for(scen.CONFIG_SCHEMA).check_schema(scen.CONFIG_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, scen.CONFIG_SCHEMA)
+    with pytest.raises(ValidationError) as got:
+        scen.resolve_config(config)
+    assert str(got.value) == f"scenario config invalid: {expected.value.message}"
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, {}) for name in scen.BUILTIN_NAMES]
+    + [("strip", {"height": 0.3}), ("disk_exterior", {"radius": 2.5}), ("annulus", {"r0": 0.2, "r1": 1.7})],
+)
+def test_builtin_boundaries_have_no_corners(name, params):
+    # from_config checks corners on expression boundaries only; builtins
+    # must pass the same check for every valid parameter set
+    s = scen.builtin(name, **params)
+    scen._reject_corners(s.boundary, s.domain_lo, s.domain_hi)
+
+
+def _disk_pair(interior):
+    a = 1.25 if interior else 4.0
+    phi = "1 - hypot(x1, x2)" if interior else "hypot(x1, x2) - 1"
+    custom = scen.from_config(
+        {"schema": 1, "boundary": {"kind": "expression", "phi": phi, "box": [[-a, -a], [a, a]]}}
+    )
+    return custom, scen.builtin("disk_interior" if interior else "disk_exterior")
+
+
+@pytest.mark.parametrize("interior", [True, False])
+def test_expression_disk_hp2z_matches_builtin(interior):
+    custom, disk = _disk_pair(interior)
+    for th in np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False):
+        x = np.array([np.cos(th), np.sin(th)])
+        rho = sym.PhasePoint(t=0.0, x=x, tau=1.0, xi=np.array([-x[1], x[0]]))
+        assert sym.hp2z(custom, rho) == pytest.approx(sym.hp2z(disk, rho), rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("interior", [True, False])
+def test_expression_disk_tags_match_builtin_near_glancing(interior):
+    custom, disk = _disk_pair(interior)
+    angles = [0.0] + [s * 10.0**-k for k in (2, 4, 6, 7.5, 8, 9, 12) for s in (1.0, -1.0)]
+    tags = set()
+    for th in np.linspace(0.1, 2.0 * np.pi, 13):
+        x = np.array([np.cos(th), np.sin(th)])
+        tangent, normal = np.array([-x[1], x[0]]), -x
+        for a in angles:
+            rho = sym.PhasePoint(t=0.0, x=x, tau=1.0, xi=np.cos(a) * tangent + np.sin(a) * normal)
+            tag = sym.classify_boundary_point(custom, rho).tag
+            assert tag == sym.classify_boundary_point(disk, rho).tag
+            tags.add(tag)
+    glancing = sym.Tag.GLIDING if interior else sym.Tag.DIFFRACTIVE
+    assert tags == {sym.Tag.HYPERBOLIC_IN, sym.Tag.HYPERBOLIC_OUT, glancing}
+
+
+def test_readme_scenario_examples_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        s = scen.from_config(json.loads(block))
+        assert s.dim == 2
