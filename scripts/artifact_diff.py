@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Compare what two glancer checkouts write for the benchmark's CLI commands.
+
+The commands of each workload come from perfbench/workloads.py (seeded as
+in perfbench/run.py). Each checkout runs all of them in its own Python
+subprocess, through its own ``glancer.cli.main``. For every command the
+script prints SAME or DIFF for the exit code, for the JSON summary (without
+``elapsed_s`` and the artifact paths) and for the bytes of every file the
+command wrote. It exits 1 on any difference, 2 when a checkout holds no
+glancer sources.
+
+Usage:
+    python3 scripts/artifact_diff.py CHECKOUT_A CHECKOUT_B \\
+        --workloads glide,audit,curved --seed 1 --rounds 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+MANIFEST = "manifest.json"
+
+
+def run_checkout(checkout: str, out: str, workloads: str, seed: str, rounds: str) -> None:
+    """Run every command against one checkout; write out/manifest.json.
+
+    Meant to run in a fresh interpreter (started with -B, so that nothing is
+    written next to the imported sources): glancer is imported from the
+    checkout, the workloads from this repository's perfbench directory.
+    """
+    sys.path[:0] = [str(Path(checkout) / "src"), str(PERFBENCH)]
+    import glancer
+    import glancer.cli
+    import workloads as wl_mod
+
+    out = Path(out)
+    records = []
+    for name in workloads.split(","):
+        wl = wl_mod.WORKLOADS[name](glancer, int(seed))
+        for r in range(int(rounds)):
+            for i, cmd in enumerate(wl.round(r)):
+                cmd_out = out / name / f"r{r}c{i}"
+                cmd_out.mkdir(parents=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        rc = glancer.cli.main(cmd.argv + ["--out", str(cmd_out)])
+                except SystemExit as exc:
+                    rc = exc.code if isinstance(exc.code, int) else 2
+                except Exception as exc:  # a crash is an outcome to compare
+                    rc = f"raised {type(exc).__name__}: {exc}"
+                lines = stdout.getvalue().strip().splitlines()
+                try:
+                    summary = json.loads(lines[-1]) if lines else None
+                except ValueError:
+                    summary = None
+                if isinstance(summary, dict):
+                    summary = {
+                        k: v for k, v in summary.items()
+                        if k != "elapsed_s" and not (isinstance(v, str) and v.startswith(str(cmd_out)))
+                    }
+                records.append({
+                    "label": f"{name} r{r} #{i} {cmd.kind}",
+                    "argv": cmd.argv,
+                    "rc": rc,
+                    "summary": summary,
+                    "dir": str(cmd_out),
+                })
+    (out / MANIFEST).write_text(json.dumps(records))
+
+
+def _start(checkout: Path, out: Path, args) -> subprocess.Popen:
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import artifact_diff; artifact_diff.run_checkout(*sys.argv[2:])"
+    return subprocess.Popen(
+        [sys.executable, "-B", "-c", code, str(HERE), str(checkout), str(out),
+         args.workloads, str(args.seed), str(args.rounds)],
+        cwd=checkout,
+    )
+
+
+def _files(d: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+def compare(a: dict, b: dict) -> list[tuple[str, bool]]:
+    """(item, same) pairs for one command run against both checkouts."""
+    items = [("argv", a["argv"] == b["argv"]), ("exit", a["rc"] == b["rc"]),
+             ("summary", a["summary"] == b["summary"])]
+    fa, fb = _files(Path(a["dir"])), _files(Path(b["dir"]))
+    for name in sorted(set(fa) | set(fb)):
+        items.append((name, fa.get(name) == fb.get(name)))
+    return items
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout_a", type=Path)
+    ap.add_argument("checkout_b", type=Path)
+    ap.add_argument("--workloads", default="glide,audit,curved",
+                    help="comma-separated perfbench workload names")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=3)
+    args = ap.parse_args(argv)
+
+    checkouts = [args.checkout_a.resolve(), args.checkout_b.resolve()]
+    for c in checkouts:
+        if not (c / "src" / "glancer" / "cli.py").is_file():
+            print(f"artifact_diff: no glancer sources under {c / 'src'}", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        outs = [Path(tmp) / "a", Path(tmp) / "b"]
+        procs = [_start(c, o, args) for c, o in zip(checkouts, outs)]
+        if any([p.wait() != 0 for p in procs]):  # a list: wait for both
+            print("artifact_diff: a checkout's run failed", file=sys.stderr)
+            return 2
+        runs = [json.loads((o / MANIFEST).read_text()) for o in outs]
+        n_diff = 0
+        for a, b in zip(*runs):
+            items = compare(a, b)
+            same = all(ok for _, ok in items)
+            n_diff += not same
+            detail = " ".join(f"{name}={'SAME' if ok else 'DIFF'}" for name, ok in items)
+            print(f"{'SAME' if same else 'DIFF'}  {a['label']}: {detail}")
+        if len(runs[0]) != len(runs[1]):
+            n_diff += 1
+            print(f"DIFF  command count {len(runs[0])} vs {len(runs[1])}")
+    print(f"{n_diff} of {max(map(len, runs))} commands differ")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -187,11 +187,16 @@ def _rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rescale_char(scenario, y, d) -> None:
-    """Project xi onto the characteristic shell |xi|_x = |tau| in place."""
+def _rescale_char(scenario, y, d, gi=None) -> None:
+    """Project xi onto the characteristic shell |xi|_x = |tau| in place.
+
+    gi is g_inv at the state's x, when the caller has already evaluated it.
+    """
     x = y[1 : 1 + d]
     xi = y[2 + d :]
-    nrm = float(np.sqrt(xi @ scenario.metric.g_inv(x) @ xi))
+    if gi is None:
+        gi = scenario.metric.g_inv(x)
+    nrm = float(np.sqrt(xi @ gi @ xi))
     target = abs(float(y[1 + d]))
     if nrm < 1e-300:
         return
@@ -202,6 +207,11 @@ def _rescale_char(scenario, y, d) -> None:
             f"|tau| = {target:.6g}; reduce the step size"
         )
     y[2 + d :] = xi * factor
+
+
+def _hpz_of(scenario, y, d) -> float:
+    """hpz at a packed state, without the chart check."""
+    return sym._State(scenario, y[1 : 1 + d], xi=y[2 + d :]).hpz
 
 
 def _check_characteristic(scenario, rho: PhasePoint) -> None:
@@ -266,16 +276,13 @@ def integrate_interior(
     sgn = float(direction)
     rhs = _interior_rhs(scenario, sgn)
     phi_f = scenario.boundary.phi
-    dphi_f = scenario.boundary.dphi
-    m = scenario.metric
 
     def phi_of(y):
         return float(phi_f(y[1 : 1 + d]))
 
     def q_of(y):
         # signed boundary approach rate d(phi)/d(sigma) = direction * hpz
-        x = y[1 : 1 + d]
-        return 2.0 * sgn * float(np.asarray(dphi_f(x), dtype=float) @ (m.g_inv(x) @ y[2 + d :]))
+        return sgn * _hpz_of(scenario, y, d)
 
     y = rho0.as_vector()
     ss = [sgn * sig0]
@@ -364,34 +371,37 @@ def reflect(scenario, rho_minus: PhasePoint) -> PhasePoint:
 
 
 def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> None:
-    """Newton-project a packed state onto {phi = 0, hpz = 0, p = 0} in place."""
+    """Newton-project a packed state onto {phi = 0, hpz = 0, p = 0} in place.
+
+    phi, dphi and g_inv are evaluated once per base point: the xi update,
+    the shell rescaling and the convergence test share the x they run at.
+    """
     phi_f = scenario.boundary.phi
     dphi_f = scenario.boundary.dphi
     m = scenario.metric
     scale = max(1.0, abs(float(y[1 + d])))
+    x = y[1 : 1 + d]  # a view: follows the in-place updates of y
+    ph = float(phi_f(x))
+    dp = np.asarray(dphi_f(x), dtype=float)
+    gidp = m.g_inv(x) @ dp
     for _ in range(max_iter):
-        x = y[1 : 1 + d]
-        ph = float(phi_f(x))
-        dp = np.asarray(dphi_f(x), dtype=float)
-        gidp = m.g_inv(x) @ dp
         h2 = 2.0 * float(dp @ gidp)
         if h2 < 1e-12:
             raise DegenerateTransversal(f"hz2p = {h2:.3e} during gliding projection")
         y[1 : 1 + d] = x - (2.0 * ph / h2) * gidp
 
-        x = y[1 : 1 + d]
         dp = np.asarray(dphi_f(x), dtype=float)
-        gidp = m.g_inv(x) @ dp
+        gi = m.g_inv(x)
+        gidp = gi @ dp
         h2 = 2.0 * float(dp @ gidp)
         xi = y[2 + d :]
         hpz_v = 2.0 * float(xi @ gidp)
         y[2 + d :] = xi - (hpz_v / h2) * dp
-        _rescale_char(scenario, y, d)
+        _rescale_char(scenario, y, d, gi)
 
-        x = y[1 : 1 + d]
         xi = y[2 + d :]
-        gidp = m.g_inv(x) @ np.asarray(dphi_f(x), dtype=float)
-        if abs(float(phi_f(x))) <= tol and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
+        ph = float(phi_f(x))
+        if abs(ph) <= tol and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
             return
     raise ProjectionDiverged("gliding constraint projection did not converge")
 
@@ -638,16 +648,13 @@ def _surrogate_vertex(scenario, y_target, depth, tau) -> PhasePoint:
     return PhasePoint(t=float(y_target[0]), x=x_in, tau=tau, xi=xi_new)
 
 
-def _fly_to_apex(scenario, rho_from, budget, h, params):
+def _fly_to_apex(scenario, rho_from, budget, h):
     """Follow H_p from an incoming boundary point to the next tangency."""
     d = scenario.dim
     rhs = _interior_rhs(scenario, 1.0)
-    dphi_f = scenario.boundary.dphi
-    m = scenario.metric
 
     def q_of(y):
-        x = y[1 : 1 + d]
-        return 2.0 * float(np.asarray(dphi_f(x), dtype=float) @ (m.g_inv(x) @ y[2 + d :]))
+        return _hpz_of(scenario, y, d)
 
     y = rho_from.as_vector()
     sig = 0.0
@@ -734,7 +741,7 @@ def glancing_step_construct(
                 pts.append(rho_r)
                 ss.append(s_now)
                 kinds.append("flight")
-                apex, ds2 = _fly_to_apex(scenario, rho_r, budget, h, fly_params)
+                apex, ds2 = _fly_to_apex(scenario, rho_r, budget, h)
                 s_now += ds2
                 pts.append(apex)
                 ss.append(s_now)

@@ -162,9 +162,12 @@ def callable_metric(dim: int, g_fn: Callable[[np.ndarray], np.ndarray], dg_fn=No
 
 
 def in_domain(scenario, x: np.ndarray) -> bool:
-    return bool(
-        np.all(x >= scenario.domain_lo - 1e-9) and np.all(x <= scenario.domain_hi + 1e-9)
-    )
+    """x lies in the chart box widened by 1e-9; NaN coordinates do not."""
+    lo, hi = scenario.domain_lo, scenario.domain_hi
+    for k in range(len(lo)):
+        if not lo[k] - 1e-9 <= x[k] <= hi[k] + 1e-9:
+            return False
+    return True
 
 
 def _require_in_domain(scenario, x: np.ndarray) -> None:

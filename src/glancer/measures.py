@@ -325,9 +325,9 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
             tags = []
             hp2z_vals = np.empty(n_p)
             for i in range(n_p):
-                rho_i = piece.point(i)
-                hp2z_vals[i] = sym.hp2z(scenario, rho_i)
-                tags.append(sym.classify_boundary_point(scenario, rho_i).tag)
+                bc = sym.classify_boundary_point(scenario, piece.point(i))
+                hp2z_vals[i] = bc.hp2z
+                tags.append(bc.tag)
             density = 0.5 * np.maximum(-hp2z_vals, 0.0) * cm.w[sl]
             arcs.append(
                 ArcSamples(
@@ -406,12 +406,9 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
         integrand = np.empty(n_p)
         g_arc = a.gradient_batch(arc.states)
         for i in range(n_p):
-            x_i = arc.states[i, 1 : 1 + d]
-            dphi = np.asarray(scenario.boundary.dphi(x_i), dtype=float)
-            dza = float(g_arc[i, 2 + d :] @ dphi)
-            h2 = sym.hz2p(scenario, x_i)
-            alpha = sym.alpha(scenario, x_i)
-            integrand[i] = arc.density[i] * (dza / h2) / alpha
+            st = sym._State(scenario, arc.states[i, 1 : 1 + d])
+            dza = float(g_arc[i, 2 + d :] @ st.dphi)
+            integrand[i] = arc.density[i] * (dza / st.hz2p) / st.alpha
         term_glide += float(np.trapezoid(integrand, arc.s))
 
     return abs(term_mu + term_atoms + term_glide)

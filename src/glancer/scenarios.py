@@ -211,12 +211,23 @@ def _strip_boundary(height: float) -> BoundaryDef:
     )
 
 
-def _radial_parts(x):
-    r = float(np.hypot(x[0], x[1]))
-    r = max(r, 1e-12)
-    xhat = np.asarray(x, dtype=float) / r
-    tang = np.eye(2) - np.outer(xhat, xhat)
-    return r, xhat, tang
+def _radial(x):
+    """|x| clamped away from 0, and the components of x / |x|, as scalars."""
+    r = max(float(np.hypot(x[0], x[1])), 1e-12)
+    return r, x[0] / r, x[1] / r
+
+
+def _radial_dphi(x, c: float) -> np.ndarray:
+    """Gradient of c |x|: c x / |x|."""
+    _, u, v = _radial(x)
+    return np.array([c * u, c * v])
+
+
+def _radial_d2phi(x, c: float) -> np.ndarray:
+    """Hessian of c |x|: c (I - xhat xhat^T) / |x|, entry by entry."""
+    r, u, v = _radial(x)
+    off = c * (0.0 - u * v) / r
+    return np.array([[c * (1.0 - u * u) / r, off], [off, c * (1.0 - v * v) / r]])
 
 
 def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
@@ -226,35 +237,28 @@ def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
         r = float(np.hypot(x[0], x[1]))
         return sign * (radius - r)
 
-    def dphi(x):
-        _, xhat, _ = _radial_parts(x)
-        return -sign * xhat
-
-    def d2phi(x):
-        r, _, tang = _radial_parts(x)
-        return -sign * tang / r
-
-    return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi)
+    return BoundaryDef(
+        phi=phi,
+        dphi=lambda x: _radial_dphi(x, -sign),
+        d2phi=lambda x: _radial_d2phi(x, -sign),
+    )
 
 
 def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
-    def inner_branch(x):
+    def side(x) -> float:
+        """+1 on the inner wall's branch of phi, -1 on the outer wall's."""
         r = float(np.hypot(x[0], x[1]))
-        return (r - r0) <= (r1 - r)
+        return 1.0 if (r - r0) <= (r1 - r) else -1.0
 
     def phi(x):
         r = float(np.hypot(x[0], x[1]))
         return min(r - r0, r1 - r)
 
-    def dphi(x):
-        _, xhat, _ = _radial_parts(x)
-        return xhat if inner_branch(x) else -xhat
-
-    def d2phi(x):
-        r, _, tang = _radial_parts(x)
-        return tang / r if inner_branch(x) else -tang / r
-
-    return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi)
+    return BoundaryDef(
+        phi=phi,
+        dphi=lambda x: _radial_dphi(x, side(x)),
+        d2phi=lambda x: _radial_d2phi(x, side(x)),
+    )
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
@@ -497,7 +501,7 @@ def builtin(name: str, metric: dict | None = None, potential: dict | None = None
 # derived scenario living in a chart
 
 
-def chart_scenario(base: Scenario, chart: Chart, fd_step: float = 1e-5) -> Scenario:
+def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
     """Pull the scenario back through a chart whose last coordinate is phi.
 
     The boundary in the derived scenario is exactly {z = 0} with dphi = e_d,

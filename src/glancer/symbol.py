@@ -18,9 +18,9 @@ from .errors import (
     EllipticPoint,
     NotCharacteristic,
     NotOnBoundary,
-    OutOfChart,
 )
-from .geometry import in_domain, unit_conormal
+# in_domain stays importable from here: perfbench/tracer.py patches symbol.in_domain.
+from .geometry import _require_in_domain, in_domain, unit_conormal  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,68 +120,138 @@ class TangentUpdate:
 # pointwise symbol algebra
 
 
-def _check_chart(scenario, x) -> None:
-    if not in_domain(scenario, x):
-        raise OutOfChart(f"point {np.asarray(x)} outside domain box of '{scenario.name}'")
+class _once:
+    """Attribute computed on first access and stored on the instance.
+
+    functools.cached_property without the lock it takes on every first
+    access before Python 3.12; a _State lives for one call, in one thread.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class _State:
+    """Metric and boundary data at one phase-space state, each evaluated once.
+
+    ``g_inv``, ``dg_inv``, ``dphi`` and ``d2phi`` are evaluated at x on first
+    use, so a caller evaluates only what it reads, in the order it reads it,
+    and every quantity below is derived from those evaluations. No chart
+    check is made here; the public functions make theirs.
+
+    A factor 2 is applied to a scalar rather than to a vector where the
+    result is the same: scaling by a power of two is exact in floating
+    point, short of overflow and subnormals.
+    """
+
+    def __init__(self, scenario, x, tau: float = 0.0, xi=None):
+        self.metric = scenario.metric
+        self.boundary = scenario.boundary
+        self.x = x
+        self.tau = tau
+        self.xi = xi
+
+    @_once
+    def gi(self):
+        return self.metric.g_inv(self.x)
+
+    @_once
+    def dgi(self):
+        return self.metric.dg_inv(self.x)
+
+    @_once
+    def dphi(self):
+        return np.asarray(self.boundary.dphi(self.x), dtype=float)
+
+    @_once
+    def d2phi(self):
+        return np.asarray(self.boundary.d2phi(self.x), dtype=float)
+
+    @_once
+    def sharp_xi(self):
+        return self.gi @ self.xi
+
+    @_once
+    def p(self) -> float:
+        return float(-self.tau**2 + self.xi @ self.gi @ self.xi)
+
+    @_once
+    def dx(self):
+        """x part of H_p: 2 g^-1 xi."""
+        return 2.0 * self.sharp_xi
+
+    @_once
+    def dxi(self):
+        """xi part of H_p: -dg^-1(xi, xi), zero for a constant metric."""
+        if self.metric.is_constant:
+            return np.zeros(len(self.xi))
+        return -np.einsum("kij,i,j->k", self.dgi, self.xi, self.xi)
+
+    @_once
+    def hpz(self) -> float:
+        return 2.0 * float(self.dphi @ self.sharp_xi)
+
+    @_once
+    def hz2p(self) -> float:
+        return 2.0 * float(self.dphi @ self.gi @ self.dphi)
+
+    @_once
+    def alpha(self) -> float:
+        return float(1.0 / np.sqrt(2.0 * self.hz2p))
+
+    @_once
+    def hp2z(self) -> float:
+        if self.metric.is_constant:
+            return 2.0 * float((self.d2phi @ self.sharp_xi) @ self.dx)
+        grad_x = 2.0 * (
+            self.d2phi @ self.sharp_xi + np.einsum("kij,i,j->k", self.dgi, self.dphi, self.xi)
+        )
+        grad_xi = 2.0 * self.gi @ self.dphi
+        return float(grad_x @ self.dx + grad_xi @ self.dxi)
+
+
+def _state(scenario, rho: PhasePoint) -> _State:
+    return _State(scenario, rho.x, rho.tau, rho.xi)
 
 
 def p_eval(scenario, rho: PhasePoint) -> float:
     """p(rho) = -tau^2 + |xi|^2_x."""
-    _check_chart(scenario, rho.x)
-    gi = scenario.metric.g_inv(rho.x)
-    return float(-rho.tau**2 + rho.xi @ gi @ rho.xi)
+    _require_in_domain(scenario, rho.x)
+    return _state(scenario, rho).p
 
 
 def hamiltonian_field(scenario, rho: PhasePoint) -> TangentUpdate:
     """H_p at rho: dt = -2 tau, dx = 2 g^-1 xi, dtau = 0, dxi from dg."""
-    _check_chart(scenario, rho.x)
-    m = scenario.metric
-    gi = m.g_inv(rho.x)
-    dx = 2.0 * gi @ rho.xi
-    if m.is_constant:
-        dxi = np.zeros(rho.dim)
-    else:
-        dxi = -np.einsum("kij,i,j->k", m.dg_inv(rho.x), rho.xi, rho.xi)
-    return TangentUpdate(dt=-2.0 * rho.tau, dx=dx, dtau=0.0, dxi=dxi)
+    _require_in_domain(scenario, rho.x)
+    s = _state(scenario, rho)
+    return TangentUpdate(dt=-2.0 * rho.tau, dx=s.dx, dtau=0.0, dxi=s.dxi)
 
 
 def hpz(scenario, rho: PhasePoint) -> float:
     """Derivative of phi along H_p: <dphi, 2 xi^sharp>."""
-    _check_chart(scenario, rho.x)
-    gi = scenario.metric.g_inv(rho.x)
-    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    return float(2.0 * dphi @ (gi @ rho.xi))
+    _require_in_domain(scenario, rho.x)
+    return _state(scenario, rho).hpz
 
 
 def hz2p(scenario, x) -> float:
     """Transversality coefficient 2 g*(dphi, dphi) at x."""
-    x = np.asarray(x, dtype=float)
-    gi = scenario.metric.g_inv(x)
-    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
-    return float(2.0 * dphi @ gi @ dphi)
+    return _State(scenario, np.asarray(x, dtype=float)).hz2p
 
 
 def alpha(scenario, x) -> float:
     """Normal normalization alpha(x) = (2 hz2p)^{-1/2}."""
-    return float(1.0 / np.sqrt(2.0 * hz2p(scenario, x)))
+    return _State(scenario, np.asarray(x, dtype=float)).alpha
 
 
 def hp2z(scenario, rho: PhasePoint) -> float:
     """Second derivative of phi along H_p (H_p applied to hpz)."""
-    _check_chart(scenario, rho.x)
-    m = scenario.metric
-    gi = m.g_inv(rho.x)
-    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    d2phi = np.asarray(scenario.boundary.d2phi(rho.x), dtype=float)
-    sharp_xi = gi @ rho.xi
-    dx = 2.0 * sharp_xi
-    if m.is_constant:
-        return float(2.0 * (d2phi @ sharp_xi) @ dx)
-    dgi = m.dg_inv(rho.x)
-    grad_x = 2.0 * (d2phi @ sharp_xi + np.einsum("kij,i,j->k", dgi, dphi, rho.xi))
-    grad_xi = 2.0 * gi @ dphi
-    dxi = -np.einsum("kij,i,j->k", dgi, rho.xi, rho.xi)
-    return float(grad_x @ dx + grad_xi @ dxi)
+    _require_in_domain(scenario, rho.x)
+    return _state(scenario, rho).hp2z
 
 
 def classify_boundary_point(scenario, rho: PhasePoint, thresholds: ClassifyThresholds | None = None) -> BoundaryClass:
@@ -190,9 +260,11 @@ def classify_boundary_point(scenario, rho: PhasePoint, thresholds: ClassifyThres
     phi = scenario.boundary.phi(rho.x)
     if abs(phi) > th.boundary_tol:
         raise NotOnBoundary(f"|phi| = {abs(phi):.3e} > boundary tolerance {th.boundary_tol:.0e}")
-    p = p_eval(scenario, rho)
-    v_hpz = hpz(scenario, rho)
-    v_hp2z = hp2z(scenario, rho)
+    _require_in_domain(scenario, rho.x)
+    s = _state(scenario, rho)
+    p = s.p
+    v_hpz = s.hpz
+    v_hp2z = s.hp2z
     if abs(p) > th.char_tol:
         p_par = p_eval(scenario, project_parallel(scenario, rho))
         if p_par > th.char_tol:
@@ -247,17 +319,6 @@ def hyperbolic_lifts(scenario, rho_par: PhasePoint) -> tuple[PhasePoint, PhasePo
     return minus, plus
 
 
-def _grad_hz2p(scenario, x) -> np.ndarray:
-    m = scenario.metric
-    gi = m.g_inv(x)
-    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
-    d2phi = np.asarray(scenario.boundary.d2phi(x), dtype=float)
-    out = 4.0 * d2phi @ (gi @ dphi)
-    if not m.is_constant:
-        out = out + 2.0 * np.einsum("kij,i,j->k", m.dg_inv(x), dphi, dphi)
-    return out
-
-
 def gliding_field(scenario, rho: PhasePoint) -> TangentUpdate:
     """Extended gliding field: H_p corrected along the fiber direction of phi.
 
@@ -266,13 +327,15 @@ def gliding_field(scenario, rho: PhasePoint) -> TangentUpdate:
     """
     if abs(scenario.boundary.phi(rho.x)) > scenario.band:
         raise NotOnBoundary("gliding field is only defined inside the extension band")
-    v_hz2p = hz2p(scenario, rho.x)
+    s = _state(scenario, rho)
+    v_hz2p = s.hz2p
     if v_hz2p < 1e-8:
         raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {rho.x}")
-    base = hamiltonian_field(scenario, rho)
-    v_hpz = hpz(scenario, rho)
-    v_hp2z = hp2z(scenario, rho)
-    hp_hz2p = float(_grad_hz2p(scenario, rho.x) @ base.dx)
-    coef = v_hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * v_hpz
-    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    return TangentUpdate(dt=base.dt, dx=base.dx, dtau=0.0, dxi=base.dxi - coef * dphi)
+    _require_in_domain(scenario, rho.x)
+    # H_p applied to hz2p, from the gradient of hz2p in x
+    grad_hz2p = 4.0 * s.d2phi @ (s.gi @ s.dphi)
+    if not s.metric.is_constant:
+        grad_hz2p = grad_hz2p + 2.0 * np.einsum("kij,i,j->k", s.dgi, s.dphi, s.dphi)
+    hp_hz2p = float(grad_hz2p @ s.dx)
+    coef = s.hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * s.hpz
+    return TangentUpdate(dt=-2.0 * rho.tau, dx=s.dx, dtau=0.0, dxi=s.dxi - coef * s.dphi)

@@ -14,6 +14,18 @@ def test_in_domain_is_the_chart_box(half_plane):
     assert geo.in_domain(half_plane, np.array([0.0, 5.0]))
     assert geo.in_domain(half_plane, np.array([0.0, -0.2]))  # collar below the wall
     assert not geo.in_domain(half_plane, np.array([0.0, 50.0]))
+    # the box is widened by exactly 1e-9 on each side
+    lo = half_plane.domain_lo - 1e-9
+    hi = half_plane.domain_hi + 1e-9
+    for k in range(2):
+        for edge, beyond in ((lo, -np.inf), (hi, np.inf)):
+            x = 0.5 * (half_plane.domain_lo + half_plane.domain_hi)
+            x[k] = edge[k]
+            assert geo.in_domain(half_plane, x)
+            x[k] = np.nextafter(edge[k], beyond)
+            assert not geo.in_domain(half_plane, x)
+    for x in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+        assert not geo.in_domain(half_plane, np.array(x))
 
 
 def test_conorm_sq_euclidean(half_plane):

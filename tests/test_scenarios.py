@@ -252,3 +252,42 @@ def test_readme_scenario_examples_load():
     for block in blocks:
         s = scen.from_config(json.loads(block))
         assert s.dim == 2
+
+
+def _radial_reference(x):
+    """xhat and the tangential projector I - xhat xhat^T, radius clamped at 1e-12."""
+    r = max(float(np.hypot(x[0], x[1])), 1e-12)
+    xhat = np.asarray(x, dtype=float) / r
+    return r, xhat, np.eye(2) - np.outer(xhat, xhat)
+
+
+def _radial_probe_points():
+    rng = np.random.default_rng(7)
+    pts = [rng.uniform(-1.3, 1.3, size=2) for _ in range(44)]
+    # radius clamped to 1e-12: the origin, and points just around it
+    pts += [np.zeros(2), np.array([1e-13, 0.0]), np.array([-3e-13, 4e-13]),
+            np.array([0.0, -5e-14]), np.array([1e-300, 1e-300]), np.array([-0.0, 2e-13])]
+    return pts
+
+
+@pytest.mark.parametrize("name", ["disk_interior", "disk_exterior", "annulus"])
+def test_radial_kernels_match_projector_reference(name):
+    s = scen.load_scenario(name)
+    sign = -1.0 if name == "disk_exterior" else 1.0
+    pts = _radial_probe_points()
+    assert len(pts) == 50
+    for x in pts:
+        r, xhat, tang = _radial_reference(x)
+        if name == "annulus":
+            r_raw = float(np.hypot(x[0], x[1]))
+            inner = (r_raw - 0.5) <= (1.0 - r_raw)
+            dphi_ref = xhat if inner else -xhat
+            d2phi_ref = tang / r if inner else -tang / r
+        else:
+            dphi_ref = -sign * xhat
+            d2phi_ref = -sign * tang / r
+        dphi = s.boundary.dphi(x)
+        d2phi = s.boundary.d2phi(x)
+        assert dphi.shape == (2,) and d2phi.shape == (2, 2)
+        assert dphi.tobytes() == dphi_ref.tobytes()
+        assert d2phi.tobytes() == d2phi_ref.tobytes()

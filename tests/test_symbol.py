@@ -1,10 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glancer import geometry as geo
+from glancer import scenarios as scen
 from glancer import symbol as sym
-from glancer.errors import EllipticPoint, NotCharacteristic, NotOnBoundary
+from glancer.errors import (
+    DegenerateTransversal,
+    EllipticPoint,
+    NotCharacteristic,
+    NotOnBoundary,
+    OutOfChart,
+)
 from glancer.symbol import PhasePoint, Tag
 
 angles = st.floats(0.0, 2 * np.pi, allow_nan=False)
@@ -187,3 +197,232 @@ def test_gliding_field_outside_band_rejected(disk):
     rho = PhasePoint(0.0, np.array([0.2, 0.0]), 1.0, np.array([0.0, 1.0]))
     with pytest.raises(NotOnBoundary):
         sym.gliding_field(disk, rho)
+
+
+# ---------------------------------------------------------------------------
+# fused per-state evaluation against the unfused composition
+#
+# Each quantity below is written as it was before the metric and boundary
+# were evaluated once per state: every function evaluates what it needs
+# itself. The fused functions must agree with it bit for bit.
+
+WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+
+
+def _ref_check_chart(scenario, x):
+    if not geo.in_domain(scenario, x):
+        raise OutOfChart(f"point {np.asarray(x)} outside domain box of '{scenario.name}'")
+
+
+def ref_p_eval(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    gi = scenario.metric.g_inv(rho.x)
+    return float(-rho.tau**2 + rho.xi @ gi @ rho.xi)
+
+
+def ref_hamiltonian_field(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    m = scenario.metric
+    gi = m.g_inv(rho.x)
+    dx = 2.0 * gi @ rho.xi
+    if m.is_constant:
+        dxi = np.zeros(rho.dim)
+    else:
+        dxi = -np.einsum("kij,i,j->k", m.dg_inv(rho.x), rho.xi, rho.xi)
+    return sym.TangentUpdate(dt=-2.0 * rho.tau, dx=dx, dtau=0.0, dxi=dxi)
+
+
+def ref_hpz(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    gi = scenario.metric.g_inv(rho.x)
+    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
+    return float(2.0 * dphi @ (gi @ rho.xi))
+
+
+def ref_hz2p(scenario, x):
+    x = np.asarray(x, dtype=float)
+    gi = scenario.metric.g_inv(x)
+    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
+    return float(2.0 * dphi @ gi @ dphi)
+
+
+def ref_hp2z(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    m = scenario.metric
+    gi = m.g_inv(rho.x)
+    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
+    d2phi = np.asarray(scenario.boundary.d2phi(rho.x), dtype=float)
+    sharp_xi = gi @ rho.xi
+    dx = 2.0 * sharp_xi
+    if m.is_constant:
+        return float(2.0 * (d2phi @ sharp_xi) @ dx)
+    dgi = m.dg_inv(rho.x)
+    grad_x = 2.0 * (d2phi @ sharp_xi + np.einsum("kij,i,j->k", dgi, dphi, rho.xi))
+    grad_xi = 2.0 * gi @ dphi
+    dxi = -np.einsum("kij,i,j->k", dgi, rho.xi, rho.xi)
+    return float(grad_x @ dx + grad_xi @ dxi)
+
+
+def ref_grad_hz2p(scenario, x):
+    m = scenario.metric
+    gi = m.g_inv(x)
+    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
+    d2phi = np.asarray(scenario.boundary.d2phi(x), dtype=float)
+    out = 4.0 * d2phi @ (gi @ dphi)
+    if not m.is_constant:
+        out = out + 2.0 * np.einsum("kij,i,j->k", m.dg_inv(x), dphi, dphi)
+    return out
+
+
+def ref_gliding_field(scenario, rho):
+    if abs(scenario.boundary.phi(rho.x)) > scenario.band:
+        raise NotOnBoundary("gliding field is only defined inside the extension band")
+    v_hz2p = ref_hz2p(scenario, rho.x)
+    if v_hz2p < 1e-8:
+        raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {rho.x}")
+    base = ref_hamiltonian_field(scenario, rho)
+    v_hpz = ref_hpz(scenario, rho)
+    v_hp2z = ref_hp2z(scenario, rho)
+    hp_hz2p = float(ref_grad_hz2p(scenario, rho.x) @ base.dx)
+    coef = v_hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * v_hpz
+    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
+    return sym.TangentUpdate(dt=base.dt, dx=base.dx, dtau=0.0, dxi=base.dxi - coef * dphi)
+
+
+def ref_classify(scenario, rho):
+    th = scenario.thresholds
+    phi = scenario.boundary.phi(rho.x)
+    if abs(phi) > th.boundary_tol:
+        raise NotOnBoundary(f"|phi| = {abs(phi):.3e} > boundary tolerance {th.boundary_tol:.0e}")
+    p = ref_p_eval(scenario, rho)
+    v_hpz = ref_hpz(scenario, rho)
+    v_hp2z = ref_hp2z(scenario, rho)
+    if abs(p) > th.char_tol:
+        p_par = ref_p_eval(scenario, sym.project_parallel(scenario, rho))
+        if p_par > th.char_tol:
+            return sym.BoundaryClass(tag=Tag.ELLIPTIC_TANGENTIAL, hpz=v_hpz, hp2z=v_hp2z, p=p)
+        raise NotCharacteristic(
+            f"p = {p:.3e} off the characteristic set and projection not elliptic"
+        )
+    if v_hpz > th.eps_g:
+        tag = Tag.HYPERBOLIC_IN
+    elif v_hpz < -th.eps_g:
+        tag = Tag.HYPERBOLIC_OUT
+    elif v_hp2z > th.eps_g2:
+        tag = Tag.DIFFRACTIVE
+    elif v_hp2z < -th.eps_g2:
+        tag = Tag.GLIDING
+    else:
+        tag = Tag.GLANCING3
+    return sym.BoundaryClass(tag=tag, hpz=v_hpz, hp2z=v_hp2z, p=p)
+
+
+def _outcome(fn, *args):
+    """Bytes of the result, or the exception type and message."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the error itself is part of the behaviour
+        return type(exc), str(exc)
+    if isinstance(out, sym.TangentUpdate):
+        return out.as_vector().tobytes()
+    if isinstance(out, sym.BoundaryClass):
+        return out.tag, float(out.hpz).hex(), float(out.hp2z).hex(), float(out.p).hex()
+    return float(out).hex()
+
+
+def _radial_points(rng, n, radii):
+    """n points at radius in one of the (lo, hi) ranges; phi is in band there."""
+    pts = []
+    for k in range(n):
+        lo, hi = radii[k % len(radii)]
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        pts.append(rng.uniform(lo, hi) * np.array([np.cos(th), np.sin(th)]))
+    return pts
+
+
+def _band_points(name, scenario, rng, n=24):
+    """(in-band points, boundary points) for one scenario."""
+    if name in ("disk_interior", "disk_exterior"):
+        band = _radial_points(rng, n, [(0.92, 1.08)])
+        wall = _radial_points(rng, n, [(1.0, 1.0)])
+    elif name == "annulus":
+        band = _radial_points(rng, n, [(0.42, 0.58), (0.92, 1.08)])
+        wall = _radial_points(rng, n, [(0.5, 0.5), (1.0, 1.0)])
+    elif name == "strip":
+        band = [np.array([rng.uniform(-5, 5), h + rng.uniform(-0.08, 0.08)])
+                for h in (0.0, 1.0) for _ in range(n // 2)]
+        wall = [np.array([rng.uniform(-5, 5), h]) for h in (0.0, 1.0) for _ in range(n // 2)]
+    else:  # wavy: phi = x2 + 0.3 cos(x1)
+        xs = rng.uniform(-2.5, 2.5, size=n)
+        band = [np.array([a, -0.3 * np.cos(a) + rng.uniform(-0.08, 0.08)]) for a in xs]
+        wall = [np.array([a, -0.3 * np.cos(a)]) for a in xs]
+    assert all(abs(scenario.boundary.phi(x)) <= scenario.band for x in band)
+    return band, wall
+
+
+def _wall_covectors(scenario, x, rng):
+    """Characteristic covectors at a wall point: transversal, tangent, elliptic."""
+    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
+    tangent = np.array([-dphi[1], dphi[0]])
+    out = []
+    for xi in (rng.normal(size=2), tangent, tangent + 1e-9 * dphi):
+        tau = float(np.sqrt(geo.conorm_sq(scenario, x, xi)))
+        out.append(PhasePoint(0.0, x, tau * rng.choice([-1.0, 1.0]), xi))
+    out.append(PhasePoint(0.0, x, 0.1, tangent))  # elliptic tangential
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["disk_interior", "disk_exterior", "annulus", "strip", "wavy"]
+)
+def test_fused_symbol_matches_unfused_composition(name):
+    scenario = scen.load_scenario(WAVY if name == "wavy" else name)
+    rng = np.random.default_rng(20240)
+    band, wall = _band_points(name, scenario, rng)
+    assert len(band) >= 20 and len(wall) >= 20
+    for x in band:
+        rho = PhasePoint(rng.uniform(-1, 1), x, rng.uniform(-2, 2), rng.normal(size=2))
+        for fused, ref in (
+            (sym.gliding_field, ref_gliding_field),
+            (sym.hamiltonian_field, ref_hamiltonian_field),
+            (sym.hpz, ref_hpz),
+            (sym.hp2z, ref_hp2z),
+            (sym.p_eval, ref_p_eval),
+        ):
+            assert _outcome(fused, scenario, rho) == _outcome(ref, scenario, rho), fused.__name__
+        assert _outcome(sym.hz2p, scenario, x) == _outcome(ref_hz2p, scenario, x)
+        assert sym.alpha(scenario, x) == float(1.0 / np.sqrt(2.0 * ref_hz2p(scenario, x)))
+    tags = set()
+    for x in wall:
+        for rho in _wall_covectors(scenario, x, rng):
+            got = _outcome(sym.classify_boundary_point, scenario, rho)
+            assert got == _outcome(ref_classify, scenario, rho)
+            assert _outcome(sym.gliding_field, scenario, rho) == _outcome(ref_gliding_field, scenario, rho)
+            tags.add(got[0])
+    assert {Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT, Tag.ELLIPTIC_TANGENTIAL} <= tags
+
+
+def _scenario_with(boundary, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
+    return scen.Scenario(
+        name="probe", dim=2, metric=geo.identity_metric(2), boundary=boundary,
+        domain_lo=np.array(lo), domain_hi=np.array(hi),
+    )
+
+
+def test_gliding_field_error_order():
+    """NotOnBoundary, then DegenerateTransversal, then OutOfChart."""
+    zero = np.zeros(2)
+    outside = PhasePoint(0.0, np.array([5.0, 0.0]), 1.0, np.array([1.0, 0.0]))
+    far = _scenario_with(geo.BoundaryDef(lambda x: 1.0, lambda x: zero, lambda x: np.zeros((2, 2))))
+    with pytest.raises(NotOnBoundary):
+        sym.gliding_field(far, outside)
+    flat = _scenario_with(geo.BoundaryDef(lambda x: 0.0, lambda x: zero, lambda x: np.zeros((2, 2))))
+    with pytest.raises(DegenerateTransversal):
+        sym.gliding_field(flat, outside)
+    e2 = np.array([0.0, 1.0])
+    wall = _scenario_with(geo.BoundaryDef(lambda x: float(x[1]), lambda x: e2, lambda x: np.zeros((2, 2))))
+    with pytest.raises(OutOfChart):
+        sym.gliding_field(wall, outside)
+    for fn in (sym.hpz, sym.hp2z, sym.p_eval, sym.hamiltonian_field, sym.classify_boundary_point):
+        with pytest.raises(OutOfChart):
+            fn(wall, outside)
