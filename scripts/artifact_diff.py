@@ -2,16 +2,25 @@
 """Compare what two glancer checkouts write for the benchmark's CLI commands.
 
 The commands of each workload come from perfbench/workloads.py (seeded as
-in perfbench/run.py). Each checkout runs all of them in its own Python
-subprocess, through its own ``glancer.cli.main``. For every command the
-script prints SAME or DIFF for the exit code, for the JSON summary (without
-``elapsed_s`` and the artifact paths) and for the bytes of every file the
-command wrote. It exits 1 on any difference, 2 when a checkout holds no
-glancer sources.
+in perfbench/run.py). The extra workload ``readme`` runs, once, the
+``glancer`` command lines of the README's ``sh`` blocks in this repository
+(``classify``, ``quasi-normal``, multi-bounce strip traces and a ``gcc``
+audit with the default worker count, which the benchmark does not run).
+Each checkout runs all of them in its own Python subprocess, through its
+own ``glancer.cli.main``. For every command the script prints SAME or DIFF
+for the exit code, for the JSON summary (without ``elapsed_s`` and the
+artifact paths) and for the bytes of every file the command wrote. It exits
+1 on any difference, 2 when a checkout holds no glancer sources.
+
+Against a checkout older than the fix that made ``gcc`` reports independent
+of ``--workers``, the README ``gcc`` command is expected to DIFF on a
+machine with more than one core: there the older checkout audits in
+parallel and also counted the samples after the first witness
+(``n_entered`` in the summary and in ``gcc_report.csv``).
 
 Usage:
     python3 scripts/artifact_diff.py CHECKOUT_A CHECKOUT_B \\
-        --workloads glide,audit,curved --seed 1 --rounds 3
+        --workloads glide,audit,curved,readme --seed 1 --rounds 3
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -27,7 +38,18 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 PERFBENCH = HERE.parent / "perfbench"
+README = HERE.parent / "README.md"
 MANIFEST = "manifest.json"
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every ``glancer ...`` line in the README's sh blocks."""
+    argvs = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("glancer "):
+                argvs.append(shlex.split(line)[1:])
+    return argvs
 
 
 def run_checkout(checkout: str, out: str, workloads: str, seed: str, rounds: str) -> None:
@@ -45,15 +67,19 @@ def run_checkout(checkout: str, out: str, workloads: str, seed: str, rounds: str
     out = Path(out)
     records = []
     for name in workloads.split(","):
-        wl = wl_mod.WORKLOADS[name](glancer, int(seed))
-        for r in range(int(rounds)):
-            for i, cmd in enumerate(wl.round(r)):
+        if name == "readme":
+            rounds_argv = [[(argv[0], argv) for argv in readme_commands()]]
+        else:
+            wl = wl_mod.WORKLOADS[name](glancer, int(seed))
+            rounds_argv = ([(c.kind, c.argv) for c in wl.round(r)] for r in range(int(rounds)))
+        for r, cmds in enumerate(rounds_argv):
+            for i, (kind, argv) in enumerate(cmds):
                 cmd_out = out / name / f"r{r}c{i}"
                 cmd_out.mkdir(parents=True)
                 stdout, stderr = io.StringIO(), io.StringIO()
                 try:
                     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        rc = glancer.cli.main(cmd.argv + ["--out", str(cmd_out)])
+                        rc = glancer.cli.main(argv + ["--out", str(cmd_out)])
                 except SystemExit as exc:
                     rc = exc.code if isinstance(exc.code, int) else 2
                 except Exception as exc:  # a crash is an outcome to compare
@@ -69,8 +95,8 @@ def run_checkout(checkout: str, out: str, workloads: str, seed: str, rounds: str
                         if k != "elapsed_s" and not (isinstance(v, str) and v.startswith(str(cmd_out)))
                     }
                 records.append({
-                    "label": f"{name} r{r} #{i} {cmd.kind}",
-                    "argv": cmd.argv,
+                    "label": f"{name} r{r} #{i} {kind}",
+                    "argv": argv,
                     "rc": rc,
                     "summary": summary,
                     "dir": str(cmd_out),
@@ -106,7 +132,7 @@ def main(argv=None) -> int:
     ap.add_argument("checkout_a", type=Path)
     ap.add_argument("checkout_b", type=Path)
     ap.add_argument("--workloads", default="glide,audit,curved",
-                    help="comma-separated perfbench workload names")
+                    help="comma-separated perfbench workload names, or readme")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)

@@ -52,7 +52,7 @@ def main(argv=None):
     print(f"{'h':>10}  {'residual':>12}  {'order':>6}")
     for h in hs:
         gb = flow.trace_generalized(scenario, rho0, args.t_horizon, flow.IntegratorParams(h=h))
-        cm = measures.dirac_on_bichar(scenario, gb, f=f, h=h)
+        cm = measures.dirac_on_bichar(scenario, gb, f=f)
         nu = measures.boundary_measure_of(scenario, cm)
         res = measures.transport_residual(scenario, cm, nu, a, f=f)
         if residuals:

@@ -24,10 +24,8 @@ from . import flow, gcc, measures
 from . import geometry as geo
 from . import scenarios as scen
 from . import symbol as sym
-from .errors import CheckFailed, ConfigError, GlancerError, ValidationError
+from .errors import ConfigError, GlancerError, ValidationError
 from .symbol import PhasePoint
-
-log = logging.getLogger("glancer.cli")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,7 @@ def cmd_verify_transport(args, scenario, out: Path) -> dict:
     rho0 = _parse_start(_require(args, "start"), scenario.dim)
     params = flow.IntegratorParams(h=args.h)
     gb = flow.trace_generalized(scenario, rho0, args.t_horizon, params)
-    cm = measures.dirac_on_bichar(scenario, gb, f=scenario.f, h=args.h)
+    cm = measures.dirac_on_bichar(scenario, gb, f=scenario.f)
     nu = measures.boundary_measure_of(scenario, cm)
     a = _default_test_function(gb)
     residual = measures.transport_residual(scenario, cm, nu, a, f=scenario.f)
@@ -445,9 +443,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except CheckFailed as exc:
-        print(json.dumps({"error": "check_failed", "detail": str(exc)}), file=sys.stderr)
-        return 1
     except GlancerError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

@@ -31,10 +31,6 @@ class EllipticPoint(GlancerError):
     """Tangential point with p > 0: no hyperbolic lifts exist."""
 
 
-class NotHyperbolic(GlancerError):
-    """reflect() called on a point that is not HyperbolicOut."""
-
-
 class DegenerateTransversal(GlancerError):
     """H_z^2 p fell below threshold; the gliding field is not defined."""
 
@@ -81,7 +77,3 @@ class ValidationError(GlancerError):
 
 class ConfigError(GlancerError):
     """CLI usage or configuration problem (exit code 2)."""
-
-
-class CheckFailed(GlancerError):
-    """A requested check did not pass (exit code 1)."""

@@ -5,6 +5,19 @@ reflection, gliding-arc integration with constraint projection, diffractive
 pass-through, the discrete glancing-step construction, and perturbation
 probes for flow continuity. The packed state layout is
 [t, x (d), tau, xi (d)], matching PhasePoint.as_vector.
+
+Every ray flight runs through one fixed-step RK4 marcher, _march: it takes
+the steps (the last clipped to the span), enforces the step budget and
+finiteness, records the samples and applies the chart-box policy. Each
+caller passes its projection and event checks, run after every step in
+this order:
+
+* interior piece: shell projection, the phi crossing (bisected), the
+  chart box, the tangency (q = d(phi)/d(sigma) turning from - to +);
+* gliding piece: the chart box, the constraint projection, the hp2z exit
+  hysteresis (two consecutive samples above gliding_exit);
+* chord flight to its apex (glancing-step construction): the chart box,
+  shell projection, q turning from + to - (bisected).
 """
 
 from __future__ import annotations
@@ -25,7 +38,6 @@ from .errors import (
     MaxPiecesExceeded,
     MaxStepsExceeded,
     NotCharacteristic,
-    NotHyperbolic,
     NotOnBoundary,
     OutOfChart,
     ProjectionDiverged,
@@ -78,18 +90,10 @@ class TrajectoryPiece:
     def point(self, i: int) -> PhasePoint:
         return PhasePoint.from_vector(self.states[i], self.dim)
 
-    @property
-    def samples(self):
-        return [(float(si), self.point(i)) for i, si in enumerate(self.s)]
-
-    @property
-    def s_span(self) -> tuple[float, float]:
-        return float(self.s[0]), float(self.s[-1])
-
 
 @dataclass
 class ExitEvent:
-    reason: str  # "span_end" | "boundary" | "chart_exit" | "glide_handoff"
+    reason: str  # "span_end" | "boundary" | "chart_exit" | "glide_handoff" | "apex"
     s: float
     rho: PhasePoint
     bclass: sym.BoundaryClass | None = None
@@ -209,9 +213,10 @@ def _rescale_char(scenario, y, d, gi=None) -> None:
     y[2 + d :] = xi * factor
 
 
-def _hpz_of(scenario, y, d) -> float:
-    """hpz at a packed state, without the chart check."""
-    return sym._State(scenario, y[1 : 1 + d], xi=y[2 + d :]).hpz
+def _approach_rate(scenario, sgn: float):
+    """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart check."""
+    d = scenario.dim
+    return lambda y: sgn * sym._State(scenario, y[1 : 1 + d], xi=y[2 + d :]).hpz
 
 
 def _check_characteristic(scenario, rho: PhasePoint) -> None:
@@ -221,15 +226,11 @@ def _check_characteristic(scenario, rho: PhasePoint) -> None:
         raise NotCharacteristic(f"p(rho) = {p0:.3e}; start must lie on the characteristic set")
 
 
-def _make_piece(kind, ss, ys) -> TrajectoryPiece:
-    return TrajectoryPiece(kind=kind, s=np.asarray(ss, dtype=float), states=np.vstack(ys))
-
-
-def _locate_scalar_zero(rhs, y_from, h, value_of, tol, want_abs=True):
+def _locate_scalar_zero(rhs, y_from, h, value_of, tol):
     """Bisect sigma in (0, h] for a sign change of value_of along RK4 substeps.
 
     value_of maps a packed state to a scalar that is >= 0-side at sigma=0 and
-    < 0 at sigma=h. Returns (sigma, state) at the located zero.
+    < 0 at sigma=h. Returns (sigma, state) at the located zero, or None.
     """
     lo, hi = 0.0, h
     best = None
@@ -237,7 +238,7 @@ def _locate_scalar_zero(rhs, y_from, h, value_of, tol, want_abs=True):
         mid = 0.5 * (lo + hi)
         y_mid = _rk4_step(rhs, y_from, mid)
         v = value_of(y_mid)
-        if want_abs and abs(v) <= tol:
+        if abs(v) <= tol:
             return mid, y_mid
         if v > 0.0:
             lo = mid
@@ -246,9 +247,57 @@ def _locate_scalar_zero(rhs, y_from, h, value_of, tol, want_abs=True):
             best = (mid, y_mid)
         if hi - lo < 1e-16 * max(1.0, h):
             break
-    if best is None:
-        return None
     return best
+
+
+_CHART_EXIT = ("chart_exit", 0.0, None)
+
+
+def _march(kind, rhs, y, s_span, params, direction, advance):
+    """Fixed-step RK4 on the clock sigma in s_span; recorded s = direction * sigma.
+
+    After each step, advance(y, y_new, h) projects y_new in place and runs
+    the caller's event checks. It returns None to accept the step, or
+    (reason, dsigma, y_event) to end the piece with y_event recorded at
+    sigma + dsigma (None: at the last accepted state). A step that leaves
+    the chart box, at an RK stage (OutOfChart) or as a check finds it
+    (_CHART_EXIT), ends the piece there with "chart_exit". The returned
+    ExitEvent has no bclass.
+    """
+    sig0, sig1 = float(s_span[0]), float(s_span[1])
+    if sig1 <= sig0:
+        raise ValueError(f"empty integration span {s_span}")
+    sgn = float(direction)
+    ss = [sgn * sig0]
+    ys = [y.copy()]
+    sig = sig0
+    steps = 0
+    event = None
+    while sig < sig1 - 1e-15:
+        h = min(params.h, sig1 - sig)
+        try:
+            y_new = _rk4_step(rhs, y, h)
+        except OutOfChart:
+            event = _CHART_EXIT
+            break
+        steps += 1
+        if steps > params.max_steps:
+            raise MaxStepsExceeded(f"more than {params.max_steps} {kind.lower()} steps")
+        if not np.all(np.isfinite(y_new)):
+            raise StepFailure("non-finite state produced by the integrator")
+        event = advance(y, y_new, h)
+        if event is not None:
+            break
+        sig += h
+        ss.append(sgn * sig)
+        ys.append(y_new)
+        y = y_new
+    reason, dsig, y_event = event or ("span_end", 0.0, None)
+    if y_event is not None:
+        ss.append(sgn * (sig + dsig))
+        ys.append(y_event)
+    piece = TrajectoryPiece(kind=kind, s=np.asarray(ss, dtype=float), states=np.vstack(ys))
+    return piece, ExitEvent(reason, ss[-1], PhasePoint.from_vector(ys[-1], piece.dim))
 
 
 def integrate_interior(
@@ -269,41 +318,25 @@ def integrate_interior(
     """
     params = params or IntegratorParams()
     d = scenario.dim
-    sig0, sig1 = float(s_span[0]), float(s_span[1])
-    if sig1 <= sig0:
-        raise ValueError(f"empty integration span {s_span}")
     _check_characteristic(scenario, rho0)
     sgn = float(direction)
     rhs = _interior_rhs(scenario, sgn)
     phi_f = scenario.boundary.phi
+    q_of = _approach_rate(scenario, sgn)
+    b_tol = scenario.thresholds.boundary_tol
 
     def phi_of(y):
         return float(phi_f(y[1 : 1 + d]))
 
-    def q_of(y):
-        # signed boundary approach rate d(phi)/d(sigma) = direction * hpz
-        return sgn * _hpz_of(scenario, y, d)
-
-    y = rho0.as_vector()
-    ss = [sgn * sig0]
-    ys = [y.copy()]
-    sig = sig0
-    phi_prev = phi_of(y)
-    q_prev = q_of(y)
+    y0 = rho0.as_vector()
+    phi_prev = phi_of(y0)
+    q_prev = q_of(y0)
     if phi_prev < -10.0 * params.event_tol:
         raise StepFailure(f"interior start lies outside the domain: phi = {phi_prev:.3e}")
     skip = int(_skip_tangency_steps)
-    steps = 0
-    b_tol = scenario.thresholds.boundary_tol
-    while sig < sig1 - 1e-15:
-        h = min(params.h, sig1 - sig)
-        y_new = _rk4_step(rhs, y, h)
-        steps += 1
-        if steps > params.max_steps:
-            raise MaxStepsExceeded(f"more than {params.max_steps} interior steps")
-        if not np.all(np.isfinite(y_new)):
-            raise StepFailure("non-finite state produced by the integrator")
-        x_new = y_new[1 : 1 + d]
+
+    def advance(y, y_new, h):
+        nonlocal phi_prev, q_prev, skip
         if params.project:
             _rescale_char(scenario, y_new, d)
         phi_new = phi_of(y_new)
@@ -321,16 +354,10 @@ def integrate_interior(
                 raise StepFailure("boundary crossing at zero step; reduce the step size")
             if params.project:
                 _rescale_char(scenario, y_hit, d)
-            s_hit = sgn * (sig + sig_hit)
-            ss.append(s_hit)
-            ys.append(y_hit)
-            rho_hit = PhasePoint.from_vector(y_hit, d)
-            bc = sym.classify_boundary_point(scenario, rho_hit)
-            return _make_piece(INTERIOR, ss, ys), ExitEvent("boundary", s_hit, rho_hit, bc)
+            return "boundary", sig_hit, y_hit
 
-        if not geo.in_domain(scenario, x_new):
-            rho_last = PhasePoint.from_vector(y, d)
-            return _make_piece(INTERIOR, ss, ys), ExitEvent("chart_exit", ss[-1], rho_last)
+        if not geo.in_domain(scenario, y_new[1 : 1 + d]):
+            return _CHART_EXIT
 
         if skip > 0:
             skip -= 1
@@ -345,29 +372,15 @@ def integrate_interior(
                 if abs(phi_of(y_t)) <= max(b_tol, 10.0 * params.event_tol):
                     if params.project:
                         _rescale_char(scenario, y_t, d)
-                    s_t = sgn * (sig + sig_t)
-                    ss.append(s_t)
-                    ys.append(y_t)
-                    rho_t = PhasePoint.from_vector(y_t, d)
-                    bc = sym.classify_boundary_point(scenario, rho_t)
-                    return _make_piece(INTERIOR, ss, ys), ExitEvent("boundary", s_t, rho_t, bc)
+                    return "boundary", sig_t, y_t
 
-        sig += h
-        ss.append(sgn * sig)
-        ys.append(y_new)
-        y = y_new
         phi_prev, q_prev = phi_new, q_new
+        return None
 
-    rho_end = PhasePoint.from_vector(y, d)
-    return _make_piece(INTERIOR, ss, ys), ExitEvent("span_end", ss[-1], rho_end)
-
-
-def reflect(scenario, rho_minus: PhasePoint) -> PhasePoint:
-    """Specular reflection at an outgoing hyperbolic boundary point."""
-    bc = sym.classify_boundary_point(scenario, rho_minus)
-    if bc.tag is not Tag.HYPERBOLIC_OUT:
-        raise NotHyperbolic(f"reflect expects a HyperbolicOut point, got {bc.tag.value}")
-    return sym.sigma(scenario, rho_minus)
+    piece, ev = _march(INTERIOR, rhs, y0, s_span, params, direction, advance)
+    if ev.reason == "boundary":
+        ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
+    return piece, ev
 
 
 def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> None:
@@ -421,49 +434,28 @@ def integrate_gliding(
     """
     params = params or IntegratorParams()
     d = scenario.dim
-    sig0, sig1 = float(s_span[0]), float(s_span[1])
-    if sig1 <= sig0:
-        raise ValueError(f"empty integration span {s_span}")
-    sgn = float(direction)
-    rhs = _gliding_rhs(scenario, sgn)
-    y = rho0.as_vector()
-    _project_gliding(scenario, y, d)
-    ss = [sgn * sig0]
-    ys = [y.copy()]
-    sig = sig0
+    y0 = rho0.as_vector()
+    _project_gliding(scenario, y0, d)
     exceed = 0
-    steps = 0
-    while sig < sig1 - 1e-15:
-        h = min(params.h, sig1 - sig)
-        y_new = _rk4_step(rhs, y, h)
-        steps += 1
-        if steps > params.max_steps:
-            raise MaxStepsExceeded(f"more than {params.max_steps} gliding steps")
-        if not np.all(np.isfinite(y_new)):
-            raise StepFailure("non-finite state produced by the gliding integrator")
+
+    def advance(y, y_new, h):
+        nonlocal exceed
         if not geo.in_domain(scenario, y_new[1 : 1 + d]):
-            rho_last = PhasePoint.from_vector(y, d)
-            return _make_piece(GLIDING, ss, ys), ExitEvent("chart_exit", ss[-1], rho_last)
+            return _CHART_EXIT
         _project_gliding(scenario, y_new, d)
-        sig += h
-        ss.append(sgn * sig)
-        ys.append(y_new)
-        rho_new = PhasePoint.from_vector(y_new, d)
-        if sym.hp2z(scenario, rho_new) > params.gliding_exit:
+        if sym.hp2z(scenario, PhasePoint.from_vector(y_new, d)) > params.gliding_exit:
             exceed += 1
             if exceed >= 2:
-                ss.pop()
-                ys.pop()
-                rho_h = PhasePoint.from_vector(ys[-1], d)
-                bc = sym.classify_boundary_point(scenario, rho_h)
-                return _make_piece(GLIDING, ss, ys), ExitEvent(
-                    "glide_handoff", ss[-1], rho_h, bc
-                )
+                return "glide_handoff", 0.0, None
         else:
             exceed = 0
-        y = y_new
-    rho_end = PhasePoint.from_vector(y, d)
-    return _make_piece(GLIDING, ss, ys), ExitEvent("span_end", ss[-1], rho_end)
+        return None
+
+    rhs = _gliding_rhs(scenario, float(direction))
+    piece, ev = _march(GLIDING, rhs, y0, s_span, params, direction, advance)
+    if ev.reason == "glide_handoff":
+        ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
+    return piece, ev
 
 
 def trace_generalized(
@@ -530,49 +522,31 @@ def trace_generalized(
             piece, ev = integrate_interior(
                 scenario, rho, (sigma, sigma_max), params, direction, _skip_tangency_steps=skip
             )
-            skip = 0
-            pieces.append(piece)
-            sigma = abs(ev.s)
-            if ev.reason == "span_end":
-                break
-            if ev.reason == "chart_exit":
-                log.info("trace left the chart at s = %.6g", ev.s)
-                break
-            bc = ev.bclass
-            if bc.tag in (Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT):
-                if direction * bc.hpz > 0:
-                    raise StepFailure(
-                        "boundary crossing classified as incoming; inconsistent event"
-                    )
-                rho = record_break(ev.s, ev.rho)
-            elif bc.tag is Tag.DIFFRACTIVE:
-                junctions.append((ev.s, bc))
-                rho = ev.rho
-                skip = 2
-            elif bc.tag is Tag.GLIDING:
-                junctions.append((ev.s, bc))
-                rho = ev.rho
-                mode = "gliding"
-            elif bc.tag is Tag.GLANCING3:
-                log.warning("trace reached an order-3 glancing contact at s = %.6g", ev.s)
-                junctions.append((ev.s, bc))
-                rho = ev.rho
-                mode = "gliding"
-            else:
-                raise StepFailure(f"unexpected boundary class {bc.tag.value} at s = {ev.s:.6g}")
         else:
             piece, ev = integrate_gliding(scenario, rho, (sigma, sigma_max), params, direction)
-            pieces.append(piece)
-            sigma = abs(ev.s)
-            if ev.reason == "span_end":
-                break
+        pieces.append(piece)
+        sigma = abs(ev.s)
+        if ev.reason in ("span_end", "chart_exit"):
             if ev.reason == "chart_exit":
-                log.info("gliding arc left the chart at s = %.6g", ev.s)
-                break
-            junctions.append((ev.s, ev.bclass))
-            rho = ev.rho
-            mode = "interior"
-            skip = 2
+                log.info("%s piece left the chart at s = %.6g", piece.kind, ev.s)
+            break
+        bc = ev.bclass
+        rho, skip = ev.rho, 0
+        if mode == "gliding" or bc.tag is Tag.DIFFRACTIVE:
+            # a glide handoff or a diffractive pass-through: on in the interior
+            junctions.append((ev.s, bc))
+            mode, skip = "interior", 2
+        elif bc.tag in (Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT):
+            if direction * bc.hpz > 0:
+                raise StepFailure("boundary crossing classified as incoming; inconsistent event")
+            rho = record_break(ev.s, ev.rho)
+        elif bc.tag in (Tag.GLIDING, Tag.GLANCING3):
+            if bc.tag is Tag.GLANCING3:
+                log.warning("trace reached an order-3 glancing contact at s = %.6g", ev.s)
+            junctions.append((ev.s, bc))
+            mode = "gliding"
+        else:
+            raise StepFailure(f"unexpected boundary class {bc.tag.value} at s = {ev.s:.6g}")
 
     return GenBicharacteristic(
         pieces=pieces,
@@ -648,35 +622,6 @@ def _surrogate_vertex(scenario, y_target, depth, tau) -> PhasePoint:
     return PhasePoint(t=float(y_target[0]), x=x_in, tau=tau, xi=xi_new)
 
 
-def _fly_to_apex(scenario, rho_from, budget, h):
-    """Follow H_p from an incoming boundary point to the next tangency."""
-    d = scenario.dim
-    rhs = _interior_rhs(scenario, 1.0)
-
-    def q_of(y):
-        return _hpz_of(scenario, y, d)
-
-    y = rho_from.as_vector()
-    sig = 0.0
-    q_prev = q_of(y)
-    while sig < budget:
-        y_new = _rk4_step(rhs, y, h)
-        if not geo.in_domain(scenario, y_new[1 : 1 + d]):
-            raise LeftChart("chord flight left the chart before reaching its apex")
-        _rescale_char(scenario, y_new, d)
-        q_new = q_of(y_new)
-        if q_prev > 0.0 >= q_new:
-            found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12)
-            if found is not None:
-                sig_t, y_t = found
-                _rescale_char(scenario, y_t, d)
-                return PhasePoint.from_vector(y_t, d), sig + sig_t
-        sig += h
-        y = y_new
-        q_prev = q_new
-    return PhasePoint.from_vector(y, d), sig
-
-
 def glancing_step_construct(
     scenario,
     rho0: PhasePoint,
@@ -711,6 +656,31 @@ def glancing_step_construct(
     hpz_max = abs(bc.hpz)
     rho = rho0
     s_now = 0.0
+    rhs = _interior_rhs(scenario, 1.0)
+    q_of = _approach_rate(scenario, 1.0)
+    q_prev = 0.0
+
+    def to_apex(y, y_new, h):
+        # The reflected chord's apex: q turns from receding (+) to approaching (-).
+        nonlocal q_prev
+        if not geo.in_domain(scenario, y_new[1 : 1 + d]):
+            return _CHART_EXIT
+        _rescale_char(scenario, y_new, d)
+        q_new = q_of(y_new)
+        if q_prev > 0.0 >= q_new:
+            found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12)
+            if found is not None:
+                sig_t, y_t = found
+                _rescale_char(scenario, y_t, d)
+                return "apex", sig_t, y_t
+        q_prev = q_new
+        return None
+
+    def add(point, kind):
+        pts.append(point)
+        ss.append(s_now)
+        kinds.append(kind)
+
     for _ in range(int(n_steps)):
         gl = sym.gliding_field(scenario, rho)
         y_t = rho.as_vector() + delta * gl.as_vector()
@@ -718,45 +688,33 @@ def glancing_step_construct(
             raise LeftChart("affine hop target left the chart")
         vertex = _surrogate_vertex(scenario, y_t, eps * delta, rho.tau)
         s_now += delta
-        pts.append(vertex)
-        ss.append(s_now)
-        kinds.append("affine")
+        add(vertex, "affine")
         hpz_max = max(hpz_max, abs(sym.hpz(scenario, vertex)))
 
         curv = max(abs(sym.hp2z(scenario, vertex)), 1e-2)
         budget = 8.0 * float(np.sqrt(max(eps * delta, 0.0) / curv)) + 4.0 * delta
         h = flight_h if flight_h is not None else max(budget / 256.0, 1e-9)
         fly_params = IntegratorParams(h=h, tangency_gate=-1.0)
-        piece, ev = integrate_interior(scenario, vertex, (0.0, budget), fly_params)
+        _, ev = integrate_interior(scenario, vertex, (0.0, budget), fly_params)
+        if ev.reason == "chart_exit":
+            raise LeftChart("chord flight left the chart")
+        s_now += abs(ev.s)
+        add(ev.rho, "flight")
+        rho = ev.rho
         if ev.reason == "boundary":
-            hpz_c = ev.bclass.hpz
-            hpz_max = max(hpz_max, abs(hpz_c))
-            contacts.append({"s": s_now + abs(ev.s), "hpz": hpz_c, "tag": ev.bclass.tag.value})
-            s_now += abs(ev.s)
-            pts.append(ev.rho)
-            ss.append(s_now)
-            kinds.append("flight")
+            hpz_max = max(hpz_max, abs(ev.bclass.hpz))
+            contacts.append({"s": s_now, "hpz": ev.bclass.hpz, "tag": ev.bclass.tag.value})
             if ev.bclass.tag is Tag.HYPERBOLIC_OUT:
                 rho_r = sym.sigma(scenario, ev.rho)
-                pts.append(rho_r)
-                ss.append(s_now)
-                kinds.append("flight")
-                apex, ds2 = _fly_to_apex(scenario, rho_r, budget, h)
-                s_now += ds2
-                pts.append(apex)
-                ss.append(s_now)
-                kinds.append("flight")
-                rho = apex
-            else:
+                add(rho_r, "flight")
+                y_r = rho_r.as_vector()
+                q_prev = q_of(y_r)
+                _, ev = _march(INTERIOR, rhs, y_r, (0.0, budget), fly_params, 1, to_apex)
+                if ev.reason == "chart_exit":
+                    raise LeftChart("chord flight left the chart before reaching its apex")
+                s_now += ev.s
+                add(ev.rho, "flight")
                 rho = ev.rho
-        elif ev.reason == "chart_exit":
-            raise LeftChart("chord flight left the chart")
-        else:
-            s_now += abs(ev.s)
-            pts.append(ev.rho)
-            ss.append(s_now)
-            kinds.append("flight")
-            rho = ev.rho
     return GlancingPolyline(
         points=pts, s=ss, segment_kinds=kinds, hpz_max=hpz_max, contacts=contacts
     )
@@ -793,21 +751,16 @@ def fold_into_domain(scenario, rho: PhasePoint) -> PhasePoint:
         if denom < 1e-16:
             raise DegenerateNormal("dphi degenerate while folding across the boundary")
         x = x + ((target - float(phi_f(x))) / denom) * gidp
-    n, n_star = geo.unit_conormal(scenario, x, scenario.band)
-    c = float(rho.xi @ n)
-    return PhasePoint(rho.t, x, rho.tau, rho.xi - 2.0 * c * n_star)
+    return sym.sigma(scenario, PhasePoint(rho.t, x, rho.tau, rho.xi))
 
 
 def _extended_reflection(scenario, rho: PhasePoint):
     """Sigma-tilde near the boundary, or None outside the extension band."""
     try:
-        n, n_star = geo.unit_conormal(scenario, rho.x, scenario.band)
+        mirrored = sym.sigma(scenario, rho)
     except (NotOnBoundary, DegenerateNormal):
         return None
-    c = float(rho.xi @ n)
-    mirrored = PhasePoint(rho.t, rho.x, rho.tau, rho.xi - 2.0 * c * n_star)
-    penalty = abs(float(scenario.boundary.phi(rho.x)))
-    return mirrored, penalty
+    return mirrored, abs(float(scenario.boundary.phi(rho.x)))
 
 
 def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
@@ -856,8 +809,8 @@ def _distance_variants(scenario, states: np.ndarray):
     return variants
 
 
-def _semi_distance(P, variants, chunk: int = 512) -> float:
-    """max over rows of P of the min compressed distance to the variant set."""
+def _min_distances(P, variants, chunk: int = 512) -> np.ndarray:
+    """Per row of P, the min compressed distance to the variant set."""
     best = np.full(len(P), np.inf)
     for rows, pens in variants:
         for start in range(0, len(P), chunk):
@@ -866,7 +819,12 @@ def _semi_distance(P, variants, chunk: int = 512) -> float:
             np.minimum(
                 best[start : start + chunk], dist.min(axis=1), out=best[start : start + chunk]
             )
-    return float(best.max())
+    return best
+
+
+def _semi_distance(P, variants) -> float:
+    """max over rows of P of the min compressed distance to the variant set."""
+    return float(_min_distances(P, variants).max())
 
 
 def _trace_states_both(scenario, rho, t_horizon, params) -> np.ndarray:

@@ -150,17 +150,22 @@ def _entered_over_trace(scenario, region, T, rho, params, window):
     return False, None
 
 
+def _audit_one(scenario, region, T, rho, params, window):
+    """("entered", hit time), ("witness", None) or ("skipped", reason) for one start."""
+    try:
+        ent, hit = _entered_over_trace(scenario, region, T, rho, params, window)
+    except GlancerError as exc:
+        return "skipped", str(exc)
+    return ("entered" if ent else "witness"), hit
+
+
 def _audit_chunk(config, region_expr, region_desc, T, rows, params, window):
     scenario = scen.from_config(config)
     region = ObservationRegion(description=region_desc, expression=region_expr)
     out = []
     for row in rows:
         rho = PhasePoint.from_vector(np.asarray(row, dtype=float), scenario.dim)
-        try:
-            ent, hit = _entered_over_trace(scenario, region, T, rho, params, window)
-            out.append(("entered" if ent else "witness", hit))
-        except GlancerError as exc:
-            out.append(("skipped", str(exc)))
+        out.append(_audit_one(scenario, region, T, rho, params, window))
     return out
 
 
@@ -200,85 +205,53 @@ def gcc_check(
         chunk = max(1, min(len(samples) // max(workers, 1) + 1, workers * 8))
         rows = [rho.as_vector() for rho in samples]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            start = 0
-            stop_early = False
-            while start < len(rows) and not stop_early:
-                futs = []
-                for w_i in range(workers):
-                    lo_i = start + w_i * chunk
-                    if lo_i >= len(rows):
-                        break
-                    part = rows[lo_i : lo_i + chunk]
-                    futs.append(
-                        (
-                            lo_i,
-                            pool.submit(
-                                _audit_chunk,
-                                scenario.config,
-                                region.expression,
-                                region.description,
-                                T,
-                                part,
-                                params,
-                                window,
-                            ),
-                        )
+            for start in range(0, len(rows), workers * chunk):
+                los = range(start, min(start + workers * chunk, len(rows)), chunk)
+                futs = [
+                    pool.submit(
+                        _audit_chunk, scenario.config, region.expression, region.description,
+                        T, rows[lo : lo + chunk], params, window,
                     )
-                for lo_i, fut in futs:
-                    part_res = fut.result()
-                    results[lo_i : lo_i + len(part_res)] = part_res
-                    if any(r[0] == "witness" for r in part_res):
-                        stop_early = True
-                start += workers * chunk
+                    for lo in los
+                ]
+                for lo, fut in zip(los, futs):
+                    results[lo : lo + chunk] = fut.result()
+                if any(r[0] == "witness" for r in results[start : start + workers * chunk]):
+                    break
     else:
         for i, rho in enumerate(samples):
-            try:
-                ent, hit = _entered_over_trace(scenario, region, T, rho, params, window)
-            except GlancerError as exc:
-                log.warning("sample %d skipped: %s", i, exc)
-                results[i] = ("skipped", str(exc))
-                continue
-            results[i] = ("entered" if ent else "witness", hit)
-            if not ent:
+            results[i] = _audit_one(scenario, region, T, rho, params, window)
+            if results[i][0] == "witness":
                 break
 
+    # One tally for both branches: it stops at the first witness in sampler
+    # order, so the counts do not depend on how far the workers ran ahead.
     n_entered = 0
     n_skipped = 0
     hit_times = []
     witness_idx = None
     for i, r in enumerate(results):
-        if r is None:
-            continue
         status, payload = r
+        if status == "witness":
+            witness_idx = i
+            break
         if status == "entered":
             n_entered += 1
             hit_times.append(payload)
-        elif status == "skipped":
+        else:
+            log.warning("sample %d skipped: %s", i, payload)
             n_skipped += 1
-        elif witness_idx is None:
-            witness_idx = i
 
+    witness = witness_backward = w_start = None
     if witness_idx is not None:
         w_start = samples[witness_idx]
-        witness_fwd = flow.trace_generalized(scenario, w_start, T, params, direction=1)
-        witness_bwd = flow.trace_generalized(scenario, w_start, T, params, direction=-1)
-        return GccReport(
-            verdict="FailsWithWitness",
-            witness=witness_fwd,
-            witness_backward=witness_bwd,
-            witness_start=w_start,
-            n_samples=len(samples),
-            n_entered=n_entered,
-            n_skipped=n_skipped,
-            hit_times=hit_times,
-            T=T,
-            elapsed=time.perf_counter() - t_begin,
-        )
+        witness = flow.trace_generalized(scenario, w_start, T, params, direction=1)
+        witness_backward = flow.trace_generalized(scenario, w_start, T, params, direction=-1)
     return GccReport(
-        verdict="HoldsOnSample",
-        witness=None,
-        witness_backward=None,
-        witness_start=None,
+        verdict="HoldsOnSample" if w_start is None else "FailsWithWitness",
+        witness=witness,
+        witness_backward=witness_backward,
+        witness_start=w_start,
         n_samples=len(samples),
         n_entered=n_entered,
         n_skipped=n_skipped,

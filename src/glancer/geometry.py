@@ -3,15 +3,14 @@
 Conventions used throughout the package:
 
 * points ``x`` are 1-d numpy arrays in scenario coordinates;
-* covectors carry lower indices, vectors upper; ``sharp``/``flat`` convert;
+* covectors carry lower indices, vectors upper; ``g_inv`` raises an index;
 * the boundary is the zero set of a scalar field ``phi`` with ``phi > 0``
   strictly inside the domain.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,9 +24,6 @@ from .errors import (
     SmoothingFailure,
 )
 
-log = logging.getLogger("glancer.geometry")
-
-BOUNDARY_TOL = 1e-9
 FD_STEP = 1e-5
 
 
@@ -73,23 +69,6 @@ class Chart:
     jacobian: Callable[[np.ndarray], np.ndarray]
     domain_lo: np.ndarray
     domain_hi: np.ndarray
-
-    def contains(self, y: np.ndarray) -> bool:
-        return bool(np.all(y >= self.domain_lo - 1e-12) and np.all(y <= self.domain_hi + 1e-12))
-
-
-def identity_chart(name: str, lo, hi) -> Chart:
-    ident = lambda x: np.asarray(x, dtype=float)
-    dim = len(lo)
-    eye = np.eye(dim)
-    return Chart(
-        name=name,
-        to_scenario=ident,
-        from_scenario=ident,
-        jacobian=lambda x: eye,
-        domain_lo=np.asarray(lo, dtype=float),
-        domain_hi=np.asarray(hi, dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -173,28 +152,6 @@ def in_domain(scenario, x: np.ndarray) -> bool:
 def _require_in_domain(scenario, x: np.ndarray) -> None:
     if not in_domain(scenario, x):
         raise OutOfChart(f"point {np.asarray(x)} outside domain box of '{scenario.name}'")
-
-
-def metric_at(scenario, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate (g, g_inv, dg) at x, with a domain check."""
-    x = np.asarray(x, dtype=float)
-    _require_in_domain(scenario, x)
-    m = scenario.metric
-    return m.g(x), m.g_inv(x), m.dg(x)
-
-
-def sharp(scenario, x, xi) -> np.ndarray:
-    """Raise an index: (xi^sharp)^i = g^{ij} xi_j."""
-    x = np.asarray(x, dtype=float)
-    _require_in_domain(scenario, x)
-    return scenario.metric.g_inv(x) @ np.asarray(xi, dtype=float)
-
-
-def flat(scenario, x, v) -> np.ndarray:
-    """Lower an index: (v^flat)_i = g_{ij} v^j."""
-    x = np.asarray(x, dtype=float)
-    _require_in_domain(scenario, x)
-    return scenario.metric.g(x) @ np.asarray(v, dtype=float)
 
 
 def conorm_sq(scenario, x, xi) -> float:

@@ -13,12 +13,10 @@ quadrature error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.spatial.distance import cdist
 
 from . import flow
 from . import geometry as geo
@@ -33,41 +31,8 @@ _ZERO_MASS_TAGS = (Tag.DIFFRACTIVE, Tag.GLANCING3)
 # localization profiles
 
 
-def bump_chi(s) -> float:
-    """Smooth one-sided cutoff: exp(1/(s-1)) below 1, identically 0 above."""
-    s = float(s)
-    if s >= 1.0:
-        return 0.0
-    return math.exp(1.0 / (s - 1.0))
-
-
-def bump_chi_prime(s) -> float:
-    s = float(s)
-    if s >= 1.0:
-        return 0.0
-    return -math.exp(1.0 / (s - 1.0)) / (s - 1.0) ** 2
-
-
-def bump_beta(s) -> float:
-    """C^1 polynomial step: 0 below -1, 1 above -1/2, cubic in between."""
-    s = float(s)
-    if s <= -1.0:
-        return 0.0
-    if s >= -0.5:
-        return 1.0
-    u = 2.0 * (s + 1.0)
-    return u * u * (3.0 - 2.0 * u)
-
-
-def bump_beta_prime(s) -> float:
-    s = float(s)
-    if s <= -1.0 or s >= -0.5:
-        return 0.0
-    u = 2.0 * (s + 1.0)
-    return 12.0 * u * (1.0 - u)
-
-
 def _chi_arr(u: np.ndarray) -> np.ndarray:
+    """Smooth one-sided cutoff: exp(1/(u-1)) below 1, identically 0 above."""
     out = np.zeros_like(u)
     m = u < 1.0
     out[m] = np.exp(1.0 / (u[m] - 1.0))
@@ -81,16 +46,8 @@ def _chi_prime_arr(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _beta_arr(v: np.ndarray) -> np.ndarray:
-    out = np.ones_like(v)
-    out[v <= -1.0] = 0.0
-    m = (v > -1.0) & (v < -0.5)
-    u = 2.0 * (v[m] + 1.0)
-    out[m] = u * u * (3.0 - 2.0 * u)
-    return out
-
-
 def _beta_prime_arr(v: np.ndarray) -> np.ndarray:
+    """Derivative of the C^1 ramp geometry.smoothstep."""
     out = np.zeros_like(v)
     m = (v > -1.0) & (v < -0.5)
     u = 2.0 * (v[m] + 1.0)
@@ -153,7 +110,7 @@ class TestFunction:
         if self.beta_axis is not None:
             v = (Y @ self.beta_axis - self.center.as_vector() @ self.beta_axis
                  - self.beta_shift) / self.beta_scale
-            a = a * _beta_arr(v)
+            a = a * geo.smoothstep(v)
         return a
 
     def gradient_batch(self, Y: np.ndarray) -> np.ndarray:
@@ -164,7 +121,7 @@ class TestFunction:
         if self.beta_axis is not None:
             v = (Y @ self.beta_axis - self.center.as_vector() @ self.beta_axis
                  - self.beta_shift) / self.beta_scale
-            b = _beta_arr(v)
+            b = geo.smoothstep(v)
             bp = _beta_prime_arr(v) / self.beta_scale
             g = g * b[:, None] + (chi_v * bp)[:, None] * self.beta_axis[None, :]
         return g
@@ -186,11 +143,8 @@ class CurveMeasure:
 
     carrier: flow.GenBicharacteristic
     w: np.ndarray
-    h: float
     s: np.ndarray
     states: np.ndarray
-    kinds: np.ndarray
-    piece_index: np.ndarray
 
     def __post_init__(self):
         if np.any(self.w <= 0.0):
@@ -203,14 +157,14 @@ class CurveMeasure:
         return float(np.interp(s_query, s, self.w))
 
 
-def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None, h: float = 1e-3) -> CurveMeasure:
+def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeasure:
     """Curve measure with the damping law w(s) = exp(-int_0^s f dsigma).
 
     f is evaluated as f(t, x) along the carrier samples and integrated by
     the trapezoid rule on the actual sample grid; f None or identically
     zero gives unit weights.
     """
-    s, states, kinds, idx = gb.all_samples()
+    s, states, _, _ = gb.all_samples()
     d = gb.dim
     if f is None:
         w = np.ones_like(s)
@@ -218,7 +172,7 @@ def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None, h: float = 1
         vals = np.array([float(f(states[i, 0], states[i, 1 : 1 + d])) for i in range(len(s))])
         integral = cumulative_trapezoid(vals, s, initial=0.0)
         w = np.exp(-integral)
-    return CurveMeasure(carrier=gb, w=w, h=h, s=s, states=states, kinds=kinds, piece_index=idx)
+    return CurveMeasure(carrier=gb, w=w, s=s, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +196,6 @@ class ArcSamples:
 
     s: np.ndarray
     density: np.ndarray
-    weight: np.ndarray
     tags: list[Tag]
     states: np.ndarray
 
@@ -256,36 +209,6 @@ class BoundaryMeasure:
     @property
     def total_atom_mass(self) -> float:
         return float(sum(a.mass for a in self.atoms))
-
-    def to_records(self) -> dict:
-        return {
-            "atoms": [
-                {
-                    "s": a.s,
-                    "mass": a.mass,
-                    "weight": a.weight,
-                    "tag": a.tag.value,
-                    "rho_par": a.rho_par.to_dict(),
-                    "rho_minus": a.rho_minus.to_dict(),
-                    "rho_plus": a.rho_plus.to_dict(),
-                }
-                for a in self.atoms
-            ],
-            "arcs": [
-                {
-                    "samples": [
-                        {
-                            "s": float(arc.s[i]),
-                            "density": float(arc.density[i]),
-                            "weight": float(arc.weight[i]),
-                            "tag": arc.tags[i].value,
-                        }
-                        for i in range(len(arc.s))
-                    ]
-                }
-                for arc in self.arcs
-            ],
-        }
 
 
 def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
@@ -333,7 +256,6 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
                 ArcSamples(
                     s=cm.s[sl].copy(),
                     density=density,
-                    weight=cm.w[sl].copy(),
                     tags=tags,
                     states=cm.states[sl].copy(),
                 )
@@ -490,10 +412,7 @@ def support_step_check(points, scenario, delta: float, eps: float, reference=Non
             upd = sym.hamiltonian_field(scenario, rho)
         adv = PhasePoint.from_vector(rho.as_vector() + delta * upd.as_vector(), d)
         targets[i] = flow.fold_into_domain(scenario, adv).as_vector()
-    best = np.full(len(targets), np.inf)
-    for rows, pens in variants:
-        dmat = cdist(targets, rows) + pens[None, :]
-        np.minimum(best, dmat.min(axis=1), out=best)
+    best = flow._min_distances(targets, variants)
     threshold = delta * eps
     failures = [
         {

@@ -27,7 +27,6 @@ from .geometry import (
     callable_metric,
     constant_metric,
     diagonal_metric,
-    identity_chart,
     identity_metric,
 )
 from .symbol import ClassifyThresholds
@@ -166,13 +165,10 @@ class Scenario:
     band: float = 0.1
     thresholds: ClassifyThresholds = field(default_factory=ClassifyThresholds)
     config: dict = field(default_factory=dict)
-    chart: Chart | None = None
 
     def __post_init__(self):
         self.domain_lo = np.asarray(self.domain_lo, dtype=float)
         self.domain_hi = np.asarray(self.domain_hi, dtype=float)
-        if self.chart is None:
-            self.chart = identity_chart(self.name, self.domain_lo, self.domain_hi)
 
     @property
     def config_hash(self) -> str:
@@ -537,5 +533,4 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
         band=min(base.band, float(chart.domain_hi[-1])),
         thresholds=base.thresholds,
         config={"derived_from": base.config, "chart": chart.name},
-        chart=chart,
     )

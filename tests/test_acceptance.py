@@ -175,7 +175,7 @@ def test_criterion_05_transport_identity():
         residuals = []
         for h in (1e-3, 1e-4):
             gb = flow.trace_generalized(half_plane, rho0, 2.4, flow.IntegratorParams(h=h))
-            cm = measures.dirac_on_bichar(half_plane, gb, f=f, h=h)
+            cm = measures.dirac_on_bichar(half_plane, gb, f=f)
             nu = measures.boundary_measure_of(half_plane, cm)
             residuals.append(measures.transport_residual(half_plane, cm, nu, a, f=f))
         _, states, _, _ = gb.all_samples()

@@ -49,6 +49,23 @@ def test_trace_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gliding_trace_ends_at_the_chart_box(tmp_path, capsys):
+    # a glancing start on the flat bottom wall glides along x1 = 2 s and
+    # meets the edge x1 = 12 of the chart box before the horizon (s = 15)
+    code, summary = run_cli(
+        [
+            "trace", "--scenario", "strip", "--start", "0,0,0,1,1,0",
+            "--t-horizon", "30", "--out", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert summary["pieces"] == 1
+    samples = [r for r in read_jsonl(tmp_path / "trace.jsonl") if r["record"] == "sample"]
+    assert {r["piece_kind"] for r in samples} == {"Gliding"}
+    assert 12.0 - 4e-3 < samples[-1]["x"][0] <= 12.0 + 1e-9  # the box, widened as in_domain does
+
+
 def test_classify_artifact(tmp_path, capsys):
     code, summary = run_cli(
         [

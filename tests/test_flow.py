@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from glancer import flow
 from glancer import geometry as geo
 from glancer import scenarios as scen
 from glancer import symbol as sym
-from glancer.errors import MaxPiecesExceeded, NotCharacteristic, OutOfChart
+from glancer.errors import (
+    MaxPiecesExceeded,
+    MaxStepsExceeded,
+    NotCharacteristic,
+    OutOfChart,
+    StepFailure,
+)
 from glancer.symbol import PhasePoint, Tag
 
 
@@ -70,17 +77,82 @@ def test_start_on_boundary_incoming_reflects_first(half_plane):
     assert len(gb.break_set) == 1 and gb.break_set[0].s == 0.0
 
 
-def test_backward_trace_retraces_forward(strip):
-    rho0 = unit_start(0.0, [0.1, 0.4], 1.0, [0.5, 0.86])
+WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+
+
+def _load(name):
+    return scen.load_scenario(WAVY if name == "wavy" else name)
+
+
+def shell_start(scenario, x, direction):
+    """tau = 1 start at x with xi along direction, scaled onto the shell."""
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(direction, dtype=float)
+    return PhasePoint(0.0, x, 1.0, xi / np.sqrt(geo.conorm_sq(scenario, x, xi)))
+
+
+@pytest.mark.parametrize(
+    "name, x, direction, horizon",
+    [
+        pytest.param("strip", [0.1, 0.4], [0.5, 0.86], 2.0, id="strip-bounce"),
+        pytest.param("half_plane", [0.0, 1.0], [0.6, -0.8], 3.0, id="half_plane-bounce"),
+        pytest.param("disk_interior", [0.2, 0.1], [0.6, 0.8], 2.0, id="disk_interior-bounce"),
+        pytest.param("disk_exterior", [-2.0, 0.3], [1.0, 0.0], 2.0, id="disk_exterior-bounce"),
+        pytest.param("annulus", [0.75, 0.0], [0.3, 1.0], 2.0, id="annulus-bounce"),
+        pytest.param("wavy", [0.3, 0.35 - 0.3 * np.cos(0.3)], [0.2, -1.0], 1.2, id="wavy-bounce"),
+        pytest.param("disk_interior", [1.0, 0.0], [0.0, 1.0], 1.0, id="disk_interior-glide"),
+        pytest.param("annulus", [1.0, 0.0], [0.0, 1.0], 1.0, id="annulus-glide"),
+        pytest.param("disk_exterior", [-1.5, 1.0], [1.0, 0.0], 4.0, id="disk_exterior-graze"),
+    ],
+)
+def test_backward_trace_retraces_forward(name, x, direction, horizon):
+    scenario = _load(name)
+    rho0 = shell_start(scenario, x, direction)
     params = flow.IntegratorParams(h=1e-3)
-    fwd = flow.trace_generalized(strip, rho0, 2.0, params, direction=1)
+    fwd = flow.trace_generalized(scenario, rho0, horizon, params, direction=1)
     _, states_f, _, _ = fwd.all_samples()
     end = PhasePoint.from_vector(states_f[-1], 2)
-    back = flow.trace_generalized(strip, end, 2.0, params, direction=-1)
+    back = flow.trace_generalized(scenario, end, horizon, params, direction=-1)
     _, states_b, _, _ = back.all_samples()
     assert np.linalg.norm(states_b[-1] - states_f[0]) < 1e-8
     for br in fwd.break_set + back.break_set:
-        assert sym.hpz(strip, br.rho_minus) < 0 < sym.hpz(strip, br.rho_plus)
+        assert sym.hpz(scenario, br.rho_minus) < 0 < sym.hpz(scenario, br.rho_plus)
+
+
+@pytest.mark.parametrize(
+    "integrate, name, x, xi, max_steps, outcome",
+    [
+        pytest.param("trace", "half_plane", [0.0, 1.0], [0.6, -0.8], 10, MaxStepsExceeded,
+                     id="interior-max-steps"),
+        pytest.param("trace", "disk_interior", [1.0, 0.0], [0.0, 1.0], 10, MaxStepsExceeded,
+                     id="gliding-max-steps"),
+        pytest.param("interior", "half_plane", [0.0, 1.0], [1.0, 0.0], 2_000_000, "chart_exit",
+                     id="chart-exit"),
+        pytest.param("interior", "half_plane", [0.0, -0.1], [1.0, 0.0], 2_000_000, StepFailure,
+                     id="start-outside"),
+    ],
+)
+def test_integrator_error_paths(integrate, name, x, xi, max_steps, outcome):
+    scenario = _load(name)
+    rho0 = shell_start(scenario, x, xi)
+    params = flow.IntegratorParams(h=1e-3, max_steps=max_steps)
+
+    def run():
+        if integrate == "trace":
+            return flow.trace_generalized(scenario, rho0, 20.0, params)
+        return flow.integrate_interior(scenario, rho0, (0.0, 10.0), params)
+
+    if outcome != "chart_exit":
+        with pytest.raises(outcome):
+            run()
+        return
+    # dx1/ds = 2: the ray reaches the box edge x1 = 12 at s = 6
+    piece, ev = run()
+    assert ev.reason == "chart_exit"
+    assert ev.s == pytest.approx(6.0, abs=1e-9)
+    assert len(piece) == 6001
+    assert np.array_equal(ev.rho.as_vector(), piece.states[-1])
+    assert geo.in_domain(scenario, ev.rho.x)
 
 
 def test_max_pieces_guard(strip):

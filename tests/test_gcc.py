@@ -100,14 +100,30 @@ def test_bad_samples_are_skipped_and_counted(strip):
     assert report.verdict == "HoldsOnSample"
 
 
-def test_parallel_matches_serial(disk):
-    region = gcc.region_from_expression("hypot(x1, x2) - 0.9")
-    samples = gcc.default_sampler(disk, 24, seed=3)
-    serial = gcc.gcc_check(disk, region, 2.0, samples, params=FAST)
-    parallel = gcc.gcc_check(disk, region, 2.0, samples, params=FAST, workers=3)
-    assert parallel.verdict == serial.verdict == "HoldsOnSample"
+def _summary_without_time(report):
+    summ = report.summary()
+    del summ["elapsed_s"]
+    return summ
+
+
+@pytest.mark.parametrize(
+    "name, expr, seed, verdict",
+    [
+        pytest.param("disk", "hypot(x1, x2) - 0.9", 3, "HoldsOnSample", id="holds"),
+        # the first start is horizontal at x2 = 0.5: a witness at index 0
+        pytest.param("strip", "0.2 - x2", 0, "FailsWithWitness", id="witness"),
+    ],
+)
+def test_parallel_matches_serial(request, name, expr, seed, verdict):
+    scenario = request.getfixturevalue(name)
+    region = gcc.region_from_expression(expr)
+    samples = gcc.default_sampler(scenario, 24, seed=seed)
+    serial = gcc.gcc_check(scenario, region, 2.0, samples, params=FAST)
+    parallel = gcc.gcc_check(scenario, region, 2.0, samples, params=FAST, workers=3)
+    assert parallel.verdict == serial.verdict == verdict
     assert parallel.n_entered == serial.n_entered
     assert np.allclose(parallel.hit_times, serial.hit_times)
+    assert _summary_without_time(parallel) == _summary_without_time(serial)
 
 
 def test_report_summary_fields(strip):

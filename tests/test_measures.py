@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from glancer import flow, measures
+from glancer import geometry as geo
 from glancer import symbol as sym
 from glancer.errors import SupportLeak
 from glancer.symbol import PhasePoint, Tag
@@ -20,26 +21,39 @@ def traced(scenario, rho0, t_horizon, h=1e-3):
 # bump profiles
 
 
+def chi(s):
+    return float(measures._chi_arr(np.array([s], dtype=float))[0])
+
+
+def chi_prime(s):
+    return float(measures._chi_prime_arr(np.array([s], dtype=float))[0])
+
+
+def beta_prime(s):
+    return float(measures._beta_prime_arr(np.array([s], dtype=float))[0])
+
+
 def test_chi_values():
-    assert measures.bump_chi(0.0) == pytest.approx(math.exp(-1.0))
-    assert measures.bump_chi(1.0) == 0.0
-    assert measures.bump_chi(2.0) == 0.0
-    assert measures.bump_chi(0.999) < 1e-300
+    assert chi(0.0) == pytest.approx(math.exp(-1.0))
+    assert chi(1.0) == 0.0
+    assert chi(2.0) == 0.0
+    assert chi(0.999) < 1e-300
 
 
 def test_beta_values():
-    assert measures.bump_beta(-2.0) == 0.0
-    assert measures.bump_beta(-1.0) == 0.0
-    assert measures.bump_beta(-0.75) == pytest.approx(0.5)
-    assert measures.bump_beta(-0.5) == 1.0
-    assert measures.bump_beta(3.0) == 1.0
+    # the beta factor of a TestFunction is geometry.smoothstep
+    assert geo.smoothstep(-2.0) == 0.0
+    assert geo.smoothstep(-1.0) == 0.0
+    assert geo.smoothstep(-0.75) == pytest.approx(0.5)
+    assert geo.smoothstep(-0.5) == 1.0
+    assert geo.smoothstep(3.0) == 1.0
 
 
 @given(s=st.floats(-3.0, 0.95))
 def test_chi_prime_matches_difference_quotient(s):
     eps = 1e-6
-    fd = (measures.bump_chi(s + eps) - measures.bump_chi(s - eps)) / (2 * eps)
-    assert measures.bump_chi_prime(s) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+    fd = (chi(s + eps) - chi(s - eps)) / (2 * eps)
+    assert chi_prime(s) == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 @given(s=st.floats(-2.0, 1.0))
@@ -47,14 +61,32 @@ def test_beta_prime_matches_difference_quotient(s):
     if min(abs(s + 1.0), abs(s + 0.5)) < 1e-3:
         return  # C1 joins: derivative exists but the quotient is one-sided
     eps = 1e-6
-    fd = (measures.bump_beta(s + eps) - measures.bump_beta(s - eps)) / (2 * eps)
-    assert measures.bump_beta_prime(s) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+    fd = (float(geo.smoothstep(s + eps)) - float(geo.smoothstep(s - eps))) / (2 * eps)
+    assert beta_prime(s) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+def _scalar_chi(s):
+    """Pointwise reference for measures._chi_arr."""
+    return 0.0 if s >= 1.0 else math.exp(1.0 / (s - 1.0))
+
+
+def _scalar_beta(s):
+    """Pointwise reference for the C^1 ramp geometry.smoothstep."""
+    if s <= -1.0:
+        return 0.0
+    if s >= -0.5:
+        return 1.0
+    u = 2.0 * (s + 1.0)
+    return u * u * (3.0 - 2.0 * u)
 
 
 def test_array_profiles_match_scalars():
     ss = np.linspace(-2.0, 2.0, 41)
-    assert np.allclose(measures._chi_arr(ss), [measures.bump_chi(s) for s in ss])
-    assert np.allclose(measures._beta_arr(ss), [measures.bump_beta(s) for s in ss])
+    assert np.allclose(measures._chi_arr(ss), [_scalar_chi(s) for s in ss])
+    assert np.allclose(geo.smoothstep(ss), [_scalar_beta(s) for s in ss])
+    # equal bit for bit on a dense grid and at the knots
+    dense = np.concatenate([np.linspace(-1.5, 0.0, 20_001), [-1.0, -0.5, np.nextafter(-1.0, 0.0)]])
+    assert np.array_equal(geo.smoothstep(dense), [_scalar_beta(s) for s in dense])
 
 
 # ---------------------------------------------------------------------------
