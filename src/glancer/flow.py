@@ -18,6 +18,16 @@ this order:
   hysteresis (two consecutive samples above gliding_exit);
 * chord flight to its apex (glancing-step construction): the chart box,
   shell projection, q turning from + to - (bisected).
+
+Under a constant metric an interior piece is a straight line with a fixed
+covector, and most of its steps are planned rather than taken one by one
+(_StraightRuns, the plan hook of _march). The rows ahead are built in one
+array pass per chunk, with the same bits the loop would produce, and
+screened at once with the row form of phi and the chart box: steps whose
+start and end rows are finite, above the tangency gate (or above 0) by
+1e-9 and inside the box are recorded in bulk; every other step, near the
+boundary, the box edge or the span end, runs through the loop and its
+checks above, so every event is decided as before.
 """
 
 from __future__ import annotations
@@ -164,10 +174,11 @@ def _interior_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarr
     def rhs(y):
         x = y[sl_x]
         xi = y[sl_xi]
+        gi = m.g_inv(x)
         dy = np.zeros(2 * d + 2)
         dy[0] = -2.0 * y[1 + d]
-        dy[sl_x] = 2.0 * (m.g_inv(x) @ xi)
-        dy[sl_xi] = -np.einsum("kij,i,j->k", m.dg_inv(x), xi, xi)
+        dy[sl_x] = 2.0 * (gi @ xi)
+        dy[sl_xi] = -np.einsum("kij,i,j->k", m.dg_inv(x, gi=gi), xi, xi)
         return direction * dy
 
     return rhs
@@ -183,12 +194,16 @@ def _gliding_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarra
     return rhs
 
 
-def _rk4_step(rhs, y, h):
+def _rk4_increment(rhs, y, h):
     k1 = rhs(y)
     k2 = rhs(y + (0.5 * h) * k1)
     k3 = rhs(y + (0.5 * h) * k2)
     k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_step(rhs, y, h):
+    return y + _rk4_increment(rhs, y, h)
 
 
 def _rescale_char(scenario, y, d, gi=None) -> None:
@@ -253,7 +268,7 @@ def _locate_scalar_zero(rhs, y_from, h, value_of, tol):
 _CHART_EXIT = ("chart_exit", 0.0, None)
 
 
-def _march(kind, rhs, y, s_span, params, direction, advance):
+def _march(kind, rhs, y, s_span, params, direction, advance, plan=None):
     """Fixed-step RK4 on the clock sigma in s_span; recorded s = direction * sigma.
 
     After each step, advance(y, y_new, h) projects y_new in place and runs
@@ -263,6 +278,10 @@ def _march(kind, rhs, y, s_span, params, direction, advance):
     the chart box, at an RK stage (OutOfChart) or as a check finds it
     (_CHART_EXIT), ends the piece there with "chart_exit". The returned
     ExitEvent has no bclass.
+
+    plan, when given, is asked before each step for a run of steps ahead of
+    (y, sigma, steps taken) that advance would accept unchanged: None, or
+    (sigmas, states) with one row per step, which are recorded as they are.
     """
     sig0, sig1 = float(s_span[0]), float(s_span[1])
     if sig1 <= sig0:
@@ -274,6 +293,15 @@ def _march(kind, rhs, y, s_span, params, direction, advance):
     steps = 0
     event = None
     while sig < sig1 - 1e-15:
+        run = plan(y, sig, steps) if plan is not None else None
+        if run is not None:
+            sigs, states = run
+            ss.extend((sgn * sigs).tolist())
+            ys.append(states)
+            steps += len(sigs)
+            sig = float(sigs[-1])
+            y = states[-1]
+            continue
         h = min(params.h, sig1 - sig)
         try:
             y_new = _rk4_step(rhs, y, h)
@@ -297,7 +325,124 @@ def _march(kind, rhs, y, s_span, params, direction, advance):
         ss.append(sgn * (sig + dsig))
         ys.append(y_event)
     piece = TrajectoryPiece(kind=kind, s=np.asarray(ss, dtype=float), states=np.vstack(ys))
-    return piece, ExitEvent(reason, ss[-1], PhasePoint.from_vector(ys[-1], piece.dim))
+    end = PhasePoint.from_vector(piece.states[-1].copy(), piece.dim)
+    return piece, ExitEvent(reason, ss[-1], end)
+
+
+class _StraightRuns:
+    """Plan hook for interior pieces under a constant metric.
+
+    There the RK4 increment depends on (tau, xi) alone, and xi changes only
+    through the shell projection, a map of xi that settles at once into a
+    fixed point or a short cycle. The rows ahead are then (tau, xi) from that
+    cycle and t, x accumulated from its increments; np.add.accumulate adds
+    in order, as the loop does, so the rows carry the loop's bits. They are
+    planned in chunks that double (64, 128, ... rows) up to the span end and
+    the step budget, and screened at once: a row is clear when it is finite,
+    phi > max(tangency_gate, 0) + 1e-9 and it lies more than 1e-12 inside
+    the widened chart box. A step whose start and end rows are both clear
+    passes every check of the interior advance; any other step is left to
+    the loop.
+    """
+
+    FIRST_CHUNK = 64
+    MAX_CYCLE = 8
+
+    def __init__(self, scenario, rhs, params, sig1):
+        self.scenario = scenario
+        self.rhs = rhs
+        self.params = params
+        self.sig1 = sig1
+        self.d = scenario.dim
+        self.level = max(params.tangency_gate, 0.0) + 1e-9
+        self.lo = scenario.domain_lo - 1e-9 + 1e-12
+        self.hi = scenario.domain_hi + 1e-9 - 1e-12
+        self.size = self.FIRST_CHUNK
+        self.dead = False
+        self.cycle = None  # (vs, incs, j, steps at vs[0]) from _settle
+        self.chunk = None  # (steps at row 0, sigmas, states, clear)
+
+    def _settle(self, y):
+        """(tau, xi) rows and step increments from y until they repeat.
+
+        Returns (vs, incs, j): row k has (tau, xi) = vs[k] and takes the
+        increment incs[k]; rows from j on cycle through vs[j:]. None when no
+        cycle shows within MAX_CYCLE rows or the projection fails.
+        """
+        d, h = self.d, self.params.h
+        z = y.copy()
+        keys, vs, incs = [], [], []
+        for _ in range(self.MAX_CYCLE):
+            key = z[1 + d :].tobytes()
+            if key in keys:
+                return np.array(vs), np.array(incs), keys.index(key)
+            keys.append(key)
+            vs.append(z[1 + d :].copy())
+            inc = _rk4_increment(self.rhs, z, h)
+            incs.append(inc)
+            z = z + inc
+            if self.params.project:
+                try:
+                    _rescale_char(self.scenario, z, d)
+                except StepFailure:
+                    return None
+        return None
+
+    def _build(self, y, sig, steps):
+        """Plan the chunk of full steps from y; False when none is possible."""
+        params, d = self.params, self.d
+        n = min(self.size, params.max_steps - steps)
+        if n < 1 or self.sig1 - sig < params.h:
+            return False
+        if self.cycle is None:
+            settled = self._settle(y)
+            if settled is None:
+                self.dead = True
+                return False
+            self.cycle = (*settled, steps)
+        vs, incs, j, origin = self.cycle
+        self.size *= 2
+        sigs = np.add.accumulate(np.concatenate(([sig], np.full(n, params.h))))
+        prev = sigs[:-1]
+        full = (prev < self.sig1 - 1e-15) & (params.h <= self.sig1 - prev)
+        n = int(full.argmin()) if not full.all() else n
+        sigs = sigs[: n + 1]
+        rows = np.arange(steps - origin, steps - origin + n + 1)
+        k = np.where(rows < j, rows, j + (rows - j) % (len(vs) - j))
+        states = np.empty((n + 1, len(y)))
+        tx = np.concatenate((y[None, : 1 + d], incs[k[:-1], : 1 + d]))
+        np.add.accumulate(tx, axis=0, out=states[:, : 1 + d])
+        states[:, 1 + d :] = vs[k]
+        X = states[:, 1 : 1 + d]
+        with np.errstate(all="ignore"):
+            clear = (
+                np.isfinite(states).all(axis=1)
+                & (self.scenario.boundary.phi_on_rows(X) > self.level)
+                & ((X > self.lo) & (X < self.hi)).all(axis=1)
+            )
+        self.chunk = (steps, sigs, states, clear)
+        return True
+
+    def __call__(self, y, sig, steps):
+        if self.dead:
+            return None
+        i = -1 if self.chunk is None else steps - self.chunk[0]
+        if i < 0 or i >= len(self.chunk[1]) - 1:  # no chunk, or y is past its rows
+            if not self._build(y, sig, steps):
+                return None
+            i = 0
+        elif y.tobytes() != self.chunk[2][i].tobytes():
+            self.dead = True  # the loop left the plan: it steps alone from here
+            return None
+        _, sigs, states, clear = self.chunk
+        if not clear[i]:
+            return None
+        # the run ends before the first flagged row after row i, or at the chunk end
+        rest = clear[i + 1 :]
+        k = i + 1 + (len(rest) if rest.all() else int(rest.argmin()))
+        if k == i + 1:
+            return None
+        return sigs[i + 1 : k], states[i + 1 : k]
 
 
 def integrate_interior(
@@ -377,7 +522,22 @@ def integrate_interior(
         phi_prev, q_prev = phi_new, q_new
         return None
 
-    piece, ev = _march(INTERIOR, rhs, y0, s_span, params, direction, advance)
+    plan = None
+    if scenario.metric.is_constant:
+        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]))
+
+        def plan(y, sig, steps):
+            # A run needs a clear start row and no pending tangency skips;
+            # after it, advance reads phi_prev and q_prev at its last row.
+            nonlocal phi_prev, q_prev
+            if skip > 0 or not phi_prev > runs.level:
+                return None
+            run = runs(y, sig, steps)
+            if run is not None:
+                phi_prev, q_prev = phi_of(run[1][-1]), q_of(run[1][-1])
+            return run
+
+    piece, ev = _march(INTERIOR, rhs, y0, s_span, params, direction, advance, plan)
     if ev.reason == "boundary":
         ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
     return piece, ev
@@ -498,6 +658,8 @@ def trace_generalized(
     phi0 = float(scenario.boundary.phi(rho.x))
     if phi0 > scenario.thresholds.boundary_tol:
         mode = "interior"
+    elif phi0 < -scenario.thresholds.boundary_tol:
+        raise StepFailure(f"start lies outside the domain: phi = {phi0:.3e}")
     else:
         bc = sym.classify_boundary_point(scenario, rho)
         if bc.tag in (Tag.GLIDING, Tag.GLANCING3):
@@ -791,14 +953,19 @@ def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
 
 
 def _distance_variants(scenario, states: np.ndarray):
-    """Rows plus their Sigma-tilde images with penalties, for batch distances."""
+    """Rows plus their Sigma-tilde images with penalties, for batch distances.
+
+    Rows with |phi| > band are skipped up front: the reflection rejects them
+    by the same test.
+    """
     d = scenario.dim
     variants = [(states, np.zeros(len(states)))]
     refl = np.empty_like(states)
     pen = np.empty(len(states))
     ok = np.zeros(len(states), dtype=bool)
-    for i, row in enumerate(states):
-        r = _extended_reflection(scenario, PhasePoint.from_vector(row, d))
+    far = np.abs(scenario.boundary.phi_on_rows(states[:, 1 : 1 + d])) > scenario.band
+    for i in np.flatnonzero(~far):
+        r = _extended_reflection(scenario, PhasePoint.from_vector(states[i], d))
         if r is None:
             continue
         refl[i] = r[0].as_vector()

@@ -42,21 +42,36 @@ class MetricEval:
     dg: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
 
-    def dg_inv(self, x: np.ndarray) -> np.ndarray:
-        """Derivative of the inverse metric: -g^-1 (dg) g^-1 per direction."""
+    def dg_inv(self, x: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
+        """Derivative of the inverse metric: -g^-1 (dg) g^-1 per direction.
+
+        gi is g_inv at x, when the caller has already evaluated it.
+        """
         if self.is_constant:
             return np.zeros((self.dim, self.dim, self.dim))
-        gi = self.g_inv(x)
+        if gi is None:
+            gi = self.g_inv(x)
         return -np.einsum("il,klm,mj->kij", gi, self.dg(x), gi)
 
 
 @dataclass
 class BoundaryDef:
-    """Boundary as the zero set of phi (> 0 inside), with two derivatives."""
+    """Boundary as the zero set of phi (> 0 inside), with two derivatives.
+
+    ``phi_rows``, when given, evaluates phi at every row of an (N, d) array
+    with the same arithmetic as ``phi``, so bit for bit the same values.
+    """
 
     phi: Callable[[np.ndarray], float]
     dphi: Callable[[np.ndarray], np.ndarray]
     d2phi: Callable[[np.ndarray], np.ndarray]
+    phi_rows: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def phi_on_rows(self, X: np.ndarray) -> np.ndarray:
+        """phi at each row of X; one phi call per row without a row form."""
+        if self.phi_rows is not None:
+            return self.phi_rows(X)
+        return np.array([float(self.phi(x)) for x in X], dtype=float)
 
 
 @dataclass

@@ -8,6 +8,7 @@ rebuilt from their resolved config dict when shipped to worker processes.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import logging
@@ -195,6 +196,7 @@ def _half_plane_boundary() -> BoundaryDef:
         phi=lambda x: float(x[1]),
         dphi=lambda x: e2,
         d2phi=lambda x: zero,
+        phi_rows=lambda X: X[:, 1].astype(float),
     )
 
 
@@ -204,6 +206,7 @@ def _strip_boundary(height: float) -> BoundaryDef:
         phi=lambda x: float(x[1] * (height - x[1]) / height),
         dphi=lambda x: np.array([0.0, (height - 2.0 * x[1]) / height]),
         d2phi=lambda x: d2,
+        phi_rows=lambda X: X[:, 1] * (height - X[:, 1]) / height,
     )
 
 
@@ -237,6 +240,7 @@ def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
         phi=phi,
         dphi=lambda x: _radial_dphi(x, -sign),
         d2phi=lambda x: _radial_d2phi(x, -sign),
+        phi_rows=lambda X: sign * (radius - np.hypot(X[:, 0], X[:, 1])),
     )
 
 
@@ -250,10 +254,15 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
         r = float(np.hypot(x[0], x[1]))
         return min(r - r0, r1 - r)
 
+    def phi_rows(X):
+        r = np.hypot(X[:, 0], X[:, 1])
+        return np.minimum(r - r0, r1 - r)
+
     return BoundaryDef(
         phi=phi,
         dphi=lambda x: _radial_dphi(x, side(x)),
         d2phi=lambda x: _radial_d2phi(x, side(x)),
+        phi_rows=phi_rows,
     )
 
 
@@ -272,7 +281,14 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
         j = phi_jet(x)
         return np.array([[j.d11, j.d12], [j.d12, j.d22]])
 
-    return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi)
+    def phi_rows(X):
+        return np.broadcast_to(np.asarray(fn(x1=X[:, 0], x2=X[:, 1]), dtype=float), X.shape[:1])
+
+    # numpy computes an array power by other routines than a scalar one
+    # (x ** 2 as a square, x ** 0.5 as a root, the rest by a vector pow) and
+    # the last bits differ, so an expression with ** keeps the per-row loop.
+    has_pow = any(isinstance(n, ast.Pow) for n in ast.walk(ast.parse(phi_expr, mode="eval")))
+    return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi, phi_rows=None if has_pow else phi_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +534,7 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
         phi=lambda y: float(y[-1]),
         dphi=lambda y: e_d,
         d2phi=lambda y: zero,
+        phi_rows=lambda Y: Y[:, -1].astype(float),
     )
     f = None
     if base.f is not None:

@@ -162,7 +162,7 @@ class _State:
 
     @_once
     def dgi(self):
-        return self.metric.dg_inv(self.x)
+        return self.metric.dg_inv(self.x, gi=self.gi)
 
     @_once
     def dphi(self):

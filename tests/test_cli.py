@@ -197,6 +197,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_start_outside_the_domain_is_a_step_failure(tmp_path, capsys):
+    code = cli.main(
+        ["trace", "--scenario", "half_plane", "--start", "0,0,-0.1,1,1,0", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "error": "StepFailure",
+        "detail": "start lies outside the domain: phi = -1.000e-01",
+    }
+
+
 def test_console_entry_point_and_log_env(tmp_path):
     env = dict(os.environ, GLANCER_LOG="INFO")
     proc = subprocess.run(

@@ -360,6 +360,27 @@ def test_glancing_step_converges_to_gliding(disk):
     assert dists[1] < dists[0]
 
 
+@pytest.mark.parametrize("name", ["disk_interior", "wavy"])
+def test_distance_variants_match_reflecting_every_row(name):
+    # rows beyond the band are screened out before the reflection is tried
+    scenario = _load(name)
+    rng = np.random.default_rng(3)
+    X = rng.uniform(scenario.domain_lo, scenario.domain_hi, size=(300, 2))
+    th = rng.uniform(0.0, 2 * np.pi, size=300)
+    states = np.column_stack([np.zeros(300), X, np.ones(300), np.cos(th), np.sin(th)])
+    refl, pen = [], []
+    for row in states:
+        r = flow._extended_reflection(scenario, PhasePoint.from_vector(row, 2))
+        if r is not None:
+            refl.append(r[0].as_vector())
+            pen.append(r[1])
+    variants = flow._distance_variants(scenario, states)
+    assert 0 < len(refl) < 300 and len(variants) == 2
+    assert np.array_equal(variants[0][0], states)
+    assert np.array_equal(variants[1][0], np.array(refl))
+    assert np.array_equal(variants[1][1], np.array(pen))
+
+
 def test_glancing_step_rejects_hyperbolic_start(disk):
     rho0 = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([-0.6, 0.8]))
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -166,3 +168,12 @@ def test_quasi_normal_chart_flattens_metric(build):
 def test_quasi_normal_chart_needs_boundary_base(disk):
     with pytest.raises((NotOnBoundary, DegenerateNormal)):
         geo.build_quasi_normal_chart(disk, np.array([0.2, 0.2]))
+
+
+def test_dg_inv_reuses_the_callers_g_inv_bit_for_bit():
+    wavy = scen.load_scenario(Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json")
+    m = wavy.metric
+    assert not m.is_constant
+    rng = np.random.default_rng(11)
+    for x in rng.uniform(wavy.domain_lo, wavy.domain_hi, size=(200, 2)):
+        assert m.dg_inv(x, gi=m.g_inv(x)).tobytes() == m.dg_inv(x).tobytes()

@@ -291,3 +291,31 @@ def test_radial_kernels_match_projector_reference(name):
         assert dphi.shape == (2,) and d2phi.shape == (2, 2)
         assert dphi.tobytes() == dphi_ref.tobytes()
         assert d2phi.tobytes() == d2phi_ref.tobytes()
+
+
+WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+ALL_FUNCS = (
+    "x2 - 0.1 * sin(x1) * cos(x2) + 0.01 * tan(0.3 * x1) - 0.01 * exp(-x1)"
+    " + 0.01 * log(3 + x1) + 0.01 * sqrt(abs(x1) + 1) + 0.02 * tanh(x1)"
+    " - 0.001 * sinh(x1) + 0.001 * cosh(x2) + 0.01 * arctan(x1) + 0.001 * hypot(x1, x2) / pi"
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [*scen.BUILTIN_NAMES, str(WAVY),
+     {"schema": 1, "boundary": {"kind": "expression", "phi": ALL_FUNCS}},
+     {"schema": 1, "boundary": {"kind": "expression", "phi": "x2 - 0.2 * x1 ** 2 + 0.1 * abs(x1) ** 1.5"}}],
+    ids=[*scen.BUILTIN_NAMES, "wavy", "all-functions", "power"],
+)
+def test_phi_on_rows_is_scalar_phi_bit_for_bit(source):
+    scenario = scen.load_scenario(source)
+    rng = np.random.default_rng(7)
+    # the chart box and a margin around it; the annulus box holds both of
+    # its min branches (r below and above (r0 + r1) / 2)
+    lo, hi = scenario.domain_lo - 0.5, scenario.domain_hi + 0.5
+    X = rng.uniform(lo, hi, size=(10_000, 2))
+    rows = scenario.boundary.phi_on_rows(X)
+    one_by_one = np.array([float(scenario.boundary.phi(x)) for x in X])
+    assert rows.shape == (10_000,)
+    assert rows.tobytes() == one_by_one.tobytes()
