@@ -91,6 +91,19 @@ def _parse_start(text: str, dim: int) -> PhasePoint:
     return PhasePoint.from_vector(np.asarray(vals), dim)
 
 
+def _check_numbers(args) -> None:
+    """Reject a step, horizon or hop length <= 0, a depth < 0, fewer than 1 sample."""
+    for name in ("h", "t_horizon", "delta"):
+        v = getattr(args, name, None)
+        if v is not None and not v > 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {v!r}")
+    eps, samples = getattr(args, "eps", None), getattr(args, "samples", None)
+    if eps is not None and not eps >= 0:
+        raise ConfigError(f"--eps must be nonnegative, got {eps!r}")
+    if samples is not None and samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
+
+
 def _require(args, name: str):
     val = getattr(args, name.replace("-", "_"), None)
     if val is None:
@@ -436,6 +449,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         scenario = scen.load_scenario(args.scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -555,7 +555,7 @@ def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> 
     scale = max(1.0, abs(float(y[1 + d])))
     x = y[1 : 1 + d]  # a view: follows the in-place updates of y
     ph = float(phi_f(x))
-    dp = np.asarray(dphi_f(x), dtype=float)
+    dp = dphi_f(x)
     gidp = m.g_inv(x) @ dp
     for _ in range(max_iter):
         h2 = 2.0 * float(dp @ gidp)
@@ -563,7 +563,7 @@ def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> 
             raise DegenerateTransversal(f"hz2p = {h2:.3e} during gliding projection")
         y[1 : 1 + d] = x - (2.0 * ph / h2) * gidp
 
-        dp = np.asarray(dphi_f(x), dtype=float)
+        dp = dphi_f(x)
         gi = m.g_inv(x)
         gidp = gi @ dp
         h2 = 2.0 * float(dp @ gidp)
@@ -742,33 +742,16 @@ class GlancingPolyline:
     contacts: list[dict] = field(default_factory=list)
 
 
-def _project_to_boundary(scenario, x, max_iter: int = 12):
-    phi_f = scenario.boundary.phi
-    dphi_f = scenario.boundary.dphi
-    x = np.asarray(x, dtype=float).copy()
-    for _ in range(max_iter):
-        ph = float(phi_f(x))
-        if abs(ph) <= 1e-13:
-            return x
-        dp = np.asarray(dphi_f(x), dtype=float)
-        nd2 = float(dp @ dp)
-        if nd2 < 1e-24:
-            raise DegenerateNormal(f"dphi ~ 0 while projecting {x} to the boundary")
-        x = x - (ph / nd2) * dp
-    return x
-
-
-def _surrogate_vertex(scenario, y_target, depth, tau) -> PhasePoint:
+def _surrogate_vertex(scenario, y_target, x_b, depth, tau) -> PhasePoint:
     """Characteristic point in the closed domain near a frozen-field target.
 
     The base point is placed depth units inside along the metric-unit normal
-    of the boundary projection; the covector keeps the target's tangential
-    part and is lifted (or rescaled) onto the characteristic shell.
+    at x_b, the target's projection onto the boundary; the covector keeps the
+    target's tangential part and is lifted (or rescaled) onto the
+    characteristic shell.
     """
     d = scenario.dim
-    x_t = y_target[1 : 1 + d]
     xi_t = y_target[2 + d :]
-    x_b = _project_to_boundary(scenario, x_t)
     n_b, _ = geo.unit_conormal(scenario, x_b, 1e-9)
     x_in = x_b + depth * n_b
     n_in, ns_in = geo.unit_conormal(scenario, x_in, max(scenario.band, 2.0 * depth))
@@ -846,9 +829,12 @@ def glancing_step_construct(
     for _ in range(int(n_steps)):
         gl = sym.gliding_field(scenario, rho)
         y_t = rho.as_vector() + delta * gl.as_vector()
-        if not geo.in_domain(scenario, _project_to_boundary(scenario, y_t[1 : 1 + d])):
+        x_b, ph, dp = geo.newton_to_boundary(scenario.boundary, y_t[1 : 1 + d], 12, 1e-13)
+        if abs(ph) > 1e-13 and float(dp @ dp) < 1e-24:
+            raise DegenerateNormal(f"dphi ~ 0 while projecting {x_b} to the boundary")
+        if not geo.in_domain(scenario, x_b):
             raise LeftChart("affine hop target left the chart")
-        vertex = _surrogate_vertex(scenario, y_t, eps * delta, rho.tau)
+        vertex = _surrogate_vertex(scenario, y_t, x_b, eps * delta, rho.tau)
         s_now += delta
         add(vertex, "affine")
         hpz_max = max(hpz_max, abs(sym.hpz(scenario, vertex)))
@@ -907,7 +893,7 @@ def fold_into_domain(scenario, rho: PhasePoint) -> PhasePoint:
     x = np.asarray(rho.x, dtype=float).copy()
     target = -ph
     for _ in range(2):
-        dp = np.asarray(dphi_f(x), dtype=float)
+        dp = dphi_f(x)
         gidp = m.g_inv(x) @ dp
         denom = float(dp @ gidp)
         if denom < 1e-16:

@@ -190,6 +190,8 @@ def gcc_check(
     params = params or flow.IntegratorParams()
     window = window or max(T / 8.0, 4.0 * params.h)
     samples = list(sampler)
+    if not samples:
+        raise ValueError("no samples to audit")
     t_begin = time.perf_counter()
     results: list = [None] * len(samples)
 

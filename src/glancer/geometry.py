@@ -5,12 +5,16 @@ Conventions used throughout the package:
 * points ``x`` are 1-d numpy arrays in scenario coordinates;
 * covectors carry lower indices, vectors upper; ``g_inv`` raises an index;
 * the boundary is the zero set of a scalar field ``phi`` with ``phi > 0``
-  strictly inside the domain.
+  strictly inside the domain. A ``BoundaryDef`` gives ``phi(x)``, the only
+  source of boundary values; ``derivs(x)``, its first and second
+  derivatives as five floats; and optionally ``phi_rows(X)``, phi on every
+  row of an array, bit for bit equal to ``phi`` on each row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,22 +60,36 @@ class MetricEval:
 
 @dataclass
 class BoundaryDef:
-    """Boundary as the zero set of phi (> 0 inside), with two derivatives.
+    """Boundary as the zero set of phi (> 0 inside), with its 2-jet.
 
-    ``phi_rows``, when given, evaluates phi at every row of an (N, d) array
+    ``phi(x)`` is the value, and every sign or tolerance test reads it.
+    ``derivs(x)`` returns the derivatives ``(d1, d2, d11, d12, d22)`` at x as
+    five floats, so one call gives what the contact classification needs;
+    ``dphi`` and ``d2phi`` build the gradient and Hessian arrays from it.
+    ``phi_rows``, when given, evaluates phi at every row of an (N, 2) array
     with the same arithmetic as ``phi``, so bit for bit the same values.
     """
 
     phi: Callable[[np.ndarray], float]
-    dphi: Callable[[np.ndarray], np.ndarray]
-    d2phi: Callable[[np.ndarray], np.ndarray]
-    phi_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    derivs: Callable[[np.ndarray], tuple[float, float, float, float, float]]
+    phi_rows: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
+
+    def dphi(self, x: np.ndarray) -> np.ndarray:
+        return np.array(self.derivs(x)[:2], dtype=float)
+
+    def d2phi(self, x: np.ndarray) -> np.ndarray:
+        return _hessian(self.derivs(x))
 
     def phi_on_rows(self, X: np.ndarray) -> np.ndarray:
         """phi at each row of X; one phi call per row without a row form."""
         if self.phi_rows is not None:
             return self.phi_rows(X)
         return np.array([float(self.phi(x)) for x in X], dtype=float)
+
+
+def _hessian(derivs) -> np.ndarray:
+    _, _, d11, d12, d22 = derivs
+    return np.array([[d11, d12], [d12, d22]], dtype=float)
 
 
 @dataclass
@@ -183,7 +201,7 @@ def unit_conormal(scenario, x, tol: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if abs(scenario.boundary.phi(x)) > tol:
         raise NotOnBoundary(f"|phi| = {abs(scenario.boundary.phi(x)):.3e} > {tol:.3e} at {x}")
-    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
+    dphi = scenario.boundary.dphi(x)
     gi = scenario.metric.g_inv(x)
     norm2 = float(dphi @ gi @ dphi)
     if norm2 < 1e-16:
@@ -196,6 +214,31 @@ def unit_normal(scenario, x) -> tuple[np.ndarray, np.ndarray]:
     """Inward unit normal (n, n_star) at a boundary point."""
     _require_in_domain(scenario, np.asarray(x, dtype=float))
     return unit_conormal(scenario, x, scenario.thresholds.boundary_tol)
+
+
+def newton_to_boundary(boundary: BoundaryDef, x, steps: int, tol: float = 0.0,
+                       max_step: float = math.inf):
+    """Euclidean Newton steps x <- x - (phi / |dphi|^2) dphi toward {phi = 0}.
+
+    Takes at most ``steps`` steps. Stops early at a point with |phi| <= tol,
+    at one with |dphi|^2 < 1e-24, or before a step longer than max_step.
+    Returns (x, phi, dphi) at the point where it stopped; what a degenerate
+    dphi there means is for the caller to decide.
+    """
+    x = np.asarray(x, dtype=float)
+    for k in range(steps + 1):
+        phi = float(boundary.phi(x))
+        dphi = boundary.dphi(x)
+        if k == steps or abs(phi) <= tol:
+            break
+        nd2 = float(dphi @ dphi)
+        if nd2 < 1e-24:
+            break
+        step = (phi / nd2) * dphi
+        if math.hypot(*step) > max_step:
+            break
+        x = x - step
+    return x, phi, dphi
 
 
 # ---------------------------------------------------------------------------
@@ -268,35 +311,25 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
     """
     bnd = scenario.boundary
 
-    def newton_to_boundary(x):
-        for _ in range(4):
-            f = bnd.phi(x)
-            d = np.asarray(bnd.dphi(x), dtype=float)
-            x = x - f * d / float(d @ d)
-        return x
-
-    def tangent(x):
-        d = np.asarray(bnd.dphi(x), dtype=float)
+    def tangent(d):
         t = np.array([-d[1], d[0]])
         return t / np.linalg.norm(t)
 
-    x0 = newton_to_boundary(np.asarray(m0, dtype=float))
     n_side = int(np.ceil(half_span / step))
     us = np.arange(-n_side, n_side + 1) * step
     pts = np.empty((len(us), 2))
-    pts[n_side] = x0
+    grads = np.empty_like(pts)
+    x0, _, d0 = newton_to_boundary(bnd, m0, 4)
+    pts[n_side], grads[n_side] = x0, d0
     for direction in (+1, -1):
-        x = x0.copy()
+        x, d = x0, d0
         for k in range(1, n_side + 1):
             # midpoint step along the tangent, then project back
             h = direction * step
-            xm = x + 0.5 * h * tangent(x)
-            x = newton_to_boundary(x + h * tangent(xm))
-            pts[n_side + direction * k] = x
-    normals = np.empty_like(pts)
-    for i, x in enumerate(pts):
-        d = np.asarray(bnd.dphi(x), dtype=float)
-        normals[i] = d / np.linalg.norm(d)
+            xm = x + 0.5 * h * tangent(d)
+            x, _, d = newton_to_boundary(bnd, x + h * tangent(bnd.dphi(xm)), 4)
+            pts[n_side + direction * k], grads[n_side + direction * k] = x, d
+    normals = np.array([d / np.linalg.norm(d) for d in grads])
     b_spline = CubicSpline(us, pts, axis=0)
     e_spline = CubicSpline(us, normals, axis=0)
     return us, b_spline, e_spline

@@ -29,6 +29,7 @@ from .geometry import (
     constant_metric,
     diagonal_metric,
     identity_metric,
+    newton_to_boundary,
 )
 from .symbol import ClassifyThresholds
 
@@ -181,52 +182,35 @@ class Scenario:
             return 0.0
         return float(self.f(t, x))
 
-    def describe(self) -> dict:
-        return {"scenario": self.name, "scenario_hash": self.config_hash, "dim": self.dim}
-
 
 # ---------------------------------------------------------------------------
 # built-in boundaries
 
 
 def _half_plane_boundary() -> BoundaryDef:
-    zero = np.zeros((2, 2))
-    e2 = np.array([0.0, 1.0])
     return BoundaryDef(
         phi=lambda x: float(x[1]),
-        dphi=lambda x: e2,
-        d2phi=lambda x: zero,
+        derivs=lambda x: (0.0, 1.0, 0.0, 0.0, 0.0),
         phi_rows=lambda X: X[:, 1].astype(float),
     )
 
 
 def _strip_boundary(height: float) -> BoundaryDef:
-    d2 = np.array([[0.0, 0.0], [0.0, -2.0 / height]])
     return BoundaryDef(
         phi=lambda x: float(x[1] * (height - x[1]) / height),
-        dphi=lambda x: np.array([0.0, (height - 2.0 * x[1]) / height]),
-        d2phi=lambda x: d2,
+        derivs=lambda x: (0.0, (height - 2.0 * x[1]) / height, 0.0, 0.0, -2.0 / height),
         phi_rows=lambda X: X[:, 1] * (height - X[:, 1]) / height,
     )
 
 
-def _radial(x):
-    """|x| clamped away from 0, and the components of x / |x|, as scalars."""
+def _radial_derivs(x, c: float):
+    """Gradient and Hessian of c |x|: c x / |x| and c (I - xhat xhat^T) / |x|.
+
+    |x| is clamped away from 0 at 1e-12.
+    """
     r = max(float(np.hypot(x[0], x[1])), 1e-12)
-    return r, x[0] / r, x[1] / r
-
-
-def _radial_dphi(x, c: float) -> np.ndarray:
-    """Gradient of c |x|: c x / |x|."""
-    _, u, v = _radial(x)
-    return np.array([c * u, c * v])
-
-
-def _radial_d2phi(x, c: float) -> np.ndarray:
-    """Hessian of c |x|: c (I - xhat xhat^T) / |x|, entry by entry."""
-    r, u, v = _radial(x)
-    off = c * (0.0 - u * v) / r
-    return np.array([[c * (1.0 - u * u) / r, off], [off, c * (1.0 - v * v) / r]])
+    u, v = x[0] / r, x[1] / r
+    return c * u, c * v, c * (1.0 - u * u) / r, c * (0.0 - u * v) / r, c * (1.0 - v * v) / r
 
 
 def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
@@ -238,8 +222,7 @@ def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
 
     return BoundaryDef(
         phi=phi,
-        dphi=lambda x: _radial_dphi(x, -sign),
-        d2phi=lambda x: _radial_d2phi(x, -sign),
+        derivs=lambda x: _radial_derivs(x, -sign),
         phi_rows=lambda X: sign * (radius - np.hypot(X[:, 0], X[:, 1])),
     )
 
@@ -258,12 +241,7 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
         r = np.hypot(X[:, 0], X[:, 1])
         return np.minimum(r - r0, r1 - r)
 
-    return BoundaryDef(
-        phi=phi,
-        dphi=lambda x: _radial_dphi(x, side(x)),
-        d2phi=lambda x: _radial_d2phi(x, side(x)),
-        phi_rows=phi_rows,
-    )
+    return BoundaryDef(phi=phi, derivs=lambda x: _radial_derivs(x, side(x)), phi_rows=phi_rows)
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
@@ -273,13 +251,9 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
     def phi(x):
         return float(fn(x1=x[0], x2=x[1]))
 
-    def dphi(x):
+    def derivs(x):
         j = phi_jet(x)
-        return np.array([j.d1, j.d2])
-
-    def d2phi(x):
-        j = phi_jet(x)
-        return np.array([[j.d11, j.d12], [j.d12, j.d22]])
+        return j.d1, j.d2, j.d11, j.d12, j.d22
 
     def phi_rows(X):
         return np.broadcast_to(np.asarray(fn(x1=X[:, 0], x2=X[:, 1]), dtype=float), X.shape[:1])
@@ -288,7 +262,7 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
     # (x ** 2 as a square, x ** 0.5 as a root, the rest by a vector pow) and
     # the last bits differ, so an expression with ** keeps the per-row loop.
     has_pow = any(isinstance(n, ast.Pow) for n in ast.walk(ast.parse(phi_expr, mode="eval")))
-    return BoundaryDef(phi=phi, dphi=dphi, d2phi=d2phi, phi_rows=None if has_pow else phi_rows)
+    return BoundaryDef(phi=phi, derivs=derivs, phi_rows=None if has_pow else phi_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +375,16 @@ def _reject_corners(boundary: BoundaryDef, lo, hi, n: int = 41) -> None:
     """
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
+    # a longer step diverges rather than converging to a boundary point
+    max_step = 2.0 * float(np.linalg.norm(hi - lo))
     for a in xs:
         for b in ys:
-            x = np.array([a, b])
-            for _ in range(4):
-                v = boundary.phi(x)
-                d = np.asarray(boundary.dphi(x), dtype=float)
-                nd2 = float(d @ d)
-                if abs(v) <= 1e-10:
-                    if nd2 < 1e-16:
-                        raise ValidationError(
-                            f"dphi vanishes on the boundary near {x}; "
-                            "corners and crossings are not supported"
-                        )
-                    break
-                if nd2 < 1e-24:
-                    break  # critical point off the zero set; harmless
-                step = -v / nd2 * d
-                if float(np.linalg.norm(step)) > 2.0 * float(np.linalg.norm(hi - lo)):
-                    break  # diverging; not converging to a boundary point
-                x = x + step
+            x, v, d = newton_to_boundary(boundary, np.array([a, b]), 3, 1e-10, max_step)
+            if abs(v) <= 1e-10 and float(d @ d) < 1e-16:
+                raise ValidationError(
+                    f"dphi vanishes on the boundary near {x}; "
+                    "corners and crossings are not supported"
+                )
 
 
 def resolve_config(config: dict) -> dict:
@@ -516,9 +480,9 @@ def builtin(name: str, metric: dict | None = None, potential: dict | None = None
 def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
     """Pull the scenario back through a chart whose last coordinate is phi.
 
-    The boundary in the derived scenario is exactly {z = 0} with dphi = e_d,
-    so hz2p there equals twice the (d,d) entry of the pulled-back inverse
-    metric.
+    The boundary in the derived scenario is the half-plane wall {z = 0},
+    with dphi = e_2, so hz2p there equals twice the (2,2) entry of the
+    pulled-back inverse metric.
     """
     dim = base.dim
 
@@ -527,15 +491,6 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
         return J.T @ base.metric.g(chart.to_scenario(y)) @ J
 
     metric = callable_metric(dim, g)
-    e_d = np.zeros(dim)
-    e_d[-1] = 1.0
-    zero = np.zeros((dim, dim))
-    boundary = BoundaryDef(
-        phi=lambda y: float(y[-1]),
-        dphi=lambda y: e_d,
-        d2phi=lambda y: zero,
-        phi_rows=lambda Y: Y[:, -1].astype(float),
-    )
     f = None
     if base.f is not None:
         f = lambda t, y: base.potential(t, chart.to_scenario(y))
@@ -543,7 +498,7 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
         name=chart.name,
         dim=dim,
         metric=metric,
-        boundary=boundary,
+        boundary=_half_plane_boundary(),
         domain_lo=chart.domain_lo,
         domain_hi=chart.domain_hi,
         f=f,

@@ -20,7 +20,7 @@ from .errors import (
     NotOnBoundary,
 )
 # in_domain stays importable from here: perfbench/tracer.py patches symbol.in_domain.
-from .geometry import _require_in_domain, in_domain, unit_conormal  # noqa: F401
+from .geometry import _hessian, _require_in_domain, in_domain, unit_conormal  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +139,11 @@ class _once:
 class _State:
     """Metric and boundary data at one phase-space state, each evaluated once.
 
-    ``g_inv``, ``dg_inv``, ``dphi`` and ``d2phi`` are evaluated at x on first
-    use, so a caller evaluates only what it reads, in the order it reads it,
-    and every quantity below is derived from those evaluations. No chart
-    check is made here; the public functions make theirs.
+    ``g_inv``, ``dg_inv`` and the boundary's ``derivs`` are evaluated at x on
+    first use, so a caller evaluates only what it reads, in the order it
+    reads it; ``dphi`` and ``d2phi`` are both built from the one ``derivs``
+    call, and every quantity below is derived from those evaluations. No
+    chart check is made here; the public functions make theirs.
 
     A factor 2 is applied to a scalar rather than to a vector where the
     result is the same: scaling by a power of two is exact in floating
@@ -165,12 +166,16 @@ class _State:
         return self.metric.dg_inv(self.x, gi=self.gi)
 
     @_once
+    def derivs(self):
+        return self.boundary.derivs(self.x)
+
+    @_once
     def dphi(self):
-        return np.asarray(self.boundary.dphi(self.x), dtype=float)
+        return np.array(self.derivs[:2], dtype=float)
 
     @_once
     def d2phi(self):
-        return np.asarray(self.boundary.d2phi(self.x), dtype=float)
+        return _hessian(self.derivs)
 
     @_once
     def sharp_xi(self):

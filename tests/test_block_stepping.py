@@ -172,10 +172,10 @@ def test_step_budget_runs_out_at_the_same_step():
 def test_scalar_only_boundary_still_traces():
     # phi takes one point at a time; the screen falls back to a loop over rows
     base = scen.builtin("half_plane")
-    e2 = np.array([0.0, 1.0])
+    e2 = (0.0, 1.0, 0.0, 0.0, 0.0)
     scalar_only = dataclasses.replace(
         base,
-        boundary=geo.BoundaryDef(lambda x: float(x[1]), lambda x: e2, lambda x: np.zeros((2, 2))),
+        boundary=geo.BoundaryDef(lambda x: float(x[1]), lambda x: e2),
     )
     rho0 = shell_start(base, [0.0, 1.0], [0.6, -0.8])
     params = flow.IntegratorParams(h=1e-3)

@@ -191,10 +191,26 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["gcc", "--scenario", "strip", "--region", "bogus(x1)"],
         ["quasi-normal", "--scenario", "disk_interior"],  # --m0 missing
     ]
+    # numbers that cannot work: a config error, not a traceback or a vacuous pass
+    strip_trace = ["trace", "--scenario", "strip", "--start", "0,0,0.5,1,1,0"]
+    cases += [
+        strip_trace + ["--h", "0"],
+        strip_trace + ["--h", "nan"],
+        strip_trace + ["--t-horizon", "-1"],
+        ["glide-step", "--scenario", "disk_interior", "--start", "0,1,0,1,0,1", "--delta", "0"],
+        ["glide-step", "--scenario", "disk_interior", "--start", "0,1,0,1,0,1",
+         "--delta", "0.01", "--eps", "-1"],
+        ["gcc", "--scenario", "strip", "--region", "x1", "--samples", "0"],
+        ["gcc", "--scenario", "strip", "--region", "x1", "--samples", "-3"],
+        ["continuity", "--scenario", "strip", "--start", "0,0,0.5,1,1,0",
+         "--delta", "0.01", "--samples", "0"],
+        ["quasi-normal", "--scenario", "disk_interior", "--m0", "1,0", "--samples", "0"],
+    ]
     for case in cases:
         code = cli.main(case + ["--out", str(tmp_path)])
         assert code == 2, case
-    capsys.readouterr()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config", case
 
 
 def test_start_outside_the_domain_is_a_step_failure(tmp_path, capsys):

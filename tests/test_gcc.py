@@ -140,3 +140,9 @@ def test_gcc_rejects_bad_horizon(strip):
     region = gcc.region_from_expression("1.0")
     with pytest.raises(ValueError):
         gcc.gcc_check(strip, region, 0.0, gcc.default_sampler(strip, 2))
+
+
+def test_gcc_rejects_an_empty_sample(strip):
+    region = gcc.region_from_expression("1.0")
+    with pytest.raises(ValueError, match="no samples"):
+        gcc.gcc_check(strip, region, 1.0, [])

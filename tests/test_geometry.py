@@ -177,3 +177,36 @@ def test_dg_inv_reuses_the_callers_g_inv_bit_for_bit():
     rng = np.random.default_rng(11)
     for x in rng.uniform(wavy.domain_lo, wavy.domain_hi, size=(200, 2)):
         assert m.dg_inv(x, gi=m.g_inv(x)).tobytes() == m.dg_inv(x).tobytes()
+
+
+WAVY_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+
+
+@pytest.mark.parametrize("name", list(scen.BUILTIN_NAMES) + ["wavy"])
+def test_newton_to_boundary_lands_on_the_wall_from_the_band(name):
+    scenario = scen.load_scenario(WAVY_PATH if name == "wavy" else name)
+    bnd = scenario.boundary
+    rng = np.random.default_rng(11)
+    X = rng.uniform(scenario.domain_lo, scenario.domain_hi, size=(20000, 2))
+    band = X[np.abs(bnd.phi_on_rows(X)) <= scenario.band][:60]
+    assert len(band) == 60
+    for x0 in band:
+        x, phi, dphi = geo.newton_to_boundary(bnd, x0, 12, 1e-13)
+        assert abs(phi) <= 1e-13
+        assert phi == bnd.phi(x)
+        assert np.array_equal(dphi, bnd.dphi(x))
+
+
+def test_newton_to_boundary_stops_where_it_cannot_step(disk):
+    bnd = disk.boundary
+    # dphi vanishes at the origin (the radius is clamped there)
+    x, phi, dphi = geo.newton_to_boundary(bnd, np.zeros(2), 12, 1e-13)
+    assert np.array_equal(x, np.zeros(2)) and phi == 1.0 and not dphi.any()
+    # the step to the wall from (0.5, 0) is 0.5 long
+    x, phi, _ = geo.newton_to_boundary(bnd, np.array([0.5, 0.0]), 12, 1e-13, max_step=0.4)
+    assert np.array_equal(x, [0.5, 0.0]) and phi == 0.5
+    x, phi, _ = geo.newton_to_boundary(bnd, np.array([0.5, 0.0]), 12, 1e-13, max_step=0.6)
+    assert abs(phi) <= 1e-13
+    # without a tolerance it takes every step it is given
+    x, phi, _ = geo.newton_to_boundary(bnd, np.array([0.5, 0.0]), 1)
+    assert np.array_equal(x, [1.0, 0.0])

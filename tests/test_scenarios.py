@@ -139,12 +139,6 @@ def test_chart_boxes_carry_a_collar():
     assert disk.domain_hi[0] > 1.0
 
 
-def test_describe_mentions_hash():
-    s = scen.builtin("strip")
-    d = s.describe()
-    assert d["scenario_hash"] == s.config_hash
-
-
 def test_expression_metric_is_exact():
     s = scen.from_config(
         {
@@ -245,13 +239,22 @@ def test_expression_disk_tags_match_builtin_near_glancing(interior):
     assert tags == {sym.Tag.HYPERBOLIC_IN, sym.Tag.HYPERBOLIC_OUT, glancing}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_scenario_examples_load():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
     assert blocks
     for block in blocks:
         s = scen.from_config(json.loads(block))
         assert s.dim == 2
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[0.5, 1.0, 1.5]\n"
 
 
 def _radial_reference(x):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,31 @@ def test_fused_symbol_matches_unfused_composition(name):
     assert {Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT, Tag.ELLIPTIC_TANGENTIAL} <= tags
 
 
+@pytest.mark.parametrize(
+    "name", ["disk_interior", "disk_exterior", "annulus", "strip", "wavy"]
+)
+def test_one_boundary_derivs_call_per_state(name):
+    base = scen.load_scenario(WAVY if name == "wavy" else name)
+    calls = []
+
+    def counted(x, derivs=base.boundary.derivs):
+        calls.append(x)
+        return derivs(x)
+
+    scenario = dataclasses.replace(
+        base, boundary=dataclasses.replace(base.boundary, derivs=counted)
+    )
+    rng = np.random.default_rng(5)
+    _, wall = _band_points(name, scenario, rng, n=6)
+    for x in wall:
+        # the characteristic covectors: transversal, tangent and near-tangent
+        for rho in _wall_covectors(scenario, x, rng)[:3]:
+            for fn in (sym.gliding_field, sym.hp2z, sym.classify_boundary_point):
+                calls.clear()
+                fn(scenario, rho)
+                assert len(calls) == 1, fn.__name__
+
+
 def _scenario_with(boundary, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
     return scen.Scenario(
         name="probe", dim=2, metric=geo.identity_metric(2), boundary=boundary,
@@ -411,16 +437,16 @@ def _scenario_with(boundary, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
 
 def test_gliding_field_error_order():
     """NotOnBoundary, then DegenerateTransversal, then OutOfChart."""
-    zero = np.zeros(2)
+    zero = (0.0, 0.0, 0.0, 0.0, 0.0)
     outside = PhasePoint(0.0, np.array([5.0, 0.0]), 1.0, np.array([1.0, 0.0]))
-    far = _scenario_with(geo.BoundaryDef(lambda x: 1.0, lambda x: zero, lambda x: np.zeros((2, 2))))
+    far = _scenario_with(geo.BoundaryDef(lambda x: 1.0, lambda x: zero))
     with pytest.raises(NotOnBoundary):
         sym.gliding_field(far, outside)
-    flat = _scenario_with(geo.BoundaryDef(lambda x: 0.0, lambda x: zero, lambda x: np.zeros((2, 2))))
+    flat = _scenario_with(geo.BoundaryDef(lambda x: 0.0, lambda x: zero))
     with pytest.raises(DegenerateTransversal):
         sym.gliding_field(flat, outside)
-    e2 = np.array([0.0, 1.0])
-    wall = _scenario_with(geo.BoundaryDef(lambda x: float(x[1]), lambda x: e2, lambda x: np.zeros((2, 2))))
+    e2 = (0.0, 1.0, 0.0, 0.0, 0.0)
+    wall = _scenario_with(geo.BoundaryDef(lambda x: float(x[1]), lambda x: e2))
     with pytest.raises(OutOfChart):
         sym.gliding_field(wall, outside)
     for fn in (sym.hpz, sym.hp2z, sym.p_eval, sym.hamiltonian_field, sym.classify_boundary_point):
