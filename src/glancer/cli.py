@@ -79,16 +79,16 @@ def _write_jsonl(path: Path, scenario, command, params, records) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _parse_start(text: str, dim: int) -> PhasePoint:
+def _parse_start(text: str) -> PhasePoint:
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--start must be comma-separated numbers: {exc}") from exc
-    if len(vals) != 2 + 2 * dim:
+    if len(vals) != len(sym.COLUMNS):
         raise ConfigError(
-            f"--start needs {2 + 2 * dim} values t,x1..x{dim},tau,xi1..xi{dim}; got {len(vals)}"
+            f"--start needs {len(sym.COLUMNS)} values {','.join(sym.COLUMNS)}; got {len(vals)}"
         )
-    return PhasePoint.from_vector(np.asarray(vals), dim)
+    return PhasePoint.from_vector(np.asarray(vals))
 
 
 def _check_numbers(args) -> None:
@@ -116,7 +116,7 @@ def _require(args, name: str):
 
 
 def cmd_trace(args, scenario, out: Path) -> dict:
-    rho0 = _parse_start(_require(args, "start"), scenario.dim)
+    rho0 = _parse_start(_require(args, "start"))
     params = flow.IntegratorParams(h=args.h)
     gb = flow.trace_generalized(scenario, rho0, args.t_horizon, params)
     echo = {"h": args.h, "t_horizon": args.t_horizon, "start": args.start}
@@ -135,7 +135,7 @@ def cmd_trace(args, scenario, out: Path) -> dict:
 
 
 def cmd_classify(args, scenario, out: Path) -> dict:
-    rho0 = _parse_start(_require(args, "start"), scenario.dim)
+    rho0 = _parse_start(_require(args, "start"))
     params = flow.IntegratorParams(h=args.h)
     gb = flow.trace_generalized(scenario, rho0, args.t_horizon, params)
     rows = []
@@ -150,15 +150,10 @@ def cmd_classify(args, scenario, out: Path) -> dict:
             )
     for s, bc in gb.junctions:
         rows.append(
-            (s, "junction", "", bc.tag.value, bc.hpz, bc.hp2z, None)
-            + (None,) * scenario.dim
-            + (None,)
-            + (None,) * scenario.dim
+            (s, "junction", "", bc.tag.value, bc.hpz, bc.hp2z) + (None,) * len(sym.COLUMNS)
         )
     rows.sort(key=lambda r: (abs(r[0]), r[1], r[2]))
-    cols = ["s", "event", "side", "tag", "hpz", "hp2z", "t"]
-    cols += [f"x{k + 1}" for k in range(scenario.dim)]
-    cols += ["tau"] + [f"xi{k + 1}" for k in range(scenario.dim)]
+    cols = ["s", "event", "side", "tag", "hpz", "hp2z", *sym.COLUMNS]
     echo = {"h": args.h, "t_horizon": args.t_horizon, "start": args.start}
     _write_csv(out / "classify.csv", scenario, "classify", echo, cols, rows)
     return {
@@ -170,7 +165,7 @@ def cmd_classify(args, scenario, out: Path) -> dict:
 
 
 def cmd_glide_step(args, scenario, out: Path) -> dict:
-    rho0 = _parse_start(_require(args, "start"), scenario.dim)
+    rho0 = _parse_start(_require(args, "start"))
     delta = _require(args, "delta")
     eps = args.eps if args.eps is not None else 0.1
     poly = flow.glancing_step_construct(scenario, rho0, delta, eps)
@@ -202,14 +197,13 @@ def _default_test_function(gb) -> measures.TestFunction:
     """Bump centered mid-trace, wide enough to never clip in x or xi, with a
     time width that forces vanishing at both trace endpoints."""
     s, states, kinds, idx = gb.all_samples()
-    d = gb.dim
     mid = states[len(s) // 2]
-    t_span = float(abs(states[-1, 0] - states[0, 0]))
-    x_mid = mid[1 : 1 + d]
-    x_reach = float(np.max(np.linalg.norm(states[:, 1 : 1 + d] - x_mid[None, :], axis=1)))
-    xi_reach = float(np.max(np.linalg.norm(states[:, 2 + d :], axis=1)))
+    t_span = float(abs(states[-1, sym.T] - states[0, sym.T]))
+    x_mid = mid[sym.X]
+    x_reach = float(np.max(np.linalg.norm(states[:, sym.X] - x_mid[None, :], axis=1)))
+    xi_reach = float(np.max(np.linalg.norm(states[:, sym.XI], axis=1)))
     return measures.TestFunction(
-        center=PhasePoint.from_vector(mid, d),
+        center=PhasePoint.from_vector(mid),
         width_t=0.45 * max(t_span, 1e-6),
         width_x=2.0 * x_reach + 1.0,
         width_xi=2.0 * xi_reach + 1.0,
@@ -217,7 +211,7 @@ def _default_test_function(gb) -> measures.TestFunction:
 
 
 def cmd_verify_transport(args, scenario, out: Path) -> dict:
-    rho0 = _parse_start(_require(args, "start"), scenario.dim)
+    rho0 = _parse_start(_require(args, "start"))
     params = flow.IntegratorParams(h=args.h)
     gb = flow.trace_generalized(scenario, rho0, args.t_horizon, params)
     cm = measures.dirac_on_bichar(scenario, gb, f=scenario.f)
@@ -335,7 +329,7 @@ def cmd_quasi_normal(args, scenario, out: Path) -> dict:
 
 
 def cmd_continuity(args, scenario, out: Path) -> dict:
-    rho0 = _parse_start(_require(args, "start"), scenario.dim)
+    rho0 = _parse_start(_require(args, "start"))
     delta_text = _require(args, "delta_list")
     try:
         deltas = [float(v) for v in str(delta_text).split(",")]

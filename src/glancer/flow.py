@@ -3,8 +3,9 @@
 Interior Hamiltonian integration with bisected boundary detection, specular
 reflection, gliding-arc integration with constraint projection, diffractive
 pass-through, the discrete glancing-step construction, and perturbation
-probes for flow continuity. The packed state layout is
-[t, x (d), tau, xi (d)], matching PhasePoint.as_vector.
+probes for flow continuity. States are packed rows [t, x1, x2, tau, xi1,
+xi2], as PhasePoint.as_vector writes them, indexed through the row
+positions symbol names (sym.T, sym.X, sym.TAU, sym.XI).
 
 Every ray flight runs through one fixed-step RK4 marcher, _march: it takes
 the steps (the last clipped to the span), enforces the step budget and
@@ -15,7 +16,7 @@ this order:
 * interior piece: shell projection, the phi crossing (bisected), the
   chart box, the tangency (q = d(phi)/d(sigma) turning from - to +);
 * gliding piece: the chart box, the constraint projection, the hp2z exit
-  hysteresis (two consecutive samples above gliding_exit);
+  hysteresis (two consecutive samples above GLIDING_EXIT);
 * chord flight to its apex (glancing-step construction): the chart box,
   shell projection, q turning from + to - (bisected).
 
@@ -59,6 +60,8 @@ log = logging.getLogger("glancer.flow")
 
 INTERIOR = "Interior"
 GLIDING = "Gliding"
+EVENT_TOL = 1e-10  # |phi| at a bisected boundary crossing
+GLIDING_EXIT = 1e-7  # hp2z above which a gliding piece hands off to the interior
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,8 @@ class IntegratorParams:
     """Fixed-step integration controls shared by all tracing entry points."""
 
     h: float = 1e-3
-    event_tol: float = 1e-10
     max_pieces: int = 256
     project: bool = True
-    gliding_exit: float = 1e-7
     max_steps: int = 2_000_000
     tangency_gate: float = 0.05
 
@@ -90,15 +91,8 @@ class TrajectoryPiece:
     s: np.ndarray
     states: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return (self.states.shape[1] - 2) // 2
-
     def __len__(self) -> int:
         return len(self.s)
-
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint.from_vector(self.states[i], self.dim)
 
 
 @dataclass
@@ -156,42 +150,34 @@ class GenBicharacteristic:
 
 
 def _interior_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarray]:
-    d = scenario.dim
     m = scenario.metric
-    sl_x = slice(1, 1 + d)
-    sl_xi = slice(2 + d, 2 + 2 * d)
+    T, X, TAU, XI = sym.T, sym.X, sym.TAU, sym.XI
     if m.is_constant:
-        gi = m.g_inv(np.zeros(d))
+        gi = m.g_inv(np.zeros(2))
 
         def rhs(y):
-            dy = np.zeros(2 * d + 2)
-            dy[0] = -2.0 * y[1 + d]
-            dy[sl_x] = 2.0 * (gi @ y[sl_xi])
+            dy = np.zeros(len(y))
+            dy[T] = -2.0 * y[TAU]
+            dy[X] = 2.0 * (gi @ y[XI])
             return direction * dy
 
         return rhs
 
     def rhs(y):
-        x = y[sl_x]
-        xi = y[sl_xi]
+        x = y[X]
+        xi = y[XI]
         gi = m.g_inv(x)
-        dy = np.zeros(2 * d + 2)
-        dy[0] = -2.0 * y[1 + d]
-        dy[sl_x] = 2.0 * (gi @ xi)
-        dy[sl_xi] = -np.einsum("kij,i,j->k", m.dg_inv(x, gi=gi), xi, xi)
+        dy = np.zeros(len(y))
+        dy[T] = -2.0 * y[TAU]
+        dy[X] = 2.0 * (gi @ xi)
+        dy[XI] = -np.einsum("kij,i,j->k", m.dg_inv(x, gi=gi), xi, xi)
         return direction * dy
 
     return rhs
 
 
 def _gliding_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarray]:
-    d = scenario.dim
-
-    def rhs(y):
-        up = sym.gliding_field(scenario, PhasePoint.from_vector(y, d))
-        return direction * up.as_vector()
-
-    return rhs
+    return lambda y: direction * sym.gliding_field(scenario, y)
 
 
 def _rk4_increment(rhs, y, h):
@@ -206,17 +192,16 @@ def _rk4_step(rhs, y, h):
     return y + _rk4_increment(rhs, y, h)
 
 
-def _rescale_char(scenario, y, d, gi=None) -> None:
+def _rescale_char(scenario, y, gi=None) -> None:
     """Project xi onto the characteristic shell |xi|_x = |tau| in place.
 
     gi is g_inv at the state's x, when the caller has already evaluated it.
     """
-    x = y[1 : 1 + d]
-    xi = y[2 + d :]
+    xi = y[sym.XI]
     if gi is None:
-        gi = scenario.metric.g_inv(x)
+        gi = scenario.metric.g_inv(y[sym.X])
     nrm = float(np.sqrt(xi @ gi @ xi))
-    target = abs(float(y[1 + d]))
+    target = abs(float(y[sym.TAU]))
     if nrm < 1e-300:
         return
     factor = target / nrm
@@ -225,13 +210,12 @@ def _rescale_char(scenario, y, d, gi=None) -> None:
             f"characteristic drift too large for projection: |xi| = {nrm:.6g}, "
             f"|tau| = {target:.6g}; reduce the step size"
         )
-    y[2 + d :] = xi * factor
+    y[sym.XI] = xi * factor
 
 
 def _approach_rate(scenario, sgn: float):
     """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart check."""
-    d = scenario.dim
-    return lambda y: sgn * sym._State(scenario, y[1 : 1 + d], xi=y[2 + d :]).hpz
+    return lambda y: sgn * sym._state(scenario, y).hpz
 
 
 def _check_characteristic(scenario, rho: PhasePoint) -> None:
@@ -325,7 +309,7 @@ def _march(kind, rhs, y, s_span, params, direction, advance, plan=None):
         ss.append(sgn * (sig + dsig))
         ys.append(y_event)
     piece = TrajectoryPiece(kind=kind, s=np.asarray(ss, dtype=float), states=np.vstack(ys))
-    end = PhasePoint.from_vector(piece.states[-1].copy(), piece.dim)
+    end = PhasePoint.from_vector(piece.states[-1].copy())
     return piece, ExitEvent(reason, ss[-1], end)
 
 
@@ -353,7 +337,6 @@ class _StraightRuns:
         self.rhs = rhs
         self.params = params
         self.sig1 = sig1
-        self.d = scenario.dim
         self.level = max(params.tangency_gate, 0.0) + 1e-9
         self.lo = scenario.domain_lo - 1e-9 + 1e-12
         self.hi = scenario.domain_hi + 1e-9 - 1e-12
@@ -369,28 +352,28 @@ class _StraightRuns:
         increment incs[k]; rows from j on cycle through vs[j:]. None when no
         cycle shows within MAX_CYCLE rows or the projection fails.
         """
-        d, h = self.d, self.params.h
+        h = self.params.h
         z = y.copy()
         keys, vs, incs = [], [], []
         for _ in range(self.MAX_CYCLE):
-            key = z[1 + d :].tobytes()
+            key = z[sym.TAU :].tobytes()
             if key in keys:
                 return np.array(vs), np.array(incs), keys.index(key)
             keys.append(key)
-            vs.append(z[1 + d :].copy())
+            vs.append(z[sym.TAU :].copy())
             inc = _rk4_increment(self.rhs, z, h)
             incs.append(inc)
             z = z + inc
             if self.params.project:
                 try:
-                    _rescale_char(self.scenario, z, d)
+                    _rescale_char(self.scenario, z)
                 except StepFailure:
                     return None
         return None
 
     def _build(self, y, sig, steps):
         """Plan the chunk of full steps from y; False when none is possible."""
-        params, d = self.params, self.d
+        params = self.params
         n = min(self.size, params.max_steps - steps)
         if n < 1 or self.sig1 - sig < params.h:
             return False
@@ -409,11 +392,12 @@ class _StraightRuns:
         sigs = sigs[: n + 1]
         rows = np.arange(steps - origin, steps - origin + n + 1)
         k = np.where(rows < j, rows, j + (rows - j) % (len(vs) - j))
+        # (t, x) accumulate; (tau, xi) come from the cycle
         states = np.empty((n + 1, len(y)))
-        tx = np.concatenate((y[None, : 1 + d], incs[k[:-1], : 1 + d]))
-        np.add.accumulate(tx, axis=0, out=states[:, : 1 + d])
-        states[:, 1 + d :] = vs[k]
-        X = states[:, 1 : 1 + d]
+        tx = np.concatenate((y[None, : sym.TAU], incs[k[:-1], : sym.TAU]))
+        np.add.accumulate(tx, axis=0, out=states[:, : sym.TAU])
+        states[:, sym.TAU :] = vs[k]
+        X = states[:, sym.X]
         with np.errstate(all="ignore"):
             clear = (
                 np.isfinite(states).all(axis=1)
@@ -457,12 +441,11 @@ def integrate_interior(
 
     The trace runs on the internal clock sigma in [s_span[0], s_span[1]];
     recorded s values are direction * sigma. Boundary crossings are bisected
-    to |phi| <= event_tol and returned classified. Exact tangential contacts
+    to |phi| <= EVENT_TOL and returned classified. Exact tangential contacts
     (phi dips to 0 with no sign change) are also detected and returned as
     boundary events, so diffractive pass-throughs are visible to the caller.
     """
     params = params or IntegratorParams()
-    d = scenario.dim
     _check_characteristic(scenario, rho0)
     sgn = float(direction)
     rhs = _interior_rhs(scenario, sgn)
@@ -471,19 +454,19 @@ def integrate_interior(
     b_tol = scenario.thresholds.boundary_tol
 
     def phi_of(y):
-        return float(phi_f(y[1 : 1 + d]))
+        return float(phi_f(y[sym.X]))
 
     y0 = rho0.as_vector()
     phi_prev = phi_of(y0)
     q_prev = q_of(y0)
-    if phi_prev < -10.0 * params.event_tol:
+    if phi_prev < -10.0 * EVENT_TOL:
         raise StepFailure(f"interior start lies outside the domain: phi = {phi_prev:.3e}")
     skip = int(_skip_tangency_steps)
 
     def advance(y, y_new, h):
         nonlocal phi_prev, q_prev, skip
         if params.project:
-            _rescale_char(scenario, y_new, d)
+            _rescale_char(scenario, y_new)
         phi_new = phi_of(y_new)
         q_new = q_of(y_new)
 
@@ -491,17 +474,17 @@ def integrate_interior(
         # overshoots the boundary usually leaves the box as well when the
         # box is the closure of the domain, and must still count as a hit.
         if phi_new < -1e-14:
-            found = _locate_scalar_zero(rhs, y, h, phi_of, params.event_tol)
+            found = _locate_scalar_zero(rhs, y, h, phi_of, EVENT_TOL)
             if found is None:
                 raise StepFailure("boundary bisection failed to bracket the crossing")
             sig_hit, y_hit = found
             if sig_hit < 1e-12 * h:
                 raise StepFailure("boundary crossing at zero step; reduce the step size")
             if params.project:
-                _rescale_char(scenario, y_hit, d)
+                _rescale_char(scenario, y_hit)
             return "boundary", sig_hit, y_hit
 
-        if not geo.in_domain(scenario, y_new[1 : 1 + d]):
+        if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
 
         if skip > 0:
@@ -514,9 +497,9 @@ def integrate_interior(
             found = _locate_scalar_zero(rhs, y, h, lambda yy: -q_of(yy), 1e-12)
             if found is not None:
                 sig_t, y_t = found
-                if abs(phi_of(y_t)) <= max(b_tol, 10.0 * params.event_tol):
+                if abs(phi_of(y_t)) <= max(b_tol, 10.0 * EVENT_TOL):
                     if params.project:
-                        _rescale_char(scenario, y_t, d)
+                        _rescale_char(scenario, y_t)
                     return "boundary", sig_t, y_t
 
         phi_prev, q_prev = phi_new, q_new
@@ -543,7 +526,7 @@ def integrate_interior(
     return piece, ev
 
 
-def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> None:
+def _project_gliding(scenario, y, tol: float = 1e-12, max_iter: int = 25) -> None:
     """Newton-project a packed state onto {phi = 0, hpz = 0, p = 0} in place.
 
     phi, dphi and g_inv are evaluated once per base point: the xi update,
@@ -552,8 +535,8 @@ def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> 
     phi_f = scenario.boundary.phi
     dphi_f = scenario.boundary.dphi
     m = scenario.metric
-    scale = max(1.0, abs(float(y[1 + d])))
-    x = y[1 : 1 + d]  # a view: follows the in-place updates of y
+    scale = max(1.0, abs(float(y[sym.TAU])))
+    x = y[sym.X]  # a view: follows the in-place updates of y
     ph = float(phi_f(x))
     dp = dphi_f(x)
     gidp = m.g_inv(x) @ dp
@@ -561,18 +544,18 @@ def _project_gliding(scenario, y, d, tol: float = 1e-12, max_iter: int = 25) -> 
         h2 = 2.0 * float(dp @ gidp)
         if h2 < 1e-12:
             raise DegenerateTransversal(f"hz2p = {h2:.3e} during gliding projection")
-        y[1 : 1 + d] = x - (2.0 * ph / h2) * gidp
+        y[sym.X] = x - (2.0 * ph / h2) * gidp
 
         dp = dphi_f(x)
         gi = m.g_inv(x)
         gidp = gi @ dp
         h2 = 2.0 * float(dp @ gidp)
-        xi = y[2 + d :]
+        xi = y[sym.XI]
         hpz_v = 2.0 * float(xi @ gidp)
-        y[2 + d :] = xi - (hpz_v / h2) * dp
-        _rescale_char(scenario, y, d, gi)
+        y[sym.XI] = xi - (hpz_v / h2) * dp
+        _rescale_char(scenario, y, gi)
 
-        xi = y[2 + d :]
+        xi = y[sym.XI]
         ph = float(phi_f(x))
         if abs(ph) <= tol and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
             return
@@ -593,17 +576,16 @@ def integrate_gliding(
     the two.
     """
     params = params or IntegratorParams()
-    d = scenario.dim
     y0 = rho0.as_vector()
-    _project_gliding(scenario, y0, d)
+    _project_gliding(scenario, y0)
     exceed = 0
 
     def advance(y, y_new, h):
         nonlocal exceed
-        if not geo.in_domain(scenario, y_new[1 : 1 + d]):
+        if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
-        _project_gliding(scenario, y_new, d)
-        if sym.hp2z(scenario, PhasePoint.from_vector(y_new, d)) > params.gliding_exit:
+        _project_gliding(scenario, y_new)
+        if sym.hp2z(scenario, y_new) > GLIDING_EXIT:
             exceed += 1
             if exceed >= 2:
                 return "glide_handoff", 0.0, None
@@ -638,7 +620,6 @@ def trace_generalized(
     if rho0.tau == 0.0:
         raise NotCharacteristic("tau = 0: the ray parametrization degenerates")
     _check_characteristic(scenario, rho0)
-    d = scenario.dim
     sigma_max = t_horizon / (2.0 * abs(rho0.tau))
     pieces: list[TrajectoryPiece] = []
     breaks: list[Break] = []
@@ -714,7 +695,7 @@ def trace_generalized(
         pieces=pieces,
         break_set=breaks,
         junctions=junctions,
-        dim=d,
+        dim=scenario.dim,
         direction=direction,
         rho0=rho0,
         t_horizon=t_horizon,
@@ -750,8 +731,7 @@ def _surrogate_vertex(scenario, y_target, x_b, depth, tau) -> PhasePoint:
     target's tangential part and is lifted (or rescaled) onto the
     characteristic shell.
     """
-    d = scenario.dim
-    xi_t = y_target[2 + d :]
+    xi_t = y_target[sym.XI]
     n_b, _ = geo.unit_conormal(scenario, x_b, 1e-9)
     x_in = x_b + depth * n_b
     n_in, ns_in = geo.unit_conormal(scenario, x_in, max(scenario.band, 2.0 * depth))
@@ -764,7 +744,7 @@ def _surrogate_vertex(scenario, y_target, x_b, depth, tau) -> PhasePoint:
     else:
         nrm = float(np.sqrt(geo.conorm_sq(scenario, x_in, xi_par)))
         xi_new = xi_par * (abs(tau) / nrm)
-    return PhasePoint(t=float(y_target[0]), x=x_in, tau=tau, xi=xi_new)
+    return PhasePoint(t=float(y_target[sym.T]), x=x_in, tau=tau, xi=xi_new)
 
 
 def glancing_step_construct(
@@ -793,7 +773,6 @@ def glancing_step_construct(
     bc = sym.classify_boundary_point(scenario, rho0)
     if bc.tag not in (Tag.GLIDING, Tag.GLANCING3):
         raise ValueError(f"construction starts on the gliding set, got {bc.tag.value}")
-    d = scenario.dim
     pts = [rho0]
     ss = [0.0]
     kinds: list[str] = []
@@ -808,15 +787,15 @@ def glancing_step_construct(
     def to_apex(y, y_new, h):
         # The reflected chord's apex: q turns from receding (+) to approaching (-).
         nonlocal q_prev
-        if not geo.in_domain(scenario, y_new[1 : 1 + d]):
+        if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
-        _rescale_char(scenario, y_new, d)
+        _rescale_char(scenario, y_new)
         q_new = q_of(y_new)
         if q_prev > 0.0 >= q_new:
             found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12)
             if found is not None:
                 sig_t, y_t = found
-                _rescale_char(scenario, y_t, d)
+                _rescale_char(scenario, y_t)
                 return "apex", sig_t, y_t
         q_prev = q_new
         return None
@@ -827,9 +806,8 @@ def glancing_step_construct(
         kinds.append(kind)
 
     for _ in range(int(n_steps)):
-        gl = sym.gliding_field(scenario, rho)
-        y_t = rho.as_vector() + delta * gl.as_vector()
-        x_b, ph, dp = geo.newton_to_boundary(scenario.boundary, y_t[1 : 1 + d], 12, 1e-13)
+        y_t = rho.as_vector() + delta * sym.gliding_field(scenario, rho)
+        x_b, ph, dp = geo.newton_to_boundary(scenario.boundary, y_t[sym.X], 12, 1e-13)
         if abs(ph) > 1e-13 and float(dp @ dp) < 1e-24:
             raise DegenerateNormal(f"dphi ~ 0 while projecting {x_b} to the boundary")
         if not geo.in_domain(scenario, x_b):
@@ -853,9 +831,8 @@ def glancing_step_construct(
             hpz_max = max(hpz_max, abs(ev.bclass.hpz))
             contacts.append({"s": s_now, "hpz": ev.bclass.hpz, "tag": ev.bclass.tag.value})
             if ev.bclass.tag is Tag.HYPERBOLIC_OUT:
-                rho_r = sym.sigma(scenario, ev.rho)
-                add(rho_r, "flight")
-                y_r = rho_r.as_vector()
+                y_r = sym.sigma(scenario, ev.rho.as_vector())
+                add(PhasePoint.from_vector(y_r), "flight")
                 q_prev = q_of(y_r)
                 _, ev = _march(INTERIOR, rhs, y_r, (0.0, budget), fly_params, 1, to_apex)
                 if ev.reason == "chart_exit":
@@ -902,13 +879,16 @@ def fold_into_domain(scenario, rho: PhasePoint) -> PhasePoint:
     return sym.sigma(scenario, PhasePoint(rho.t, x, rho.tau, rho.xi))
 
 
-def _extended_reflection(scenario, rho: PhasePoint):
-    """Sigma-tilde near the boundary, or None outside the extension band."""
+def _extended_reflection(scenario, rho):
+    """Sigma-tilde near the boundary, or None outside the extension band.
+
+    rho is a PhasePoint or its packed row; the image comes in the same form.
+    """
     try:
         mirrored = sym.sigma(scenario, rho)
     except (NotOnBoundary, DegenerateNormal):
         return None
-    return mirrored, abs(float(scenario.boundary.phi(rho.x)))
+    return mirrored, abs(float(scenario.boundary.phi(sym._state(scenario, rho).x)))
 
 
 def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
@@ -924,17 +904,14 @@ def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
             raise OutOfChart(f"point {p.x} outside the chart box")
     va, vb = a.as_vector(), b.as_vector()
     best = float(np.linalg.norm(va - vb))
-    ra = _extended_reflection(scenario, a)
-    rb = _extended_reflection(scenario, b)
+    ra = _extended_reflection(scenario, va)
+    rb = _extended_reflection(scenario, vb)
     if ra is not None:
-        best = min(best, float(np.linalg.norm(ra[0].as_vector() - vb)) + ra[1])
+        best = min(best, float(np.linalg.norm(ra[0] - vb)) + ra[1])
     if rb is not None:
-        best = min(best, float(np.linalg.norm(va - rb[0].as_vector())) + rb[1])
+        best = min(best, float(np.linalg.norm(va - rb[0])) + rb[1])
     if ra is not None and rb is not None:
-        best = min(
-            best,
-            float(np.linalg.norm(ra[0].as_vector() - rb[0].as_vector())) + ra[1] + rb[1],
-        )
+        best = min(best, float(np.linalg.norm(ra[0] - rb[0])) + ra[1] + rb[1])
     return best
 
 
@@ -944,17 +921,16 @@ def _distance_variants(scenario, states: np.ndarray):
     Rows with |phi| > band are skipped up front: the reflection rejects them
     by the same test.
     """
-    d = scenario.dim
     variants = [(states, np.zeros(len(states)))]
     refl = np.empty_like(states)
     pen = np.empty(len(states))
     ok = np.zeros(len(states), dtype=bool)
-    far = np.abs(scenario.boundary.phi_on_rows(states[:, 1 : 1 + d])) > scenario.band
+    far = np.abs(scenario.boundary.phi_on_rows(states[:, sym.X])) > scenario.band
     for i in np.flatnonzero(~far):
-        r = _extended_reflection(scenario, PhasePoint.from_vector(states[i], d))
+        r = _extended_reflection(scenario, states[i])
         if r is None:
             continue
-        refl[i] = r[0].as_vector()
+        refl[i] = r[0]
         pen[i] = r[1]
         ok[i] = True
     if np.any(ok):
@@ -991,17 +967,17 @@ def _trace_states_both(scenario, rho, t_horizon, params) -> np.ndarray:
 def _perturb_characteristic(scenario, rho0: PhasePoint, delta: float, rng) -> PhasePoint:
     if delta == 0.0:
         return rho0
-    d = scenario.dim
     phi_f = scenario.boundary.phi
+    # uniform in the disks of radius delta / 2 about x and about xi: radius R sqrt(u)
     for _ in range(64):
-        v = rng.normal(size=d)
+        v = rng.normal(size=2)
         v /= max(float(np.linalg.norm(v)), 1e-300)
-        x_p = rho0.x + (0.5 * delta * rng.uniform() ** (1.0 / d)) * v
+        x_p = rho0.x + (0.5 * delta * rng.uniform() ** 0.5) * v
         if not geo.in_domain(scenario, x_p) or float(phi_f(x_p)) < 0.0:
             continue
-        w = rng.normal(size=d)
+        w = rng.normal(size=2)
         w /= max(float(np.linalg.norm(w)), 1e-300)
-        xi_p = rho0.xi + (0.5 * delta * rng.uniform() ** (1.0 / d)) * w
+        xi_p = rho0.xi + (0.5 * delta * rng.uniform() ** 0.5) * w
         nrm = float(np.sqrt(geo.conorm_sq(scenario, x_p, xi_p)))
         if nrm < 1e-12:
             continue
@@ -1027,8 +1003,10 @@ def continuity_probe(
     Traces the reference ray through rho0 over the time horizon T in both
     directions, then n_samples perturbed starts within compressed distance
     delta, and returns the max over perturbed samples of the distance to the
-    reference sample set.
+    reference sample set. n_samples must be at least 1.
     """
+    if int(n_samples) < 1:
+        raise ValueError("continuity probe needs at least one perturbed sample")
     params = params or IntegratorParams()
     reference = _trace_states_both(scenario, rho0, T, params)
     variants = _distance_variants(scenario, reference)
@@ -1048,7 +1026,6 @@ def continuity_probe(
 def trajectory_records(gb: GenBicharacteristic):
     """One dict per sample, in trace order."""
     s, states, kind, idx = gb.all_samples()
-    d = gb.dim
     names = {0: INTERIOR, 1: GLIDING}
     out = []
     for i in range(len(s)):
@@ -1056,10 +1033,10 @@ def trajectory_records(gb: GenBicharacteristic):
         out.append(
             {
                 "s": float(s[i]),
-                "t": float(row[0]),
-                "x": [float(v) for v in row[1 : 1 + d]],
-                "tau": float(row[1 + d]),
-                "xi": [float(v) for v in row[2 + d :]],
+                "t": float(row[sym.T]),
+                "x": [float(v) for v in row[sym.X]],
+                "tau": float(row[sym.TAU]),
+                "xi": [float(v) for v in row[sym.XI]],
                 "piece_kind": names[int(kind[i])],
                 "piece_index": int(idx[i]),
             }

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from . import flow
 from . import geometry as geo
 from . import scenarios as scen
+from . import symbol as sym
 from .errors import GlancerError, ValidationError
 from .symbol import PhasePoint
 
@@ -30,36 +31,27 @@ _KRONECKER = np.array([0.7548776662466927, 0.5698402909980532])
 
 @dataclass
 class ObservationRegion:
-    """Observation set as a predicate over (t, x).
+    """Observation set {expr > 0} over the names t, x1, x2.
 
-    Expression-backed regions ({expr > 0} over names t, x1, x2) evaluate
-    vectorized and survive pickling to worker processes; a raw predicate
-    callable restricts the audit to serial execution.
+    The expression evaluates vectorized and is sent as text to worker
+    processes, which compile it again.
     """
 
     description: str
     expression: str | None = None
-    predicate: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.expression is not None:
-            self._fn = scen.compile_expression(self.expression, ("t", "x1", "x2"))
-        elif self.predicate is None:
-            raise ValidationError("region needs an expression or a predicate")
-        else:
-            self._fn = None
+        if self.expression is None:
+            raise ValidationError("region needs an expression")
+        self._fn = scen.compile_expression(self.expression, ("t", "x1", "x2"))
 
     def contains(self, t: float, x) -> bool:
         x = np.asarray(x, dtype=float)
-        if self._fn is not None:
-            return bool(float(self._fn(t=float(t), x1=float(x[0]), x2=float(x[1]))) > 0.0)
-        return bool(self.predicate(t, x))
+        return bool(float(self._fn(t=float(t), x1=float(x[0]), x2=float(x[1]))) > 0.0)
 
     def entered(self, t_arr: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self._fn is not None:
-            vals = np.asarray(self._fn(t=t_arr, x1=X[:, 0], x2=X[:, 1]), dtype=float)
-            return np.broadcast_to(vals, t_arr.shape) > 0.0
-        return np.array([self.predicate(t_arr[i], X[i]) for i in range(len(t_arr))], dtype=bool)
+        vals = np.asarray(self._fn(t=t_arr, x1=X[:, 0], x2=X[:, 1]), dtype=float)
+        return np.broadcast_to(vals, t_arr.shape) > 0.0
 
 
 def region_from_expression(expr: str, description: str | None = None) -> ObservationRegion:
@@ -129,7 +121,6 @@ def default_sampler(scenario, n: int, seed: int = 0):
 def _entered_over_trace(scenario, region, T, rho, params, window):
     """Trace both directions in t-windows; stop at the first region entry."""
     t0 = rho.t
-    d = scenario.dim
     for direction in (1, -1):
         cur = rho
         t_done = 0.0
@@ -137,16 +128,16 @@ def _entered_over_trace(scenario, region, T, rho, params, window):
             w = min(window, T - t_done)
             gb = flow.trace_generalized(scenario, cur, w, params, direction)
             s, states, kinds, idx = gb.all_samples()
-            mask = region.entered(states[:, 0], states[:, 1 : 1 + d])
+            mask = region.entered(states[:, sym.T], states[:, sym.X])
             if mask.any():
                 i = int(np.argmax(mask))
-                return True, abs(float(states[i, 0]) - t0)
-            t_adv = abs(float(states[-1, 0]) - cur.t)
+                return True, abs(float(states[i, sym.T]) - t0)
+            t_adv = abs(float(states[-1, sym.T]) - cur.t)
             if t_adv <= 1e-12:
                 log.info("trace stalled (chart exit?) at t_done = %.3g", t_done)
                 break
             t_done += t_adv
-            cur = PhasePoint.from_vector(states[-1], d)
+            cur = PhasePoint.from_vector(states[-1])
     return False, None
 
 
@@ -164,7 +155,7 @@ def _audit_chunk(config, region_expr, region_desc, T, rows, params, window):
     region = ObservationRegion(description=region_desc, expression=region_expr)
     out = []
     for row in rows:
-        rho = PhasePoint.from_vector(np.asarray(row, dtype=float), scenario.dim)
+        rho = PhasePoint.from_vector(np.asarray(row, dtype=float))
         out.append(_audit_one(scenario, region, T, rho, params, window))
     return out
 
@@ -183,7 +174,9 @@ def gcc_check(
     Each start is traced for time T forward and backward, in windows with
     early exit on region entry. The first non-entering start (in sampler
     order, independent of worker count) is re-traced in full and returned
-    as the witness.
+    as the witness. With workers > 1 the starts go to a process pool in
+    chunks, at most one per worker at a time; their results are read in
+    sampler order, and no chunk is submitted after one holds a witness.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -195,31 +188,30 @@ def gcc_check(
     t_begin = time.perf_counter()
     results: list = [None] * len(samples)
 
-    parallel = (
-        workers is not None
-        and workers > 1
-        and region.expression is not None
-        and bool(scenario.config)
-    )
-    if parallel:
+    if workers is not None and workers > 1 and scenario.config:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, min(len(samples) // max(workers, 1) + 1, workers * 8))
-        rows = [rho.as_vector() for rho in samples]
+        chunk = max(1, min(len(samples) // workers + 1, workers * 8))
+        los = range(0, len(samples), chunk)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, len(rows), workers * chunk):
-                los = range(start, min(start + workers * chunk, len(rows)), chunk)
-                futs = [
-                    pool.submit(
-                        _audit_chunk, scenario.config, region.expression, region.description,
-                        T, rows[lo : lo + chunk], params, window,
-                    )
-                    for lo in los
-                ]
-                for lo, fut in zip(los, futs):
-                    results[lo : lo + chunk] = fut.result()
-                if any(r[0] == "witness" for r in results[start : start + workers * chunk]):
+
+            def submit(lo):
+                rows = [rho.as_vector() for rho in samples[lo : lo + chunk]]
+                return pool.submit(
+                    _audit_chunk, scenario.config, region.expression, region.description,
+                    T, rows, params, window,
+                )
+
+            # At most `workers` chunks are submitted at a time: the executor
+            # starts one more than its worker count from its queue, so a chunk
+            # queued further ahead would run past a witness, uncancellable.
+            futs = deque(submit(lo) for lo in los[:workers])
+            for k, lo in enumerate(los):
+                results[lo : lo + chunk] = futs.popleft().result()
+                if any(r[0] == "witness" for r in results[lo : lo + chunk]):
                     break
+                if k + workers < len(los):
+                    futs.append(submit(los[k + workers]))
     else:
         for i, rho in enumerate(samples):
             results[i] = _audit_one(scenario, region, T, rho, params, window)

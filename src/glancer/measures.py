@@ -83,24 +83,20 @@ class TestFunction:
                 self, "beta_axis", np.asarray(self.beta_axis, dtype=float)
             )
 
-    @property
-    def dim(self) -> int:
-        return len(self.center.x)
-
     def _quadratic(self, Y: np.ndarray):
-        d = self.dim
+        T, X, TAU, XI = sym.T, sym.X, sym.TAU, sym.XI
         c = self.center.as_vector()
         D = Y - c[None, :]
-        u = (D[:, 0] / self.width_t) ** 2
+        u = (D[:, T] / self.width_t) ** 2
         du = np.zeros_like(Y)
-        du[:, 0] = 2.0 * D[:, 0] / self.width_t**2
-        u = u + np.einsum("ij,ij->i", D[:, 1 : 1 + d], D[:, 1 : 1 + d]) / self.width_x**2
-        du[:, 1 : 1 + d] = 2.0 * D[:, 1 : 1 + d] / self.width_x**2
-        u = u + np.einsum("ij,ij->i", D[:, 2 + d :], D[:, 2 + d :]) / self.width_xi**2
-        du[:, 2 + d :] = 2.0 * D[:, 2 + d :] / self.width_xi**2
+        du[:, T] = 2.0 * D[:, T] / self.width_t**2
+        u = u + np.einsum("ij,ij->i", D[:, X], D[:, X]) / self.width_x**2
+        du[:, X] = 2.0 * D[:, X] / self.width_x**2
+        u = u + np.einsum("ij,ij->i", D[:, XI], D[:, XI]) / self.width_xi**2
+        du[:, XI] = 2.0 * D[:, XI] / self.width_xi**2
         if self.width_tau is not None:
-            u = u + (D[:, 1 + d] / self.width_tau) ** 2
-            du[:, 1 + d] = 2.0 * D[:, 1 + d] / self.width_tau**2
+            u = u + (D[:, TAU] / self.width_tau) ** 2
+            du[:, TAU] = 2.0 * D[:, TAU] / self.width_tau**2
         return u, du
 
     def value_batch(self, Y: np.ndarray) -> np.ndarray:
@@ -165,11 +161,10 @@ def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeas
     zero gives unit weights.
     """
     s, states, _, _ = gb.all_samples()
-    d = gb.dim
     if f is None:
         w = np.ones_like(s)
     else:
-        vals = np.array([float(f(states[i, 0], states[i, 1 : 1 + d])) for i in range(len(s))])
+        vals = np.array([float(f(row[sym.T], row[sym.X])) for row in states])
         integral = cumulative_trapezoid(vals, s, initial=0.0)
         w = np.exp(-integral)
     return CurveMeasure(carrier=gb, w=w, s=s, states=states)
@@ -248,7 +243,7 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
             tags = []
             hp2z_vals = np.empty(n_p)
             for i in range(n_p):
-                bc = sym.classify_boundary_point(scenario, piece.point(i))
+                bc = sym.classify_boundary_point(scenario, piece.states[i])
                 hp2z_vals[i] = bc.hp2z
                 tags.append(bc.tag)
             density = 0.5 * np.maximum(-hp2z_vals, 0.0) * cm.w[sl]
@@ -264,7 +259,7 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
     return BoundaryMeasure(
         atoms=atoms,
         arcs=arcs,
-        source_min_abs_tau=float(np.min(np.abs(cm.states[:, 1 + gb.dim]))),
+        source_min_abs_tau=float(np.min(np.abs(cm.states[:, sym.TAU]))),
     )
 
 
@@ -274,15 +269,14 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
 
 def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """H_p a at each sample row, from the full packed gradient of a."""
-    d = scenario.dim
     m = scenario.metric
     n = len(states)
     out = np.empty(n)
     if m.is_constant:
-        gi = m.g_inv(np.zeros(d))
-        dx = 2.0 * (states[:, 2 + d :] @ gi)
-        out = -2.0 * states[:, 1 + d] * grads[:, 0] + np.einsum(
-            "ij,ij->i", grads[:, 1 : 1 + d], dx
+        gi = m.g_inv(np.zeros(2))
+        dx = 2.0 * (states[:, sym.XI] @ gi)
+        out = -2.0 * states[:, sym.TAU] * grads[:, sym.T] + np.einsum(
+            "ij,ij->i", grads[:, sym.X], dx
         )
         return out
     rhs = flow._interior_rhs(scenario, 1.0)
@@ -298,11 +292,9 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
     since the s-integration by parts then picks up uncontrolled boundary
     terms.
     """
-    d = scenario.dim
     s, Y = cm.s, cm.states
-    first = PhasePoint.from_vector(Y[0], d)
-    last = PhasePoint.from_vector(Y[-1], d)
-    if abs(a.value(first)) > 1e-12 or abs(a.value(last)) > 1e-12:
+    ends = a.value_batch(Y[[0, -1]])
+    if abs(ends[0]) > 1e-12 or abs(ends[1]) > 1e-12:
         raise SupportLeak(
             "test function does not vanish at the trajectory endpoints; "
             "shrink its support or extend the trace"
@@ -313,7 +305,7 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
     if f is None:
         fvals = np.zeros_like(s)
     else:
-        fvals = np.array([float(f(Y[i, 0], Y[i, 1 : 1 + d])) for i in range(len(s))])
+        fvals = np.array([float(f(row[sym.T], row[sym.X])) for row in Y])
     term_mu = float(np.trapezoid(cm.w * (hpa - fvals * avals), s))
 
     term_atoms = 0.0
@@ -328,8 +320,8 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
         integrand = np.empty(n_p)
         g_arc = a.gradient_batch(arc.states)
         for i in range(n_p):
-            st = sym._State(scenario, arc.states[i, 1 : 1 + d])
-            dza = float(g_arc[i, 2 + d :] @ st.dphi)
+            st = sym._State(scenario, arc.states[i, sym.X])
+            dza = float(g_arc[i, sym.XI] @ st.dphi)
             integrand[i] = arc.density[i] * (dza / st.hz2p) / st.alpha
         term_glide += float(np.trapezoid(integrand, arc.s))
 
@@ -368,7 +360,7 @@ def support_samples(gb: flow.GenBicharacteristic, s_margin: float = 0.0):
         if s_margin > 0.0 and abs(s_end - s[i]) < s_margin:
             continue
         tag = Tag.GLIDING if kinds[i] == 1 else Tag.INTERIOR
-        out.append((PhasePoint.from_vector(states[i], gb.dim), tag))
+        out.append((PhasePoint.from_vector(states[i]), tag))
     return out
 
 
@@ -403,14 +395,10 @@ def support_step_check(points, scenario, delta: float, eps: float, reference=Non
     ref = tagged if reference is None else _normalize_tagged(reference)
     S = np.vstack([rho.as_vector() for rho, _ in ref])
     variants = flow._distance_variants(scenario, S)
-    d = scenario.dim
     targets = np.empty((len(tagged), S.shape[1]))
     for i, (rho, tag) in enumerate(tagged):
-        if tag is Tag.GLIDING:
-            upd = sym.gliding_field(scenario, rho)
-        else:
-            upd = sym.hamiltonian_field(scenario, rho)
-        adv = PhasePoint.from_vector(rho.as_vector() + delta * upd.as_vector(), d)
+        field_of = sym.gliding_field if tag is Tag.GLIDING else sym.hamiltonian_field
+        adv = PhasePoint.from_vector(rho.as_vector() + delta * field_of(scenario, rho))
         targets[i] = flow.fold_into_domain(scenario, adv).as_vector()
     best = flow._min_distances(targets, variants)
     threshold = delta * eps
@@ -452,7 +440,6 @@ def mass_check(nu: BoundaryMeasure, scenario) -> MassCheckReport:
     """
     offending = []
     taus = []
-    tau_col = 1 + scenario.dim
     for atom in nu.atoms:
         if atom.tag in _ZERO_MASS_TAGS and atom.mass > 1e-10:
             offending.append({"kind": "atom", "s": atom.s, "tag": atom.tag.value, "mass": atom.mass})
@@ -471,7 +458,7 @@ def mass_check(nu: BoundaryMeasure, scenario) -> MassCheckReport:
                     }
                 )
             if arc.density[i] > 0.0:
-                taus.append(abs(float(arc.states[i, tau_col])))
+                taus.append(abs(float(arc.states[i, sym.TAU])))
     min_tau = min(taus) if taus else float("inf")
     ok = not offending and (
         not taus or min_tau >= nu.source_min_abs_tau - 1e-9

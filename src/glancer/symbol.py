@@ -4,6 +4,15 @@ The symbol is p(rho) = -tau^2 + g*_x(xi, xi). All boundary-adapted
 quantities are expressed through the boundary defining function phi:
 ``hpz`` is the derivative of phi along the Hamiltonian field, ``hp2z`` its
 second derivative, ``hz2p`` the transversality coefficient 2 g*(dphi, dphi).
+
+A phase point rho = (t, x, tau, xi) is a PhasePoint or its packed row
+[t, x1, x2, tau, xi1, xi2]. This module names the row's columns and
+positions once (COLUMNS; T, X, TAU, XI); the other modules index rows,
+trajectory states and field vectors through those names. Every function
+below that takes a phase point takes either form and gives the same bits
+for both. The Hamiltonian and gliding fields return packed field vectors;
+project_parallel, sigma and hyperbolic_lifts return phase points in the
+form they were given.
 """
 
 from __future__ import annotations
@@ -21,6 +30,13 @@ from .errors import (
 )
 # in_domain stays importable from here: perfbench/tracer.py patches symbol.in_domain.
 from .geometry import _hessian, _require_in_domain, in_domain, unit_conormal  # noqa: F401
+
+# The packed row [t, x1, x2, tau, xi1, xi2]: its column names and positions.
+COLUMNS = ("t", "x1", "x2", "tau", "xi1", "xi2")
+T = 0
+X = slice(1, 3)
+TAU = 3
+XI = slice(4, 6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +62,7 @@ class PhasePoint:
         return np.concatenate([[self.t], self.x, [self.tau], self.xi])
 
     @staticmethod
-    def from_vector(y: np.ndarray, dim: int) -> "PhasePoint":
+    def from_vector(y: np.ndarray, dim: int = 2) -> "PhasePoint":
         return PhasePoint(t=y[0], x=y[1 : 1 + dim], tau=y[1 + dim], xi=y[2 + dim :])
 
     def to_dict(self) -> dict:
@@ -101,19 +117,6 @@ class ClassifyThresholds:
     eps_g2: float = 1e-7
     char_tol: float = 1e-8
     boundary_tol: float = 1e-9
-
-
-@dataclass
-class TangentUpdate:
-    """Value of a vector field on phase space at one point."""
-
-    dt: float
-    dx: np.ndarray
-    dtau: float
-    dxi: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.dt], self.dx, [self.dtau], self.dxi])
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +223,51 @@ class _State:
         return float(grad_x @ self.dx + grad_xi @ self.dxi)
 
 
-def _state(scenario, rho: PhasePoint) -> _State:
-    return _State(scenario, rho.x, rho.tau, rho.xi)
+def _state(scenario, rho) -> _State:
+    """The state at rho, given as a PhasePoint or as its packed row."""
+    if isinstance(rho, PhasePoint):
+        return _State(scenario, rho.x, rho.tau, rho.xi)
+    return _State(scenario, rho[X], float(rho[TAU]), rho[XI])
 
 
-def p_eval(scenario, rho: PhasePoint) -> float:
+def _with_xi(rho, xi):
+    """rho with its covector replaced, in the form rho was given."""
+    if isinstance(rho, PhasePoint):
+        return PhasePoint(t=rho.t, x=rho.x, tau=rho.tau, xi=xi)
+    out = np.array(rho, dtype=float)
+    out[XI] = xi
+    return out
+
+
+def _field(s: _State, dxi) -> np.ndarray:
+    """Packed field vector with dt = -2 tau, dx = 2 g^-1 xi, dtau = 0."""
+    out = np.empty(len(COLUMNS))
+    out[T] = -2.0 * s.tau
+    out[X] = s.dx
+    out[TAU] = 0.0
+    out[XI] = dxi
+    return out
+
+
+def p_eval(scenario, rho) -> float:
     """p(rho) = -tau^2 + |xi|^2_x."""
-    _require_in_domain(scenario, rho.x)
-    return _state(scenario, rho).p
-
-
-def hamiltonian_field(scenario, rho: PhasePoint) -> TangentUpdate:
-    """H_p at rho: dt = -2 tau, dx = 2 g^-1 xi, dtau = 0, dxi from dg."""
-    _require_in_domain(scenario, rho.x)
     s = _state(scenario, rho)
-    return TangentUpdate(dt=-2.0 * rho.tau, dx=s.dx, dtau=0.0, dxi=s.dxi)
+    _require_in_domain(scenario, s.x)
+    return s.p
 
 
-def hpz(scenario, rho: PhasePoint) -> float:
+def hamiltonian_field(scenario, rho) -> np.ndarray:
+    """H_p at rho as a packed vector: dt = -2 tau, dx = 2 g^-1 xi, dtau = 0, dxi from dg."""
+    s = _state(scenario, rho)
+    _require_in_domain(scenario, s.x)
+    return _field(s, s.dxi)
+
+
+def hpz(scenario, rho) -> float:
     """Derivative of phi along H_p: <dphi, 2 xi^sharp>."""
-    _require_in_domain(scenario, rho.x)
-    return _state(scenario, rho).hpz
+    s = _state(scenario, rho)
+    _require_in_domain(scenario, s.x)
+    return s.hpz
 
 
 def hz2p(scenario, x) -> float:
@@ -253,20 +280,21 @@ def alpha(scenario, x) -> float:
     return _State(scenario, np.asarray(x, dtype=float)).alpha
 
 
-def hp2z(scenario, rho: PhasePoint) -> float:
+def hp2z(scenario, rho) -> float:
     """Second derivative of phi along H_p (H_p applied to hpz)."""
-    _require_in_domain(scenario, rho.x)
-    return _state(scenario, rho).hp2z
+    s = _state(scenario, rho)
+    _require_in_domain(scenario, s.x)
+    return s.hp2z
 
 
-def classify_boundary_point(scenario, rho: PhasePoint, thresholds: ClassifyThresholds | None = None) -> BoundaryClass:
+def classify_boundary_point(scenario, rho, thresholds: ClassifyThresholds | None = None) -> BoundaryClass:
     """Partition a boundary contact into the hyperbolic/glancing/elliptic cases."""
     th = thresholds or scenario.thresholds
-    phi = scenario.boundary.phi(rho.x)
+    s = _state(scenario, rho)
+    phi = scenario.boundary.phi(s.x)
     if abs(phi) > th.boundary_tol:
         raise NotOnBoundary(f"|phi| = {abs(phi):.3e} > boundary tolerance {th.boundary_tol:.0e}")
-    _require_in_domain(scenario, rho.x)
-    s = _state(scenario, rho)
+    _require_in_domain(scenario, s.x)
     p = s.p
     v_hpz = s.hpz
     v_hp2z = s.hp2z
@@ -290,57 +318,58 @@ def classify_boundary_point(scenario, rho: PhasePoint, thresholds: ClassifyThres
     return BoundaryClass(tag=tag, hpz=v_hpz, hp2z=v_hp2z, p=p)
 
 
-def project_parallel(scenario, rho: PhasePoint) -> PhasePoint:
+def project_parallel(scenario, rho):
     """Tangential part of xi: remove the conormal component."""
-    n, n_star = unit_conormal(scenario, rho.x, scenario.band)
-    c = float(rho.xi @ n)  # g*(xi, n_star) = <xi, n_star^sharp>
-    return PhasePoint(t=rho.t, x=rho.x, tau=rho.tau, xi=rho.xi - c * n_star)
+    s = _state(scenario, rho)
+    n, n_star = unit_conormal(scenario, s.x, scenario.band)
+    c = float(s.xi @ n)  # g*(xi, n_star) = <xi, n_star^sharp>
+    return _with_xi(rho, s.xi - c * n_star)
 
 
-def sigma(scenario, rho: PhasePoint) -> PhasePoint:
+def sigma(scenario, rho):
     """Isometric reflection of xi across the boundary-tangential hyperplane."""
-    n, n_star = unit_conormal(scenario, rho.x, scenario.band)
-    c = float(rho.xi @ n)
-    return PhasePoint(t=rho.t, x=rho.x, tau=rho.tau, xi=rho.xi - 2.0 * c * n_star)
+    s = _state(scenario, rho)
+    n, n_star = unit_conormal(scenario, s.x, scenario.band)
+    c = float(s.xi @ n)
+    return _with_xi(rho, s.xi - 2.0 * c * n_star)
 
 
-def hyperbolic_lifts(scenario, rho_par: PhasePoint) -> tuple[PhasePoint, PhasePoint]:
+def hyperbolic_lifts(scenario, rho_par):
     """The two characteristic points above a tangential point with p <= 0.
 
     Returned as (outgoing, incoming): the first has hpz < 0, the second
     hpz > 0, matching the (rho_minus, rho_plus) order of break records.
     """
     th = scenario.thresholds
-    n, n_star = unit_conormal(scenario, rho_par.x, scenario.band)
-    scale = max(1.0, float(np.linalg.norm(rho_par.xi)))
+    s = _state(scenario, rho_par)
+    n, n_star = unit_conormal(scenario, s.x, scenario.band)
+    scale = max(1.0, float(np.linalg.norm(s.xi)))
     if abs(hpz(scenario, rho_par)) > 1e-6 * scale:
         raise ValueError("hyperbolic_lifts expects a tangential point (hpz ~ 0)")
     p = p_eval(scenario, rho_par)
     if p > th.char_tol:
         raise EllipticPoint(f"p(rho_par) = {p:.3e} > 0: no characteristic lifts")
     lam = float(np.sqrt(max(0.0, -p)))
-    minus = PhasePoint(t=rho_par.t, x=rho_par.x, tau=rho_par.tau, xi=rho_par.xi - lam * n_star)
-    plus = PhasePoint(t=rho_par.t, x=rho_par.x, tau=rho_par.tau, xi=rho_par.xi + lam * n_star)
-    return minus, plus
+    return _with_xi(rho_par, s.xi - lam * n_star), _with_xi(rho_par, s.xi + lam * n_star)
 
 
-def gliding_field(scenario, rho: PhasePoint) -> TangentUpdate:
-    """Extended gliding field: H_p corrected along the fiber direction of phi.
+def gliding_field(scenario, rho) -> np.ndarray:
+    """Extended gliding field as a packed vector: H_p corrected along the fiber direction of phi.
 
     Tangent to {phi = 0, hpz = 0} where those constraints hold, and its phi
     derivative coincides with hpz everywhere in the extension band.
     """
-    if abs(scenario.boundary.phi(rho.x)) > scenario.band:
-        raise NotOnBoundary("gliding field is only defined inside the extension band")
     s = _state(scenario, rho)
+    if abs(scenario.boundary.phi(s.x)) > scenario.band:
+        raise NotOnBoundary("gliding field is only defined inside the extension band")
     v_hz2p = s.hz2p
     if v_hz2p < 1e-8:
-        raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {rho.x}")
-    _require_in_domain(scenario, rho.x)
+        raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {s.x}")
+    _require_in_domain(scenario, s.x)
     # H_p applied to hz2p, from the gradient of hz2p in x
     grad_hz2p = 4.0 * s.d2phi @ (s.gi @ s.dphi)
     if not s.metric.is_constant:
         grad_hz2p = grad_hz2p + 2.0 * np.einsum("kij,i,j->k", s.dgi, s.dphi, s.dphi)
     hp_hz2p = float(grad_hz2p @ s.dx)
     coef = s.hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * s.hpz
-    return TangentUpdate(dt=-2.0 * rho.tau, dx=s.dx, dtau=0.0, dxi=s.dxi - coef * s.dphi)
+    return _field(s, s.dxi - coef * s.dphi)

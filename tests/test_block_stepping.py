@@ -96,7 +96,7 @@ def test_planned_runs_match_when_xi_settles_in_a_two_cycle():
     ys = [rho0.as_vector()]
     for _ in range(2):
         y = flow._rk4_step(rhs, ys[-1], 1e-3)
-        flow._rescale_char(scenario, y, 2)
+        flow._rescale_char(scenario, y)
         ys.append(y)
     assert not np.array_equal(ys[1][4:], ys[0][4:])
     assert np.array_equal(ys[2][4:], ys[0][4:])

@@ -450,6 +450,13 @@ def test_continuity_probe_vanishes_at_zero_delta(half_plane):
     assert eps0 == 0.0
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_continuity_probe_needs_a_sample(half_plane, n_samples):
+    rho0 = unit_start(0.0, [0.0, 0.5], 1.0, [0.6, -0.8])
+    with pytest.raises(ValueError, match="at least one"):
+        flow.continuity_probe(half_plane, rho0, 1e-3, 0.5, n_samples)
+
+
 def test_continuity_probe_flat_scale(half_plane):
     # flat half-plane reflection is Lipschitz in compressed distance
     rho0 = unit_start(0.0, [0.0, 0.5], 1.0, [0.6, -0.8])

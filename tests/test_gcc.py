@@ -23,15 +23,6 @@ def test_region_batch_matches_scalar():
     assert list(mask) == [region.contains(0.0, x) for x in X]
 
 
-def test_region_predicate_fallback():
-    region = gcc.ObservationRegion(
-        description="left half", predicate=lambda t, x: x[0] < 0.0
-    )
-    assert region.contains(0.0, [-1.0, 0.0])
-    mask = region.entered(np.zeros(2), np.array([[-1.0, 0.0], [1.0, 0.0]]))
-    assert list(mask) == [True, False]
-
-
 def test_region_needs_expression_or_predicate():
     with pytest.raises(ValidationError):
         gcc.ObservationRegion(description="empty")

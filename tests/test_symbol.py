@@ -72,10 +72,10 @@ def test_hp2z_disk_gliding_value(disk):
 def test_hamiltonian_field_flat(half_plane):
     rho = unit_point(0.0, [0.0, 1.0], 1.0, 0.3)
     upd = sym.hamiltonian_field(half_plane, rho)
-    assert upd.dt == pytest.approx(-2.0)
-    assert np.allclose(upd.dx, 2.0 * rho.xi)
-    assert upd.dtau == 0.0
-    assert np.allclose(upd.dxi, 0.0)
+    assert upd[sym.T] == pytest.approx(-2.0)
+    assert np.allclose(upd[sym.X], 2.0 * rho.xi)
+    assert upd[sym.TAU] == 0.0
+    assert np.allclose(upd[sym.XI], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_gliding_field_tangent_to_constraints(disk):
     rho = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]))
     upd = sym.gliding_field(disk, rho)
     h = 1e-6
-    moved = PhasePoint.from_vector(rho.as_vector() + h * upd.as_vector(), 2)
+    moved = PhasePoint.from_vector(rho.as_vector() + h * upd, 2)
     assert abs(disk.boundary.phi(moved.x)) < 5e-12  # second order in h
     assert abs(sym.hpz(disk, moved)) < 5e-6
     assert abs(sym.p_eval(disk, moved)) < 5e-6
@@ -191,7 +191,7 @@ def test_gliding_field_phi_derivative_is_hpz(disk):
     rho = PhasePoint(0.0, np.array([0.98, 0.0]), 1.0, np.array([0.1, 1.0]))
     upd = sym.gliding_field(disk, rho)
     dphi = np.asarray(disk.boundary.dphi(rho.x))
-    assert float(dphi @ upd.dx) == pytest.approx(sym.hpz(disk, rho), rel=1e-9)
+    assert float(dphi @ upd[sym.X]) == pytest.approx(sym.hpz(disk, rho), rel=1e-9)
 
 
 def test_gliding_field_outside_band_rejected(disk):
@@ -205,7 +205,8 @@ def test_gliding_field_outside_band_rejected(disk):
 #
 # Each quantity below is written as it was before the metric and boundary
 # were evaluated once per state: every function evaluates what it needs
-# itself. The fused functions must agree with it bit for bit.
+# itself. The fused functions must agree with it bit for bit, and give the
+# same bits for a PhasePoint and for its packed row.
 
 WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
 
@@ -213,6 +214,11 @@ WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.j
 def _ref_check_chart(scenario, x):
     if not geo.in_domain(scenario, x):
         raise OutOfChart(f"point {np.asarray(x)} outside domain box of '{scenario.name}'")
+
+
+def _packed(dt, dx, dtau, dxi):
+    """Field vector [dt, dx1, dx2, dtau, dxi1, dxi2]."""
+    return np.concatenate([[dt], dx, [dtau], dxi])
 
 
 def ref_p_eval(scenario, rho):
@@ -230,7 +236,7 @@ def ref_hamiltonian_field(scenario, rho):
         dxi = np.zeros(rho.dim)
     else:
         dxi = -np.einsum("kij,i,j->k", m.dg_inv(rho.x), rho.xi, rho.xi)
-    return sym.TangentUpdate(dt=-2.0 * rho.tau, dx=dx, dtau=0.0, dxi=dxi)
+    return _packed(-2.0 * rho.tau, dx, 0.0, dxi)
 
 
 def ref_hpz(scenario, rho):
@@ -282,12 +288,13 @@ def ref_gliding_field(scenario, rho):
     if v_hz2p < 1e-8:
         raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {rho.x}")
     base = ref_hamiltonian_field(scenario, rho)
+    base_dt, base_dx, base_dxi = base[0], base[1:3], base[4:6]
     v_hpz = ref_hpz(scenario, rho)
     v_hp2z = ref_hp2z(scenario, rho)
-    hp_hz2p = float(ref_grad_hz2p(scenario, rho.x) @ base.dx)
+    hp_hz2p = float(ref_grad_hz2p(scenario, rho.x) @ base_dx)
     coef = v_hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * v_hpz
     dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    return sym.TangentUpdate(dt=base.dt, dx=base.dx, dtau=0.0, dxi=base.dxi - coef * dphi)
+    return _packed(base_dt, base_dx, 0.0, base_dxi - coef * dphi)
 
 
 def ref_classify(scenario, rho):
@@ -324,11 +331,27 @@ def _outcome(fn, *args):
         out = fn(*args)
     except Exception as exc:  # the error itself is part of the behaviour
         return type(exc), str(exc)
-    if isinstance(out, sym.TangentUpdate):
+    return _result_bytes(out)
+
+
+def _result_bytes(out):
+    """Phase points compare as their packed rows, so both input forms can match."""
+    if isinstance(out, PhasePoint):
         return out.as_vector().tobytes()
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    if isinstance(out, tuple):
+        return tuple(_result_bytes(o) for o in out)
     if isinstance(out, sym.BoundaryClass):
         return out.tag, float(out.hpz).hex(), float(out.hp2z).hex(), float(out.p).hex()
     return float(out).hex()
+
+
+def _same_for_row(fn, scenario, rho):
+    """fn gives the same outcome for rho and for its packed row, and leaves the row as it was."""
+    row = rho.as_vector()
+    same = _outcome(fn, scenario, row) == _outcome(fn, scenario, rho)
+    return same and np.array_equal(row, rho.as_vector())
 
 
 def _radial_points(rng, n, radii):
@@ -391,6 +414,9 @@ def test_fused_symbol_matches_unfused_composition(name):
             (sym.p_eval, ref_p_eval),
         ):
             assert _outcome(fused, scenario, rho) == _outcome(ref, scenario, rho), fused.__name__
+            assert _same_for_row(fused, scenario, rho), fused.__name__
+        for fn in (sym.project_parallel, sym.sigma):
+            assert _same_for_row(fn, scenario, rho), fn.__name__
         assert _outcome(sym.hz2p, scenario, x) == _outcome(ref_hz2p, scenario, x)
         assert sym.alpha(scenario, x) == float(1.0 / np.sqrt(2.0 * ref_hz2p(scenario, x)))
     tags = set()
@@ -398,7 +424,11 @@ def test_fused_symbol_matches_unfused_composition(name):
         for rho in _wall_covectors(scenario, x, rng):
             got = _outcome(sym.classify_boundary_point, scenario, rho)
             assert got == _outcome(ref_classify, scenario, rho)
+            assert _same_for_row(sym.classify_boundary_point, scenario, rho)
+            par = sym.project_parallel(scenario, rho)
+            assert _same_for_row(sym.hyperbolic_lifts, scenario, par)
             assert _outcome(sym.gliding_field, scenario, rho) == _outcome(ref_gliding_field, scenario, rho)
+            assert _same_for_row(sym.gliding_field, scenario, rho)
             tags.add(got[0])
     assert {Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT, Tag.ELLIPTIC_TANGENTIAL} <= tags
 
