@@ -151,12 +151,15 @@ def _audit_one(scenario, region, T, rho, params, window):
 
 
 def _audit_chunk(config, region_expr, region_desc, T, rows, params, window):
+    """_audit_one over the rows in order, up to and including the first witness."""
     scenario = scen.from_config(config)
     region = ObservationRegion(description=region_desc, expression=region_expr)
     out = []
     for row in rows:
         rho = PhasePoint.from_vector(np.asarray(row, dtype=float))
         out.append(_audit_one(scenario, region, T, rho, params, window))
+        if out[-1][0] == "witness":
+            break
     return out
 
 
@@ -207,8 +210,10 @@ def gcc_check(
             # queued further ahead would run past a witness, uncancellable.
             futs = deque(submit(lo) for lo in los[:workers])
             for k, lo in enumerate(los):
-                results[lo : lo + chunk] = futs.popleft().result()
-                if any(r[0] == "witness" for r in results[lo : lo + chunk]):
+                # a chunk's results end at its first witness, if it holds one
+                part = futs.popleft().result()
+                results[lo : lo + len(part)] = part
+                if part[-1][0] == "witness":
                     break
                 if k + workers < len(los):
                     futs.append(submit(los[k + workers]))

@@ -7,8 +7,11 @@ Conventions used throughout the package:
 * the boundary is the zero set of a scalar field ``phi`` with ``phi > 0``
   strictly inside the domain. A ``BoundaryDef`` gives ``phi(x)``, the only
   source of boundary values; ``derivs(x)``, its first and second
-  derivatives as five floats; and optionally ``phi_rows(X)``, phi on every
-  row of an array, bit for bit equal to ``phi`` on each row.
+  derivatives as five floats; optionally ``phi_rows(X)``, phi on every
+  row of an array, bit for bit equal to ``phi`` on each row; and optionally
+  ``derivs_rows(X)``, the five derivatives on every row as five arrays,
+  equal to ``derivs`` on each row up to the last bit or two (the expression
+  boundaries evaluate it on row jets, see ``glancer.jet``).
 """
 
 from __future__ import annotations
@@ -68,11 +71,16 @@ class BoundaryDef:
     ``dphi`` and ``d2phi`` build the gradient and Hessian arrays from it.
     ``phi_rows``, when given, evaluates phi at every row of an (N, 2) array
     with the same arithmetic as ``phi``, so bit for bit the same values.
+    ``derivs_rows``, when given, evaluates the five derivatives at every row
+    as five arrays of N; they may differ from ``derivs`` in the last bits.
     """
 
     phi: Callable[[np.ndarray], float]
     derivs: Callable[[np.ndarray], tuple[float, float, float, float, float]]
     phi_rows: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
+    derivs_rows: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = field(
+        default=None, kw_only=True
+    )
 
     def dphi(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.derivs(x)[:2], dtype=float)
@@ -85,6 +93,15 @@ class BoundaryDef:
         if self.phi_rows is not None:
             return self.phi_rows(X)
         return np.array([float(self.phi(x)) for x in X], dtype=float)
+
+    def derivs_on_rows(self, X: np.ndarray) -> np.ndarray:
+        """(5, N) array of (d1, d2, d11, d12, d22) at the rows of X.
+
+        One derivs call per row without a row form.
+        """
+        if self.derivs_rows is not None:
+            return np.array(self.derivs_rows(X), dtype=float)
+        return np.array([self.derivs(x) for x in X], dtype=float).reshape(len(X), 5).T
 
 
 def _hessian(derivs) -> np.ndarray:
@@ -224,21 +241,42 @@ def newton_to_boundary(boundary: BoundaryDef, x, steps: int, tol: float = 0.0,
     at one with |dphi|^2 < 1e-24, or before a step longer than max_step.
     Returns (x, phi, dphi) at the point where it stopped; what a degenerate
     dphi there means is for the caller to decide.
+
+    x is one point, evaluated through ``phi`` and ``dphi``, or an (N, 2)
+    batch, evaluated through ``phi_on_rows`` and ``derivs_on_rows``. Each
+    row of a batch stops by the rules above on its own and is not evaluated
+    again; the result is then (X, phi, dphi) with N rows each.
     """
     x = np.asarray(x, dtype=float)
+    X = np.array(x, ndmin=2)
+    phi = np.empty(len(X))
+    dphi = np.empty_like(X)
+    live = np.arange(len(X))
+    Y = X
     for k in range(steps + 1):
-        phi = float(boundary.phi(x))
-        dphi = boundary.dphi(x)
-        if k == steps or abs(phi) <= tol:
+        if x.ndim == 2:
+            p, d = boundary.phi_on_rows(Y), boundary.derivs_on_rows(Y)[:2].T
+        else:
+            p, d = np.array([float(boundary.phi(Y[0]))]), boundary.dphi(Y[0])[None]
+        phi[live], dphi[live] = p, d
+        if k == steps:
             break
-        nd2 = float(dphi @ dphi)
-        if nd2 < 1e-24:
+        # vecdot is the same dot product as dphi @ dphi, to the bit
+        nd2 = np.vecdot(d, d)
+        go = ~((np.abs(p) <= tol) | (nd2 < 1e-24))
+        if not go.all():
+            live, Y, p, d, nd2 = live[go], Y[go], p[go], d[go], nd2[go]
+        step = (p / nd2)[:, None] * d
+        go = ~(np.hypot(step[:, 0], step[:, 1]) > max_step)
+        if not go.all():
+            live, Y, step = live[go], Y[go], step[go]
+        if not live.size:
             break
-        step = (phi / nd2) * dphi
-        if math.hypot(*step) > max_step:
-            break
-        x = x - step
-    return x, phi, dphi
+        Y = Y - step
+        X[live] = Y
+    if x.ndim == 2:
+        return X, phi, dphi
+    return X[0], float(phi[0]), dphi[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ rebuilt from their resolved config dict when shipped to worker processes.
 
 from __future__ import annotations
 
-import ast
+import dis
 import hashlib
 import json
 import logging
@@ -137,8 +137,10 @@ def compile_expression(expr: str, names: tuple[str, ...]):
     Only the listed names and a fixed table of numpy math functions are
     visible; no builtins. Returns a function of keyword arguments.
     """
-    code = _compile(expr, names)
+    return _numpy_eval(_compile(expr, names))
 
+
+def _numpy_eval(code):
     def fn(**env):
         return eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, **env})
 
@@ -245,24 +247,33 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
-    fn = compile_expression(phi_expr, ("x1", "x2"))
-    phi_jet = compile_jet(phi_expr)
+    code = _compile(phi_expr, ("x1", "x2"))
+    fn = _numpy_eval(code)
 
     def phi(x):
         return float(fn(x1=x[0], x2=x[1]))
 
     def derivs(x):
-        j = phi_jet(x)
+        j = jet.evaluate(code, x[0], x[1])
         return j.d1, j.d2, j.d11, j.d12, j.d22
 
     def phi_rows(X):
         return np.broadcast_to(np.asarray(fn(x1=X[:, 0], x2=X[:, 1]), dtype=float), X.shape[:1])
 
+    def derivs_rows(X):
+        j = jet.evaluate_rows(code, X)
+        return j.d1, j.d2, j.d11, j.d12, j.d22
+
     # numpy computes an array power by other routines than a scalar one
     # (x ** 2 as a square, x ** 0.5 as a root, the rest by a vector pow) and
-    # the last bits differ, so an expression with ** keeps the per-row loop.
-    has_pow = any(isinstance(n, ast.Pow) for n in ast.walk(ast.parse(phi_expr, mode="eval")))
-    return BoundaryDef(phi=phi, derivs=derivs, phi_rows=None if has_pow else phi_rows)
+    # the last bits differ, so an expression with ** keeps the per-row loop
+    # for phi. The derivatives need not match derivs to the bit.
+    has_pow = any(
+        i.opname == "BINARY_POWER" or i.argrepr == "**" for i in dis.get_instructions(code)
+    )
+    return BoundaryDef(
+        phi=phi, derivs=derivs, phi_rows=None if has_pow else phi_rows, derivs_rows=derivs_rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +379,28 @@ def _builtin_geometry(builtin: str, params: dict):
 def _reject_corners(boundary: BoundaryDef, lo, hi, n: int = 41) -> None:
     """Reject boundary definitions whose zero set has degenerate points.
 
-    Each grid point is pushed toward the zero set by Newton steps; a point
-    that lands on the boundary with a vanishing gradient means a corner or
-    crossing, which the tracer cannot handle. Interior critical points of
-    phi (gradient zero but phi away from zero) are fine and skipped.
+    Every point of an n x n grid over the box is pushed toward the zero set
+    by at most 3 Newton steps, all points as one batch. A point that lands
+    on the boundary (|phi| <= 1e-10) with a vanishing gradient
+    (|dphi|^2 < 1e-16) means a corner or crossing, which the tracer cannot
+    handle. Interior critical points of phi (gradient zero but phi away
+    from zero) are fine and skipped.
     """
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
+    grid = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n), indexing="ij")
     # a longer step diverges rather than converging to a boundary point
     max_step = 2.0 * float(np.linalg.norm(hi - lo))
-    for a in xs:
-        for b in ys:
-            x, v, d = newton_to_boundary(boundary, np.array([a, b]), 3, 1e-10, max_step)
-            if abs(v) <= 1e-10 and float(d @ d) < 1e-16:
-                raise ValidationError(
-                    f"dphi vanishes on the boundary near {x}; "
-                    "corners and crossings are not supported"
-                )
+    # grid points where phi or its steps overflow or leave phi's domain
+    # (log of a negative number, say) come out NaN or infinite, not corners
+    with np.errstate(all="ignore"):
+        X, v, d = newton_to_boundary(
+            boundary, np.column_stack([g.ravel() for g in grid]), 3, 1e-10, max_step
+        )
+    bad = (np.abs(v) <= 1e-10) & (np.vecdot(d, d) < 1e-16)
+    if bad.any():
+        raise ValidationError(
+            f"dphi vanishes on the boundary near {X[np.argmax(bad)]}; "
+            "corners and crossings are not supported"
+        )
 
 
 def resolve_config(config: dict) -> dict:

@@ -117,6 +117,16 @@ def test_parallel_matches_serial(request, name, expr, seed, verdict):
     assert _summary_without_time(parallel) == _summary_without_time(serial)
 
 
+def test_chunk_stops_at_its_first_witness(strip):
+    region = gcc.region_from_expression("0.2 - x2")
+    # the first start is horizontal at x2 = 0.5, a witness; the rest follow it
+    rows = [rho.as_vector() for rho in gcc.default_sampler(strip, 8)]
+    out = gcc._audit_chunk(
+        strip.config, region.expression, region.description, 2.0, rows, FAST, 0.5
+    )
+    assert out == [("witness", None)]
+
+
 def test_report_summary_fields(strip):
     region = gcc.region_from_expression("1.0")
     report = gcc.gcc_check(strip, region, 0.5, gcc.default_sampler(strip, 4), params=FAST)

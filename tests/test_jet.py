@@ -88,7 +88,7 @@ POINTS = [(0.3, 0.1), (0.7, -0.2), (1.2, 0.25)]
 def test_cases_cover_the_expression_namespace():
     used = set().union(*(compile(e, "", "eval").co_names for e in CASES))
     assert set(scen._EXPR_FUNCS) <= used
-    assert set(jet.FUNCS) == set(scen._EXPR_FUNCS)
+    assert set(jet.FUNCS) == set(jet.ROW_FUNCS) == set(scen._EXPR_FUNCS)
 
 
 @pytest.mark.parametrize("point", POINTS)
@@ -122,3 +122,30 @@ def test_constant_expressions_give_constant_jets(expr, value):
 def test_failed_arithmetic_gives_nan_jet(expr):
     j = scen.compile_jet(expr)(np.array([-1.0, 1.0]))
     assert all(math.isnan(c) for c in (j.v, j.d1, j.d2, j.d11, j.d12, j.d22))
+    # the row form: NaN in that row only, and the same NaNs as the scalar jets
+    code = compile(expr, "<expr>", "eval")
+    X = np.array([[-1.0, 1.0], [0.5, -0.5]])
+    rows = _fields(jet.evaluate_rows(code, X))
+    assert np.isnan(rows[:, 0]).all()
+    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(_fields(jet.evaluate(code, *X[1]))))
+
+
+def _fields(j):
+    return np.array([j.v, j.d1, j.d2, j.d11, j.d12, j.d22], dtype=float)
+
+
+@pytest.mark.parametrize("expr", list(CASES) + ["0", "hypot(3, 4)", "x1 ** 0 + abs(x2)"])
+def test_row_jets_match_scalar_jets(expr):
+    code = compile(expr, "<expr>", "eval")
+    X = np.array(POINTS + [(0.0, 0.0), (0.0, 0.4)])
+    rows = _fields(jet.evaluate_rows(code, X))
+    assert rows.shape == (6, len(X))
+    scalar = np.array([_fields(jet.evaluate(code, *x)) for x in X]).T
+    assert np.array_equal(np.isnan(rows), np.isnan(scalar))
+    ok = ~np.isnan(scalar)
+    assert np.all(np.abs(rows - scalar)[ok] <= 1e-15 * (1.0 + np.abs(scalar[ok])))
+
+
+def test_constant_arithmetic_failure_gives_nan_rows():
+    rows = _fields(jet.evaluate_rows(compile("x1 + 1 / 0", "<expr>", "eval"), np.ones((3, 2))))
+    assert rows.shape == (6, 3) and np.isnan(rows).all()

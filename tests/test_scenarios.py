@@ -1,11 +1,13 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from glancer import geometry as geo
 from glancer import scenarios as scen
 from glancer import symbol as sym
 from glancer.errors import ValidationError
@@ -322,3 +324,107 @@ def test_phi_on_rows_is_scalar_phi_bit_for_bit(source):
     one_by_one = np.array([float(scenario.boundary.phi(x)) for x in X])
     assert rows.shape == (10_000,)
     assert rows.tobytes() == one_by_one.tobytes()
+
+
+def test_loading_silences_numpy_warnings_off_phi_domain():
+    # the corner grid reaches x1 = -3, where log(3 + x1) is -inf
+    config = {
+        "schema": 1,
+        "boundary": {
+            "kind": "expression",
+            "phi": "x2 - 0.01*log(3 + x1)",
+            "box": [[-3.0, -1.0], [1.0, 1.0]],
+        },
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scenario = scen.from_config(config)
+    assert scenario.boundary.phi(np.array([0.0, 0.5])) > 0
+
+
+def _scalar_corner_verdict(boundary, lo, hi, n=41):
+    """The corner check as one scalar Newton run per grid point."""
+    xs = np.linspace(lo[0], hi[0], n)
+    ys = np.linspace(lo[1], hi[1], n)
+    max_step = 2.0 * float(np.linalg.norm(hi - lo))
+    with np.errstate(all="ignore"):
+        for a in xs:
+            for b in ys:
+                x, v, d = geo.newton_to_boundary(boundary, np.array([a, b]), 3, 1e-10, max_step)
+                if abs(v) <= 1e-10 and float(d @ d) < 1e-16:
+                    return True
+    return False
+
+
+POWER = "x2 - 0.2 * x1 ** 2 + 0.1 * abs(x1) ** 1.5"
+CORNER_EXPRESSIONS = [
+    json.loads(WAVY.read_text())["boundary"]["phi"],
+    "x1 * x2",
+    "x1*x1 - x2*x2",
+    "x2*x2 - x1*x1*x1",
+    "(x1 - 0.5) * (x2 - 0.65)",  # a crossing away from the origin
+    "1 - hypot(x1, x2)",
+    "abs(x1) + abs(x2) - 1",
+    ALL_FUNCS,
+    POWER,
+]
+CORNER_BOXES = [
+    ([-1.0, -1.0], [1.0, 1.0]),  # the origin is a grid point
+    ([-1.3, -0.7], [0.9, 1.1]),  # the origin lies inside, between grid points
+    ([0.25, 0.3], [1.5, 1.7]),  # no origin
+    ([-3.0, -1.0], [1.0, 1.0]),  # log(3 + x1) leaves its domain on the left edge
+]
+
+
+@pytest.mark.parametrize("box", CORNER_BOXES, ids=["origin", "off-grid", "no-origin", "edge"])
+@pytest.mark.parametrize("expr", CORNER_EXPRESSIONS)
+def test_batched_corner_check_matches_scalar_loop(expr, box):
+    lo, hi = np.array(box[0]), np.array(box[1])
+    boundary = scen._expression_boundary(expr)
+    try:
+        scen._reject_corners(boundary, lo, hi)
+        rejected = False
+    except ValidationError:
+        rejected = True
+    assert rejected == _scalar_corner_verdict(boundary, lo, hi)
+
+
+ROW_JET_CASES = {
+    "wavy": (CORNER_EXPRESSIONS[0], [[-3.5, -1.1], [3.5, 2.5]]),
+    "all-functions": (ALL_FUNCS, [[-4.0, -2.5], [2.5, 2.5]]),
+    "power": (POWER, [[-2.0, -2.0], [2.0, 2.0]]),
+    "hypot": ("1 - hypot(x1, x2)", [[-1.0, -1.0], [1.0, 1.0]]),
+    "abs": ("abs(x1) + abs(x2 - 0.5) - 1", [[-1.0, -1.0], [1.0, 1.0]]),
+    "sqrt-quotient": ("sqrt(x1) + 1 / x2 + log(x1 * x2)", [[-1.0, -1.0], [1.0, 1.0]]),
+    "jet-powers": ("x1 ** x2 + 2 ** x1 + x1 ** -1", [[-1.0, -1.0], [2.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_JET_CASES))
+def test_derivs_on_rows_matches_scalar_derivs(name):
+    expr, box = ROW_JET_CASES[name]
+    boundary = scen._expression_boundary(expr)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(*box, size=(10_000, 2))
+    # exact zeros of each coordinate: sqrt, abs, hypot and powers at 0
+    X[:300:3, 0] = 0.0
+    X[1:300:3, 1] = 0.0
+    X[2:300:3] = 0.0
+    X[300:400, 1] = 0.5
+    rows = boundary.derivs_on_rows(X)
+    with np.errstate(all="ignore"):
+        scalar = np.array([boundary.derivs(x) for x in X]).T
+    assert rows.shape == scalar.shape == (5, 10_000)
+    nan = np.isnan(scalar)
+    assert np.array_equal(np.isnan(rows), nan)
+    assert (nan.all(axis=0) == nan.any(axis=0)).all()
+    close = np.abs(rows - scalar) <= 1e-15 * (1.0 + np.abs(scalar))
+    assert close[~nan].all()
+
+
+def test_derivs_on_rows_falls_back_to_derivs():
+    disk = scen.builtin("disk_interior")
+    X = np.random.default_rng(3).uniform(-1.2, 1.2, size=(50, 2))
+    rows = disk.boundary.derivs_on_rows(X)
+    assert rows.tobytes() == np.array([disk.boundary.derivs(x) for x in X]).T.tobytes()
+    assert disk.boundary.derivs_on_rows(X[:0]).shape == (5, 0)
