@@ -65,7 +65,13 @@ def _write_csv(path: Path, scenario, command, params, columns, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_jsonl(path: Path, scenario, command, params, records) -> None:
+def _json_line(rec: dict) -> str:
+    """One JSONL line; NaN and infinities raise ValueError (they are not JSON)."""
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
+
+
+def _write_jsonl(path: Path, scenario, command, params, lines) -> None:
+    """A header line, then the given JSON lines."""
     head = {
         "record": "header",
         "command": command,
@@ -73,10 +79,7 @@ def _write_jsonl(path: Path, scenario, command, params, records) -> None:
         "scenario_hash": scenario.config_hash,
         "params": params,
     }
-    lines = [json.dumps(head, sort_keys=True)]
-    for rec in records:
-        lines.append(json.dumps(rec, sort_keys=True))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join([_json_line(head), *lines]) + "\n")
 
 
 def _parse_start(text: str) -> PhasePoint:
@@ -120,9 +123,9 @@ def cmd_trace(args, scenario, out: Path) -> dict:
     params = flow.IntegratorParams(h=args.h)
     gb = flow.trace_generalized(scenario, rho0, args.t_horizon, params)
     echo = {"h": args.h, "t_horizon": args.t_horizon, "start": args.start}
-    records = [dict(r, record="sample") for r in flow.trajectory_records(gb)]
-    records += [dict(r, record="event") for r in flow.event_records(gb)]
-    _write_jsonl(out / "trace.jsonl", scenario, "trace", echo, records)
+    lines = flow.trajectory_records(gb, record="sample")
+    lines += [_json_line(dict(r, record="event")) for r in flow.event_records(gb)]
+    _write_jsonl(out / "trace.jsonl", scenario, "trace", echo, lines)
     return {
         "command": "trace",
         "ok": True,
@@ -182,7 +185,8 @@ def cmd_glide_step(args, scenario, out: Path) -> dict:
         )
     for c in poly.contacts:
         records.append({"record": "contact", **c})
-    _write_jsonl(out / "glide_step.jsonl", scenario, "glide-step", echo, records)
+    lines = [_json_line(r) for r in records]
+    _write_jsonl(out / "glide_step.jsonl", scenario, "glide-step", echo, lines)
     return {
         "command": "glide-step",
         "ok": True,
@@ -277,14 +281,15 @@ def cmd_gcc(args, scenario, out: Path) -> dict:
         "artifact": str(out / "gcc_report.csv"),
     }
     if report.witness is not None:
-        records = []
-        back = [dict(r, record="sample", direction=-1) for r in flow.trajectory_records(report.witness_backward)]
-        back.reverse()
-        records += back
-        records += [dict(r, record="sample", direction=1) for r in flow.trajectory_records(report.witness)]
-        records += [dict(r, record="event", direction=1) for r in flow.event_records(report.witness)]
-        records += [dict(r, record="event", direction=-1) for r in flow.event_records(report.witness_backward)]
-        _write_jsonl(out / "witness.jsonl", scenario, "gcc", echo, records)
+        lines = flow.trajectory_records(report.witness_backward, record="sample", direction=-1)
+        lines.reverse()
+        lines += flow.trajectory_records(report.witness, record="sample", direction=1)
+        for gb, direction in ((report.witness, 1), (report.witness_backward, -1)):
+            lines += [
+                _json_line(dict(r, record="event", direction=direction))
+                for r in flow.event_records(gb)
+            ]
+        _write_jsonl(out / "witness.jsonl", scenario, "gcc", echo, lines)
         result["witness"] = str(out / "witness.jsonl")
         result["witness_start"] = report.witness_start.to_dict()
     return result

@@ -24,15 +24,24 @@ Under a constant metric an interior piece is a straight line with a fixed
 covector, and most of its steps are planned rather than taken one by one
 (_StraightRuns, the plan hook of _march). The rows ahead are built in one
 array pass per chunk, with the same bits the loop would produce, and
-screened at once with the row form of phi and the chart box: steps whose
-start and end rows are finite, above the tangency gate (or above 0) by
-1e-9 and inside the box are recorded in bulk; every other step, near the
-boundary, the box edge or the span end, runs through the loop and its
-checks above, so every event is decided as before.
+screened at once with the row forms of phi and the chart box: a step whose
+start and end rows are finite, above phi = 1e-9 and inside the box is
+recorded in bulk when both rows lie above the tangency gate by 1e-9, or,
+inside the gate band, when the row q (from the boundary's row derivatives)
+cannot turn from - to + across it: q >= m at its start or q <= -m at its
+end, with the margin m = 1e-9 * max(1, |tau|) for the rounding between row
+and scalar q. Every other step, at the boundary, a possible tangency, the
+box edge or the span end, runs through the loop and its checks above, so
+every event is decided as before.
+
+Sample records are written as JSON lines from a fixed template of repr
+floats (trajectory_records), with the bytes json.dumps(..., sort_keys=True)
+would write; a non-finite value raises ValueError instead of becoming NaN.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -322,28 +331,37 @@ class _StraightRuns:
     cycle and t, x accumulated from its increments; np.add.accumulate adds
     in order, as the loop does, so the rows carry the loop's bits. They are
     planned in chunks that double (64, 128, ... rows) up to the span end and
-    the step budget, and screened at once: a row is clear when it is finite,
-    phi > max(tangency_gate, 0) + 1e-9 and it lies more than 1e-12 inside
-    the widened chart box. A step whose start and end rows are both clear
-    passes every check of the interior advance; any other step is left to
-    the loop.
+    the step budget, and screened at once, step by step. A row is clear when
+    it is finite, phi > 1e-9 and it lies more than 1e-12 inside the widened
+    chart box. A step between two clear rows is clear when both rows lie
+    above the tangency gate band, phi > max(tangency_gate, 0) + 1e-9, or
+    when q = sgn * 2 dphi . (g^-1 xi) cannot turn from - to + across it:
+    q >= margin at its start or q <= -margin at its end, with the margin
+    1e-9 * max(1, |tau|) (q is of degree 1 in (tau, xi)). The margin covers
+    the rounding difference between the row q, read from derivs_on_rows
+    only for the steps that touch the band, and the scalar q the loop
+    reads. A clear step passes every check of the interior advance; any
+    other step is left to the loop.
     """
 
     FIRST_CHUNK = 64
     MAX_CYCLE = 8
+    FLOOR = 1e-9  # phi of a clear row; also the q margin per unit of max(1, |tau|)
 
-    def __init__(self, scenario, rhs, params, sig1):
+    def __init__(self, scenario, rhs, params, sig1, sgn):
         self.scenario = scenario
         self.rhs = rhs
         self.params = params
         self.sig1 = sig1
-        self.level = max(params.tangency_gate, 0.0) + 1e-9
+        self.sgn = sgn
+        self.gi = scenario.metric.g_inv(np.zeros(2))
+        self.level = max(params.tangency_gate, 0.0) + self.FLOOR
         self.lo = scenario.domain_lo - 1e-9 + 1e-12
         self.hi = scenario.domain_hi + 1e-9 - 1e-12
         self.size = self.FIRST_CHUNK
         self.dead = False
         self.cycle = None  # (vs, incs, j, steps at vs[0]) from _settle
-        self.chunk = None  # (steps at row 0, sigmas, states, clear)
+        self.chunk = None  # (steps at row 0, sigmas, states, clear steps)
 
     def _settle(self, y):
         """(tau, xi) rows and step increments from y until they repeat.
@@ -399,13 +417,29 @@ class _StraightRuns:
         states[:, sym.TAU :] = vs[k]
         X = states[:, sym.X]
         with np.errstate(all="ignore"):
-            clear = (
+            phi = self.scenario.boundary.phi_on_rows(X)
+            ok = (
                 np.isfinite(states).all(axis=1)
-                & (self.scenario.boundary.phi_on_rows(X) > self.level)
+                & (phi > self.FLOOR)
                 & ((X > self.lo) & (X < self.hi)).all(axis=1)
             )
+            clear = ok[:-1] & ok[1:]
+            # steps that touch the gate band are clear only by the q screen
+            band = np.flatnonzero(clear & ~((phi[:-1] > self.level) & (phi[1:] > self.level)))
+            if band.size:
+                q = np.full(n + 1, np.nan)
+                at = np.union1d(band, band + 1)
+                q[at] = self._q_rows(states[at])
+                m = self.FLOOR * max(1.0, abs(float(y[sym.TAU])))
+                clear[band] = (q[band] >= m) | (q[band + 1] <= -m)
         self.chunk = (steps, sigs, states, clear)
         return True
+
+    def _q_rows(self, rows):
+        """q = sgn * hpz at each row, from the boundary's row derivatives."""
+        d = self.scenario.boundary.derivs_on_rows(rows[:, sym.X])
+        sharp = rows[:, sym.XI] @ self.gi.T
+        return self.sgn * 2.0 * (d[0] * sharp[:, 0] + d[1] * sharp[:, 1])
 
     def __call__(self, y, sig, steps):
         if self.dead:
@@ -419,10 +453,8 @@ class _StraightRuns:
             self.dead = True  # the loop left the plan: it steps alone from here
             return None
         _, sigs, states, clear = self.chunk
-        if not clear[i]:
-            return None
-        # the run ends before the first flagged row after row i, or at the chunk end
-        rest = clear[i + 1 :]
+        # the run takes the clear steps from row i up to the first other step
+        rest = clear[i:]
         k = i + 1 + (len(rest) if rest.all() else int(rest.argmin()))
         if k == i + 1:
             return None
@@ -507,13 +539,13 @@ def integrate_interior(
 
     plan = None
     if scenario.metric.is_constant:
-        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]))
+        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]), sgn)
 
         def plan(y, sig, steps):
             # A run needs a clear start row and no pending tangency skips;
             # after it, advance reads phi_prev and q_prev at its last row.
             nonlocal phi_prev, q_prev
-            if skip > 0 or not phi_prev > runs.level:
+            if skip > 0 or not phi_prev > runs.FLOOR:
                 return None
             run = runs(y, sig, steps)
             if run is not None:
@@ -1023,25 +1055,41 @@ def continuity_probe(
 # export helpers
 
 
-def trajectory_records(gb: GenBicharacteristic):
-    """One dict per sample, in trace order."""
-    s, states, kind, idx = gb.all_samples()
-    names = {0: INTERIOR, 1: GLIDING}
-    out = []
-    for i in range(len(s)):
-        row = states[i]
-        out.append(
-            {
-                "s": float(s[i]),
-                "t": float(row[sym.T]),
-                "x": [float(v) for v in row[sym.X]],
-                "tau": float(row[sym.TAU]),
-                "xi": [float(v) for v in row[sym.XI]],
-                "piece_kind": names[int(kind[i])],
-                "piece_index": int(idx[i]),
-            }
-        )
-    return out
+def _sample_template(fixed: dict) -> str:
+    """%-template of a sample line with the fixed fields written in.
+
+    The keys come in sorted order, as json.dumps(..., sort_keys=True) puts
+    them; the float fields s, t, tau, x and xi (the last two pairs) are %r
+    slots in that order, so a line is the template % (s, t, tau, x1, x2,
+    xi1, xi2). repr is the float form json.dumps writes.
+    """
+    slots = {"s": "%r", "t": "%r", "tau": "%r", "x": "[%r, %r]", "xi": "[%r, %r]"}
+    items = []
+    for key in sorted({**fixed, **slots}):
+        if key in slots:
+            items.append(f'"{key}": {slots[key]}')
+        else:
+            items.append(json.dumps({key: fixed[key]}, allow_nan=False)[1:-1].replace("%", "%%"))
+    return "{" + ", ".join(items) + "}"
+
+
+def trajectory_records(gb: GenBicharacteristic, **fields) -> list[str]:
+    """One JSON line per sample, in trace order.
+
+    A line holds s, t, x, tau, xi, piece_kind, piece_index and the given
+    fields (say record="sample"), byte for byte as json.dumps(..., sort_keys=
+    True) writes that dict. A non-finite s or state raises ValueError, as
+    json.dumps(..., allow_nan=False) does.
+    """
+    lines = []
+    for k, p in enumerate(gb.pieces):
+        st = p.states
+        cols = np.column_stack((p.s, st[:, [sym.T, sym.TAU]], st[:, sym.X], st[:, sym.XI]))
+        if not np.isfinite(cols).all():
+            raise ValueError(f"non-finite sample in trajectory piece {k}")
+        template = _sample_template({**fields, "piece_kind": p.kind, "piece_index": k})
+        lines += [template % row for row in map(tuple, cols.tolist())]
+    return lines
 
 
 def event_records(gb: GenBicharacteristic):

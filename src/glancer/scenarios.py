@@ -190,18 +190,31 @@ class Scenario:
 
 
 def _half_plane_boundary() -> BoundaryDef:
+    def derivs_rows(X):
+        out = np.zeros((5, len(X)))
+        out[1] = 1.0
+        return out
+
     return BoundaryDef(
         phi=lambda x: float(x[1]),
         derivs=lambda x: (0.0, 1.0, 0.0, 0.0, 0.0),
         phi_rows=lambda X: X[:, 1].astype(float),
+        derivs_rows=derivs_rows,
     )
 
 
 def _strip_boundary(height: float) -> BoundaryDef:
+    def derivs_rows(X):
+        out = np.zeros((5, len(X)))
+        out[1] = (height - 2.0 * X[:, 1]) / height
+        out[4] = -2.0 / height
+        return out
+
     return BoundaryDef(
         phi=lambda x: float(x[1] * (height - x[1]) / height),
         derivs=lambda x: (0.0, (height - 2.0 * x[1]) / height, 0.0, 0.0, -2.0 / height),
         phi_rows=lambda X: X[:, 1] * (height - X[:, 1]) / height,
+        derivs_rows=derivs_rows,
     )
 
 
@@ -212,6 +225,13 @@ def _radial_derivs(x, c: float):
     """
     r = max(float(np.hypot(x[0], x[1])), 1e-12)
     u, v = x[0] / r, x[1] / r
+    return c * u, c * v, c * (1.0 - u * u) / r, c * (0.0 - u * v) / r, c * (1.0 - v * v) / r
+
+
+def _radial_derivs_rows(X, c):
+    """_radial_derivs at every row of X, with the same arithmetic; c may be per row."""
+    r = np.maximum(np.hypot(X[:, 0], X[:, 1]), 1e-12)
+    u, v = X[:, 0] / r, X[:, 1] / r
     return c * u, c * v, c * (1.0 - u * u) / r, c * (0.0 - u * v) / r, c * (1.0 - v * v) / r
 
 
@@ -226,6 +246,7 @@ def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
         phi=phi,
         derivs=lambda x: _radial_derivs(x, -sign),
         phi_rows=lambda X: sign * (radius - np.hypot(X[:, 0], X[:, 1])),
+        derivs_rows=lambda X: _radial_derivs_rows(X, -sign),
     )
 
 
@@ -243,7 +264,16 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
         r = np.hypot(X[:, 0], X[:, 1])
         return np.minimum(r - r0, r1 - r)
 
-    return BoundaryDef(phi=phi, derivs=lambda x: _radial_derivs(x, side(x)), phi_rows=phi_rows)
+    def derivs_rows(X):
+        r = np.hypot(X[:, 0], X[:, 1])
+        return _radial_derivs_rows(X, np.where((r - r0) <= (r1 - r), 1.0, -1.0))
+
+    return BoundaryDef(
+        phi=phi,
+        derivs=lambda x: _radial_derivs(x, side(x)),
+        phi_rows=phi_rows,
+        derivs_rows=derivs_rows,
+    )
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:

@@ -202,3 +202,126 @@ def test_random_interior_starts_match_single_steps(name, u, v, th, horizon, trac
         x = [r * np.cos(2 * np.pi * v), r * np.sin(2 * np.pi * v)]
     assert_same_as_twin(name, x, [np.cos(th), np.sin(th)], horizon,
                         flow.IntegratorParams(h=1e-3), trace_direction)
+
+
+# ---------------------------------------------------------------------------
+# the tangency gate band (phi <= tangency_gate): steps there are planned
+# when the row q = d(phi)/d(sigma) cannot turn from - to + across them
+
+
+def band_start(name, depth, angle):
+    """A shell start at phi = depth; angle is the direction's angle to the inward normal."""
+    scenario = scen.builtin(name)
+    if name == "strip":
+        x, normal = np.array([0.3, depth]), np.array([0.0, 1.0])
+    elif name == "annulus":  # at the inner wall, r0 = 0.5
+        x, normal = np.array([0.5 + depth, 0.0]), np.array([1.0, 0.0])
+    else:  # disk_interior, radius 1
+        x, normal = np.array([0.0, -(1.0 - depth)]), np.array([0.0, 1.0])
+    tangent = np.array([normal[1], -normal[0]])
+    d = np.cos(angle) * normal + np.sin(angle) * tangent
+    return scenario, shell_start(scenario, x, d)
+
+
+def assert_band_start_matches(name, depth, angle, horizon, params, trace_direction):
+    scenario, rho0 = band_start(name, depth, angle)
+    planned = flow.trace_generalized(scenario, rho0, horizon, params, trace_direction)
+    stepped = flow.trace_generalized(stepped_twin(scenario), rho0, horizon, params, trace_direction)
+    assert_same_trace(planned, stepped)
+    return planned
+
+
+@pytest.mark.parametrize("trace_direction", [1, -1])
+@pytest.mark.parametrize("project", [True, False], ids=["project", "no-project"])
+def test_turning_point_inside_the_band_matches_single_steps(project, trace_direction):
+    # a pass by the obstacle whose closest point lies at phi = 0.03, inside
+    # the band (tangency_gate = 0.05) but off the wall: q turns - to + there
+    params = flow.IntegratorParams(h=1e-3, project=project)
+    gb = assert_same_as_twin(
+        "disk_exterior", [-2.0 * trace_direction, 1.03], [1.0, 0.0], 4.0, params, trace_direction
+    )
+    scenario = scen.builtin("disk_exterior")
+    phi = scenario.boundary.phi_on_rows(gb.all_samples()[1][:, 1:3])
+    assert 0.0 < phi.min() < params.tangency_gate
+    assert gb.junctions == [] and gb.break_set == []
+
+
+@pytest.mark.parametrize("trace_direction", [1, -1])
+@pytest.mark.parametrize("project", [True, False], ids=["project", "no-project"])
+def test_graze_between_two_rows_matches_single_steps(project, trace_direction):
+    # the rows next to the contact lie at x1 = -0.001 and 0.001, both at
+    # phi = 5e-7, so only the q screen keeps the graze off the planned runs
+    params = flow.IntegratorParams(h=1e-3, project=project)
+    gb = assert_same_as_twin(
+        "disk_exterior", [-1.501 * trace_direction, 1.0], [1.0, 0.0], 4.0, params, trace_direction
+    )
+    assert [bc.tag.value for _, bc in gb.junctions] == ["Diffractive"]
+
+
+@pytest.mark.parametrize("trace_direction", [1, -1])
+@pytest.mark.parametrize("project", [True, False], ids=["project", "no-project"])
+@pytest.mark.parametrize("name", ["disk_interior", "annulus", "strip"])
+@pytest.mark.parametrize("angle", [2.8, 0.4], ids=["heading-in", "heading-out"])
+def test_band_starts_match_single_steps(name, angle, project, trace_direction):
+    # from phi = 0.02: heading in (q < 0 at the start) the ray bounces
+    # inside the band, heading out (q > 0) it leaves the band
+    params = flow.IntegratorParams(h=1e-3, project=project)
+    gb = assert_band_start_matches(name, 0.02, angle, 1.5, params, trace_direction)
+    assert gb.n_samples > 500
+
+
+@given(
+    name=st.sampled_from(["disk_interior", "strip", "annulus"]),
+    depth=st.floats(1e-4, 0.05),
+    angle=st.floats(0.0, 2 * np.pi),
+    horizon=st.floats(0.2, 1.5),
+    trace_direction=st.sampled_from([1, -1]),
+)
+def test_random_band_starts_match_single_steps(name, depth, angle, horizon, trace_direction):
+    assert_band_start_matches(name, depth, angle, horizon, flow.IntegratorParams(h=1e-3),
+                              trace_direction)
+
+
+def test_band_steps_are_planned_at_a_bounce():
+    # one bounce on the unit disk at 60 degrees to the normal. The ray spends
+    # about 100 of its 500 steps inside the band, all with q of one sign
+    # per step: 39 pointwise phi calls (one per run plus the bisection of
+    # the hit), against 147 when every band step is taken alone and 530
+    # for the twin; the bound 60 leaves room for a few more single steps
+    base = scen.builtin("disk_interior")
+    calls = []
+
+    def phi(x):
+        calls.append(1)
+        return base.boundary.phi(x)
+
+    counting = dataclasses.replace(base, boundary=dataclasses.replace(base.boundary, phi=phi))
+    rho0 = shell_start(base, [0.0, np.sin(np.pi / 3)], [1.0, 0.0])
+    counts = []
+    for sc in (counting, stepped_twin(counting)):
+        calls.clear()
+        gb = flow.trace_generalized(sc, rho0, 1.0, flow.IntegratorParams(h=1e-3))
+        assert len(gb.break_set) == 1 and gb.n_samples == 503
+        counts.append(len(calls))
+    planned, stepped = counts
+    assert planned < 60 < 500 < stepped
+
+
+@pytest.mark.parametrize("name", scen.BUILTIN_NAMES)
+def test_row_q_is_well_inside_the_screen_margin(name):
+    # the screen compares the row q with the margin 1e-9 * max(1, |tau|);
+    # the row q differs from the scalar q the loop reads by rounding only
+    scenario = scen.builtin(name)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(scenario.domain_lo, scenario.domain_hi, size=(2000, 2))
+    X = X[scenario.boundary.phi_on_rows(X) > 1e-9][:500]
+    for tau, sgn in ((1.0, 1.0), (7.0, -1.0)):
+        runs = flow._StraightRuns(scenario, None, flow.IntegratorParams(), 1.0, sgn)
+        rows = np.zeros((len(X), 6))
+        th = rng.uniform(0.0, 2 * np.pi, size=len(X))
+        rows[:, 1:3], rows[:, 3] = X, tau
+        rows[:, 4], rows[:, 5] = tau * np.cos(th), tau * np.sin(th)
+        q_of = flow._approach_rate(scenario, sgn)
+        scalar = np.array([q_of(y) for y in rows])
+        margin = runs.FLOOR * max(1.0, tau)
+        assert np.abs(runs._q_rows(rows) - scalar).max() <= 1e-4 * margin

@@ -135,6 +135,16 @@ def test_gcc_failure_writes_witness(tmp_path, capsys):
     assert "FailsWithWitness" in report
 
 
+def test_json_lines_refuse_non_finite_values():
+    # header, event, vertex and contact lines: NaN and infinities are not JSON
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            cli._json_line({"record": "event", "s": 0.5, "hpz": bad})
+        with pytest.raises(ValueError):
+            cli._json_line({"record": "header", "params": {"h": bad}})
+    assert cli._json_line({"b": -0.0, "a": 1e300}) == '{"a": 1e+300, "b": -0.0}'
+
+
 def test_gcc_holds_on_whole_domain(tmp_path, capsys):
     code, summary = run_cli(
         [

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -472,9 +473,72 @@ def test_continuity_probe_flat_scale(half_plane):
 def test_trajectory_records_shape(strip):
     rho0 = PhasePoint(0.0, np.array([0.0, 0.0]), 1.0, np.array([0.0, 1.0]))
     gb = flow.trace_generalized(strip, rho0, 1.2, flow.IntegratorParams(h=1e-3))
-    recs = flow.trajectory_records(gb)
+    recs = [json.loads(line) for line in flow.trajectory_records(gb)]
     assert recs[0].keys() == {"s", "t", "x", "tau", "xi", "piece_kind", "piece_index"}
     assert {r["piece_kind"] for r in recs} == {flow.INTERIOR}
     events = flow.event_records(gb)
     assert [e["s"] for e in events] == sorted(e["s"] for e in events)
     assert events[0]["kind"] == "Hyperbolic"
+
+
+def _dict_lines(gb, **fields):
+    """Sample lines as one dict and one json.dumps(sort_keys=True) per sample."""
+    s, states, kind, idx = gb.all_samples()
+    names = {0: flow.INTERIOR, 1: flow.GLIDING}
+    lines = []
+    for i in range(len(s)):
+        row = states[i]
+        rec = {
+            "s": float(s[i]),
+            "t": float(row[sym.T]),
+            "x": [float(v) for v in row[sym.X]],
+            "tau": float(row[sym.TAU]),
+            "xi": [float(v) for v in row[sym.XI]],
+            "piece_kind": names[int(kind[i])],
+            "piece_index": int(idx[i]),
+        }
+        lines.append(json.dumps(dict(rec, **fields), sort_keys=True))
+    return lines
+
+
+def _odd_trace(n_pieces=12):
+    # -0.0, a subnormal, 1e300, values whose repr needs 17 digits, and
+    # enough pieces for a two-digit piece_index
+    rng = np.random.default_rng(7)
+    odd = np.array([-0.0, 5e-324, 2.5e-310, 1e300, -1e300, 0.1 + 0.2, 1 / 3, 1e16, 123.0])
+    pieces = []
+    for k in range(n_pieces):
+        states = rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-20, 20, size=(5, 6))
+        states.flat[rng.integers(0, 30, size=4)] = rng.choice(odd, size=4)
+        s = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, float(k)])
+        kind = flow.GLIDING if k % 3 == 1 else flow.INTERIOR
+        pieces.append(flow.TrajectoryPiece(kind, s, states))
+    rho0 = PhasePoint.from_vector(pieces[0].states[0])
+    return flow.GenBicharacteristic(pieces, [], [], 2, 1, rho0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{}, {"record": "sample"}, {"record": "sample", "direction": 1},
+     {"record": "sample", "direction": -1}, {"note": "100 %r %%", "zz": [1.5, None]}],
+    ids=["bare", "trace", "witness-forward", "witness-backward", "percent-signs"],
+)
+def test_sample_lines_match_json_dumps(strip, fields):
+    gb = _odd_trace()
+    assert flow.trajectory_records(gb, **fields) == _dict_lines(gb, **fields)
+    assert json.loads(flow.trajectory_records(gb, **fields)[-1])["piece_index"] == 11
+    rho0 = PhasePoint(0.0, np.array([0.0, 0.0]), 1.0, np.array([0.6, 0.8]))
+    traced = flow.trace_generalized(strip, rho0, 2.0, flow.IntegratorParams(h=1e-3))
+    assert flow.trajectory_records(traced, **fields) == _dict_lines(traced, **fields)
+
+
+@pytest.mark.parametrize("where", ["s", "state"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_lines_refuse_non_finite_values(where, bad):
+    gb = _odd_trace(3)
+    if where == "s":
+        gb.pieces[1].s[2] = bad
+    else:
+        gb.pieces[2].states[3, sym.XI.start + 1] = bad
+    with pytest.raises(ValueError):
+        flow.trajectory_records(gb, record="sample")

@@ -400,10 +400,16 @@ ROW_JET_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(ROW_JET_CASES))
+@pytest.mark.parametrize("name", list(ROW_JET_CASES) + list(scen.BUILTIN_NAMES))
 def test_derivs_on_rows_matches_scalar_derivs(name):
-    expr, box = ROW_JET_CASES[name]
-    boundary = scen._expression_boundary(expr)
+    # builtins: closed-form rows with the scalar arithmetic, bit for bit;
+    # expressions: row jets, within 1e-15 relative of the scalar jets
+    if name in ROW_JET_CASES:
+        expr, box = ROW_JET_CASES[name]
+        boundary = scen._expression_boundary(expr)
+    else:
+        sc = scen.builtin(name)
+        boundary, box = sc.boundary, [sc.domain_lo, sc.domain_hi]
     rng = np.random.default_rng(5)
     X = rng.uniform(*box, size=(10_000, 2))
     # exact zeros of each coordinate: sqrt, abs, hypot and powers at 0
@@ -415,6 +421,9 @@ def test_derivs_on_rows_matches_scalar_derivs(name):
     with np.errstate(all="ignore"):
         scalar = np.array([boundary.derivs(x) for x in X]).T
     assert rows.shape == scalar.shape == (5, 10_000)
+    if name not in ROW_JET_CASES:
+        assert rows.tobytes() == scalar.tobytes()
+        return
     nan = np.isnan(scalar)
     assert np.array_equal(np.isnan(rows), nan)
     assert (nan.all(axis=0) == nan.any(axis=0)).all()
@@ -423,8 +432,10 @@ def test_derivs_on_rows_matches_scalar_derivs(name):
 
 
 def test_derivs_on_rows_falls_back_to_derivs():
-    disk = scen.builtin("disk_interior")
+    # a boundary with scalar phi and derivs only; the disk's serve as an example
+    disk = scen.builtin("disk_interior").boundary
+    scalar_only = geo.BoundaryDef(disk.phi, disk.derivs)
     X = np.random.default_rng(3).uniform(-1.2, 1.2, size=(50, 2))
-    rows = disk.boundary.derivs_on_rows(X)
-    assert rows.tobytes() == np.array([disk.boundary.derivs(x) for x in X]).T.tobytes()
-    assert disk.boundary.derivs_on_rows(X[:0]).shape == (5, 0)
+    rows = scalar_only.derivs_on_rows(X)
+    assert rows.tobytes() == np.array([scalar_only.derivs(x) for x in X]).T.tobytes()
+    assert scalar_only.derivs_on_rows(X[:0]).shape == (5, 0)
