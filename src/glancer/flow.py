@@ -119,7 +119,6 @@ class Break:
     s: float
     rho_minus: PhasePoint
     rho_plus: PhasePoint
-    kind: str = "Hyperbolic"
 
 
 @dataclass
@@ -128,9 +127,6 @@ class GenBicharacteristic:
     break_set: list[Break]
     junctions: list[tuple[float, sym.BoundaryClass]]
     dim: int
-    direction: int
-    rho0: PhasePoint
-    t_horizon: float
 
     def all_samples(self):
         """Concatenated (s, states, kind_code, piece_index) across pieces.
@@ -558,7 +554,7 @@ def integrate_interior(
     return piece, ev
 
 
-def _project_gliding(scenario, y, tol: float = 1e-12, max_iter: int = 25) -> None:
+def _project_gliding(scenario, y) -> None:
     """Newton-project a packed state onto {phi = 0, hpz = 0, p = 0} in place.
 
     phi, dphi and g_inv are evaluated once per base point: the xi update,
@@ -572,7 +568,7 @@ def _project_gliding(scenario, y, tol: float = 1e-12, max_iter: int = 25) -> Non
     ph = float(phi_f(x))
     dp = dphi_f(x)
     gidp = m.g_inv(x) @ dp
-    for _ in range(max_iter):
+    for _ in range(25):
         h2 = 2.0 * float(dp @ gidp)
         if h2 < 1e-12:
             raise DegenerateTransversal(f"hz2p = {h2:.3e} during gliding projection")
@@ -589,7 +585,7 @@ def _project_gliding(scenario, y, tol: float = 1e-12, max_iter: int = 25) -> Non
 
         xi = y[sym.XI]
         ph = float(phi_f(x))
-        if abs(ph) <= tol and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
+        if abs(ph) <= 1e-12 and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
             return
     raise ProjectionDiverged("gliding constraint projection did not converge")
 
@@ -728,9 +724,6 @@ def trace_generalized(
         break_set=breaks,
         junctions=junctions,
         dim=scenario.dim,
-        direction=direction,
-        rho0=rho0,
-        t_horizon=t_horizon,
     )
 
 
@@ -784,17 +777,15 @@ def glancing_step_construct(
     rho0: PhasePoint,
     delta: float,
     eps: float,
-    n_steps: int = 6,
-    flight_h: float | None = None,
 ) -> GlancingPolyline:
     """Discrete delta-step approximation of a gliding ray.
 
-    Each step alternates (a) an affine hop of length delta along the gliding
-    field frozen at the segment start, with the endpoint placed back in the
-    closed domain at depth eps*delta on the characteristic shell, and (b) a
-    broken chord piece: free flight to the next boundary contact, specular
-    reflection, and flight on to the following tangency, which seeds the
-    next hop. On flat boundaries the chord never returns to the boundary and
+    Each of its 6 steps alternates (a) an affine hop of length delta along
+    the gliding field frozen at the segment start, with the endpoint placed
+    back in the closed domain at depth eps*delta on the characteristic
+    shell, and (b) a broken chord piece: free flight to the next boundary
+    contact, specular reflection, and flight on to the following tangency,
+    which seeds the next hop. On flat boundaries the chord never returns to the boundary and
     the flight simply runs out its budget with hpz identically zero.
 
     The recorded hpz_max is the largest |hpz| over all vertices and chord
@@ -837,7 +828,7 @@ def glancing_step_construct(
         ss.append(s_now)
         kinds.append(kind)
 
-    for _ in range(int(n_steps)):
+    for _ in range(6):
         y_t = rho.as_vector() + delta * sym.gliding_field(scenario, rho)
         x_b, ph, dp = geo.newton_to_boundary(scenario.boundary, y_t[sym.X], 12, 1e-13)
         if abs(ph) > 1e-13 and float(dp @ dp) < 1e-24:
@@ -851,8 +842,7 @@ def glancing_step_construct(
 
         curv = max(abs(sym.hp2z(scenario, vertex)), 1e-2)
         budget = 8.0 * float(np.sqrt(max(eps * delta, 0.0) / curv)) + 4.0 * delta
-        h = flight_h if flight_h is not None else max(budget / 256.0, 1e-9)
-        fly_params = IntegratorParams(h=h, tangency_gate=-1.0)
+        fly_params = IntegratorParams(h=max(budget / 256.0, 1e-9), tangency_gate=-1.0)
         _, ev = integrate_interior(scenario, vertex, (0.0, budget), fly_params)
         if ev.reason == "chart_exit":
             raise LeftChart("chord flight left the chart")
@@ -970,8 +960,9 @@ def _distance_variants(scenario, states: np.ndarray):
     return variants
 
 
-def _min_distances(P, variants, chunk: int = 512) -> np.ndarray:
+def _min_distances(P, variants) -> np.ndarray:
     """Per row of P, the min compressed distance to the variant set."""
+    chunk = 512  # rows of P per cdist call, which bounds its memory
     best = np.full(len(P), np.inf)
     for rows, pens in variants:
         for start in range(0, len(P), chunk):
@@ -1099,7 +1090,7 @@ def event_records(gb: GenBicharacteristic):
         out.append(
             {
                 "s": float(br.s),
-                "kind": br.kind,
+                "kind": "Hyperbolic",
                 "rho_minus": br.rho_minus.to_dict(),
                 "rho_plus": br.rho_plus.to_dict(),
             }

@@ -37,7 +37,6 @@ class ObservationRegion:
     processes, which compile it again.
     """
 
-    description: str
     expression: str | None = None
 
     def __post_init__(self):
@@ -54,8 +53,8 @@ class ObservationRegion:
         return np.broadcast_to(vals, t_arr.shape) > 0.0
 
 
-def region_from_expression(expr: str, description: str | None = None) -> ObservationRegion:
-    return ObservationRegion(description=description or f"{{{expr} > 0}}", expression=expr)
+def region_from_expression(expr: str) -> ObservationRegion:
+    return ObservationRegion(expression=expr)
 
 
 @dataclass
@@ -150,10 +149,10 @@ def _audit_one(scenario, region, T, rho, params, window):
     return ("entered" if ent else "witness"), hit
 
 
-def _audit_chunk(config, region_expr, region_desc, T, rows, params, window):
+def _audit_chunk(config, region_expr, T, rows, params, window):
     """_audit_one over the rows in order, up to and including the first witness."""
     scenario = scen.from_config(config)
-    region = ObservationRegion(description=region_desc, expression=region_expr)
+    region = ObservationRegion(expression=region_expr)
     out = []
     for row in rows:
         rho = PhasePoint.from_vector(np.asarray(row, dtype=float))
@@ -170,28 +169,30 @@ def gcc_check(
     sampler,
     params: flow.IntegratorParams | None = None,
     workers: int | None = None,
-    window: float | None = None,
 ) -> GccReport:
     """Audit the control condition on the sampled starts.
 
     Each start is traced for time T forward and backward, in windows with
-    early exit on region entry. The first non-entering start (in sampler
-    order, independent of worker count) is re-traced in full and returned
-    as the witness. With workers > 1 the starts go to a process pool in
-    chunks, at most one per worker at a time; their results are read in
-    sampler order, and no chunk is submitted after one holds a witness.
+    early exit on region entry; a window spans max(T / 8, 4 h). The first
+    non-entering start (in sampler order, independent of worker count) is
+    re-traced in full and returned as the witness. With workers > 1 the
+    starts go to a process pool in chunks, at most one per worker at a time;
+    their results are read in sampler order, and no chunk is submitted after
+    one holds a witness. A scenario that its config does not rebuild (a
+    chart scenario, or one built by hand) is audited serially.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     params = params or flow.IntegratorParams()
-    window = window or max(T / 8.0, 4.0 * params.h)
+    window = max(T / 8.0, 4.0 * params.h)
     samples = list(sampler)
     if not samples:
         raise ValueError("no samples to audit")
     t_begin = time.perf_counter()
     results: list = [None] * len(samples)
 
-    if workers is not None and workers > 1 and scenario.config:
+    # workers rebuild the scenario with from_config, which needs a resolved config
+    if workers is not None and workers > 1 and "schema" in scenario.config:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, min(len(samples) // workers + 1, workers * 8))
@@ -201,8 +202,7 @@ def gcc_check(
             def submit(lo):
                 rows = [rho.as_vector() for rho in samples[lo : lo + chunk]]
                 return pool.submit(
-                    _audit_chunk, scenario.config, region.expression, region.description,
-                    T, rows, params, window,
+                    _audit_chunk, scenario.config, region.expression, T, rows, params, window
                 )
 
             # At most `workers` chunks are submitted at a time: the executor

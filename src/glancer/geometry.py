@@ -169,13 +169,13 @@ def callable_metric(dim: int, g_fn: Callable[[np.ndarray], np.ndarray], dg_fn=No
 
     if dg_fn is None:
 
-        def dg(x, _h=FD_STEP):
+        def dg(x):
             x = np.asarray(x, dtype=float)
             out = np.empty((dim, dim, dim))
             for k in range(dim):
                 e = np.zeros(dim)
-                e[k] = _h
-                out[k] = (g(x + e) - g(x - e)) / (2.0 * _h)
+                e[k] = FD_STEP
+                out[k] = (g(x + e) - g(x - e)) / (2.0 * FD_STEP)
             return out
 
     else:
@@ -292,14 +292,13 @@ def newton_to_boundary(boundary: BoundaryDef, x, steps: int, tol: float = 0.0,
 # which forces the mixed metric entries to vanish and g_dd to equal 1 there.
 
 
-@dataclass
-class QuasiNormalParams:
-    grid_step: float = 1.0 / 64.0
-    cutoff_radius: float = 1.0
-    kernel_truncation: float = 8.0
-    half_width_tangent: float = 0.35
-    half_width_normal: float = 0.08
-    kernel_mass_tol: float = 0.01
+# The window's reach, 0.35 + 8 * 0.08 = 0.99, stays inside the cutoff's support.
+_GRID_STEP = 1.0 / 64.0
+_CUTOFF_RADIUS = 1.0
+_KERNEL_TRUNCATION = 8.0
+_HALF_WIDTH_TANGENT = 0.35
+_HALF_WIDTH_NORMAL = 0.08
+_KERNEL_MASS_TOL = 0.01
 
 
 def smoothstep(u):
@@ -314,12 +313,12 @@ def _cutoff(u, radius: float):
     return smoothstep(-0.5 - (np.abs(u) - radius) / (2.0 * radius))
 
 
-def smoothing_kernel(truncation: float, step: float, mass_tol: float = 0.01):
+def smoothing_kernel(truncation: float, step: float):
     """Tabulate ell, the inverse Fourier transform of exp(1 - <xi>).
 
     Returns (offsets, weights) so that a mollified field is
     sum_i weights[i] * field(x - z * offsets[i]); weights are normalized to
-    unit discrete mass after checking the raw mass against 1.
+    unit discrete mass after checking that the raw mass is within 1 % of 1.
     """
     offsets = np.arange(-truncation, truncation + step / 2.0, step)
     xi_max = 60.0
@@ -328,9 +327,9 @@ def smoothing_kernel(truncation: float, step: float, mass_tol: float = 0.01):
     # even integrand: ell(u) = (1/pi) * int_0^inf cos(u xi) exp(1 - <xi>) dxi
     ell = np.trapezoid(np.cos(np.outer(offsets, xi)) * damp, xi, axis=1) / np.pi
     raw_mass = float(np.trapezoid(ell, offsets))
-    if abs(raw_mass - 1.0) > mass_tol:
+    if abs(raw_mass - 1.0) > _KERNEL_MASS_TOL:
         raise SmoothingFailure(
-            f"kernel mass {raw_mass:.6f} deviates from 1 by more than {mass_tol:.0%}"
+            f"kernel mass {raw_mass:.6f} deviates from 1 by more than {_KERNEL_MASS_TOL:.0%}"
         )
     weights = ell * step
     # trapezoid endpoint halving, then exact renormalization
@@ -373,25 +372,23 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
     return us, b_spline, e_spline
 
 
-def build_quasi_normal_chart(scenario, m0, params: QuasiNormalParams | None = None) -> Chart:
+def build_quasi_normal_chart(scenario, m0) -> Chart:
     """Boundary chart in which the metric is block diagonal with g_dd = 1 at z=0.
 
     The returned chart maps (x', z) to scenario coordinates; {z = 0} is the
-    boundary and z > 0 the interior side.
+    boundary and z > 0 the interior side. The window and the kernel are
+    fixed: the chart box has half widths 0.35 (along the boundary) by 0.08
+    (normal to it), the unit normal field is cut off at radius 1, and the
+    mollifier is tabulated out to truncation 8 on a grid of step 1/64.
     """
     if scenario.dim != 2:
         raise NotImplementedError("quasi-normal charts implemented for dim = 2")
-    params = params or QuasiNormalParams()
     m0 = np.asarray(m0, dtype=float)
     if abs(scenario.boundary.phi(m0)) > 1e-6:
         raise NotOnBoundary(f"m0 must lie on the boundary, phi = {scenario.boundary.phi(m0):.3e}")
 
-    R = params.cutoff_radius
-    reach = params.half_width_tangent + params.kernel_truncation * params.half_width_normal
-    if reach > 2.0 * R:
-        raise ValueError("chart window exceeds the cutoff support; enlarge cutoff_radius")
-    half_span = 2.0 * R + 4.0 * params.grid_step
-    us, b_spline, e_spline = _trace_boundary(scenario, m0, half_span, params.grid_step)
+    half_span = 2.0 * _CUTOFF_RADIUS + 4.0 * _GRID_STEP
+    us, b_spline, e_spline = _trace_boundary(scenario, m0, half_span, _GRID_STEP)
     db_spline = b_spline.derivative()
     de_spline = e_spline.derivative()
 
@@ -420,16 +417,14 @@ def build_quasi_normal_chart(scenario, m0, params: QuasiNormalParams | None = No
 
     def chi_n(u):
         u = float(np.clip(u, -u_lim, u_lim))
-        return _cutoff(u, R) * unit_normal_flat(u)
+        return _cutoff(u, _CUTOFF_RADIUS) * unit_normal_flat(u)
 
     # sample chi*n once and spline it; the mollifier consumes many evaluations
     cn_grid = np.array([chi_n(u) for u in us])
     cn_spline = CubicSpline(us, cn_grid, axis=0)
     dcn_spline = cn_spline.derivative()
 
-    offsets, weights = smoothing_kernel(
-        params.kernel_truncation, params.grid_step, params.kernel_mass_tol
-    )
+    offsets, weights = smoothing_kernel(_KERNEL_TRUNCATION, _GRID_STEP)
 
     def _eval_cn(args, spline):
         clipped = np.clip(args, -u_lim, u_lim)
@@ -489,8 +484,8 @@ def build_quasi_normal_chart(scenario, m0, params: QuasiNormalParams | None = No
             y = y - np.linalg.solve(jacobian(y), r)
         return y
 
-    lo = np.array([-params.half_width_tangent, -params.half_width_normal])
-    hi = np.array([params.half_width_tangent, params.half_width_normal])
+    lo = np.array([-_HALF_WIDTH_TANGENT, -_HALF_WIDTH_NORMAL])
+    hi = np.array([_HALF_WIDTH_TANGENT, _HALF_WIDTH_NORMAL])
     chart = Chart(
         name=f"quasi_normal({scenario.name} @ {m0.tolist()})",
         to_scenario=to_scenario,

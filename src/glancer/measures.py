@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import flow
 from . import geometry as geo
@@ -59,18 +58,17 @@ def _beta_prime_arr(v: np.ndarray) -> np.ndarray:
 class TestFunction:
     """Compactly supported C^1 phase-space bump centered at a phase point.
 
-    The main factor is chi of an ellipsoidal quadratic form in (t, x, xi)
-    (and optionally tau); support is the open unit ellipsoid of those
-    widths. An optional beta factor multiplies in a one-sided C^1 cutoff
-    along a fixed packed-coordinate direction, giving the chi/beta products
-    used in the transport tests.
+    The main factor is chi of an ellipsoidal quadratic form in (t, x, xi);
+    support is the open unit ellipsoid of those widths, unbounded in tau.
+    An optional beta factor multiplies in a one-sided C^1 cutoff along a
+    fixed packed-coordinate direction, giving the chi/beta products used in
+    the transport tests.
     """
 
     center: PhasePoint
     width_t: float
     width_x: float
     width_xi: float
-    width_tau: float | None = None
     beta_axis: np.ndarray | None = None
     beta_shift: float = 0.0
     beta_scale: float = 1.0
@@ -84,7 +82,7 @@ class TestFunction:
             )
 
     def _quadratic(self, Y: np.ndarray):
-        T, X, TAU, XI = sym.T, sym.X, sym.TAU, sym.XI
+        T, X, XI = sym.T, sym.X, sym.XI
         c = self.center.as_vector()
         D = Y - c[None, :]
         u = (D[:, T] / self.width_t) ** 2
@@ -94,9 +92,6 @@ class TestFunction:
         du[:, X] = 2.0 * D[:, X] / self.width_x**2
         u = u + np.einsum("ij,ij->i", D[:, XI], D[:, XI]) / self.width_xi**2
         du[:, XI] = 2.0 * D[:, XI] / self.width_xi**2
-        if self.width_tau is not None:
-            u = u + (D[:, TAU] / self.width_tau) ** 2
-            du[:, TAU] = 2.0 * D[:, TAU] / self.width_tau**2
         return u, du
 
     def value_batch(self, Y: np.ndarray) -> np.ndarray:
@@ -165,7 +160,8 @@ def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeas
         w = np.ones_like(s)
     else:
         vals = np.array([float(f(row[sym.T], row[sym.X])) for row in states])
-        integral = cumulative_trapezoid(vals, s, initial=0.0)
+        # scipy.integrate.cumulative_trapezoid(vals, s, initial=0.0), to the bit
+        integral = np.concatenate(([0.0], np.cumsum(np.diff(s) * (vals[1:] + vals[:-1]) / 2.0)))
         w = np.exp(-integral)
     return CurveMeasure(carrier=gb, w=w, s=s, states=states)
 
@@ -364,18 +360,7 @@ def support_samples(gb: flow.GenBicharacteristic, s_margin: float = 0.0):
     return out
 
 
-def _normalize_tagged(points):
-    out = []
-    for item in points:
-        if isinstance(item, PhasePoint):
-            out.append((item, Tag.INTERIOR))
-        else:
-            rho, tag = item
-            out.append((rho, tag))
-    return out
-
-
-def support_step_check(points, scenario, delta: float, eps: float, reference=None) -> StepCheckReport:
+def support_step_check(points, scenario, delta: float, eps: float, reference) -> StepCheckReport:
     """Flow-invariance probe for a discrete support sample.
 
     Advances every tagged point by delta along its field (H_p for interior
@@ -385,18 +370,17 @@ def support_step_check(points, scenario, delta: float, eps: float, reference=Non
     compressed-space representative first, so pre-reflection points are
     checked against the reflected branch (the Sigma-image ball); reflection
     images of near-boundary support points count as support too.
-    When checking a finite trace, pass the full sample set as reference and
-    a tail-trimmed set as points (see support_samples), so every advanced
-    target still has downstream data to land on.
+    points and reference are (rho, tag) lists as support_samples makes
+    them; pass the full sample set of a trace as reference and a
+    tail-trimmed set as points, so every advanced target still has
+    downstream data to land on.
     """
-    tagged = _normalize_tagged(points)
-    if not tagged:
+    if not points or not reference:
         raise EmptySupport("support sample set is empty")
-    ref = tagged if reference is None else _normalize_tagged(reference)
-    S = np.vstack([rho.as_vector() for rho, _ in ref])
+    S = np.vstack([rho.as_vector() for rho, _ in reference])
     variants = flow._distance_variants(scenario, S)
-    targets = np.empty((len(tagged), S.shape[1]))
-    for i, (rho, tag) in enumerate(tagged):
+    targets = np.empty((len(points), S.shape[1]))
+    for i, (rho, tag) in enumerate(points):
         field_of = sym.gliding_field if tag is Tag.GLIDING else sym.hamiltonian_field
         adv = PhasePoint.from_vector(rho.as_vector() + delta * field_of(scenario, rho))
         targets[i] = flow.fold_into_domain(scenario, adv).as_vector()
@@ -407,13 +391,13 @@ def support_step_check(points, scenario, delta: float, eps: float, reference=Non
             "index": i,
             "distance": float(b),
             "threshold": threshold,
-            "tag": tagged[i][1].value,
+            "tag": points[i][1].value,
         }
         for i, b in enumerate(best)
         if b > threshold
     ]
     return StepCheckReport(
-        n_checked=len(tagged),
+        n_checked=len(points),
         n_failures=len(failures),
         failures=failures,
         delta=delta,

@@ -406,17 +406,17 @@ def _builtin_geometry(builtin: str, params: dict):
     raise ValidationError(f"unknown builtin {builtin!r}")
 
 
-def _reject_corners(boundary: BoundaryDef, lo, hi, n: int = 41) -> None:
+def _reject_corners(boundary: BoundaryDef, lo, hi) -> None:
     """Reject boundary definitions whose zero set has degenerate points.
 
-    Every point of an n x n grid over the box is pushed toward the zero set
+    Every point of a 41 x 41 grid over the box is pushed toward the zero set
     by at most 3 Newton steps, all points as one batch. A point that lands
     on the boundary (|phi| <= 1e-10) with a vanishing gradient
     (|dphi|^2 < 1e-16) means a corner or crossing, which the tracer cannot
     handle. Interior critical points of phi (gradient zero but phi away
     from zero) are fine and skipped.
     """
-    grid = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n), indexing="ij")
+    grid = np.meshgrid(np.linspace(lo[0], hi[0], 41), np.linspace(lo[1], hi[1], 41), indexing="ij")
     # a longer step diverges rather than converging to a boundary point
     max_step = 2.0 * float(np.linalg.norm(hi - lo))
     # grid points where phi or its steps overflow or leave phi's domain

@@ -287,9 +287,9 @@ def hp2z(scenario, rho) -> float:
     return s.hp2z
 
 
-def classify_boundary_point(scenario, rho, thresholds: ClassifyThresholds | None = None) -> BoundaryClass:
+def classify_boundary_point(scenario, rho) -> BoundaryClass:
     """Partition a boundary contact into the hyperbolic/glancing/elliptic cases."""
-    th = thresholds or scenario.thresholds
+    th = scenario.thresholds
     s = _state(scenario, rho)
     phi = scenario.boundary.phi(s.x)
     if abs(phi) > th.boundary_tol:

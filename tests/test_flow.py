@@ -513,8 +513,7 @@ def _odd_trace(n_pieces=12):
         s = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, float(k)])
         kind = flow.GLIDING if k % 3 == 1 else flow.INTERIOR
         pieces.append(flow.TrajectoryPiece(kind, s, states))
-    rho0 = PhasePoint.from_vector(pieces[0].states[0])
-    return flow.GenBicharacteristic(pieces, [], [], 2, 1, rho0, 1.0)
+    return flow.GenBicharacteristic(pieces, [], [], 2)
 
 
 @pytest.mark.parametrize(

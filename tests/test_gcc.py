@@ -3,6 +3,7 @@ import pytest
 
 from glancer import flow, gcc
 from glancer import geometry as geo
+from glancer import scenarios as scen
 from glancer.errors import ValidationError
 from glancer.symbol import PhasePoint
 
@@ -25,7 +26,7 @@ def test_region_batch_matches_scalar():
 
 def test_region_needs_expression_or_predicate():
     with pytest.raises(ValidationError):
-        gcc.ObservationRegion(description="empty")
+        gcc.ObservationRegion()
     with pytest.raises(ValidationError):
         gcc.region_from_expression("x1 + undefined_name")
 
@@ -117,12 +118,35 @@ def test_parallel_matches_serial(request, name, expr, seed, verdict):
     assert _summary_without_time(parallel) == _summary_without_time(serial)
 
 
+@pytest.fixture(scope="module")
+def disk_chart(disk):
+    return scen.chart_scenario(disk, geo.build_quasi_normal_chart(disk, [1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "expr, verdict",
+    [
+        pytest.param("1.0", "HoldsOnSample", id="holds"),
+        # the first start enters the layer z < 0.02, the second does not
+        pytest.param("0.02 - x2", "FailsWithWitness", id="witness"),
+    ],
+)
+def test_parallel_matches_serial_on_a_chart_scenario(disk_chart, expr, verdict):
+    # workers cannot rebuild a chart scenario from its config: it runs serially
+    region = gcc.region_from_expression(expr)
+    samples = gcc.default_sampler(disk_chart, 4)
+    serial = gcc.gcc_check(disk_chart, region, 0.05, samples, params=FAST)
+    parallel = gcc.gcc_check(disk_chart, region, 0.05, samples, params=FAST, workers=2)
+    assert parallel.verdict == serial.verdict == verdict
+    assert _summary_without_time(parallel) == _summary_without_time(serial)
+
+
 def test_chunk_stops_at_its_first_witness(strip):
     region = gcc.region_from_expression("0.2 - x2")
     # the first start is horizontal at x2 = 0.5, a witness; the rest follow it
     rows = [rho.as_vector() for rho in gcc.default_sampler(strip, 8)]
     out = gcc._audit_chunk(
-        strip.config, region.expression, region.description, 2.0, rows, FAST, 0.5
+        strip.config, region.expression, 2.0, rows, FAST, 0.5
     )
     assert out == [("witness", None)]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from glancer import geometry as geo
 from glancer import scenarios as scen
-from glancer.errors import DegenerateNormal, NotOnBoundary
+from glancer.errors import DegenerateNormal, NotOnBoundary, SmoothingFailure
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -168,6 +168,12 @@ def test_quasi_normal_chart_flattens_metric(build):
 def test_quasi_normal_chart_needs_boundary_base(disk):
     with pytest.raises((NotOnBoundary, DegenerateNormal)):
         geo.build_quasi_normal_chart(disk, np.array([0.2, 0.2]))
+
+
+def test_smoothing_kernel_refuses_a_truncated_kernel():
+    # cut at |u| = 2 the kernel keeps a mass of 0.9456, more than 1 % short
+    with pytest.raises(SmoothingFailure, match="kernel mass 0.945552"):
+        geo.smoothing_kernel(2.0, 1.0 / 64.0)
 
 
 def test_dg_inv_reuses_the_callers_g_inv_bit_for_bit():

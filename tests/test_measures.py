@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
+import glancer
 from glancer import flow, measures
 from glancer import geometry as geo
+from glancer import scenarios as scen
 from glancer import symbol as sym
-from glancer.errors import SupportLeak
+from glancer.errors import EmptySupport, SupportLeak
 from glancer.symbol import PhasePoint, Tag
 
 
@@ -161,6 +167,28 @@ def test_time_dependent_damping_against_quadrature(half_plane):
     # exponent is accumulated by trapezoid, accurate to O(h^2)
     oracle, _ = quad(lambda sig: (2.0 * sig) ** 2, 0.0, s_probe)
     assert cm.w[-1] == pytest.approx(np.exp(-oracle), rel=1e-5)
+
+
+def test_damping_weights_are_scipy_cumulative_trapezoid_bit_for_bit():
+    damped = scen.builtin("half_plane", potential={"kind": "expression", "expr": "t + x1 * x2"})
+    rho0 = PhasePoint(0.0, np.array([0.0, 1.0]), 1.0, np.array([0.6, -0.8]))
+    gb = traced(damped, rho0, 2.0)
+    assert gb.break_set  # a bounce: its s value appears twice in the samples
+    cm = measures.dirac_on_bichar(damped, gb, f=damped.potential)
+    vals = [damped.potential(row[sym.T], row[sym.X]) for row in cm.states]
+    oracle = np.exp(-cumulative_trapezoid(vals, cm.s, initial=0.0))
+    assert np.array_equal(cm.w, oracle)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(glancer.__file__).resolve().parents[1])
+    code = "import sys, glancer, glancer.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_weight_at_interpolates(half_plane):
@@ -346,6 +374,15 @@ def test_support_step_check_negative_control(half_plane):
     trimmed = measures.support_samples(gb, s_margin=2 * delta)
     report = measures.support_step_check(trimmed, half_plane, delta, 0.01, reference=full)
     assert report.n_failures > 0
+
+
+def test_support_step_check_refuses_an_empty_sample(half_plane):
+    with pytest.raises(EmptySupport):
+        measures.support_step_check([], half_plane, 1e-2, 0.1, reference=[])
+    # an empty reference set has nothing to land on either
+    points = [(PhasePoint(0.0, np.array([0.0, 1.0]), 1.0, np.array([0.6, -0.8])), Tag.INTERIOR)]
+    with pytest.raises(EmptySupport):
+        measures.support_step_check(points, half_plane, 1e-2, 0.1, reference=[])
 
 
 def test_support_step_check_gliding_tags(disk):
