@@ -118,7 +118,15 @@ def default_sampler(scenario, n: int, seed: int = 0):
 
 
 def _entered_over_trace(scenario, region, T, rho, params, window):
-    """Trace both directions in t-windows; stop at the first region entry."""
+    """Trace both directions in t-windows; stop at the first region entry.
+
+    A characteristic start in the region is entered at hit time 0, before
+    any trace.
+    """
+    flow._check_characteristic(scenario, rho)
+    start = rho.as_vector()[None]
+    if region.entered(start[:, sym.T], start[:, sym.X])[0]:
+        return True, 0.0
     t0 = rho.t
     for direction in (1, -1):
         cur = rho
@@ -173,7 +181,10 @@ def gcc_check(
     """Audit the control condition on the sampled starts.
 
     Each start is traced for time T forward and backward, in windows with
-    early exit on region entry; a window spans max(T / 8, 4 h). The first
+    early exit on region entry; a window spans max(T / 8, 4 h). A start
+    that lies in the region counts as entered at hit time 0 without a trace,
+    so it is entered, not skipped, even where its trace would fail; one off
+    the characteristic set is still skipped. The first
     non-entering start (in sampler order, independent of worker count) is
     re-traced in full and returned as the witness. With workers > 1 the
     starts go to a process pool in chunks, at most one per worker at a time;

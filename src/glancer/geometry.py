@@ -31,8 +31,6 @@ from .errors import (
     SmoothingFailure,
 )
 
-FD_STEP = 1e-5
-
 
 @dataclass
 class MetricEval:
@@ -111,14 +109,20 @@ def _hessian(derivs) -> np.ndarray:
 
 @dataclass
 class Chart:
-    """Invertible coordinate map between chart and scenario coordinates."""
+    """Invertible coordinate map between chart and scenario coordinates.
+
+    ``jet(y, order)`` gives ``(x, J, H)`` at the chart point y: x, from order
+    1 ``J[i, k] = dx_i/dy_k``, at order 2 ``H[k] = dJ/dy_k``; else None.
+    """
 
     name: str
-    to_scenario: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[..., tuple]
     from_scenario: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
     domain_lo: np.ndarray
     domain_hi: np.ndarray
+
+    def to_scenario(self, y) -> np.ndarray:
+        return self.jet(y, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +162,9 @@ def diagonal_metric(entries) -> MetricEval:
     return constant_metric(np.diag(np.asarray(entries, dtype=float)))
 
 
-def callable_metric(dim: int, g_fn: Callable[[np.ndarray], np.ndarray], dg_fn=None) -> MetricEval:
-    """Metric from a pointwise g(x); dg analytic if given, else central FD."""
+def callable_metric(dim: int, g_fn: Callable[[np.ndarray], np.ndarray],
+                    dg_fn: Callable[[np.ndarray], np.ndarray]) -> MetricEval:
+    """Metric from a pointwise g(x) and its derivative tensor dg(x)[k, i, j]."""
 
     def g(x):
         return np.asarray(g_fn(x), dtype=float)
@@ -167,21 +172,8 @@ def callable_metric(dim: int, g_fn: Callable[[np.ndarray], np.ndarray], dg_fn=No
     def g_inv(x):
         return np.linalg.inv(g(x))
 
-    if dg_fn is None:
-
-        def dg(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty((dim, dim, dim))
-            for k in range(dim):
-                e = np.zeros(dim)
-                e[k] = FD_STEP
-                out[k] = (g(x + e) - g(x - e)) / (2.0 * FD_STEP)
-            return out
-
-    else:
-
-        def dg(x):
-            return np.asarray(dg_fn(x), dtype=float)
+    def dg(x):
+        return np.asarray(dg_fn(x), dtype=float)
 
     return MetricEval(dim=dim, g=g, g_inv=g_inv, dg=dg, is_constant=False)
 
@@ -308,9 +300,10 @@ def smoothstep(u):
     return v * v * (3.0 - 2.0 * v)
 
 
-def _cutoff(u, radius: float):
-    """1 on |u| <= radius, 0 beyond 2*radius, C1 in between."""
-    return smoothstep(-0.5 - (np.abs(u) - radius) / (2.0 * radius))
+def smoothstep_prime(u):
+    """Derivative of smoothstep: 12 v (1 - v) with v = 2 (u + 1) on the ramp."""
+    v = np.clip(2.0 * (np.asarray(u, dtype=float) + 1.0), 0.0, 1.0)
+    return 12.0 * v * (1.0 - v)
 
 
 def smoothing_kernel(truncation: float, step: float):
@@ -380,6 +373,14 @@ def build_quasi_normal_chart(scenario, m0) -> Chart:
     fixed: the chart box has half widths 0.35 (along the boundary) by 0.08
     (normal to it), the unit normal field is cut off at radius 1, and the
     mollifier is tabulated out to truncation 8 on a grid of step 1/64.
+
+    The jet's derivatives are closed forms: those of Psi0 from the splines
+    of b and e, those of m from kernel sums over the chi * n spline's first
+    and second derivatives. At |z| < 1e-12, m is chi * n itself rather than
+    the kernel sum, which is off by the spline's interpolation error, so the
+    metric is flat there to rounding; dm/dx' there is chi' n + chi n', with
+    n' from dG0 = Pu^T g P + P^T g Pu + P^T (dg . b') P for the flattened
+    metric G0 = P^T g P, P = [b', e], Pu = [b'', e'].
     """
     if scenario.dim != 2:
         raise NotImplementedError("quasi-normal charts implemented for dim = 2")
@@ -389,86 +390,77 @@ def build_quasi_normal_chart(scenario, m0) -> Chart:
 
     half_span = 2.0 * _CUTOFF_RADIUS + 4.0 * _GRID_STEP
     us, b_spline, e_spline = _trace_boundary(scenario, m0, half_span, _GRID_STEP)
-    db_spline = b_spline.derivative()
-    de_spline = e_spline.derivative()
+    db_spline, de_spline = b_spline.derivative(), e_spline.derivative()
+    d2b_spline, d2e_spline = db_spline.derivative(), de_spline.derivative()
 
     def psi0(u, w):
         return b_spline(u) + w * e_spline(u)
 
     def psi0_jac(u, w):
-        col_u = db_spline(u) + w * de_spline(u)
-        col_w = e_spline(u)
-        return np.column_stack([col_u, col_w])
-
-    def pre_metric(u, w):
-        """Scenario metric pulled back to the flattened (u, w) coordinates."""
-        J = psi0_jac(u, w)
-        gx = scenario.metric.g(psi0(u, w))
-        return J.T @ gx @ J
-
-    def unit_normal_flat(u):
-        """Metric-unit inward normal at (u, 0) in flattened coordinates."""
-        g0 = pre_metric(u, 0.0)
-        gi = np.linalg.inv(g0)
-        gdd = gi[1, 1]
-        return gi[:, 1] / np.sqrt(gdd)
+        return np.column_stack([db_spline(u) + w * de_spline(u), e_spline(u)])
 
     u_lim = float(us[-1])
 
-    def chi_n(u):
+    def chi_n(u, derivative: bool):
+        """(chi n, its u-derivative or None) at (u, 0); n is the metric-unit inward normal."""
         u = float(np.clip(u, -u_lim, u_lim))
-        return _cutoff(u, _CUTOFF_RADIUS) * unit_normal_flat(u)
+        P, x = psi0_jac(u, 0.0), psi0(u, 0.0)
+        gx = scenario.metric.g(x)
+        gi = np.linalg.inv(P.T @ gx @ P)
+        n = gi[:, 1] / np.sqrt(gi[1, 1])
+        # the cutoff chi: 1 on |u| <= radius, 0 beyond 2 radius, C1 in between
+        v = -0.5 - (abs(u) - _CUTOFF_RADIUS) / (2.0 * _CUTOFF_RADIUS)
+        if not derivative:
+            return smoothstep(v) * n, None
+        Pu = np.column_stack([d2b_spline(u), de_spline(u)])
+        dgb = np.einsum("kij,k->ij", scenario.metric.dg(x), P[:, 0])
+        dgi = -gi @ (Pu.T @ gx @ P + P.T @ gx @ Pu + P.T @ dgb @ P) @ gi
+        dn = dgi[:, 1] / np.sqrt(gi[1, 1]) - 0.5 * n * (dgi[1, 1] / gi[1, 1])
+        dchi = smoothstep_prime(v) * -math.copysign(0.5 / _CUTOFF_RADIUS, u)
+        return smoothstep(v) * n, dchi * n + smoothstep(v) * dn
 
     # sample chi*n once and spline it; the mollifier consumes many evaluations
-    cn_grid = np.array([chi_n(u) for u in us])
-    cn_spline = CubicSpline(us, cn_grid, axis=0)
-    dcn_spline = cn_spline.derivative()
-
+    cn_spline = CubicSpline(us, np.array([chi_n(u, False)[0] for u in us]), axis=0)
+    cn_splines = (cn_spline, cn_spline.derivative(), cn_spline.derivative(2))
     offsets, weights = smoothing_kernel(_KERNEL_TRUNCATION, _GRID_STEP)
+    neg_offsets, sq_offsets = -offsets[:, None], (offsets * offsets)[:, None]
 
-    def _eval_cn(args, spline):
-        clipped = np.clip(args, -u_lim, u_lim)
-        vals = spline(clipped)
-        vals[np.abs(args) > u_lim] = 0.0
-        return vals
-
-    def m_field(xp: float, z: float):
-        if abs(z) < 1e-12:
-            return chi_n(xp)
-        args = xp - z * offsets
-        return weights @ _eval_cn(args, cn_spline)
-
-    def m_field_jac(xp: float, z: float):
-        """(dm/dx', dm/dz), each a 2-vector."""
-        if abs(z) < 1e-12:
-            h = 1e-7
-            dmx = (m_field(xp + h, z) - m_field(xp - h, z)) / (2.0 * h)
-            dmz = (m_field(xp, z + h) - m_field(xp, z - h)) / (2.0 * h)
-            return dmx, dmz
-        args = xp - z * offsets
-        dvals = _eval_cn(args, dcn_spline)
-        dmx = weights @ dvals
-        dmz = weights @ (-offsets[:, None] * dvals)
-        return dmx, dmz
-
-    def to_scenario(y):
+    def jet(y, order: int = 1):
         xp, z = float(y[0]), float(y[1])
-        m = m_field(xp, z)
-        return psi0(xp + z * m[0], z * m[1])
-
-    def jacobian(y):
-        xp, z = float(y[0]), float(y[1])
-        m = m_field(xp, z)
-        dmx, dmz = m_field_jac(xp, z)
-        pre = np.array(
-            [
-                [1.0 + z * dmx[0], m[0] + z * dmz[0]],
-                [z * dmx[1], m[1] + z * dmz[1]],
-            ]
-        )
-        return psi0_jac(xp + z * m[0], z * m[1]) @ pre
+        args = xp - z * offsets
+        # the chi*n spline's derivatives of orders 0..order at the kernel nodes
+        clipped, outside = np.clip(args, -u_lim, u_lim), np.abs(args) > u_lim
+        vals = [spline(clipped) for spline in cn_splines[: order + 1]]
+        for v in vals:
+            v[outside] = 0.0
+        flat = abs(z) < 1e-12
+        m, dmx = chi_n(xp, order > 0) if flat else (weights @ vals[0], None)
+        U, W = xp + z * m[0], z * m[1]
+        x = psi0(U, W)
+        if order == 0:
+            return x, None, None
+        dmx = dmx if flat else weights @ vals[1]
+        dmz = weights @ (neg_offsets * vals[1])
+        pre = np.array([[1.0 + z * dmx[0], m[0] + z * dmz[0]], [z * dmx[1], m[1] + z * dmz[1]]])
+        A = psi0_jac(U, W)
+        if order == 1:
+            return x, A @ pre, None
+        dmxx, dmxz, dmzz = (weights @ (c * vals[2]) for c in (1.0, neg_offsets, sq_offsets))
+        # pre is d(U, W)/d(x', z); dpre[k] = d(pre)/dy_k, whose mixed column is shared
+        mixed = dmx + z * dmxz
+        dpre = (np.column_stack([z * dmxx, mixed]), np.column_stack([mixed, 2.0 * dmz + z * dmzz]))
+        de = de_spline(U)
+        A_u = np.column_stack([d2b_spline(U) + W * d2e_spline(U), de])
+        A_w = np.column_stack([de, np.zeros(2)])
+        H = np.array([(A_u * pre[0, k] + A_w * pre[1, k]) @ pre + A @ dpre[k] for k in range(2)])
+        return x, A @ pre, H
 
     def from_scenario(x):
+        """Chart point of x, by Newton steps on the jet.
+
+        Raises OutOfChart at a singular Jacobian, when the residual does not
+        fall below 1e-13, or when the point lies outside the chart box.
+        """
         x = np.asarray(x, dtype=float)
         # initial guess from the tubular structure
         grid = np.linspace(-u_lim, u_lim, 129)
@@ -478,26 +470,32 @@ def build_quasi_normal_chart(scenario, m0) -> Chart:
             u -= float(r @ db_spline(u)) / float(db_spline(u) @ db_spline(u))
         y = np.array([u, float((x - b_spline(u)) @ e_spline(u))])
         for _ in range(50):
-            r = to_scenario(y) - x
-            if np.linalg.norm(r) < 1e-13:
+            xy, J, _ = jet(y)
+            if np.linalg.norm(xy - x) < 1e-13:
                 break
-            y = y - np.linalg.solve(jacobian(y), r)
+            try:
+                y = y - np.linalg.solve(J, xy - x)
+            except np.linalg.LinAlgError as exc:
+                raise OutOfChart(f"chart Jacobian singular at {y} on the way to {x}") from exc
+        else:
+            raise OutOfChart(f"Newton found no chart point for {x}")
+        if not in_domain(chart, y):
+            raise OutOfChart(f"{x} has its chart point {y} outside the chart box")
         return y
 
     lo = np.array([-_HALF_WIDTH_TANGENT, -_HALF_WIDTH_NORMAL])
     hi = np.array([_HALF_WIDTH_TANGENT, _HALF_WIDTH_NORMAL])
     chart = Chart(
         name=f"quasi_normal({scenario.name} @ {m0.tolist()})",
-        to_scenario=to_scenario,
+        jet=jet,
         from_scenario=from_scenario,
-        jacobian=jacobian,
         domain_lo=lo,
         domain_hi=hi,
     )
 
     corners = [lo, hi, np.array([lo[0], hi[1]]), np.array([hi[0], lo[1]]), 0.5 * (lo + hi)]
     for y in corners:
-        J = jacobian(y)
+        J = jet(y)[1]
         if not np.isfinite(J).all() or abs(np.linalg.det(J)) < 1e-6:
             raise ChartDegenerate(f"Jacobian nearly singular at chart point {y}")
     return chart

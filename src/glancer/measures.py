@@ -45,15 +45,6 @@ def _chi_prime_arr(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _beta_prime_arr(v: np.ndarray) -> np.ndarray:
-    """Derivative of the C^1 ramp geometry.smoothstep."""
-    out = np.zeros_like(v)
-    m = (v > -1.0) & (v < -0.5)
-    u = 2.0 * (v[m] + 1.0)
-    out[m] = 12.0 * u * (1.0 - u)
-    return out
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Compactly supported C^1 phase-space bump centered at a phase point.
@@ -113,7 +104,7 @@ class TestFunction:
             v = (Y @ self.beta_axis - self.center.as_vector() @ self.beta_axis
                  - self.beta_shift) / self.beta_scale
             b = geo.smoothstep(v)
-            bp = _beta_prime_arr(v) / self.beta_scale
+            bp = geo.smoothstep_prime(v) / self.beta_scale
             g = g * b[:, None] + (chi_v * bp)[:, None] * self.beta_axis[None, :]
         return g
 

@@ -528,15 +528,24 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
 
     The boundary in the derived scenario is the half-plane wall {z = 0},
     with dphi = e_2, so hz2p there equals twice the (2,2) entry of the
-    pulled-back inverse metric.
+    pulled-back inverse metric. With (x, J, H) the chart's jet at y, the
+    pulled-back metric is G = J^T g(x) J and its derivative along y_k is
+    dG_k = H_k^T g J + J^T g H_k + J^T (sum_l dg_l(x) J_lk) J, where dg is
+    the base metric's own derivative.
     """
     dim = base.dim
 
     def g(y):
-        J = chart.jacobian(y)
-        return J.T @ base.metric.g(chart.to_scenario(y)) @ J
+        x, J, _ = chart.jet(y)
+        return J.T @ base.metric.g(x) @ J
 
-    metric = callable_metric(dim, g)
+    def dg(y):
+        x, J, H = chart.jet(y, 2)
+        HgJ = H.transpose(0, 2, 1) @ (base.metric.g(x) @ J)
+        dgJ = np.einsum("lij,lk->kij", base.metric.dg(x), J)
+        return HgJ + HgJ.transpose(0, 2, 1) + J.T @ dgJ @ J
+
+    metric = callable_metric(dim, g, dg)
     f = None
     if base.f is not None:
         f = lambda t, y: base.potential(t, chart.to_scenario(y))

@@ -21,7 +21,9 @@ from glancer.errors import MaxStepsExceeded
 from glancer.symbol import PhasePoint
 
 def stepped_twin(scenario):
-    twin = dataclasses.replace(scenario, metric=geo.callable_metric(2, lambda x: np.eye(2)))
+    twin = dataclasses.replace(
+        scenario, metric=geo.callable_metric(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)))
+    )
     assert scenario.metric.is_constant and not twin.metric.is_constant
     return twin
 

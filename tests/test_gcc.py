@@ -4,7 +4,7 @@ import pytest
 from glancer import flow, gcc
 from glancer import geometry as geo
 from glancer import scenarios as scen
-from glancer.errors import ValidationError
+from glancer.errors import StepFailure, ValidationError
 from glancer.symbol import PhasePoint
 
 FAST = flow.IntegratorParams(h=2e-3)
@@ -171,3 +171,15 @@ def test_gcc_rejects_an_empty_sample(strip):
     region = gcc.region_from_expression("1.0")
     with pytest.raises(ValueError, match="no samples"):
         gcc.gcc_check(strip, region, 1.0, [])
+
+
+def test_a_start_in_the_region_is_entered_without_a_trace(strip, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise StepFailure("trace_generalized must not be called")
+
+    monkeypatch.setattr(flow, "trace_generalized", no_trace)
+    region = gcc.region_from_expression("x2 - 0.4")
+    rho = PhasePoint(0.0, np.array([0.1, 0.5]), 1.0, np.array([1.0, 0.0]))
+    report = gcc.gcc_check(strip, region, 1.0, [rho], params=FAST)
+    assert (report.verdict, report.n_entered, report.n_skipped) == ("HoldsOnSample", 1, 0)
+    assert report.hit_times == [0.0]

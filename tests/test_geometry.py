@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glancer import flow
 from glancer import geometry as geo
 from glancer import scenarios as scen
-from glancer.errors import DegenerateNormal, NotOnBoundary, SmoothingFailure
+from glancer.errors import DegenerateNormal, NotOnBoundary, OutOfChart, SmoothingFailure
+from glancer.symbol import PhasePoint
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
+WAVY_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
 
 
 def test_in_domain_is_the_chart_box(half_plane):
@@ -79,17 +82,19 @@ def test_metric_eval_constant_flags():
     assert np.allclose(m.dg(x), 0.0)
 
 
-def test_callable_metric_fd_derivatives():
+def test_callable_metric_dg_inv():
     def g_fn(x):
         c = 1.0 + 0.1 * np.sin(x[0]) * np.cos(x[1])
         return c * np.eye(2)
 
-    m = geo.callable_metric(2, g_fn)
+    def dg_fn(x):
+        dc = 0.1 * np.array([np.cos(x[0]) * np.cos(x[1]), -np.sin(x[0]) * np.sin(x[1])])
+        return dc[:, None, None] * np.eye(2)
+
+    m = geo.callable_metric(2, g_fn, dg_fn)
     assert not m.is_constant
     x = np.array([0.4, 0.7])
     dg = m.dg(x)
-    expected_d0 = 0.1 * np.cos(x[0]) * np.cos(x[1])
-    assert dg[0, 0, 0] == pytest.approx(expected_d0, abs=1e-7)
     dgi = m.dg_inv(x)
     # d(g^{-1}) = -g^{-1} dg g^{-1}
     gi = m.g_inv(x)
@@ -170,6 +175,88 @@ def test_quasi_normal_chart_needs_boundary_base(disk):
         geo.build_quasi_normal_chart(disk, np.array([0.2, 0.2]))
 
 
+CHART_CASES = {
+    "disk": lambda: (scen.builtin("disk_interior"), [1.0, 0.0]),
+    "half-plane-nondiag": lambda: (
+        scen.builtin("half_plane", metric={"kind": "constant", "matrix": [[1.0, 0.3], [0.3, 1.0]]}),
+        [0.4, 0.0],
+    ),
+    "wavy": lambda: (scen.load_scenario(WAVY_PATH), [0.3, -0.3 * np.cos(0.3)]),
+}
+
+
+@pytest.fixture(scope="module")
+def charts():
+    """name -> (base scenario, chart, chart scenario), built once per module."""
+    out = {}
+    for name, build in CHART_CASES.items():
+        scenario, m0 = build()
+        chart = geo.build_quasi_normal_chart(scenario, m0)
+        out[name] = (scenario, chart, scen.chart_scenario(scenario, chart))
+    return out
+
+
+def richardson_dg(metric, y, k, h=1e-4):
+    """4th-order Richardson extrapolation of central differences of g along y_k."""
+    e = np.zeros(2)
+    e[k] = 1.0
+
+    def central(step):
+        return (metric.g(y + step * e) - metric.g(y - step * e)) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+@pytest.mark.parametrize("name", list(CHART_CASES))
+def test_chart_dg_matches_richardson_off_the_boundary(charts, name):
+    _, chart, cs = charts[name]
+    rng = np.random.default_rng(3)
+    Y = rng.uniform(0.95 * chart.domain_lo, 0.95 * chart.domain_hi, size=(20, 2))
+    # keep the stencil off z = 0, where m switches from the kernel sum to chi * n
+    Y[:, 1] = np.copysign(np.maximum(np.abs(Y[:, 1]), 1e-3), Y[:, 1])
+    for y in Y:
+        dg = cs.metric.dg(y)
+        for k in range(2):
+            assert np.abs(dg[k] - richardson_dg(cs.metric, y, k)).max() <= 1e-9, (y, k)
+
+
+@pytest.mark.parametrize("name", ["disk", "half-plane-nondiag"])
+def test_chart_dg_along_the_boundary_matches_richardson(charts, name):
+    _, chart, cs = charts[name]
+    for u in np.linspace(0.9 * chart.domain_lo[0], 0.9 * chart.domain_hi[0], 9):
+        y = np.array([u, 0.0])
+        assert np.abs(cs.metric.dg(y)[0] - richardson_dg(cs.metric, y, 0)).max() <= 1e-9, u
+
+
+@pytest.mark.parametrize("name", ["disk", "wavy"])
+def test_chart_trace_maps_onto_the_base_trace(charts, name):
+    scenario, chart, cs = charts[name]
+    y0 = np.array([-0.2, 0.03])
+    eta = np.array([1.0, 0.15])
+    eta = eta / np.sqrt(geo.conorm_sq(cs, y0, eta))
+    x0, J, _ = chart.jet(y0)
+    params = flow.IntegratorParams(h=2e-3)
+    in_chart = flow.trace_generalized(cs, PhasePoint(0.0, y0, 1.0, eta), 0.3, params)
+    in_base = flow.trace_generalized(
+        scenario, PhasePoint(0.0, x0, 1.0, np.linalg.solve(J.T, eta)), 0.3, params
+    )
+    assert not in_chart.break_set and not in_base.break_set
+    s_a, states_a, _, _ = in_chart.all_samples()
+    s_b, states_b, _, _ = in_base.all_samples()
+    assert np.array_equal(s_a, s_b) and len(s_a) == 76
+    mapped = np.array([chart.to_scenario(y) for y in states_a[:, 1:3]])
+    assert np.abs(mapped - states_b[:, 1:3]).max() <= 1e-9
+
+
+def test_chart_from_scenario_refuses_points_outside_the_chart(charts):
+    _, chart, _ = charts["disk"]
+    for x in ([2.0, 2.0], [0.0, 0.0]):
+        with pytest.raises(OutOfChart):
+            chart.from_scenario(np.array(x))
+    y = np.array([0.3, -0.07])
+    assert np.abs(chart.from_scenario(chart.to_scenario(y)) - y).max() <= 1e-12
+
+
 def test_smoothing_kernel_refuses_a_truncated_kernel():
     # cut at |u| = 2 the kernel keeps a mass of 0.9456, more than 1 % short
     with pytest.raises(SmoothingFailure, match="kernel mass 0.945552"):
@@ -183,9 +270,6 @@ def test_dg_inv_reuses_the_callers_g_inv_bit_for_bit():
     rng = np.random.default_rng(11)
     for x in rng.uniform(wavy.domain_lo, wavy.domain_hi, size=(200, 2)):
         assert m.dg_inv(x, gi=m.g_inv(x)).tobytes() == m.dg_inv(x).tobytes()
-
-
-WAVY_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
 
 
 @pytest.mark.parametrize("name", list(scen.BUILTIN_NAMES) + ["wavy"])

@@ -36,7 +36,7 @@ def chi_prime(s):
 
 
 def beta_prime(s):
-    return float(measures._beta_prime_arr(np.array([s], dtype=float))[0])
+    return float(geo.smoothstep_prime(np.array([s], dtype=float))[0])
 
 
 def test_chi_values():
