@@ -9,8 +9,12 @@ audit with the default worker count, which the benchmark does not run).
 Each checkout runs all of them in its own Python subprocess, through its
 own ``glancer.cli.main``. For every command the script prints SAME or DIFF
 for the exit code, for the JSON summary (without ``elapsed_s`` and the
-artifact paths) and for the bytes of every file the command wrote. It exits
-1 on any difference, 2 when a checkout holds no glancer sources.
+artifact paths) and for the bytes of every file the command wrote. A file
+that differs is sized: ``DIFF(max 9.9e-14)`` gives the largest absolute
+difference over its numbers when both files have the same text apart from
+their numeric tokens, ``DIFF(layout)`` that they differ otherwise (or that
+one of them is missing). It exits 1 on any difference, 2 when a checkout
+holds no glancer sources.
 
 Against a checkout older than the fix that made ``gcc`` reports independent
 of ``--workers``, the README ``gcc`` command is expected to DIFF on a
@@ -40,6 +44,7 @@ HERE = Path(__file__).resolve().parent
 PERFBENCH = HERE.parent / "perfbench"
 README = HERE.parent / "README.md"
 MANIFEST = "manifest.json"
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
 
 
 def readme_commands() -> list[list[str]]:
@@ -117,13 +122,25 @@ def _files(d: Path) -> dict[str, bytes]:
     return {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
-def compare(a: dict, b: dict) -> list[tuple[str, bool]]:
-    """(item, same) pairs for one command run against both checkouts."""
-    items = [("argv", a["argv"] == b["argv"]), ("exit", a["rc"] == b["rc"]),
+def file_verdict(a: bytes | None, b: bytes | None) -> str:
+    """SAME, DIFF(max <largest numeric change>) or DIFF(layout) for two file bodies."""
+    if a == b:
+        return "SAME"
+    if a is None or b is None or NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return "DIFF(layout)"
+    pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
+    worst = max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
+    return f"DIFF(max {worst:.1e})"
+
+
+def compare(a: dict, b: dict) -> list[tuple[str, str]]:
+    """(item, verdict) pairs for one command run against both checkouts."""
+    flags = [("argv", a["argv"] == b["argv"]), ("exit", a["rc"] == b["rc"]),
              ("summary", a["summary"] == b["summary"])]
+    items = [(name, "SAME" if ok else "DIFF") for name, ok in flags]
     fa, fb = _files(Path(a["dir"])), _files(Path(b["dir"]))
     for name in sorted(set(fa) | set(fb)):
-        items.append((name, fa.get(name) == fb.get(name)))
+        items.append((name, file_verdict(fa.get(name), fb.get(name))))
     return items
 
 
@@ -152,9 +169,9 @@ def main(argv=None) -> int:
         n_diff = 0
         for a, b in zip(*runs):
             items = compare(a, b)
-            same = all(ok for _, ok in items)
+            same = all(verdict == "SAME" for _, verdict in items)
             n_diff += not same
-            detail = " ".join(f"{name}={'SAME' if ok else 'DIFF'}" for name, ok in items)
+            detail = " ".join(f"{name}={verdict}" for name, verdict in items)
             print(f"{'SAME' if same else 'DIFF'}  {a['label']}: {detail}")
         if len(runs[0]) != len(runs[1]):
             n_diff += 1

@@ -82,11 +82,16 @@ def _write_jsonl(path: Path, scenario, command, params, lines) -> None:
     _atomic_write(path, "\n".join([_json_line(head), *lines]) + "\n")
 
 
-def _parse_start(text: str) -> PhasePoint:
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers given to --flag."""
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in str(text).split(",")]
     except ValueError as exc:
-        raise ConfigError(f"--start must be comma-separated numbers: {exc}") from exc
+        raise ConfigError(f"--{flag} must be comma-separated numbers: {exc}") from exc
+
+
+def _parse_start(text: str) -> PhasePoint:
+    vals = _numbers(text, "start")
     if len(vals) != len(sym.COLUMNS):
         raise ConfigError(
             f"--start needs {len(sym.COLUMNS)} values {','.join(sym.COLUMNS)}; got {len(vals)}"
@@ -95,14 +100,18 @@ def _parse_start(text: str) -> PhasePoint:
 
 
 def _check_numbers(args) -> None:
-    """Reject a step, horizon or hop length <= 0, a depth < 0, fewer than 1 sample."""
+    """Reject a step, horizon or hop length <= 0, a depth or continuity radius
+    < 0, any of them not finite, fewer than 1 sample."""
     for name in ("h", "t_horizon", "delta"):
         v = getattr(args, name, None)
-        if v is not None and not v > 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {v!r}")
+        if v is not None and not 0 < v < np.inf:
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {v!r}")
+    for v in _numbers(args.delta_list, "delta") if getattr(args, "delta_list", None) else ():
+        if not 0.0 <= v < np.inf:
+            raise ConfigError(f"--delta entries must be finite and nonnegative, got {v!r}")
     eps, samples = getattr(args, "eps", None), getattr(args, "samples", None)
-    if eps is not None and not eps >= 0:
-        raise ConfigError(f"--eps must be nonnegative, got {eps!r}")
+    if eps is not None and not 0 <= eps < np.inf:
+        raise ConfigError(f"--eps must be finite and nonnegative, got {eps!r}")
     if samples is not None and samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
 
@@ -297,10 +306,7 @@ def cmd_gcc(args, scenario, out: Path) -> dict:
 
 def cmd_quasi_normal(args, scenario, out: Path) -> dict:
     m0_text = _require(args, "m0")
-    try:
-        m0 = np.asarray([float(v) for v in m0_text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"--m0 must be comma-separated numbers: {exc}") from exc
+    m0 = np.asarray(_numbers(m0_text, "m0"), dtype=float)
     if len(m0) != scenario.dim:
         raise ConfigError(f"--m0 needs {scenario.dim} coordinates")
     n = args.samples if args.samples is not None else 33
@@ -335,11 +341,7 @@ def cmd_quasi_normal(args, scenario, out: Path) -> dict:
 
 def cmd_continuity(args, scenario, out: Path) -> dict:
     rho0 = _parse_start(_require(args, "start"))
-    delta_text = _require(args, "delta_list")
-    try:
-        deltas = [float(v) for v in str(delta_text).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--delta must be comma-separated numbers: {exc}") from exc
+    deltas = _numbers(_require(args, "delta_list"), "delta")
     params = flow.IntegratorParams(h=args.h)
     rows = []
     for delta in deltas:

@@ -1,7 +1,7 @@
 """Generalized ray tracing with boundary events.
 
 Interior Hamiltonian integration with bisected boundary detection, specular
-reflection, gliding-arc integration with constraint projection, diffractive
+reflection, gliding arcs traced as a flow along the boundary curve, diffractive
 pass-through, the discrete glancing-step construction, and perturbation
 probes for flow continuity. States are packed rows [t, x1, x2, tau, xi1,
 xi2], as PhasePoint.as_vector writes them, indexed through the row
@@ -15,8 +15,8 @@ this order:
 
 * interior piece: shell projection, the phi crossing (bisected), the
   chart box, the tangency (q = d(phi)/d(sigma) turning from - to +);
-* gliding piece: the chart box, the constraint projection, the hp2z exit
-  hysteresis (two consecutive samples above GLIDING_EXIT);
+* gliding piece: the chart box, x settled on phi = 0 and xi rebuilt there,
+  the hp2z exit hysteresis (two consecutive samples above GLIDING_EXIT);
 * chord flight to its apex (glancing-step construction): the chart box,
   shell projection, q turning from + to - (bisected).
 
@@ -181,10 +181,6 @@ def _interior_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarr
     return rhs
 
 
-def _gliding_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda y: direction * sym.gliding_field(scenario, y)
-
-
 def _rk4_increment(rhs, y, h):
     k1 = rhs(y)
     k2 = rhs(y + (0.5 * h) * k1)
@@ -197,14 +193,10 @@ def _rk4_step(rhs, y, h):
     return y + _rk4_increment(rhs, y, h)
 
 
-def _rescale_char(scenario, y, gi=None) -> None:
-    """Project xi onto the characteristic shell |xi|_x = |tau| in place.
-
-    gi is g_inv at the state's x, when the caller has already evaluated it.
-    """
+def _rescale_char(scenario, y) -> None:
+    """Project xi onto the characteristic shell |xi|_x = |tau| in place."""
     xi = y[sym.XI]
-    if gi is None:
-        gi = scenario.metric.g_inv(y[sym.X])
+    gi = scenario.metric.g_inv(y[sym.X])
     nrm = float(np.sqrt(xi @ gi @ xi))
     target = abs(float(y[sym.TAU]))
     if nrm < 1e-300:
@@ -554,40 +546,37 @@ def integrate_interior(
     return piece, ev
 
 
-def _project_gliding(scenario, y) -> None:
-    """Newton-project a packed state onto {phi = 0, hpz = 0, p = 0} in place.
-
-    phi, dphi and g_inv are evaluated once per base point: the xi update,
-    the shell rescaling and the convergence test share the x they run at.
-    """
+def _newton_on_x(scenario, x, target: float, steps: int, tol: float):
+    """Up to steps Newton steps x <- x + ((target - phi) / g*(dphi, dphi)) g^-1 dphi,
+    stopping once |target - phi| <= tol. Returns x and phi there."""
     phi_f = scenario.boundary.phi
-    dphi_f = scenario.boundary.dphi
-    m = scenario.metric
-    scale = max(1.0, abs(float(y[sym.TAU])))
-    x = y[sym.X]  # a view: follows the in-place updates of y
     ph = float(phi_f(x))
-    dp = dphi_f(x)
-    gidp = m.g_inv(x) @ dp
-    for _ in range(25):
-        h2 = 2.0 * float(dp @ gidp)
-        if h2 < 1e-12:
-            raise DegenerateTransversal(f"hz2p = {h2:.3e} during gliding projection")
-        y[sym.X] = x - (2.0 * ph / h2) * gidp
-
-        dp = dphi_f(x)
-        gi = m.g_inv(x)
-        gidp = gi @ dp
-        h2 = 2.0 * float(dp @ gidp)
-        xi = y[sym.XI]
-        hpz_v = 2.0 * float(xi @ gidp)
-        y[sym.XI] = xi - (hpz_v / h2) * dp
-        _rescale_char(scenario, y, gi)
-
-        xi = y[sym.XI]
+    for _ in range(steps):
+        if abs(target - ph) <= tol:
+            break
+        dp = scenario.boundary.dphi(x)
+        gidp = scenario.metric.g_inv(x) @ dp
+        denom = float(dp @ gidp)
+        if denom < 1e-16:
+            raise DegenerateNormal(f"dphi degenerate in a Newton step toward phi = {target:.3e}")
+        x = x + ((target - ph) / denom) * gidp
         ph = float(phi_f(x))
-        if abs(ph) <= 1e-12 and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
-            return
-    raise ProjectionDiverged("gliding constraint projection did not converge")
+    return x, ph
+
+
+def _boundary_tangent(scenario, x):
+    """(v, g v, |v|_g) at x for the level-curve tangent v = J dphi = (-d2 phi, d1 phi).
+
+    In 2-D J^T g J = det(g) g^-1, so hz2p = 2 |v|_g^2 / det g; it must be >= 1e-8."""
+    d1, d2 = scenario.boundary.derivs(x)[:2]
+    v = np.array([-d2, d1], dtype=float)
+    g = scenario.metric.g(x)
+    gv = g @ v
+    vgv = float(v @ gv)
+    hz2p = 2.0 * vgv / float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    if hz2p < 1e-8:
+        raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {x}")
+    return v, gv, float(np.sqrt(vgv))
 
 
 def integrate_gliding(
@@ -597,31 +586,51 @@ def integrate_gliding(
     params: IntegratorParams | None = None,
     direction: int = 1,
 ) -> tuple[TrajectoryPiece, ExitEvent]:
-    """Trace the gliding field along the boundary with constraint projection.
+    """Trace a gliding arc: the boundary curve traversed at g-speed 2|tau|.
 
-    Hands off back to the interior when hp2z exceeds the exit threshold at
-    two consecutive samples (hysteresis); the event points at the first of
-    the two.
+    On the gliding set {phi = 0, hpz = 0, p = 0} of a 2-D domain, hpz = 0 makes
+    g^-1 xi = c v for the tangent v = J dphi = (-d2 phi, d1 phi), so xi = c g v,
+    and p = 0 with the sense of motion sgn = sign <xi, v> at the start gives
+    c = sgn |tau| / |v|_g. H_p moves t by -2 tau and x by 2 g^-1 xi = 2 c v, so
+    RK4 steps t and x alone on direction * [-2 tau, 2 c v, 0, 0, 0]. The start
+    and each step are settled: x by Newton along the metric gradient of phi to
+    |phi| <= 1e-12 (ProjectionDiverged after 25 steps), then xi = c g v there.
+    Hands off to the interior when hp2z, read on the settled state, exceeds
+    GLIDING_EXIT at two consecutive samples; the event points at the first.
     """
     params = params or IntegratorParams()
     y0 = rho0.as_vector()
-    _project_gliding(scenario, y0)
+    v0 = _boundary_tangent(scenario, y0[sym.X])[0]
+    c_num = float(np.copysign(abs(y0[sym.TAU]), y0[sym.XI] @ v0))  # c |v|_g = sgn |tau|
+
+    def settle(y):
+        x, ph = _newton_on_x(scenario, y[sym.X], 0.0, 25, 1e-12)
+        if abs(ph) > 1e-12:
+            raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
+        _, gv, nv = _boundary_tangent(scenario, x)
+        y[sym.X] = x
+        y[sym.XI] = (c_num / nv) * gv
+
+    def rhs(y):
+        x = y[sym.X]
+        geo._require_in_domain(scenario, x)
+        v, _, nv = _boundary_tangent(scenario, x)
+        dy = np.zeros(len(y))
+        dy[sym.T] = -2.0 * y[sym.TAU]
+        dy[sym.X] = (2.0 * c_num / nv) * v
+        return direction * dy
+
+    settle(y0)
     exceed = 0
 
     def advance(y, y_new, h):
         nonlocal exceed
         if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
-        _project_gliding(scenario, y_new)
-        if sym.hp2z(scenario, y_new) > GLIDING_EXIT:
-            exceed += 1
-            if exceed >= 2:
-                return "glide_handoff", 0.0, None
-        else:
-            exceed = 0
-        return None
+        settle(y_new)
+        exceed = exceed + 1 if sym.hp2z(scenario, y_new) > GLIDING_EXIT else 0
+        return ("glide_handoff", 0.0, None) if exceed >= 2 else None
 
-    rhs = _gliding_rhs(scenario, float(direction))
     piece, ev = _march(GLIDING, rhs, y0, s_span, params, direction, advance)
     if ev.reason == "glide_handoff":
         ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
@@ -674,11 +683,9 @@ def trace_generalized(
         if bc.tag in (Tag.GLIDING, Tag.GLANCING3):
             mode = "gliding"
         elif bc.tag in (Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT):
-            if direction * bc.hpz > 0:
-                mode = "interior"
-            else:
+            mode = "interior"
+            if direction * bc.hpz <= 0:
                 rho = record_break(0.0, rho)
-                mode = "interior"
         elif bc.tag is Tag.DIFFRACTIVE:
             junctions.append((0.0, bc))
             mode = "interior"
@@ -875,29 +882,18 @@ def fold_into_domain(scenario, rho: PhasePoint) -> PhasePoint:
     """Compressed-space representative of a point just past the boundary.
 
     Points with phi < 0 are mirrored back: the base across the surface
-    (two Newton corrections along the metric gradient of phi), the
+    (two Newton steps along the metric gradient of phi toward -phi), the
     covector by the reflection involution at the mirrored base. Points
     already in the closed domain are returned unchanged. Valid within the
     reflection band; the identification error is O(phi^2) from boundary
     curvature.
     """
-    phi_f = scenario.boundary.phi
-    ph = float(phi_f(rho.x))
+    ph = float(scenario.boundary.phi(rho.x))
     if ph >= 0.0:
         return rho
     if -ph > scenario.band:
         raise OutOfChart(f"point at phi = {ph:.3e} is beyond the reflection band")
-    m = scenario.metric
-    dphi_f = scenario.boundary.dphi
-    x = np.asarray(rho.x, dtype=float).copy()
-    target = -ph
-    for _ in range(2):
-        dp = dphi_f(x)
-        gidp = m.g_inv(x) @ dp
-        denom = float(dp @ gidp)
-        if denom < 1e-16:
-            raise DegenerateNormal("dphi degenerate while folding across the boundary")
-        x = x + ((target - float(phi_f(x))) / denom) * gidp
+    x, _ = _newton_on_x(scenario, rho.x, -ph, 2, 0.0)
     return sym.sigma(scenario, PhasePoint(rho.t, x, rho.tau, rho.xi))
 
 
@@ -1026,8 +1022,10 @@ def continuity_probe(
     Traces the reference ray through rho0 over the time horizon T in both
     directions, then n_samples perturbed starts within compressed distance
     delta, and returns the max over perturbed samples of the distance to the
-    reference sample set. n_samples must be at least 1.
+    reference sample set; delta must be finite and >= 0, n_samples >= 1.
     """
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"continuity probe needs a finite delta >= 0, got {delta!r}")
     if int(n_samples) < 1:
         raise ValueError("continuity probe needs at least one perturbed sample")
     params = params or IntegratorParams()

@@ -223,6 +223,44 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert err["error"] == "config", case
 
 
+@pytest.mark.parametrize("deltas", ["-1e-2,nan", "1e-2,inf", "-0.5", "1e-2,-inf"])
+def test_continuity_rejects_negative_or_non_finite_deltas(tmp_path, capsys, deltas):
+    code = cli.main(
+        ["continuity", "--scenario", "strip", "--start", "0,0.1,0.45,1,0.6,0.8",
+         f"--delta={deltas}", "--samples", "2", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "--delta entries must be finite and nonnegative" in err["detail"]
+    assert not (tmp_path / "continuity.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--scenario", "strip", "--start", "0,0,0.5,1,1,0", "--h", "inf"],
+        ["trace", "--scenario", "strip", "--start", "0,0,0.5,1,1,0", "--t-horizon", "inf"],
+        ["glide-step", "--scenario", "disk_interior", "--start", "0,1,0,1,0,1", "--delta", "inf"],
+        ["glide-step", "--scenario", "disk_interior", "--start", "0,1,0,1,0,1",
+         "--delta", "0.01", "--eps", "inf"],
+    ],
+    ids=["h", "t-horizon", "delta", "eps"],
+)
+def test_infinite_numbers_exit_two(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_continuity_accepts_a_zero_delta(tmp_path, capsys):
+    code, summary = run_cli(
+        ["continuity", "--scenario", "strip", "--start", "0,0.1,0.45,1,0.6,0.8",
+         "--delta", "0", "--t-horizon", "0.2", "--samples", "1", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and summary["eps_hat"] == {"0.0": 0.0}
+
+
 def test_start_outside_the_domain_is_a_step_failure(tmp_path, capsys):
     code = cli.main(
         ["trace", "--scenario", "half_plane", "--start", "0,0,-0.1,1,1,0", "--out", str(tmp_path)]

@@ -318,6 +318,135 @@ def test_gliding_hands_off_where_curvature_flips():
     assert len(gb.junctions) >= 1
 
 
+def _reference_project_gliding(scenario, y):
+    """The earlier projection onto {phi = 0, hpz = 0, p = 0}: x/xi Newton plus shell rescale."""
+    x = y[sym.X]
+    ph = float(scenario.boundary.phi(x))
+    dp = scenario.boundary.dphi(x)
+    gidp = scenario.metric.g_inv(x) @ dp
+    scale = max(1.0, abs(float(y[sym.TAU])))
+    for _ in range(25):
+        h2 = 2.0 * float(dp @ gidp)
+        y[sym.X] = x - (2.0 * ph / h2) * gidp
+        dp = scenario.boundary.dphi(x)
+        gi = scenario.metric.g_inv(x)
+        gidp = gi @ dp
+        h2 = 2.0 * float(dp @ gidp)
+        xi = y[sym.XI]
+        y[sym.XI] = xi - (2.0 * float(xi @ gidp) / h2) * dp
+        xi = y[sym.XI]
+        y[sym.XI] = xi * (abs(float(y[sym.TAU])) / float(np.sqrt(xi @ gi @ xi)))
+        xi = y[sym.XI]
+        ph = float(scenario.boundary.phi(x))
+        if abs(ph) <= 1e-12 and abs(2.0 * float(xi @ gidp)) <= 1e-10 * scale:
+            return
+    raise AssertionError("reference gliding projection did not converge")
+
+
+def _reference_glide(scenario, rho0, s_span, params, direction):
+    """The earlier gliding integrator: RK4 on direction * sym.gliding_field, then
+    the projection above, with the same chart check and hand-off hysteresis."""
+    y0 = rho0.as_vector()
+    _reference_project_gliding(scenario, y0)
+    exceed = 0
+
+    def advance(y, y_new, h):
+        nonlocal exceed
+        if not geo.in_domain(scenario, y_new[sym.X]):
+            return flow._CHART_EXIT
+        _reference_project_gliding(scenario, y_new)
+        exceed = exceed + 1 if sym.hp2z(scenario, y_new) > flow.GLIDING_EXIT else 0
+        return ("glide_handoff", 0.0, None) if exceed >= 2 else None
+
+    def rhs(y):
+        return direction * sym.gliding_field(scenario, y)
+
+    return flow._march(flow.GLIDING, rhs, y0, s_span, params, direction, advance)
+
+
+def _expression_disk():
+    """1 - hypot(x1, x2) under a non-diagonal expression metric."""
+    return scen.from_config(
+        {
+            "schema": 1,
+            "name": "expression_disk",
+            "boundary": {
+                "kind": "expression",
+                "phi": "1 - hypot(x1, x2)",
+                "box": [[-1.25, -1.25], [1.25, 1.25]],
+            },
+            "metric": {
+                "kind": "expression",
+                "expressions": [["1 + 0.25 * x2", "0.1 * x1"], ["0.1 * x1", "1"]],
+            },
+        }
+    )
+
+
+def _glide_case(name):
+    if name == "expression_disk":
+        return _expression_disk()
+    return scen.builtin(name)
+
+
+def gliding_start(scenario, x, sense):
+    """tau = 1 start at the boundary point x with g^-1 xi along sense * (-d2 phi, d1 phi)."""
+    d1, d2 = scenario.boundary.dphi(np.asarray(x, dtype=float))
+    return shell_start(scenario, x, scenario.metric.g(np.asarray(x)) @ (sense * np.array([-d2, d1])))
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize(
+    "name, x, tag",
+    [
+        ("disk_interior", [1.0, 0.0], Tag.GLIDING),
+        ("annulus", [0.0, 1.0], Tag.GLIDING),  # the outer wall, r = 1
+        ("expression_disk", [0.6, 0.8], Tag.GLIDING),
+        ("strip", [0.0, 0.0], Tag.GLANCING3),  # the flat wall
+    ],
+)
+def test_curve_glide_matches_the_projected_gliding_field(name, x, tag, direction):
+    scenario = _glide_case(name)
+    rho0 = gliding_start(scenario, x, -1.0)
+    assert sym.classify_boundary_point(scenario, rho0).tag is tag
+    params = flow.IntegratorParams(h=1e-3)
+    piece, ev = flow.integrate_gliding(scenario, rho0, (0.0, 1.2), params, direction)
+    ref, ref_ev = _reference_glide(scenario, rho0, (0.0, 1.2), params, direction)
+    assert ev.reason == ref_ev.reason == "span_end"
+    assert np.array_equal(piece.s, ref.s)
+    assert np.max(np.abs(piece.states - ref.states)) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_curve_glide_hands_off_where_the_reference_does(direction):
+    wavy = _load("wavy")
+    x1s = -0.4 if direction > 0 else 0.4
+    xw = np.array([x1s, -0.3 * np.cos(x1s)])
+    assert abs(wavy.boundary.phi(xw)) < 1e-12
+    rho0 = gliding_start(wavy, xw, -1.0)
+    assert sym.classify_boundary_point(wavy, rho0).tag is Tag.GLIDING
+    params = flow.IntegratorParams(h=1e-3)
+    piece, ev = flow.integrate_gliding(wavy, rho0, (0.0, 3.0), params, direction)
+    ref, ref_ev = _reference_glide(wavy, rho0, (0.0, 3.0), params, direction)
+    assert ev.reason == ref_ev.reason == "glide_handoff"
+    assert ev.s == ref_ev.s
+    assert sym.classify_boundary_point(wavy, ref_ev.rho).tag is ev.bclass.tag
+    assert np.max(np.abs(piece.states - ref.states)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["disk_interior", "expression_disk"])
+def test_glide_time_reversal(name):
+    scenario = _glide_case(name)
+    rho0 = gliding_start(scenario, [0.6, 0.8], 1.0)
+    params = flow.IntegratorParams(h=1e-3)
+    fwd = flow.trace_generalized(scenario, rho0, 1.0, params, direction=1)
+    assert [p.kind for p in fwd.pieces] == [flow.GLIDING]
+    end = PhasePoint.from_vector(fwd.pieces[-1].states[-1], 2)
+    back = flow.trace_generalized(scenario, end, 1.0, params, direction=-1)
+    assert [p.kind for p in back.pieces] == [flow.GLIDING]
+    assert np.max(np.abs(back.pieces[-1].states[-1] - rho0.as_vector())) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # glancing-step construction
 
@@ -456,6 +585,13 @@ def test_continuity_probe_needs_a_sample(half_plane, n_samples):
     rho0 = unit_start(0.0, [0.0, 0.5], 1.0, [0.6, -0.8])
     with pytest.raises(ValueError, match="at least one"):
         flow.continuity_probe(half_plane, rho0, 1e-3, 0.5, n_samples)
+
+
+@pytest.mark.parametrize("delta", [-1e-3, np.nan, np.inf])
+def test_continuity_probe_needs_a_finite_nonnegative_delta(half_plane, delta):
+    rho0 = unit_start(0.0, [0.0, 0.5], 1.0, [0.6, -0.8])
+    with pytest.raises(ValueError, match="finite delta"):
+        flow.continuity_probe(half_plane, rho0, delta, 0.5, 1)
 
 
 def test_continuity_probe_flat_scale(half_plane):
