@@ -7,18 +7,25 @@ probes for flow continuity. States are packed rows [t, x1, x2, tau, xi1,
 xi2], as PhasePoint.as_vector writes them, indexed through the row
 positions symbol names (sym.T, sym.X, sym.TAU, sym.XI).
 
-Every ray flight runs through one fixed-step RK4 marcher, _march: it takes
+Every ray flight runs through one fixed-step marcher, _march: it takes
 the steps (the last clipped to the span), enforces the step budget and
 finiteness, records the samples and applies the chart-box policy. Each
-caller passes its projection and event checks, run after every step in
-this order:
+caller passes its step map and its projection and event checks, run after
+every step in this order:
 
-* interior piece: shell projection, the phi crossing (bisected), the
-  chart box, the tangency (q = d(phi)/d(sigma) turning from - to +);
-* gliding piece: the chart box, x settled on phi = 0 and xi rebuilt there,
-  the hp2z exit hysteresis (two consecutive samples above GLIDING_EXIT);
-* chord flight to its apex (glancing-step construction): the chart box,
-  shell projection, q turning from + to - (bisected).
+* interior piece: RK4 on the Hamiltonian field (_rk4_step); shell
+  projection, the phi crossing (bisected), the chart box, the tangency
+  (q = d(phi)/d(sigma) turning from - to +);
+* gliding piece: RK4 on (t, x1, x2) as floats, one boundary derivs and
+  metric g evaluation per stage, the first taken from the settled sample;
+  the chart box, x settled on phi = 0 and xi rebuilt there, the hp2z exit
+  hysteresis (two consecutive samples above GLIDING_EXIT);
+* chord flight to its apex (glancing-step construction): RK4 as for the
+  interior; the chart box, shell projection, q turning from + to -
+  (bisected).
+
+Event location (_locate_scalar_zero) and the straight-run planner take the
+interior RHS itself, as they re-step from a row with RK4 substeps.
 
 Under a constant metric an interior piece is a straight line with a fixed
 covector, and most of its steps are planned rather than taken one by one
@@ -43,7 +50,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -249,16 +258,19 @@ def _locate_scalar_zero(rhs, y_from, h, value_of, tol):
 _CHART_EXIT = ("chart_exit", 0.0, None)
 
 
-def _march(kind, rhs, y, s_span, params, direction, advance, plan=None):
-    """Fixed-step RK4 on the clock sigma in s_span; recorded s = direction * sigma.
+def _march(kind, step, y, s_span, params, direction, advance, plan=None):
+    """Fixed steps y_new = step(y, h) on the clock sigma in s_span; recorded s =
+    direction * sigma.
 
-    After each step, advance(y, y_new, h) projects y_new in place and runs
-    the caller's event checks. It returns None to accept the step, or
-    (reason, dsigma, y_event) to end the piece with y_event recorded at
-    sigma + dsigma (None: at the last accepted state). A step that leaves
-    the chart box, at an RK stage (OutOfChart) or as a check finds it
-    (_CHART_EXIT), ends the piece there with "chart_exit". The returned
-    ExitEvent has no bclass.
+    step maps the last accepted row and a step length to the next row; the
+    interior pieces pass partial(_rk4_step, rhs), the gliding piece its
+    float stepper. After each step, advance(y, y_new, h) projects y_new in
+    place and runs the caller's event checks. It returns None to accept the
+    step, or (reason, dsigma, y_event) to end the piece with y_event
+    recorded at sigma + dsigma (None: at the last accepted state). A step
+    that leaves the chart box, at an RK stage (OutOfChart) or as a check
+    finds it (_CHART_EXIT), ends the piece there with "chart_exit". The
+    returned ExitEvent has no bclass.
 
     plan, when given, is asked before each step for a run of steps ahead of
     (y, sigma, steps taken) that advance would accept unchanged: None, or
@@ -285,14 +297,14 @@ def _march(kind, rhs, y, s_span, params, direction, advance, plan=None):
             continue
         h = min(params.h, sig1 - sig)
         try:
-            y_new = _rk4_step(rhs, y, h)
+            y_new = step(y, h)
         except OutOfChart:
             event = _CHART_EXIT
             break
         steps += 1
         if steps > params.max_steps:
             raise MaxStepsExceeded(f"more than {params.max_steps} {kind.lower()} steps")
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise StepFailure("non-finite state produced by the integrator")
         event = advance(y, y_new, h)
         if event is not None:
@@ -540,7 +552,8 @@ def integrate_interior(
                 phi_prev, q_prev = phi_of(run[1][-1]), q_of(run[1][-1])
             return run
 
-    piece, ev = _march(INTERIOR, rhs, y0, s_span, params, direction, advance, plan)
+    step = partial(_rk4_step, rhs)
+    piece, ev = _march(INTERIOR, step, y0, s_span, params, direction, advance, plan)
     if ev.reason == "boundary":
         ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
     return piece, ev
@@ -564,19 +577,21 @@ def _newton_on_x(scenario, x, target: float, steps: int, tol: float):
     return x, ph
 
 
-def _boundary_tangent(scenario, x):
-    """(v, g v, |v|_g) at x for the level-curve tangent v = J dphi = (-d2 phi, d1 phi).
+def _boundary_tangent(d, g, x):
+    """(v1, v2, (g v)1, (g v)2, |v|_g) as floats for the level-curve tangent
+    v = J dphi = (-d2 phi, d1 phi), from the boundary's derivs d and the rows
+    of the metric g at x (x only names the point in an error).
 
     In 2-D J^T g J = det(g) g^-1, so hz2p = 2 |v|_g^2 / det g; it must be >= 1e-8."""
-    d1, d2 = scenario.boundary.derivs(x)[:2]
-    v = np.array([-d2, d1], dtype=float)
-    g = scenario.metric.g(x)
-    gv = g @ v
-    vgv = float(v @ gv)
-    hz2p = 2.0 * vgv / float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    v1, v2 = -float(d[1]), float(d[0])
+    (g11, g12), (g21, g22) = g
+    gv1 = g11 * v1 + g12 * v2
+    gv2 = g21 * v1 + g22 * v2
+    vgv = v1 * gv1 + v2 * gv2
+    hz2p = 2.0 * vgv / (g11 * g22 - g12 * g21)
     if hz2p < 1e-8:
         raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {x}")
-    return v, gv, float(np.sqrt(vgv))
+    return v1, v2, gv1, gv2, math.sqrt(vgv)
 
 
 def integrate_gliding(
@@ -592,46 +607,104 @@ def integrate_gliding(
     g^-1 xi = c v for the tangent v = J dphi = (-d2 phi, d1 phi), so xi = c g v,
     and p = 0 with the sense of motion sgn = sign <xi, v> at the start gives
     c = sgn |tau| / |v|_g. H_p moves t by -2 tau and x by 2 g^-1 xi = 2 c v, so
-    RK4 steps t and x alone on direction * [-2 tau, 2 c v, 0, 0, 0]. The start
-    and each step are settled: x by Newton along the metric gradient of phi to
+    RK4 steps t and x alone, as floats, on direction * (-2 tau, 2 c v), with the
+    combination (k1 + 2 k2 + 2 k3 + k4) h / 6 of _rk4_increment. The start and
+    each step are settled: x by Newton along the metric gradient of phi to
     |phi| <= 1e-12 (ProjectionDiverged after 25 steps), then xi = c g v there.
     Hands off to the interior when hp2z, read on the settled state, exceeds
     GLIDING_EXIT at two consecutive samples; the event points at the first.
+
+    Each RK stage evaluates the boundary's derivs and the metric g once (g
+    once per piece under a constant metric), after the chart-box test of
+    geo._require_in_domain. The one evaluation at a settled x rebuilds xi,
+    gives hp2z (through sym._State) and is the next step's k1.
+
+    The start must be a boundary point (NotOnBoundary past boundary_tol)
+    that classifies as Gliding or Glancing3 (ValueError otherwise).
     """
     params = params or IntegratorParams()
+    bc = sym.classify_boundary_point(scenario, rho0)
+    if bc.tag not in (Tag.GLIDING, Tag.GLANCING3):
+        raise ValueError(f"a gliding piece starts on the gliding set, got {bc.tag.value}")
+    metric, derivs = scenario.metric, scenario.boundary.derivs
+    g_const = metric.g(np.zeros(2)).tolist() if metric.is_constant else None
+    (lo1, lo2), (hi1, hi2) = scenario.domain_lo.tolist(), scenario.domain_hi.tolist()
+    lo1, lo2, hi1, hi2 = lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
     y0 = rho0.as_vector()
-    v0 = _boundary_tangent(scenario, y0[sym.X])[0]
-    c_num = float(np.copysign(abs(y0[sym.TAU]), y0[sym.XI] @ v0))  # c |v|_g = sgn |tau|
+    tau = float(y0[sym.TAU])
+    kt = direction * (-2.0 * tau)
+
+    def tangent(x):
+        """derivs at x, then _boundary_tangent's five floats."""
+        d = derivs(x)
+        return (d, *_boundary_tangent(d, g_const or metric.g(x).tolist(), x))
+
+    def inside(x1, x2):
+        """geo.in_domain on floats."""
+        return lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2
+
+    def require_inside(x1, x2):
+        if not inside(x1, x2):
+            raise OutOfChart(f"point {np.array((x1, x2))} outside domain box of '{scenario.name}'")
+
+    _, v1, v2, _, _, _ = tangent(y0[sym.X])
+    xi1, xi2 = y0[sym.XI].tolist()
+    c_num = math.copysign(abs(tau), xi1 * v1 + xi2 * v2)  # c |v|_g = sgn |tau|
+    k1 = [0.0, 0.0]  # x part of the field at the last settled x
+
+    def velocity(v1, v2, nv):
+        """x part of the field, direction * 2 c v."""
+        a = 2.0 * c_num / nv
+        return direction * (a * v1), direction * (a * v2)
 
     def settle(y):
+        """Settle y on the gliding set in place; returns derivs at its x."""
         x, ph = _newton_on_x(scenario, y[sym.X], 0.0, 25, 1e-12)
         if abs(ph) > 1e-12:
             raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
-        _, gv, nv = _boundary_tangent(scenario, x)
+        d, v1, v2, gv1, gv2, nv = tangent(x)
+        c = c_num / nv
         y[sym.X] = x
-        y[sym.XI] = (c_num / nv) * gv
+        y[sym.XI] = (c * gv1, c * gv2)
+        k1[:] = velocity(v1, v2, nv)
+        return d
 
-    def rhs(y):
-        x = y[sym.X]
-        geo._require_in_domain(scenario, x)
-        v, _, nv = _boundary_tangent(scenario, x)
-        dy = np.zeros(len(y))
-        dy[sym.T] = -2.0 * y[sym.TAU]
-        dy[sym.X] = (2.0 * c_num / nv) * v
-        return direction * dy
+    def stage(x1, x2):
+        require_inside(x1, x2)
+        _, v1, v2, _, _, nv = tangent(np.array((x1, x2)))
+        return velocity(v1, v2, nv)
+
+    def step(y, h):
+        # _march steps from the last accepted row, which advance has settled
+        t, x1, x2 = y[: sym.TAU].tolist()
+        require_inside(x1, x2)
+        a1, b1 = k1
+        a2, b2 = stage(x1 + (0.5 * h) * a1, x2 + (0.5 * h) * b1)
+        a3, b3 = stage(x1 + (0.5 * h) * a2, x2 + (0.5 * h) * b2)
+        a4, b4 = stage(x1 + h * a3, x2 + h * b3)
+        w = h / 6.0
+        y_new = y.copy()
+        y_new[: sym.TAU] = (
+            t + w * (kt + 2.0 * kt + 2.0 * kt + kt),
+            x1 + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            x2 + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        )
+        return y_new
 
     settle(y0)
     exceed = 0
 
     def advance(y, y_new, h):
         nonlocal exceed
-        if not geo.in_domain(scenario, y_new[sym.X]):
+        if not inside(*y_new[sym.X].tolist()):
             return _CHART_EXIT
-        settle(y_new)
-        exceed = exceed + 1 if sym.hp2z(scenario, y_new) > GLIDING_EXIT else 0
+        d = settle(y_new)
+        require_inside(*y_new[sym.X].tolist())  # as sym.hp2z checks the settled x
+        hp2z = sym._State(scenario, y_new[sym.X], tau, y_new[sym.XI], derivs=d).hp2z
+        exceed = exceed + 1 if hp2z > GLIDING_EXIT else 0
         return ("glide_handoff", 0.0, None) if exceed >= 2 else None
 
-    piece, ev = _march(GLIDING, rhs, y0, s_span, params, direction, advance)
+    piece, ev = _march(GLIDING, step, y0, s_span, params, direction, advance)
     if ev.reason == "glide_handoff":
         ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
     return piece, ev
@@ -863,7 +936,9 @@ def glancing_step_construct(
                 y_r = sym.sigma(scenario, ev.rho.as_vector())
                 add(PhasePoint.from_vector(y_r), "flight")
                 q_prev = q_of(y_r)
-                _, ev = _march(INTERIOR, rhs, y_r, (0.0, budget), fly_params, 1, to_apex)
+                _, ev = _march(
+                    INTERIOR, partial(_rk4_step, rhs), y_r, (0.0, budget), fly_params, 1, to_apex
+                )
                 if ev.reason == "chart_exit":
                     raise LeftChart("chord flight left the chart before reaching its apex")
                 s_now += ev.s

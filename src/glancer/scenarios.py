@@ -221,10 +221,12 @@ def _strip_boundary(height: float) -> BoundaryDef:
 def _radial_derivs(x, c: float):
     """Gradient and Hessian of c |x|: c x / |x| and c (I - xhat xhat^T) / |x|.
 
-    |x| is clamped away from 0 at 1e-12.
+    |x| is clamped away from 0 at 1e-12. The coordinates are read as floats,
+    whose arithmetic is numpy's scalar arithmetic to the bit, only quicker.
     """
-    r = max(float(np.hypot(x[0], x[1])), 1e-12)
-    u, v = x[0] / r, x[1] / r
+    x1, x2 = float(x[0]), float(x[1])
+    r = max(float(np.hypot(x1, x2)), 1e-12)
+    u, v = x1 / r, x2 / r
     return c * u, c * v, c * (1.0 - u * u) / r, c * (0.0 - u * v) / r, c * (1.0 - v * v) / r
 
 

@@ -146,19 +146,23 @@ class _State:
     first use, so a caller evaluates only what it reads, in the order it
     reads it; ``dphi`` and ``d2phi`` are both built from the one ``derivs``
     call, and every quantity below is derived from those evaluations. No
-    chart check is made here; the public functions make theirs.
+    chart check is made here; the public functions make theirs. A caller
+    that already holds the boundary's ``derivs`` at x passes them in, and
+    they are not evaluated again.
 
     A factor 2 is applied to a scalar rather than to a vector where the
     result is the same: scaling by a power of two is exact in floating
     point, short of overflow and subnormals.
     """
 
-    def __init__(self, scenario, x, tau: float = 0.0, xi=None):
+    def __init__(self, scenario, x, tau: float = 0.0, xi=None, derivs=None):
         self.metric = scenario.metric
         self.boundary = scenario.boundary
         self.x = x
         self.tau = tau
         self.xi = xi
+        if derivs is not None:
+            self.derivs = derivs  # shadows the _once attribute below
 
     @_once
     def gi(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from glancer.errors import (
     MaxPiecesExceeded,
     MaxStepsExceeded,
     NotCharacteristic,
+    NotOnBoundary,
     OutOfChart,
     StepFailure,
 )
@@ -361,7 +363,8 @@ def _reference_glide(scenario, rho0, s_span, params, direction):
     def rhs(y):
         return direction * sym.gliding_field(scenario, y)
 
-    return flow._march(flow.GLIDING, rhs, y0, s_span, params, direction, advance)
+    step = partial(flow._rk4_step, rhs)
+    return flow._march(flow.GLIDING, step, y0, s_span, params, direction, advance)
 
 
 def _expression_disk():
@@ -445,6 +448,60 @@ def test_glide_time_reversal(name):
     back = flow.trace_generalized(scenario, end, 1.0, params, direction=-1)
     assert [p.kind for p in back.pieces] == [flow.GLIDING]
     assert np.max(np.abs(back.pieces[-1].states[-1] - rho0.as_vector())) <= 1e-12
+
+
+def test_gliding_start_must_be_on_the_gliding_set(disk):
+    # off the boundary: (0.5, 0) used to be moved silently to (1, 0)
+    inside = PhasePoint(0.0, np.array([0.5, 0.0]), 1.0, np.array([0.0, 1.0]))
+    with pytest.raises(NotOnBoundary):
+        flow.integrate_gliding(disk, inside, (0.0, 1.0))
+    # a hyperbolic contact used to come back as a glide with xi = (0, -1)
+    outgoing = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([1.0, 0.0]))
+    assert sym.classify_boundary_point(disk, outgoing).tag is Tag.HYPERBOLIC_OUT
+    with pytest.raises(ValueError, match="HyperbolicOut"):
+        flow.integrate_gliding(disk, outgoing, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_curve_glide_leaves_the_chart(strip, direction):
+    # the flat wall runs to the box edge x1 = -+12 at s = 6 (dx/ds = 2)
+    rho0 = PhasePoint(0.0, np.array([0.0, 0.0]), 1.0, np.array([1.0, 0.0]))
+    params = flow.IntegratorParams(h=1e-3)
+    piece, ev = flow.integrate_gliding(strip, rho0, (0.0, 100.0), params, direction)
+    ref, ref_ev = _reference_glide(strip, rho0, (0.0, 100.0), params, direction)
+    assert ev.reason == ref_ev.reason == "chart_exit"
+    assert ev.s == ref_ev.s == direction * 6.000000000000338
+    assert len(piece) == len(ref) == 6001
+    assert np.array_equal(piece.s, ref.s)
+    assert np.max(np.abs(piece.states - ref.states)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["disk_interior", "expression_disk"])
+def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
+    """At most 4 derivs and 4 g calls per step: one per RK stage, with k1, the xi
+    rebuild and hp2z sharing the evaluation at the settled x."""
+
+    def calls(span):
+        scenario = _glide_case(name)
+        n = {"derivs": 0, "g": 0}
+        for owner, attr in ((scenario.boundary, "derivs"), (scenario.metric, "g")):
+            def counted(x, _f=getattr(owner, attr), _key=attr):
+                n[_key] += 1
+                return _f(x)
+
+            setattr(owner, attr, counted)
+        rho0 = gliding_start(scenario, [0.6, 0.8], 1.0)
+        piece, ev = flow.integrate_gliding(scenario, rho0, span, flow.IntegratorParams(h=1e-3))
+        assert ev.reason == "span_end"
+        return len(piece) - 1, n
+
+    # the per-piece start (classification, sense of motion, first settle) is
+    # taken out by the difference with a one-step glide
+    steps, n = calls((0.0, 1.0))
+    one, n1 = calls((0.0, 1e-3))
+    assert (steps, one) == (1000, 1)
+    assert (n["derivs"] - n1["derivs"]) / (steps - one) <= 4.0
+    assert (n["g"] - n1["g"]) / (steps - one) <= 4.0
 
 
 # ---------------------------------------------------------------------------
