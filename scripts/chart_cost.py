@@ -7,6 +7,10 @@ it and prints one JSON line with:
 * ``build_s``: seconds to build the chart;
 * ``g_inv_us`` and ``dg_inv_us``: microseconds per call at (0.1, 0.03),
   the best of 3 rounds of 200 calls;
+* ``jets_per_step``: chart-jet evaluations per RK4 step of an interior
+  flight from (0, 0.05) along the boundary, h = 2e-3, taken as the
+  difference between a 50-step and a 1-step flight (one jet per RK stage
+  gives 4);
 * ``trace_ms_per_sample``: milliseconds per sample over 12 traces, the
   first 6 sampler starts in both directions, T = 0.3, h = 2e-3;
 * ``gcc_s``: seconds for a gcc audit of the region ``x2 - 0.06`` over 8
@@ -36,6 +40,28 @@ def per_call_us(fn, x, calls=200, rounds=3):
     return 1e6 * best / calls
 
 
+def jets_per_step(cs, chart, h=2e-3):
+    jet = chart.jet
+    n = [0]
+
+    def counted(y, order=1):
+        n[0] += 1
+        return jet(y, order)
+
+    chart.jet = counted
+    y = np.array([0.0, 0.05])
+    xi = np.array([1.0, 0.0])
+    rho = flow.PhasePoint(0.0, y, 1.0, xi / np.sqrt(geo.conorm_sq(cs, y, xi)))
+    counts = []
+    for steps in (50, 1):
+        n[0] = 0
+        piece, ev = flow.integrate_interior(cs, rho, (0.0, steps * h), flow.IntegratorParams(h=h))
+        assert ev.reason == "span_end" and len(piece) == steps + 1
+        counts.append(n[0])
+    chart.jet = jet
+    return (counts[0] - counts[1]) / 49
+
+
 def main():
     disk = scen.builtin("disk_interior")
     t0 = time.perf_counter()
@@ -59,6 +85,7 @@ def main():
         "build_s": round(build_s, 4),
         "g_inv_us": round(per_call_us(cs.metric.g_inv, y), 1),
         "dg_inv_us": round(per_call_us(cs.metric.dg_inv, y), 1),
+        "jets_per_step": round(jets_per_step(cs, chart), 3),
         "trace_ms_per_sample": round(1e3 * trace_s / n_samples, 3),
         "trace_samples": n_samples,
         "gcc_s": round(report.elapsed, 3),

@@ -317,7 +317,7 @@ def cmd_quasi_normal(args, scenario, out: Path) -> dict:
     gdj_max = gdd_max = h2_max = 0.0
     for u in us:
         x = np.array([u, 0.0])
-        G = np.linalg.inv(cs.metric.g_inv(x))
+        G = cs.metric.g(x)
         gdj = float(abs(G[1, 0]))
         gdd = float(abs(G[1, 1] - 1.0))
         h2 = float(abs(sym.hz2p(cs, x) - 2.0))

@@ -15,7 +15,10 @@ every step in this order:
 
 * interior piece: RK4 on the Hamiltonian field (_rk4_step); shell
   projection, the phi crossing (bisected), the chart box, the tangency
-  (q = d(phi)/d(sigma) turning from - to +);
+  (q = d(phi)/d(sigma) turning from - to +). Under a non-constant metric
+  the field is computed on floats from one metric evaluation per RK stage
+  (_MetricPoint), and the projection and q at the new state share one
+  evaluation, which the next step's k1 reuses;
 * gliding piece: RK4 on (t, x1, x2) as floats, one boundary derivs and
   metric g evaluation per stage, the first taken from the settled sample;
   the chart box, x settled on phi = 0 and xi rebuilt there, the hp2z exit
@@ -53,7 +56,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -163,7 +165,46 @@ class GenBicharacteristic:
         return sum(len(p) for p in self.pieces)
 
 
-def _interior_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarray]:
+class _MetricPoint:
+    """A non-constant metric evaluated once per point, with a last-point memo.
+
+    at(x1, x2) is (gi11, gi12, gi22, a11, a12, a22, b11, b12, b22): the
+    entries of g^-1 (geo.inverse_2x2, which raises StepFailure where g is not
+    positive definite) and those of dg/dx1 and dg/dx2, from one call of the
+    metric's entries. A call at the point of the last one reuses it, so the
+    post-step checks at a new state and the next step's k1 there share one
+    evaluation. gi(x) is the g^-1 array at x from the same evaluation, for
+    the checks that keep numpy's arithmetic (the shell rescale and q).
+    """
+
+    def __init__(self, metric):
+        self.metric = metric
+        self.x = None
+        self.value = None
+        self.gi_array = None
+
+    def __call__(self, x1, x2):
+        if self.x != (x1, x2):
+            e = self.metric.entries((x1, x2))
+            self.value = (*geo.inverse_2x2(e, (x1, x2)), *e[3:])
+            self.x = (x1, x2)
+            self.gi_array = None
+        return self.value
+
+    def gi(self, x):
+        gi11, gi12, gi22 = self(*x.tolist())[:3]
+        if self.gi_array is None:  # built once per point
+            self.gi_array = np.array(((gi11, gi12), (gi12, gi22)))
+        return self.gi_array
+
+
+def _interior_rhs(scenario, direction: float, at: _MetricPoint | None = None):
+    """H_p at a packed state, times direction; a non-constant metric is read
+    through at (a fresh _MetricPoint when None), once per call.
+
+    There dx = 2 s and dxi_k = s^T (dg/dx_k) s with s = g^-1 xi, on floats:
+    -dg^-1_k(xi, xi) without forming dg^-1.
+    """
     m = scenario.metric
     T, X, TAU, XI = sym.T, sym.X, sym.TAU, sym.XI
     if m.is_constant:
@@ -176,16 +217,22 @@ def _interior_rhs(scenario, direction: float) -> Callable[[np.ndarray], np.ndarr
             return direction * dy
 
         return rhs
+    if at is None:
+        at = _MetricPoint(m)
 
     def rhs(y):
-        x = y[X]
-        xi = y[XI]
-        gi = m.g_inv(x)
-        dy = np.zeros(len(y))
-        dy[T] = -2.0 * y[TAU]
-        dy[X] = 2.0 * (gi @ xi)
-        dy[XI] = -np.einsum("kij,i,j->k", m.dg_inv(x, gi=gi), xi, xi)
-        return direction * dy
+        _, x1, x2, tau, xi1, xi2 = y.tolist()
+        gi11, gi12, gi22, a11, a12, a22, b11, b12, b22 = at(x1, x2)
+        s1 = gi11 * xi1 + gi12 * xi2
+        s2 = gi12 * xi1 + gi22 * xi2
+        return np.array((
+            direction * (-2.0 * tau),
+            direction * (2.0 * s1),
+            direction * (2.0 * s2),
+            direction * 0.0,
+            direction * (s1 * (a11 * s1 + a12 * s2) + s2 * (a12 * s1 + a22 * s2)),
+            direction * (s1 * (b11 * s1 + b12 * s2) + s2 * (b12 * s1 + b22 * s2)),
+        ))
 
     return rhs
 
@@ -202,10 +249,11 @@ def _rk4_step(rhs, y, h):
     return y + _rk4_increment(rhs, y, h)
 
 
-def _rescale_char(scenario, y) -> None:
-    """Project xi onto the characteristic shell |xi|_x = |tau| in place."""
+def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
+    """Project xi onto the characteristic shell |xi|_x = |tau| in place;
+    g^-1 comes from at when given, else from the metric's g_inv."""
     xi = y[sym.XI]
-    gi = scenario.metric.g_inv(y[sym.X])
+    gi = scenario.metric.g_inv(y[sym.X]) if at is None else at.gi(y[sym.X])
     nrm = float(np.sqrt(xi @ gi @ xi))
     target = abs(float(y[sym.TAU]))
     if nrm < 1e-300:
@@ -219,9 +267,12 @@ def _rescale_char(scenario, y) -> None:
     y[sym.XI] = xi * factor
 
 
-def _approach_rate(scenario, sgn: float):
-    """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart check."""
-    return lambda y: sgn * sym._state(scenario, y).hpz
+def _approach_rate(scenario, sgn: float, at: _MetricPoint | None = None):
+    """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart
+    check; g^-1 comes from at when given."""
+    if at is None:
+        return lambda y: sgn * sym._state(scenario, y).hpz
+    return lambda y: sgn * sym._State(scenario, y[sym.X], xi=y[sym.XI], gi=at.gi(y[sym.X])).hpz
 
 
 def _check_characteristic(scenario, rho: PhasePoint) -> None:
@@ -480,9 +531,10 @@ def integrate_interior(
     params = params or IntegratorParams()
     _check_characteristic(scenario, rho0)
     sgn = float(direction)
-    rhs = _interior_rhs(scenario, sgn)
+    at = None if scenario.metric.is_constant else _MetricPoint(scenario.metric)
+    rhs = _interior_rhs(scenario, sgn, at)
     phi_f = scenario.boundary.phi
-    q_of = _approach_rate(scenario, sgn)
+    q_of = _approach_rate(scenario, sgn, at)
     b_tol = scenario.thresholds.boundary_tol
 
     def phi_of(y):
@@ -498,7 +550,7 @@ def integrate_interior(
     def advance(y, y_new, h):
         nonlocal phi_prev, q_prev, skip
         if params.project:
-            _rescale_char(scenario, y_new)
+            _rescale_char(scenario, y_new, at)
         phi_new = phi_of(y_new)
         q_new = q_of(y_new)
 
@@ -513,7 +565,7 @@ def integrate_interior(
             if sig_hit < 1e-12 * h:
                 raise StepFailure("boundary crossing at zero step; reduce the step size")
             if params.project:
-                _rescale_char(scenario, y_hit)
+                _rescale_char(scenario, y_hit, at)
             return "boundary", sig_hit, y_hit
 
         if not geo.in_domain(scenario, y_new[sym.X]):
@@ -531,7 +583,7 @@ def integrate_interior(
                 sig_t, y_t = found
                 if abs(phi_of(y_t)) <= max(b_tol, 10.0 * EVENT_TOL):
                     if params.project:
-                        _rescale_char(scenario, y_t)
+                        _rescale_char(scenario, y_t, at)
                     return "boundary", sig_t, y_t
 
         phi_prev, q_prev = phi_new, q_new
@@ -883,8 +935,9 @@ def glancing_step_construct(
     hpz_max = abs(bc.hpz)
     rho = rho0
     s_now = 0.0
-    rhs = _interior_rhs(scenario, 1.0)
-    q_of = _approach_rate(scenario, 1.0)
+    at = None if scenario.metric.is_constant else _MetricPoint(scenario.metric)
+    rhs = _interior_rhs(scenario, 1.0, at)
+    q_of = _approach_rate(scenario, 1.0, at)
     q_prev = 0.0
 
     def to_apex(y, y_new, h):
@@ -892,13 +945,13 @@ def glancing_step_construct(
         nonlocal q_prev
         if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
-        _rescale_char(scenario, y_new)
+        _rescale_char(scenario, y_new, at)
         q_new = q_of(y_new)
         if q_prev > 0.0 >= q_new:
             found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12)
             if found is not None:
                 sig_t, y_t = found
-                _rescale_char(scenario, y_t)
+                _rescale_char(scenario, y_t, at)
                 return "apex", sig_t, y_t
         q_prev = q_new
         return None

@@ -11,7 +11,13 @@ Conventions used throughout the package:
   row of an array, bit for bit equal to ``phi`` on each row; and optionally
   ``derivs_rows(X)``, the five derivatives on every row as five arrays,
   equal to ``derivs`` on each row up to the last bit or two (the expression
-  boundaries evaluate it on row jets, see ``glancer.jet``).
+  boundaries evaluate it on row jets, see ``glancer.jet``);
+* a metric is a ``MetricEval``. A constant one holds its matrices. A
+  non-constant 2-D one is built by ``callable_metric`` from one function,
+  ``entries(x)``: g11, g12, g22 and their x1 and x2 derivatives as nine
+  floats, one evaluation per point. ``g``, ``g_inv`` (the closed-form 2x2
+  inverse of ``inverse_2x2``) and ``dg`` are read from it, and the tracer's
+  hot paths read it directly on floats.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     NotOnBoundary,
     OutOfChart,
     SmoothingFailure,
+    StepFailure,
 )
 
 
@@ -38,7 +45,9 @@ class MetricEval:
 
     ``dg(x)[k, i, j]`` is the partial derivative of ``g_ij`` in direction
     ``x_k``. ``is_constant`` marks metrics whose dg vanishes identically,
-    which lets integrators skip the covector update entirely.
+    which lets integrators skip the covector update entirely. ``entries``,
+    on a non-constant metric, is the one function the other three are read
+    from (see ``callable_metric``).
     """
 
     dim: int
@@ -46,6 +55,7 @@ class MetricEval:
     g_inv: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
+    entries: Callable[..., tuple[float, ...]] | None = None
 
     def dg_inv(self, x: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
         """Derivative of the inverse metric: -g^-1 (dg) g^-1 per direction.
@@ -162,20 +172,54 @@ def diagonal_metric(entries) -> MetricEval:
     return constant_metric(np.diag(np.asarray(entries, dtype=float)))
 
 
-def callable_metric(dim: int, g_fn: Callable[[np.ndarray], np.ndarray],
-                    dg_fn: Callable[[np.ndarray], np.ndarray]) -> MetricEval:
-    """Metric from a pointwise g(x) and its derivative tensor dg(x)[k, i, j]."""
+def inverse_2x2(e, x) -> tuple[float, float, float]:
+    """(gi11, gi12, gi22), the entries of g^-1 from the first three of e, a
+    metric's entries at x, by the closed-form 2x2 inverse.
+
+    Raises StepFailure, naming x, where g is not positive definite
+    (g11 <= 0 or det g <= 0, NaN included).
+    """
+    g11, g12, g22 = e[0], e[1], e[2]
+    det = g11 * g22 - g12 * g12
+    if not (g11 > 0.0 and det > 0.0):
+        raise StepFailure(
+            f"metric not positive definite at x = {[float(v) for v in x]}: "
+            f"g11 = {g11:.6g}, det g = {det:.6g}"
+        )
+    return g22 / det, -g12 / det, g11 / det
+
+
+def callable_metric(
+    entries: Callable[..., tuple[float, ...]],
+    values: Callable[..., tuple[float, float, float]] | None = None,
+) -> MetricEval:
+    """2-D metric from one function of a point x, evaluated once per point:
+    entries(x) = (g11, g12, g22, d1 g11, d1 g12, d1 g22, d2 g11, d2 g12,
+    d2 g22), nine floats, dk the derivative in x_k.
+
+    ``g`` and ``g_inv`` (inverse_2x2) read the first three, or values(x),
+    (g11, g12, g22) alone, where that is given because it costs less;
+    ``dg`` reads the other six. Each makes one call, through the metric's
+    ``entries`` attribute, so a wrapper set there sees them all.
+    """
+
+    def g_of(x):
+        return metric.entries(x) if values is None else values(x)
 
     def g(x):
-        return np.asarray(g_fn(x), dtype=float)
+        e = g_of(x)
+        return np.array(((e[0], e[1]), (e[1], e[2])))
 
     def g_inv(x):
-        return np.linalg.inv(g(x))
+        gi11, gi12, gi22 = inverse_2x2(g_of(x), x)
+        return np.array(((gi11, gi12), (gi12, gi22)))
 
     def dg(x):
-        return np.asarray(dg_fn(x), dtype=float)
+        e = metric.entries(x)
+        return np.array((((e[3], e[4]), (e[4], e[5])), ((e[6], e[7]), (e[7], e[8]))))
 
-    return MetricEval(dim=dim, g=g, g_inv=g_inv, dg=dg, is_constant=False)
+    metric = MetricEval(dim=2, g=g, g_inv=g_inv, dg=dg, is_constant=False, entries=entries)
+    return metric
 
 
 # ---------------------------------------------------------------------------

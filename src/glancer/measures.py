@@ -255,7 +255,8 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
 
 
 def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """H_p a at each sample row, from the full packed gradient of a."""
+    """H_p a at each sample row, from the full packed gradient of a; under a
+    non-constant metric through the interior RHS, one metric evaluation per row."""
     m = scenario.metric
     n = len(states)
     out = np.empty(n)
@@ -274,10 +275,14 @@ def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) ->
 
 def _sharp_rows(metric, X: np.ndarray, covectors: np.ndarray) -> np.ndarray:
     """g^-1 at each row of X applied to the covector on that row; one g_inv
-    call under a constant metric."""
+    call under a constant metric, else one entries call per row, on floats."""
     if metric.is_constant:
         return covectors @ metric.g_inv(np.zeros(2)).T
-    return np.einsum("ijk,ik->ij", np.array([metric.g_inv(x) for x in X]), covectors)
+    out = []
+    for x, (c1, c2) in zip(X.tolist(), covectors.tolist()):
+        gi11, gi12, gi22 = geo.inverse_2x2(metric.entries(x), x)
+        out.append((gi11 * c1 + gi12 * c2, gi12 * c1 + gi22 * c2))
+    return np.array(out, dtype=float).reshape(len(X), 2)
 
 
 def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction, f=None) -> float:

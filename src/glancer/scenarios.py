@@ -20,7 +20,7 @@ import numpy as np
 import jsonschema
 
 from . import jet
-from .errors import ValidationError
+from .errors import StepFailure, ValidationError
 from .geometry import (
     BoundaryDef,
     Chart,
@@ -29,6 +29,7 @@ from .geometry import (
     constant_metric,
     diagonal_metric,
     identity_metric,
+    inverse_2x2,
     newton_to_boundary,
 )
 from .symbol import ClassifyThresholds
@@ -321,34 +322,42 @@ def _metric_from_block(block: dict, dim: int, box) -> MetricEval:
     if kind == "constant":
         return constant_metric(block["matrix"])
     if kind == "expression":
-        return _expression_metric(block, dim, box)
+        return _expression_metric(block, box)
     raise ValidationError(f"unknown metric kind {kind!r}")
 
 
-def _expression_metric(block: dict, dim: int, box) -> MetricEval:
-    """Expression entries evaluated exactly: jet values give g, jet gradients dg."""
+def _expression_metric(block: dict, box) -> MetricEval:
+    """Expression entries evaluated exactly: jet values give g, jet gradients dg.
+
+    An entry whose code names neither x1 nor x2 is folded to its value here;
+    entries(x) evaluates the jet of each other entry once.
+    """
     exprs = block["expressions"]
-    entries = [(i, j, compile_jet(str(exprs[i][j]))) for i in range(dim) for j in range(i, dim)]
+    folded = [0.0] * 9
+    varying = []
+    for slot, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        code = _compile(str(exprs[i][j]), ("x1", "x2"))
+        if {"x1", "x2"} & set(code.co_names):
+            varying.append((slot, code))
+        else:
+            folded[slot] = jet.evaluate(code, 0.0, 0.0).v
 
-    def g(x):
-        out = np.empty((dim, dim))
-        for i, j, f in entries:
-            out[i, j] = out[j, i] = f(x).v
+    def entries(x):
+        out = folded.copy()
+        for slot, code in varying:
+            e = jet.evaluate(code, x[0], x[1])
+            out[slot], out[3 + slot], out[6 + slot] = e.v, e.d1, e.d2
         return out
 
-    def dg(x):
-        out = np.empty((dim, dim, dim))
-        for i, j, f in entries:
-            e = f(x)
-            out[:, i, j] = out[:, j, i] = (e.d1, e.d2)
-        return out
-
-    metric = callable_metric(dim, g, dg)
     lo, hi = box
-    sample = g(0.5 * (np.asarray(lo) + np.asarray(hi)))
-    if np.linalg.eigvalsh(sample).min() <= 0:
-        raise ValidationError("expression metric is not positive definite at the box center")
-    return metric
+    center = 0.5 * (np.asarray(lo) + np.asarray(hi))
+    try:
+        inverse_2x2(entries(center), center)
+    except StepFailure as exc:
+        raise ValidationError(
+            "expression metric is not positive definite at the box center"
+        ) from exc
+    return callable_metric(entries)
 
 
 def _potential_from_block(block: dict | None):
@@ -533,21 +542,27 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
     pulled-back inverse metric. With (x, J, H) the chart's jet at y, the
     pulled-back metric is G = J^T g(x) J and its derivative along y_k is
     dG_k = H_k^T g J + J^T g H_k + J^T (sum_l dg_l(x) J_lk) J, where dg is
-    the base metric's own derivative.
+    the base metric's own derivative. One jet at y gives both: the metric's
+    entries(y) (see callable_metric), with G and dG_k read above the
+    diagonal. g and g_inv alone take the order-1 jet, which costs less.
     """
     dim = base.dim
 
-    def g(y):
-        x, J, _ = chart.jet(y)
-        return J.T @ base.metric.g(x) @ J
-
-    def dg(y):
+    def entries(y):
         x, J, H = chart.jet(y, 2)
-        HgJ = H.transpose(0, 2, 1) @ (base.metric.g(x) @ J)
+        gx = base.metric.g(x)
+        HgJ = H.transpose(0, 2, 1) @ (gx @ J)
         dgJ = np.einsum("lij,lk->kij", base.metric.dg(x), J)
-        return HgJ + HgJ.transpose(0, 2, 1) + J.T @ dgJ @ J
+        (g11, g12), (_, g22) = (J.T @ gx @ J).tolist()
+        d1, d2 = (HgJ + HgJ.transpose(0, 2, 1) + J.T @ dgJ @ J).tolist()
+        return g11, g12, g22, d1[0][0], d1[0][1], d1[1][1], d2[0][0], d2[0][1], d2[1][1]
 
-    metric = callable_metric(dim, g, dg)
+    def values(y):
+        x, J, _ = chart.jet(y)
+        (g11, g12), (_, g22) = (J.T @ base.metric.g(x) @ J).tolist()
+        return g11, g12, g22
+
+    metric = callable_metric(entries, values)
     f = None
     if base.f is not None:
         f = lambda t, y: base.potential(t, chart.to_scenario(y))

@@ -147,22 +147,25 @@ class _State:
     reads it; ``dphi`` and ``d2phi`` are both built from the one ``derivs``
     call, and every quantity below is derived from those evaluations. No
     chart check is made here; the public functions make theirs. A caller
-    that already holds the boundary's ``derivs`` at x passes them in, and
-    they are not evaluated again.
+    that already holds the boundary's ``derivs`` or ``g_inv`` at x passes
+    them in, and they are not evaluated again.
 
     A factor 2 is applied to a scalar rather than to a vector where the
     result is the same: scaling by a power of two is exact in floating
     point, short of overflow and subnormals.
     """
 
-    def __init__(self, scenario, x, tau: float = 0.0, xi=None, derivs=None):
+    def __init__(self, scenario, x, tau: float = 0.0, xi=None, derivs=None, gi=None):
         self.metric = scenario.metric
         self.boundary = scenario.boundary
         self.x = x
         self.tau = tau
         self.xi = xi
+        # given values shadow the _once attributes below
         if derivs is not None:
-            self.derivs = derivs  # shadows the _once attribute below
+            self.derivs = derivs
+        if gi is not None:
+            self.gi = gi
 
     @_once
     def gi(self):

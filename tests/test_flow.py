@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from glancer import flow
 from glancer import geometry as geo
+from glancer import jet
 from glancer import scenarios as scen
 from glancer import symbol as sym
 from glancer.errors import (
@@ -190,18 +191,13 @@ def test_trace_stays_on_shell_and_in_domain(half_plane, x1, x2, th, tau):
 
 
 def test_rk4_self_convergence_on_curved_metric():
-    def g_fn(x):
-        return (1.0 + 0.5 * np.sin(2.0 * x[0]) * np.cos(2.0 * x[1])) * np.eye(2)
+    def entries(x):
+        c = 1.0 + 0.5 * np.sin(2.0 * x[0]) * np.cos(2.0 * x[1])
+        dc1 = np.cos(2.0 * x[0]) * np.cos(2.0 * x[1])
+        dc2 = -np.sin(2.0 * x[0]) * np.sin(2.0 * x[1])
+        return c, 0.0, c, dc1, 0.0, dc1, dc2, 0.0, dc2
 
-    def dg_fn(x):
-        out = np.zeros((2, 2, 2))
-        out[0] = np.cos(2.0 * x[0]) * np.cos(2.0 * x[1]) * np.eye(2)
-        out[1] = -np.sin(2.0 * x[0]) * np.sin(2.0 * x[1]) * np.eye(2)
-        return out
-
-    curved = dataclasses.replace(
-        scen.builtin("half_plane"), metric=geo.callable_metric(2, g_fn, dg_fn)
-    )
+    curved = dataclasses.replace(scen.builtin("half_plane"), metric=geo.callable_metric(entries))
     x0 = np.array([0.3, 0.8])
     xi0 = np.array([0.55, 0.65])
     xi0 /= np.sqrt(float(xi0 @ curved.metric.g_inv(x0) @ xi0))
@@ -386,10 +382,8 @@ def _expression_disk():
     )
 
 
-def _glide_case(name):
-    if name == "expression_disk":
-        return _expression_disk()
-    return scen.builtin(name)
+def _case(name):
+    return _expression_disk() if name == "expression_disk" else _load(name)
 
 
 def gliding_start(scenario, x, sense):
@@ -409,7 +403,7 @@ def gliding_start(scenario, x, sense):
     ],
 )
 def test_curve_glide_matches_the_projected_gliding_field(name, x, tag, direction):
-    scenario = _glide_case(name)
+    scenario = _case(name)
     rho0 = gliding_start(scenario, x, -1.0)
     assert sym.classify_boundary_point(scenario, rho0).tag is tag
     params = flow.IntegratorParams(h=1e-3)
@@ -439,7 +433,7 @@ def test_curve_glide_hands_off_where_the_reference_does(direction):
 
 @pytest.mark.parametrize("name", ["disk_interior", "expression_disk"])
 def test_glide_time_reversal(name):
-    scenario = _glide_case(name)
+    scenario = _case(name)
     rho0 = gliding_start(scenario, [0.6, 0.8], 1.0)
     params = flow.IntegratorParams(h=1e-3)
     fwd = flow.trace_generalized(scenario, rho0, 1.0, params, direction=1)
@@ -482,7 +476,7 @@ def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
     rebuild and hp2z sharing the evaluation at the settled x."""
 
     def calls(span):
-        scenario = _glide_case(name)
+        scenario = _case(name)
         n = {"derivs": 0, "g": 0}
         for owner, attr in ((scenario.boundary, "derivs"), (scenario.metric, "g")):
             def counted(x, _f=getattr(owner, attr), _key=attr):
@@ -502,6 +496,187 @@ def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
     assert (steps, one) == (1000, 1)
     assert (n["derivs"] - n1["derivs"]) / (steps - one) <= 4.0
     assert (n["g"] - n1["g"]) / (steps - one) <= 4.0
+
+
+# ---------------------------------------------------------------------------
+# interior flow under a non-constant metric
+
+
+def _reference_interior(scenario, rho0, s_span, params, direction):
+    """The earlier interior composition under a non-constant metric: g^-1 by
+    np.linalg.inv of g, the RHS through the dg^-1 einsum, and the shell
+    rescale and q through that g^-1, with integrate_interior's event checks."""
+    m = scenario.metric
+    sgn = float(direction)
+
+    def g_inv(x):
+        return np.linalg.inv(m.g(x))
+
+    def rhs(y):
+        x, xi = y[sym.X], y[sym.XI]
+        gi = g_inv(x)
+        dgi = -np.einsum("il,klm,mj->kij", gi, m.dg(x), gi)
+        dy = np.zeros(len(y))
+        dy[sym.T] = -2.0 * y[sym.TAU]
+        dy[sym.X] = 2.0 * (gi @ xi)
+        dy[sym.XI] = -np.einsum("kij,i,j->k", dgi, xi, xi)
+        return sgn * dy
+
+    def rescale(y):
+        xi = y[sym.XI]
+        y[sym.XI] = xi * (abs(float(y[sym.TAU])) / float(np.sqrt(xi @ g_inv(y[sym.X]) @ xi)))
+
+    def q_of(y):
+        x = y[sym.X]
+        return sgn * (2.0 * float(scenario.boundary.dphi(x) @ (g_inv(x) @ y[sym.XI])))
+
+    def phi_of(y):
+        return float(scenario.boundary.phi(y[sym.X]))
+
+    y0 = rho0.as_vector()
+    phi_prev, q_prev = phi_of(y0), q_of(y0)
+    contact_tol = max(scenario.thresholds.boundary_tol, 10.0 * flow.EVENT_TOL)
+
+    def advance(y, y_new, h):
+        nonlocal phi_prev, q_prev
+        rescale(y_new)
+        phi_new, q_new = phi_of(y_new), q_of(y_new)
+        if phi_new < -1e-14:
+            sig, y_hit = flow._locate_scalar_zero(rhs, y, h, phi_of, flow.EVENT_TOL)
+            rescale(y_hit)
+            return "boundary", sig, y_hit
+        if not geo.in_domain(scenario, y_new[sym.X]):
+            return flow._CHART_EXIT
+        if q_prev < 0.0 <= q_new and min(phi_prev, phi_new) <= params.tangency_gate:
+            found = flow._locate_scalar_zero(rhs, y, h, lambda yy: -q_of(yy), 1e-12)
+            if found is not None and abs(phi_of(found[1])) <= contact_tol:
+                rescale(found[1])
+                return "boundary", *found
+        phi_prev, q_prev = phi_new, q_new
+        return None
+
+    step = partial(flow._rk4_step, rhs)
+    return flow._march(flow.INTERIOR, step, y0, s_span, params, direction, advance)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize(
+    "name, x, xi",
+    [
+        ("wavy", [0.3, 0.35 - 0.3 * np.cos(0.3)], [0.2, -1.0]),
+        ("wavy", [-0.5, 0.1], [-0.9, -0.3]),
+        ("expression_disk", [0.2, 0.1], [1.0, 0.4]),
+        ("expression_disk", [-0.3, 0.5], [-0.2, 1.0]),
+    ],
+)
+def test_interior_flight_matches_the_reference_composition(name, x, xi, direction):
+    """The float RHS, one metric evaluation per stage, against the earlier
+    np.linalg.inv / dg_inv einsum composition, up to the wall: the same s grid,
+    exit and tag, and states within 1e-13 over flights of s up to about 0.4."""
+    scenario = _case(name)
+    rho0 = shell_start(scenario, x, direction * np.asarray(xi))
+    params = flow.IntegratorParams(h=1e-3)
+    piece, ev = flow.integrate_interior(scenario, rho0, (0.0, 2.0), params, direction)
+    ref, ref_ev = _reference_interior(scenario, rho0, (0.0, 2.0), params, direction)
+    assert ev.reason == ref_ev.reason == "boundary"
+    assert len(piece) > 100
+    assert np.array_equal(piece.s, ref.s)
+    assert ev.s == ref_ev.s
+    assert ev.bclass.tag is sym.classify_boundary_point(scenario, ref_ev.rho).tag
+    assert np.max(np.abs(piece.states - ref.states)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["wavy", "expression_disk"])
+def test_float_rhs_is_the_hamiltonian_field(name):
+    scenario = _case(name)
+    rng = np.random.default_rng(14)
+    for direction in (1.0, -1.0):
+        rhs = flow._interior_rhs(scenario, direction)
+        for _ in range(200):
+            x = rng.uniform(scenario.domain_lo, scenario.domain_hi)
+            rho = PhasePoint(0.0, x, rng.uniform(0.5, 2.0), rng.normal(size=2))
+            ref = direction * sym.hamiltonian_field(scenario, rho)
+            got = rhs(rho.as_vector())
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "name, x, xi", [("wavy", [0.0, 0.8], [0.3, 1.0]), ("expression_disk", [-0.2, -0.2], [1.0, 0.5])]
+)
+def test_interior_step_evaluates_the_metric_once_per_stage(name, x, xi, monkeypatch):
+    """At most 4 metric evaluations per step: one per RK stage, with the shell
+    rescale, q and the next step's k1 sharing the one at the new state; and no
+    jet of an entry that names neither x1 nor x2 (folded when compiled)."""
+    scenarios = [_case(name) for _ in range(2)]
+    codes = []
+
+    def traced(code, x1, x2, _evaluate=jet.evaluate):
+        codes.append(code)
+        return _evaluate(code, x1, x2)
+
+    monkeypatch.setattr(jet, "evaluate", traced)
+
+    def calls(scenario, span):
+        n = [0]
+
+        def counted(x, _entries=scenario.metric.entries):
+            n[0] += 1
+            return _entries(x)
+
+        scenario.metric.entries = counted
+        rho0 = shell_start(scenario, x, xi)
+        piece, ev = flow.integrate_interior(scenario, rho0, span, flow.IntegratorParams(h=1e-3))
+        assert ev.reason == "span_end"
+        return len(piece) - 1, n[0]
+
+    # the per-piece start (characteristic check, first q) is taken out by the
+    # difference with a one-step flight
+    steps, n = calls(scenarios[0], (0.0, 0.3))
+    one, n1 = calls(scenarios[1], (0.0, 1e-3))
+    assert (steps, one) == (300, 1)
+    assert (n - n1) / (steps - one) <= 4.0
+    assert codes and all({"x1", "x2"} & set(code.co_names) for code in codes)
+
+
+def _g11_crossing_zero():
+    """g11 = x2 - 0.1 is positive at the box centre and vanishes at x2 = 0.1,
+    above the wall x2 = -1."""
+    return scen.from_config(
+        {
+            "schema": 1,
+            "name": "g11_crossing_zero",
+            "boundary": {"kind": "expression", "phi": "x2 + 1", "box": [[-2.0, -1.25], [2.0, 2.0]]},
+            "metric": {"kind": "expression", "expressions": [["x2 - 0.1", "0"], ["0", "1"]]},
+        }
+    )
+
+
+def test_a_trace_stops_where_the_metric_is_not_positive_definite():
+    # straight down from x2 = 0.5: the trace used to run on to x2 = -0.5, g11 = -0.6
+    scenario = _g11_crossing_zero()
+    rho0 = PhasePoint(0.0, np.array([0.0, 0.5]), 1.0, np.array([0.0, -1.0]))
+    with pytest.raises(StepFailure, match=r"not positive definite at x = \[0\.0, 0\.0"):
+        flow.trace_generalized(scenario, rho0, 1.0, flow.IntegratorParams(h=1e-2))
+
+
+def test_an_exactly_singular_metric_is_a_step_failure():
+    rhs = flow._interior_rhs(_g11_crossing_zero(), 1.0)
+    # g11 = 0.1 - 0.1 = 0 exactly: a division by det g = 0 without the check
+    with pytest.raises(StepFailure, match=r"at x = \[0\.3, 0\.1\]: g11 = 0,"):
+        rhs(np.array([0.0, 0.3, 0.1, 1.0, 0.0, 1.0]))
+    # det g = 1 - x1^2 = 0 exactly at x1 = 1, with g11 = 1 > 0
+    sheared = scen.from_config(
+        {
+            "schema": 1,
+            "builtin": "half_plane",
+            "metric": {"kind": "expression", "expressions": [["1", "x1"], ["x1", "1"]]},
+        }
+    )
+    x = np.array([1.0, 0.5])
+    with pytest.raises(StepFailure, match=r"at x = \[1\.0, 0\.5\]: g11 = 1, det g = 0"):
+        flow._interior_rhs(sheared, -1.0)(np.array([0.0, *x, 1.0, 1.0, 0.0]))
+    with pytest.raises(StepFailure, match="not positive definite"):
+        sheared.metric.g_inv(x)
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,12 @@ def test_metric_eval_constant_flags():
 
 
 def test_callable_metric_dg_inv():
-    def g_fn(x):
+    def entries(x):
         c = 1.0 + 0.1 * np.sin(x[0]) * np.cos(x[1])
-        return c * np.eye(2)
+        dc1, dc2 = 0.1 * np.cos(x[0]) * np.cos(x[1]), -0.1 * np.sin(x[0]) * np.sin(x[1])
+        return c, 0.0, c, dc1, 0.0, dc1, dc2, 0.0, dc2
 
-    def dg_fn(x):
-        dc = 0.1 * np.array([np.cos(x[0]) * np.cos(x[1]), -np.sin(x[0]) * np.sin(x[1])])
-        return dc[:, None, None] * np.eye(2)
-
-    m = geo.callable_metric(2, g_fn, dg_fn)
+    m = geo.callable_metric(entries)
     assert not m.is_constant
     x = np.array([0.4, 0.7])
     dg = m.dg(x)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from glancer import geometry as geo
+from glancer import jet
 from glancer import scenarios as scen
 from glancer import symbol as sym
 from glancer.errors import ValidationError
@@ -163,6 +164,32 @@ def test_expression_metric_is_exact():
         )
         assert np.allclose(s.metric.g(x), g, rtol=1e-15, atol=0.0)
         assert np.allclose(s.metric.dg(x), dg, rtol=1e-15, atol=0.0)
+
+
+def test_expression_metric_entries_are_the_entry_jets_with_constants_folded():
+    exprs = [["2 + sin(x1)", "0.5 * pi / 4"], ["0.5 * pi / 4", "1 + x2 ** 2"]]
+    s = scen.builtin("half_plane", metric={"kind": "expression", "expressions": exprs})
+    codes = [compile(e, "<entry>", "eval") for e in (exprs[0][0], exprs[0][1], exprs[1][1])]
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-3.0, 3.0, size=(50, 2)):
+        jets = [jet.evaluate(code, x[0], x[1]) for code in codes]
+        expected = [f for name in ("v", "d1", "d2") for f in (getattr(j, name) for j in jets)]
+        assert list(s.metric.entries(x)) == expected
+        assert np.array_equal(s.metric.g(x), [[jets[0].v, jets[1].v], [jets[1].v, jets[2].v]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param("x2 - 20", id="negative-at-the-centre"),
+        pytest.param("log(-1)", id="nan-constant"),
+    ],
+)
+def test_expression_metric_not_positive_definite_at_the_box_center(entry):
+    with pytest.raises(ValidationError, match="not positive definite at the box center"):
+        scen.builtin(
+            "half_plane", metric={"kind": "expression", "expressions": [[entry, "0"], ["0", "1"]]}
+        )
 
 
 def test_grid_n_is_rejected():
