@@ -669,7 +669,9 @@ def integrate_gliding(
     Each RK stage evaluates the boundary's derivs and the metric g once (g
     once per piece under a constant metric), after the chart-box test of
     geo._require_in_domain. The one evaluation at a settled x rebuilds xi,
-    gives hp2z (through sym._State) and is the next step's k1.
+    is the next step's k1 and gives hp2z on floats (sym.contact_values),
+    with g^-1 taken once per piece under a constant metric and otherwise
+    from one entries evaluation at the settled x.
 
     The start must be a boundary point (NotOnBoundary past boundary_tol)
     that classifies as Gliding or Glancing3 (ValueError otherwise).
@@ -679,7 +681,11 @@ def integrate_gliding(
     if bc.tag not in (Tag.GLIDING, Tag.GLANCING3):
         raise ValueError(f"a gliding piece starts on the gliding set, got {bc.tag.value}")
     metric, derivs = scenario.metric, scenario.boundary.derivs
-    g_const = metric.g(np.zeros(2)).tolist() if metric.is_constant else None
+    g_const = gi_const = None
+    if metric.is_constant:
+        g_const = metric.g(np.zeros(2)).tolist()
+        (gi11, gi12), (_, gi22) = metric.g_inv(np.zeros(2)).tolist()
+        gi_const = (gi11, gi12, gi22)
     (lo1, lo2), (hi1, hi2) = scenario.domain_lo.tolist(), scenario.domain_hi.tolist()
     lo1, lo2, hi1, hi2 = lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
     y0 = rho0.as_vector()
@@ -710,16 +716,17 @@ def integrate_gliding(
         return direction * (a * v1), direction * (a * v2)
 
     def settle(y):
-        """Settle y on the gliding set in place; returns derivs at its x."""
+        """Settle y on the gliding set in place; returns derivs and xi at its x."""
         x, ph = _newton_on_x(scenario, y[sym.X], 0.0, 25, 1e-12)
         if abs(ph) > 1e-12:
             raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
         d, v1, v2, gv1, gv2, nv = tangent(x)
         c = c_num / nv
+        xi1, xi2 = c * gv1, c * gv2
         y[sym.X] = x
-        y[sym.XI] = (c * gv1, c * gv2)
+        y[sym.XI] = (xi1, xi2)
         k1[:] = velocity(v1, v2, nv)
-        return d
+        return d, xi1, xi2
 
     def stage(x1, x2):
         require_inside(x1, x2)
@@ -750,9 +757,15 @@ def integrate_gliding(
         nonlocal exceed
         if not inside(*y_new[sym.X].tolist()):
             return _CHART_EXIT
-        d = settle(y_new)
-        require_inside(*y_new[sym.X].tolist())  # as sym.hp2z checks the settled x
-        hp2z = sym._State(scenario, y_new[sym.X], tau, y_new[sym.XI], derivs=d).hp2z
+        d, xi1, xi2 = settle(y_new)
+        x = y_new[sym.X].tolist()
+        require_inside(*x)  # as sym.hp2z checks the settled x
+        if gi_const is not None:
+            gi, dg = gi_const, None
+        else:
+            e = metric.entries(x)
+            gi, dg = geo.inverse_2x2(e, x), e[3:]
+        hp2z = sym.contact_values(d, gi, dg, tau, xi1, xi2)[2]
         exceed = exceed + 1 if hp2z > GLIDING_EXIT else 0
         return ("glide_handoff", 0.0, None) if exceed >= 2 else None
 

@@ -197,9 +197,11 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
     """Boundary measure induced by a curve measure: atoms + gliding density.
 
     Each hyperbolic break contributes mass w(s) <xi+ - xi-, n> at its
-    tangential base point; each gliding piece contributes the densities
-    (1/2)(-hp2z) w at its samples, clamped at zero where curvature noise
-    makes hp2z marginally positive.
+    tangential base point, tagged by classify_boundary_point; each gliding
+    piece contributes the densities (1/2)(-hp2z) w at its samples, clamped
+    at zero where curvature noise makes hp2z marginally positive. The
+    samples of a gliding piece are tagged and given hp2z in one row pass
+    (_gliding_contacts).
     """
     gb = cm.carrier
     atoms: list[Atom] = []
@@ -227,12 +229,7 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
         n_p = len(piece)
         if piece.kind == flow.GLIDING:
             sl = slice(offset, offset + n_p)
-            tags = []
-            hp2z_vals = np.empty(n_p)
-            for i in range(n_p):
-                bc = sym.classify_boundary_point(scenario, piece.states[i])
-                hp2z_vals[i] = bc.hp2z
-                tags.append(bc.tag)
+            hp2z_vals, tags = _gliding_contacts(scenario, piece.states)
             density = 0.5 * np.maximum(-hp2z_vals, 0.0) * cm.w[sl]
             arcs.append(
                 ArcSamples(
@@ -250,39 +247,92 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
     )
 
 
+def _gliding_contacts(scenario, states: np.ndarray):
+    """(hp2z, tags) at the rows of a gliding piece in one row pass, with the
+    tags classify_boundary_point gives each row.
+
+    The boundary-tolerance and chart-box tests run on all rows first; if a
+    row fails one, the rows are classified one by one, which raises as
+    classify_boundary_point does on the first failing row. Otherwise
+    sym.contact_values on the rows of derivs_on_rows and _metric_rows gives
+    (p, hpz, hp2z) and sym.contact_tag the tags; a row off the characteristic
+    set (|p| > char_tol) needs the elliptic test, so it alone is classified
+    by classify_boundary_point.
+    """
+    th = scenario.thresholds
+    X = states[:, sym.X]
+    lo, hi = scenario.domain_lo - 1e-9, scenario.domain_hi + 1e-9
+    bad = np.abs(scenario.boundary.phi_on_rows(X)) > th.boundary_tol
+    bad |= ~((lo <= X) & (X <= hi)).all(axis=1)  # geo.in_domain per row, NaN outside
+    if bad.any():
+        for row in states:
+            sym.classify_boundary_point(scenario, row)
+    gi, dg = _metric_rows(scenario.metric, X)
+    xi1, xi2 = states[:, sym.XI].T
+    d = scenario.boundary.derivs_on_rows(X)
+    p, hpz, hp2z = sym.contact_values(d, gi, dg, states[:, sym.TAU], xi1, xi2)
+    tags = [sym.contact_tag(th, *v) for v in zip(p.tolist(), hpz.tolist(), hp2z.tolist())]
+    for i, tag in enumerate(tags):
+        if tag is None:
+            bc = sym.classify_boundary_point(scenario, states[i])
+            hp2z[i], tags[i] = bc.hp2z, bc.tag
+    return hp2z, tags
+
+
 # ---------------------------------------------------------------------------
 # the weak transport identity
 
 
+def _metric_rows(metric, X: np.ndarray):
+    """(gi, dg) at the rows of X, as sym.contact_values reads them: under a
+    constant metric the g^-1 entries as floats from one g_inv call and dg
+    None; else, from one entries call per row, (gi11, gi12, gi22) by
+    geo.inverse_2x2 and the six dg entries, each an array over the rows."""
+    if metric.is_constant:
+        (gi11, gi12), (_, gi22) = metric.g_inv(np.zeros(2)).tolist()
+        return (gi11, gi12, gi22), None
+    rows = []
+    for x in X.tolist():
+        e = metric.entries(x)
+        rows.append((*geo.inverse_2x2(e, x), *e[3:]))
+    cols = np.array(rows, dtype=float).reshape(len(X), 9).T
+    return cols[:3], cols[3:]
+
+
 def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """H_p a at each sample row, from the full packed gradient of a; under a
-    non-constant metric through the interior RHS, one metric evaluation per row."""
+    non-constant metric in one row pass over _metric_rows, with the float
+    arithmetic of flow._interior_rhs (dx = 2 s, dxi_k = s^T (dg/dx_k) s,
+    s = g^-1 xi)."""
     m = scenario.metric
-    n = len(states)
-    out = np.empty(n)
     if m.is_constant:
         gi = m.g_inv(np.zeros(2))
         dx = 2.0 * (states[:, sym.XI] @ gi)
-        out = -2.0 * states[:, sym.TAU] * grads[:, sym.T] + np.einsum(
+        return -2.0 * states[:, sym.TAU] * grads[:, sym.T] + np.einsum(
             "ij,ij->i", grads[:, sym.X], dx
         )
-        return out
-    rhs = flow._interior_rhs(scenario, 1.0)
-    for i in range(n):
-        out[i] = float(grads[i] @ rhs(states[i]))
-    return out
+    (gi11, gi12, gi22), (a11, a12, a22, b11, b12, b22) = _metric_rows(m, states[:, sym.X])
+    _, _, _, tau, xi1, xi2 = states.T
+    s1 = gi11 * xi1 + gi12 * xi2
+    s2 = gi12 * xi1 + gi22 * xi2
+    a_t, a_x1, a_x2, _, a_xi1, a_xi2 = grads.T
+    return (
+        a_t * (-2.0 * tau)
+        + a_x1 * (2.0 * s1)
+        + a_x2 * (2.0 * s2)
+        + a_xi1 * (s1 * (a11 * s1 + a12 * s2) + s2 * (a12 * s1 + a22 * s2))
+        + a_xi2 * (s1 * (b11 * s1 + b12 * s2) + s2 * (b12 * s1 + b22 * s2))
+    )
 
 
 def _sharp_rows(metric, X: np.ndarray, covectors: np.ndarray) -> np.ndarray:
     """g^-1 at each row of X applied to the covector on that row; one g_inv
-    call under a constant metric, else one entries call per row, on floats."""
+    call under a constant metric, else one entries call per row."""
     if metric.is_constant:
         return covectors @ metric.g_inv(np.zeros(2)).T
-    out = []
-    for x, (c1, c2) in zip(X.tolist(), covectors.tolist()):
-        gi11, gi12, gi22 = geo.inverse_2x2(metric.entries(x), x)
-        out.append((gi11 * c1 + gi12 * c2, gi12 * c1 + gi22 * c2))
-    return np.array(out, dtype=float).reshape(len(X), 2)
+    (gi11, gi12, gi22), _ = _metric_rows(metric, X)
+    c1, c2 = covectors.T
+    return np.stack((gi11 * c1 + gi12 * c2, gi12 * c1 + gi22 * c2), axis=1)
 
 
 def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction, f=None) -> float:

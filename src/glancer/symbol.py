@@ -147,24 +147,21 @@ class _State:
     reads it; ``dphi`` and ``d2phi`` are both built from the one ``derivs``
     call, and every quantity below is derived from those evaluations. No
     chart check is made here; the public functions make theirs. A caller
-    that already holds the boundary's ``derivs`` or ``g_inv`` at x passes
-    them in, and they are not evaluated again.
+    that already holds ``g_inv`` at x passes it in, and it is not evaluated
+    again.
 
     A factor 2 is applied to a scalar rather than to a vector where the
     result is the same: scaling by a power of two is exact in floating
     point, short of overflow and subnormals.
     """
 
-    def __init__(self, scenario, x, tau: float = 0.0, xi=None, derivs=None, gi=None):
+    def __init__(self, scenario, x, tau: float = 0.0, xi=None, gi=None):
         self.metric = scenario.metric
         self.boundary = scenario.boundary
         self.x = x
         self.tau = tau
         self.xi = xi
-        # given values shadow the _once attributes below
-        if derivs is not None:
-            self.derivs = derivs
-        if gi is not None:
+        if gi is not None:  # shadows the _once attribute below
             self.gi = gi
 
     @_once
@@ -294,6 +291,56 @@ def hp2z(scenario, rho) -> float:
     return s.hp2z
 
 
+def contact_values(derivs, gi, dg, tau, xi1, xi2):
+    """(p, hpz, hp2z) at a contact, with +, - and * alone, so Python floats
+    and numpy rows give the same bits.
+
+    derivs are the boundary's five derivatives (d1, d2, d11, d12, d22) and
+    gi the entries (gi11, gi12, gi22) of g^-1; dg is (d1 g11, d1 g12,
+    d1 g22, d2 g11, d2 g12, d2 g22), a metric's entries past the third, or
+    None under a constant metric. With s = g^-1 xi and w = g^-1 dphi:
+    p = -tau^2 + xi.s, hpz = 2 dphi.s and
+    hp2z = 4 s^T (d2 phi) s - 4 sum_k s_k (w^T dg_k s) + 2 sum_k w_k (s^T dg_k s).
+    """
+    d1, d2, d11, d12, d22 = derivs
+    gi11, gi12, gi22 = gi
+    s1 = gi11 * xi1 + gi12 * xi2
+    s2 = gi12 * xi1 + gi22 * xi2
+    p = -(tau * tau) + (xi1 * s1 + xi2 * s2)
+    hpz = 2.0 * (d1 * s1 + d2 * s2)
+    hp2z = 4.0 * (s1 * (d11 * s1 + d12 * s2) + s2 * (d12 * s1 + d22 * s2))
+    if dg is None:
+        return p, hpz, hp2z
+    a11, a12, a22, b11, b12, b22 = dg
+    w1 = gi11 * d1 + gi12 * d2
+    w2 = gi12 * d1 + gi22 * d2
+    as1, as2 = a11 * s1 + a12 * s2, a12 * s1 + a22 * s2  # dg_1 s
+    bs1, bs2 = b11 * s1 + b12 * s2, b12 * s1 + b22 * s2  # dg_2 s
+    hp2z = (
+        hp2z
+        - 4.0 * (s1 * (w1 * as1 + w2 * as2) + s2 * (w1 * bs1 + w2 * bs2))
+        + 2.0 * (w1 * (s1 * as1 + s2 * as2) + w2 * (s1 * bs1 + s2 * bs2))
+    )
+    return p, hpz, hp2z
+
+
+def contact_tag(th: ClassifyThresholds, p: float, hpz: float, hp2z: float) -> Tag | None:
+    """The tag of a characteristic boundary contact from its (p, hpz, hp2z),
+    or None off the characteristic set (|p| > char_tol), where the tag needs
+    the elliptic test of classify_boundary_point."""
+    if abs(p) > th.char_tol:
+        return None
+    if hpz > th.eps_g:
+        return Tag.HYPERBOLIC_IN
+    if hpz < -th.eps_g:
+        return Tag.HYPERBOLIC_OUT
+    if hp2z > th.eps_g2:
+        return Tag.DIFFRACTIVE
+    if hp2z < -th.eps_g2:
+        return Tag.GLIDING
+    return Tag.GLANCING3
+
+
 def classify_boundary_point(scenario, rho) -> BoundaryClass:
     """Partition a boundary contact into the hyperbolic/glancing/elliptic cases."""
     th = scenario.thresholds
@@ -305,23 +352,14 @@ def classify_boundary_point(scenario, rho) -> BoundaryClass:
     p = s.p
     v_hpz = s.hpz
     v_hp2z = s.hp2z
-    if abs(p) > th.char_tol:
+    tag = contact_tag(th, p, v_hpz, v_hp2z)
+    if tag is None:
         p_par = p_eval(scenario, project_parallel(scenario, rho))
         if p_par > th.char_tol:
             return BoundaryClass(tag=Tag.ELLIPTIC_TANGENTIAL, hpz=v_hpz, hp2z=v_hp2z, p=p)
         raise NotCharacteristic(
             f"p = {p:.3e} off the characteristic set and projection not elliptic"
         )
-    if v_hpz > th.eps_g:
-        tag = Tag.HYPERBOLIC_IN
-    elif v_hpz < -th.eps_g:
-        tag = Tag.HYPERBOLIC_OUT
-    elif v_hp2z > th.eps_g2:
-        tag = Tag.DIFFRACTIVE
-    elif v_hp2z < -th.eps_g2:
-        tag = Tag.GLIDING
-    else:
-        tag = Tag.GLANCING3
     return BoundaryClass(tag=tag, hpz=v_hpz, hp2z=v_hp2z, p=p)
 
 

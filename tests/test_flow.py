@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from glancer import flow
 from glancer import geometry as geo
-from glancer import jet
+from glancer import jet, measures
 from glancer import scenarios as scen
 from glancer import symbol as sym
 from glancer.errors import (
@@ -496,6 +496,92 @@ def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
     assert (steps, one) == (1000, 1)
     assert (n["derivs"] - n1["derivs"]) / (steps - one) <= 4.0
     assert (n["g"] - n1["g"]) / (steps - one) <= 4.0
+
+
+def _glide_piece(name, direction):
+    """A gliding piece at h = 1e-3: s in [0, 1.2] on the disk, the annulus outer
+    wall and the expression disk; on wavy.json the arc up to its hand-off."""
+    scenario = _case(name)
+    if name == "wavy":
+        x1s = -0.4 if direction > 0 else 0.4
+        rho0, span = gliding_start(scenario, [x1s, -0.3 * np.cos(x1s)], -1.0), (0.0, 3.0)
+    else:
+        x = {"disk_interior": [1.0, 0.0], "annulus": [0.0, 1.0]}.get(name, [0.6, 0.8])
+        rho0, span = gliding_start(scenario, x, -1.0), (0.0, 1.2)
+    piece, ev = flow.integrate_gliding(scenario, rho0, span, flow.IntegratorParams(h=1e-3), direction)
+    assert ev.reason == ("glide_handoff" if name == "wavy" else "span_end")
+    return scenario, piece
+
+
+GLIDE_CASES = ["disk_interior", "annulus", "expression_disk", "wavy"]
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("name", GLIDE_CASES)
+def test_gliding_row_pass_matches_the_pointwise_classification(name, direction):
+    scenario, piece = _glide_piece(name, direction)
+    hp2z, tags = measures._gliding_contacts(scenario, piece.states)
+    ref = [sym.classify_boundary_point(scenario, row) for row in piece.states]
+    assert tags == [bc.tag for bc in ref]
+    ref_hp2z = np.array([bc.hp2z for bc in ref])
+    assert np.all(np.abs(hp2z - ref_hp2z) <= 1e-14 * np.maximum(1.0, np.abs(ref_hp2z)))
+    if name == "wavy":  # the arc runs from gliding samples to the hand-off
+        assert tags[0] is Tag.GLIDING and tags[-1] is not Tag.GLIDING
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("name", GLIDE_CASES)
+def test_gliding_step_hp2z_is_the_pointwise_hp2z(name, direction, monkeypatch):
+    seen = []
+
+    def recorded(*args, _f=sym.contact_values):
+        out = _f(*args)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(sym, "contact_values", recorded)
+    scenario, piece = _glide_piece(name, direction)
+    # one hp2z per settled sample after the start, and on wavy one more for
+    # the sample that completes the hand-off and is not recorded
+    assert len(seen) == len(piece) - 1 + (name == "wavy")
+    ref = np.array([sym.hp2z(scenario, row) for row in piece.states[1:]])
+    got = np.array(seen[: len(piece) - 1])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_boundary_measure_classifies_no_gliding_sample(disk, monkeypatch):
+    rho0 = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]))
+    gb = flow.trace_generalized(disk, rho0, 1.0, flow.IntegratorParams(h=1e-3))
+    assert [p.kind for p in gb.pieces] == [flow.GLIDING] and len(gb.pieces[0]) == 501
+    calls = []
+
+    def counted(scenario, rho, _f=sym.classify_boundary_point):
+        calls.append(rho)
+        return _f(scenario, rho)
+
+    monkeypatch.setattr(sym, "classify_boundary_point", counted)
+    nu = measures.boundary_measure_of(disk, measures.dirac_on_bichar(disk, gb))
+    assert calls == []
+    (arc,) = nu.arcs
+    assert len(arc.tags) == 501 and set(arc.tags) == {Tag.GLIDING}
+    # hp2z = -4 |tau|^2 kappa on the unit circle: density 2 at unit weight
+    assert np.max(np.abs(arc.density - 2.0)) <= 1e-8
+
+
+def test_grazing_limit_of_the_piece_budget(disk):
+    """A unit-disk chord at incidence theta makes about T / (2 theta) bounces
+    by T, so with max_pieces = 256 the smallest theta that traces is about
+    T / 512: 1e-3 traces in 251 pieces at h and at h / 2, 5e-4 does not."""
+
+    def run(theta, h):
+        rho0 = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([-np.sin(theta), np.cos(theta)]))
+        return flow.trace_generalized(disk, rho0, 0.5, flow.IntegratorParams(h=h, max_pieces=256))
+
+    for h in (1e-3, 5e-4):
+        gb = run(1e-3, h)
+        assert len(gb.pieces) == 251 and len(gb.break_set) == 250
+        with pytest.raises(MaxPiecesExceeded):
+            run(5e-4, h)
 
 
 # ---------------------------------------------------------------------------
