@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -383,7 +384,10 @@ _COMMANDS = {
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it is,
+    and building it costs about twenty times as much as a parse."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True,
                         help="built-in scenario name or JSON config path")

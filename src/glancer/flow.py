@@ -15,10 +15,11 @@ every step in this order:
 
 * interior piece: RK4 on the Hamiltonian field (_rk4_step); shell
   projection, the phi crossing (bisected), the chart box, the tangency
-  (q = d(phi)/d(sigma) turning from - to +). Under a non-constant metric
-  the field is computed on floats from one metric evaluation per RK stage
-  (_MetricPoint), and the projection and q at the new state share one
-  evaluation, which the next step's k1 reuses;
+  (q = d(phi)/d(sigma) turning from - to +). The field is computed on
+  floats (sym.field_values) from the metric's float reading (_MetricPoint):
+  fixed under a constant metric, else one evaluation per RK stage, where
+  the projection and q at the new state share one evaluation, which the
+  next step's k1 reuses;
 * gliding piece: RK4 on (t, x1, x2) as floats, one boundary derivs and
   metric g evaluation per stage, the first taken from the settled sample;
   the chart box, x settled on phi = 0 and xi rebuilt there, the hp2z exit
@@ -166,73 +167,50 @@ class GenBicharacteristic:
 
 
 class _MetricPoint:
-    """A non-constant metric evaluated once per point, with a last-point memo.
+    """The metric's float reading (MetricEval.at) with a last-point memo; under
+    a constant metric the one fixed reading, taken once.
 
-    at(x1, x2) is (gi11, gi12, gi22, a11, a12, a22, b11, b12, b22): the
-    entries of g^-1 (geo.inverse_2x2, which raises StepFailure where g is not
-    positive definite) and those of dg/dx1 and dg/dx2, from one call of the
-    metric's entries. A call at the point of the last one reuses it, so the
-    post-step checks at a new state and the next step's k1 there share one
-    evaluation. gi(x) is the g^-1 array at x from the same evaluation, for
-    the checks that keep numpy's arithmetic (the shell rescale and q).
+    at(x1, x2) is (gi, dg) at x: the entries of g^-1 (geo.inverse_2x2 raises
+    StepFailure where g is not positive definite) and those of dg/dx1 and
+    dg/dx2, None under a constant metric. A call at the point of the last
+    one reuses it, so the post-step checks at a new state and the next step's
+    k1 there share one evaluation. gi(x) is the g^-1 array at x from the same
+    reading, for the checks that keep numpy's arithmetic (the shell rescale
+    and q).
     """
 
     def __init__(self, metric):
         self.metric = metric
+        self.fixed = metric.is_constant
         self.x = None
-        self.value = None
+        self.value = metric.at(np.zeros(2)) if self.fixed else None
         self.gi_array = None
 
     def __call__(self, x1, x2):
-        if self.x != (x1, x2):
-            e = self.metric.entries((x1, x2))
-            self.value = (*geo.inverse_2x2(e, (x1, x2)), *e[3:])
+        if not self.fixed and self.x != (x1, x2):
+            self.value = self.metric.at((x1, x2))
             self.x = (x1, x2)
             self.gi_array = None
         return self.value
 
     def gi(self, x):
-        gi11, gi12, gi22 = self(*x.tolist())[:3]
+        gi11, gi12, gi22 = self(*x.tolist())[0]
         if self.gi_array is None:  # built once per point
             self.gi_array = np.array(((gi11, gi12), (gi12, gi22)))
         return self.gi_array
 
 
 def _interior_rhs(scenario, direction: float, at: _MetricPoint | None = None):
-    """H_p at a packed state, times direction; a non-constant metric is read
-    through at (a fresh _MetricPoint when None), once per call.
-
-    There dx = 2 s and dxi_k = s^T (dg/dx_k) s with s = g^-1 xi, on floats:
-    -dg^-1_k(xi, xi) without forming dg^-1.
-    """
-    m = scenario.metric
-    T, X, TAU, XI = sym.T, sym.X, sym.TAU, sym.XI
-    if m.is_constant:
-        gi = m.g_inv(np.zeros(2))
-
-        def rhs(y):
-            dy = np.zeros(len(y))
-            dy[T] = -2.0 * y[TAU]
-            dy[X] = 2.0 * (gi @ y[XI])
-            return direction * dy
-
-        return rhs
+    """H_p at a packed state, times direction, on floats (sym.field_values);
+    the metric is read through at (a fresh _MetricPoint when None), once per
+    call."""
     if at is None:
-        at = _MetricPoint(m)
+        at = _MetricPoint(scenario.metric)
 
     def rhs(y):
         _, x1, x2, tau, xi1, xi2 = y.tolist()
-        gi11, gi12, gi22, a11, a12, a22, b11, b12, b22 = at(x1, x2)
-        s1 = gi11 * xi1 + gi12 * xi2
-        s2 = gi12 * xi1 + gi22 * xi2
-        return np.array((
-            direction * (-2.0 * tau),
-            direction * (2.0 * s1),
-            direction * (2.0 * s2),
-            direction * 0.0,
-            direction * (s1 * (a11 * s1 + a12 * s2) + s2 * (a12 * s1 + a22 * s2)),
-            direction * (s1 * (b11 * s1 + b12 * s2) + s2 * (b12 * s1 + b22 * s2)),
-        ))
+        gi, dg = at(x1, x2)
+        return direction * np.array(sym.field_values(gi, dg, tau, xi1, xi2))
 
     return rhs
 
@@ -269,9 +247,9 @@ def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
 
 def _approach_rate(scenario, sgn: float, at: _MetricPoint | None = None):
     """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart
-    check; g^-1 comes from at when given."""
+    check; g^-1 comes from at (a fresh _MetricPoint when None)."""
     if at is None:
-        return lambda y: sgn * sym._state(scenario, y).hpz
+        at = _MetricPoint(scenario.metric)
     return lambda y: sgn * sym._State(scenario, y[sym.X], xi=y[sym.XI], gi=at.gi(y[sym.X])).hpz
 
 
@@ -405,7 +383,7 @@ class _StraightRuns:
         self.params = params
         self.sig1 = sig1
         self.sgn = sgn
-        self.gi = scenario.metric.g_inv(np.zeros(2))
+        self.gi = scenario.metric.at(np.zeros(2))[0]
         self.level = max(params.tangency_gate, 0.0) + self.FLOOR
         self.lo = scenario.domain_lo - 1e-9 + 1e-12
         self.hi = scenario.domain_hi + 1e-9 - 1e-12
@@ -489,8 +467,8 @@ class _StraightRuns:
     def _q_rows(self, rows):
         """q = sgn * hpz at each row, from the boundary's row derivatives."""
         d = self.scenario.boundary.derivs_on_rows(rows[:, sym.X])
-        sharp = rows[:, sym.XI] @ self.gi.T
-        return self.sgn * 2.0 * (d[0] * sharp[:, 0] + d[1] * sharp[:, 1])
+        xi1, xi2 = rows[:, sym.XI].T
+        return self.sgn * sym.contact_values(d, self.gi, None, rows[:, sym.TAU], xi1, xi2)[1]
 
     def __call__(self, y, sig, steps):
         if self.dead:
@@ -531,7 +509,7 @@ def integrate_interior(
     params = params or IntegratorParams()
     _check_characteristic(scenario, rho0)
     sgn = float(direction)
-    at = None if scenario.metric.is_constant else _MetricPoint(scenario.metric)
+    at = _MetricPoint(scenario.metric)
     rhs = _interior_rhs(scenario, sgn, at)
     phi_f = scenario.boundary.phi
     q_of = _approach_rate(scenario, sgn, at)
@@ -670,8 +648,7 @@ def integrate_gliding(
     once per piece under a constant metric), after the chart-box test of
     geo._require_in_domain. The one evaluation at a settled x rebuilds xi,
     is the next step's k1 and gives hp2z on floats (sym.contact_values),
-    with g^-1 taken once per piece under a constant metric and otherwise
-    from one entries evaluation at the settled x.
+    with the metric's float reading there (_MetricPoint).
 
     The start must be a boundary point (NotOnBoundary past boundary_tol)
     that classifies as Gliding or Glancing3 (ValueError otherwise).
@@ -681,11 +658,8 @@ def integrate_gliding(
     if bc.tag not in (Tag.GLIDING, Tag.GLANCING3):
         raise ValueError(f"a gliding piece starts on the gliding set, got {bc.tag.value}")
     metric, derivs = scenario.metric, scenario.boundary.derivs
-    g_const = gi_const = None
-    if metric.is_constant:
-        g_const = metric.g(np.zeros(2)).tolist()
-        (gi11, gi12), (_, gi22) = metric.g_inv(np.zeros(2)).tolist()
-        gi_const = (gi11, gi12, gi22)
+    g_const = metric.g(np.zeros(2)).tolist() if metric.is_constant else None
+    reading = _MetricPoint(metric)
     (lo1, lo2), (hi1, hi2) = scenario.domain_lo.tolist(), scenario.domain_hi.tolist()
     lo1, lo2, hi1, hi2 = lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
     y0 = rho0.as_vector()
@@ -760,12 +734,7 @@ def integrate_gliding(
         d, xi1, xi2 = settle(y_new)
         x = y_new[sym.X].tolist()
         require_inside(*x)  # as sym.hp2z checks the settled x
-        if gi_const is not None:
-            gi, dg = gi_const, None
-        else:
-            e = metric.entries(x)
-            gi, dg = geo.inverse_2x2(e, x), e[3:]
-        hp2z = sym.contact_values(d, gi, dg, tau, xi1, xi2)[2]
+        hp2z = sym.contact_values(d, *reading(*x), tau, xi1, xi2)[2]
         exceed = exceed + 1 if hp2z > GLIDING_EXIT else 0
         return ("glide_handoff", 0.0, None) if exceed >= 2 else None
 
@@ -948,7 +917,7 @@ def glancing_step_construct(
     hpz_max = abs(bc.hpz)
     rho = rho0
     s_now = 0.0
-    at = None if scenario.metric.is_constant else _MetricPoint(scenario.metric)
+    at = _MetricPoint(scenario.metric)
     rhs = _interior_rhs(scenario, 1.0, at)
     q_of = _approach_rate(scenario, 1.0, at)
     q_prev = 0.0

@@ -45,6 +45,7 @@ class ObservationRegion:
         self._fn = scen.compile_expression(self.expression, ("t", "x1", "x2"))
 
     def contains(self, t: float, x) -> bool:
+        """Whether (t, x) lies in the region: the pointwise reference for entered."""
         x = np.asarray(x, dtype=float)
         return bool(float(self._fn(t=float(t), x1=float(x[0]), x2=float(x[1]))) > 0.0)
 

@@ -16,8 +16,9 @@ Conventions used throughout the package:
   non-constant 2-D one is built by ``callable_metric`` from one function,
   ``entries(x)``: g11, g12, g22 and their x1 and x2 derivatives as nine
   floats, one evaluation per point. ``g``, ``g_inv`` (the closed-form 2x2
-  inverse of ``inverse_2x2``) and ``dg`` are read from it, and the tracer's
-  hot paths read it directly on floats.
+  inverse of ``inverse_2x2``) and ``dg`` are read from it. ``MetricEval.at``
+  is the one float reading of any metric, g^-1 and dg as floats, which the
+  tracer's hot paths and the row passes of ``glancer.measures`` take.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ class MetricEval:
     dg: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
     entries: Callable[..., tuple[float, ...]] | None = None
+
+    def at(self, x) -> tuple[tuple[float, float, float], tuple[float, ...] | None]:
+        """(gi, dg) at x as floats: gi = (gi11, gi12, gi22), the entries of
+        g_inv(x), and dg = (d1 g11, d1 g12, d1 g22, d2 g11, d2 g12, d2 g22),
+        those of dg(x), or None under a constant metric. A non-constant
+        metric is read from one entries call, its g^-1 by inverse_2x2.
+        """
+        if self.is_constant:
+            (gi11, gi12), (_, gi22) = self.g_inv(x).tolist()
+            return (gi11, gi12, gi22), None
+        e = self.entries(x)
+        return inverse_2x2(e, x), e[3:]
 
     def dg_inv(self, x: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
         """Derivative of the inverse metric: -g^-1 (dg) g^-1 per direction.

@@ -190,6 +190,8 @@ class BoundaryMeasure:
 
     @property
     def total_atom_mass(self) -> float:
+        """Mass of the reflection atoms, the boundary measure's mass on the
+        hyperbolic set; tests check it against closed forms."""
         return float(sum(a.mass for a in self.atoms))
 
 
@@ -284,26 +286,22 @@ def _gliding_contacts(scenario, states: np.ndarray):
 
 
 def _metric_rows(metric, X: np.ndarray):
-    """(gi, dg) at the rows of X, as sym.contact_values reads them: under a
-    constant metric the g^-1 entries as floats from one g_inv call and dg
-    None; else, from one entries call per row, (gi11, gi12, gi22) by
-    geo.inverse_2x2 and the six dg entries, each an array over the rows."""
+    """(gi, dg) at the rows of X, as sym.contact_values and sym.field_values
+    read them, from the metric's float reading (MetricEval.at): under a
+    constant metric one reading, whose floats serve every row; else one per
+    row, each entry an array over the rows."""
     if metric.is_constant:
-        (gi11, gi12), (_, gi22) = metric.g_inv(np.zeros(2)).tolist()
-        return (gi11, gi12, gi22), None
-    rows = []
-    for x in X.tolist():
-        e = metric.entries(x)
-        rows.append((*geo.inverse_2x2(e, x), *e[3:]))
+        return metric.at(np.zeros(2))
+    rows = [(*gi, *dg) for gi, dg in map(metric.at, X.tolist())]
     cols = np.array(rows, dtype=float).reshape(len(X), 9).T
     return cols[:3], cols[3:]
 
 
 def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """H_p a at each sample row, from the full packed gradient of a; under a
-    non-constant metric in one row pass over _metric_rows, with the float
-    arithmetic of flow._interior_rhs (dx = 2 s, dxi_k = s^T (dg/dx_k) s,
-    s = g^-1 xi)."""
+    """H_p a at each sample row, from the full packed gradient of a. Under a
+    constant metric dx = 2 g^-1 xi in one matrix product; else in one row
+    pass of sym.field_values over _metric_rows, the arithmetic of
+    flow._interior_rhs."""
     m = scenario.metric
     if m.is_constant:
         gi = m.g_inv(np.zeros(2))
@@ -311,28 +309,11 @@ def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) ->
         return -2.0 * states[:, sym.TAU] * grads[:, sym.T] + np.einsum(
             "ij,ij->i", grads[:, sym.X], dx
         )
-    (gi11, gi12, gi22), (a11, a12, a22, b11, b12, b22) = _metric_rows(m, states[:, sym.X])
+    gi, dg = _metric_rows(m, states[:, sym.X])
     _, _, _, tau, xi1, xi2 = states.T
-    s1 = gi11 * xi1 + gi12 * xi2
-    s2 = gi12 * xi1 + gi22 * xi2
+    dt, dx1, dx2, _, dxi1, dxi2 = sym.field_values(gi, dg, tau, xi1, xi2)
     a_t, a_x1, a_x2, _, a_xi1, a_xi2 = grads.T
-    return (
-        a_t * (-2.0 * tau)
-        + a_x1 * (2.0 * s1)
-        + a_x2 * (2.0 * s2)
-        + a_xi1 * (s1 * (a11 * s1 + a12 * s2) + s2 * (a12 * s1 + a22 * s2))
-        + a_xi2 * (s1 * (b11 * s1 + b12 * s2) + s2 * (b12 * s1 + b22 * s2))
-    )
-
-
-def _sharp_rows(metric, X: np.ndarray, covectors: np.ndarray) -> np.ndarray:
-    """g^-1 at each row of X applied to the covector on that row; one g_inv
-    call under a constant metric, else one entries call per row."""
-    if metric.is_constant:
-        return covectors @ metric.g_inv(np.zeros(2)).T
-    (gi11, gi12, gi22), _ = _metric_rows(metric, X)
-    c1, c2 = covectors.T
-    return np.stack((gi11 * c1 + gi12 * c2, gi12 * c1 + gi22 * c2), axis=1)
+    return a_t * dt + a_x1 * dx1 + a_x2 * dx2 + a_xi1 * dxi1 + a_xi2 * dxi2
 
 
 def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction, f=None) -> float:
@@ -366,13 +347,14 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
     for arc in nu.arcs:
         if len(arc.s) < 2:
             continue
-        # dza = <d_xi a, dphi>, hz2p = 2 g*(dphi, dphi), alpha = (2 hz2p)^(-1/2), per sample
+        # dza = <d_xi a, dphi>, alpha = (2 hz2p)^(-1/2) per sample, where
+        # hz2p = 2 g*(dphi, dphi) is the hpz of contact_values at xi = dphi
         X = arc.states[:, sym.X]
-        dphi = scenario.boundary.derivs_on_rows(X)[:2].T
-        sharp = _sharp_rows(scenario.metric, X, dphi)
-        hz2p = 2.0 * np.einsum("ij,ij->i", sharp, dphi)
+        d = scenario.boundary.derivs_on_rows(X)
+        gi, _ = _metric_rows(scenario.metric, X)
+        hz2p = sym.contact_values(d, gi, None, 0.0, d[0], d[1])[1]
         alpha = 1.0 / np.sqrt(2.0 * hz2p)
-        dza = np.einsum("ij,ij->i", a.gradient_batch(arc.states)[:, sym.XI], dphi)
+        dza = np.einsum("ij,ij->i", a.gradient_batch(arc.states)[:, sym.XI], d[:2].T)
         term_glide += float(np.trapezoid(arc.density * (dza / hz2p) / alpha, arc.s))
 
     return abs(term_mu + term_atoms + term_glide)

@@ -152,7 +152,9 @@ def compile_jet(expr: str):
     """Compile an expression in x1, x2 to its exact second-order jet.
 
     Same names as ``compile_expression``; returns a function of a point x
-    giving a ``jet.Jet`` with the value, gradient and Hessian at x.
+    giving a ``jet.Jet`` with the value, gradient and Hessian at x. It stays
+    as the entry through which the jets of the expression geometry are
+    checked against closed forms.
     """
     code = _compile(expr, ("x1", "x2"))
     return lambda x: jet.evaluate(code, x[0], x[1])

@@ -75,6 +75,7 @@ class PhasePoint:
 
     @staticmethod
     def from_dict(d: dict) -> "PhasePoint":
+        """Inverse of to_dict: reads back a phase point an artifact records."""
         return PhasePoint(t=d["t"], x=d["x"], tau=d["tau"], xi=d["xi"])
 
     def __repr__(self) -> str:
@@ -280,7 +281,8 @@ def hz2p(scenario, x) -> float:
 
 
 def alpha(scenario, x) -> float:
-    """Normal normalization alpha(x) = (2 hz2p)^{-1/2}."""
+    """Normal normalization alpha(x) = (2 hz2p)^{-1/2}, the paper's factor in
+    the gliding arc density, which transport_residual computes on rows."""
     return _State(scenario, np.asarray(x, dtype=float)).alpha
 
 
@@ -289,6 +291,28 @@ def hp2z(scenario, rho) -> float:
     s = _state(scenario, rho)
     _require_in_domain(scenario, s.x)
     return s.hp2z
+
+
+def field_values(gi, dg, tau, xi1, xi2):
+    """H_p at (tau, xi) as its six packed components (dt, dx1, dx2, dtau,
+    dxi1, dxi2), with +, - and * alone, so Python floats and numpy rows give
+    the same bits.
+
+    gi and dg are as contact_values reads them, a metric's reading at x
+    (MetricEval.at). With s = g^-1 xi: dt = -2 tau, dx = 2 s, dtau = 0 and
+    dxi_k = s^T (dg/dx_k) s, which is -dg^-1_k(xi, xi) without forming
+    dg^-1; dxi is 0 under a constant metric (dg None).
+    """
+    gi11, gi12, gi22 = gi
+    s1 = gi11 * xi1 + gi12 * xi2
+    s2 = gi12 * xi1 + gi22 * xi2
+    if dg is None:
+        dxi1 = dxi2 = 0.0
+    else:
+        a11, a12, a22, b11, b12, b22 = dg
+        dxi1 = s1 * (a11 * s1 + a12 * s2) + s2 * (a12 * s1 + a22 * s2)
+        dxi2 = s1 * (b11 * s1 + b12 * s2) + s2 * (b12 * s1 + b22 * s2)
+    return -2.0 * tau, 2.0 * s1, 2.0 * s2, 0.0, dxi1, dxi2
 
 
 def contact_values(derivs, gi, dg, tau, xi1, xi2):
@@ -384,6 +408,8 @@ def hyperbolic_lifts(scenario, rho_par):
 
     Returned as (outgoing, incoming): the first has hpz < 0, the second
     hpz > 0, matching the (rho_minus, rho_plus) order of break records.
+    This is the paper's rho-/rho+ lift map, the reference the break atoms
+    of a boundary measure are checked against.
     """
     th = scenario.thresholds
     s = _state(scenario, rho_par)

@@ -115,6 +115,22 @@ def test_verify_transport_exit_codes(tmp_path, capsys):
     assert not summary["ok"]
 
 
+def test_the_shared_parser_forgets_the_flags_of_an_earlier_call(tmp_path, capsys):
+    """main builds its parser once per process; a flag set in one call is
+    back at its default in the next call that omits it."""
+    base = [
+        "verify-transport", "--scenario", "half_plane",
+        "--start", "0,0,1,1,0.6,-0.8", "--t-horizon", "2.4",
+        "--h", "1e-3", "--out", str(tmp_path),
+    ]
+    code, summary = run_cli(base + ["--tolerance", "1e-15"], capsys)
+    assert code == 1 and not summary["ok"]
+    code, summary = run_cli(base, capsys)
+    assert code == 0 and summary["ok"]
+    assert "# tolerance = \n" in (tmp_path / "transport.csv").read_text()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_gcc_failure_writes_witness(tmp_path, capsys):
     code, summary = run_cli(
         [

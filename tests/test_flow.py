@@ -672,9 +672,20 @@ def test_interior_flight_matches_the_reference_composition(name, x, xi, directio
     assert np.max(np.abs(piece.states - ref.states)) <= 1e-13
 
 
-@pytest.mark.parametrize("name", ["wavy", "expression_disk"])
-def test_float_rhs_is_the_hamiltonian_field(name):
+@pytest.mark.parametrize(
+    "name, metric",
+    [
+        pytest.param("wavy", None, id="wavy"),
+        pytest.param("expression_disk", None, id="expression_disk"),
+        pytest.param("disk_interior", None, id="disk_interior"),
+        pytest.param("strip", [[2.0, 0.0], [0.0, 1.0]], id="strip-diagonal"),
+        pytest.param("half_plane", [[1.0, 0.3], [0.3, 1.0]], id="half_plane-non_diagonal"),
+    ],
+)
+def test_float_rhs_is_the_hamiltonian_field(name, metric):
     scenario = _case(name)
+    if metric is not None:
+        scenario = dataclasses.replace(scenario, metric=geo.constant_metric(metric))
     rng = np.random.default_rng(14)
     for direction in (1.0, -1.0):
         rhs = flow._interior_rhs(scenario, direction)

@@ -482,3 +482,61 @@ def test_gliding_field_error_order():
     for fn in (sym.hpz, sym.hp2z, sym.p_eval, sym.hamiltonian_field, sym.classify_boundary_point):
         with pytest.raises(OutOfChart):
             fn(wall, outside)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("with_dg", [False, True], ids=["constant", "dg"])
+def test_contact_and_field_values_give_the_same_bits_on_floats_and_rows(with_dg):
+    """The float formulas, called on Python floats, reproduce the same call on
+    numpy rows bit for bit; both are +, - and * alone."""
+    rng = np.random.default_rng(16)
+    n = 10_000
+    derivs = rng.normal(size=(5, n)) * rng.lognormal(size=(5, n))
+    gi = rng.normal(size=(3, n))
+    dg = rng.normal(size=(6, n)) * rng.lognormal(size=(6, n)) if with_dg else None
+    tau, xi1, xi2 = rng.normal(size=(3, n)) * rng.lognormal(size=(3, n))
+    on_rows = (
+        np.broadcast_arrays(*sym.contact_values(derivs, gi, dg, tau, xi1, xi2)),
+        np.broadcast_arrays(*sym.field_values(gi, dg, tau, xi1, xi2)),
+    )
+    for i in range(n):
+        d, g = tuple(derivs[:, i].tolist()), tuple(gi[:, i].tolist())
+        e = None if dg is None else tuple(dg[:, i].tolist())
+        t, a, b = float(tau[i]), float(xi1[i]), float(xi2[i])
+        on_floats = (sym.contact_values(d, g, e, t, a, b), sym.field_values(g, e, t, a, b))
+        for got, rows in zip(on_floats, on_rows):
+            assert all(type(v) is float for v in got)
+            assert _bits(got) == _bits([r[i] for r in rows])
+
+
+def _metrics_to_read():
+    disk = scen.builtin("disk_interior")
+    chart = scen.chart_scenario(disk, geo.build_quasi_normal_chart(disk, [1.0, 0.0]))
+    wavy = scen.load_scenario(WAVY)
+    box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    return {
+        "identity": (geo.identity_metric(2), *box),
+        "diagonal": (geo.diagonal_metric([2.0, 0.5]), *box),
+        "non_diagonal": (geo.constant_metric([[1.0, 0.3], [0.3, 1.0]]), *box),
+        "wavy": (wavy.metric, wavy.domain_lo, wavy.domain_hi),
+        "disk_chart": (chart.metric, chart.domain_lo, chart.domain_hi),
+    }
+
+
+@pytest.mark.parametrize("name", ["identity", "diagonal", "non_diagonal", "wavy", "disk_chart"])
+def test_metric_reading_is_g_inv_and_dg(name):
+    """MetricEval.at(x) is (gi11, gi12, gi22) of g_inv(x) and the six
+    (d_k g11, d_k g12, d_k g22) of dg(x), bit for bit; dg None when constant."""
+    metric, lo, hi = _metrics_to_read()[name]
+    for x in np.random.default_rng(61).uniform(lo, hi, size=(40, 2)):
+        gi, dg = metric.at(x)
+        G = metric.g_inv(x)
+        assert _bits(gi) == _bits([G[0, 0], G[0, 1], G[1, 1]])
+        if metric.is_constant:
+            assert dg is None
+            continue
+        D = metric.dg(x)
+        assert _bits(dg) == _bits([D[k, i, j] for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))])
