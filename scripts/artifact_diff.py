@@ -109,12 +109,13 @@ def run_checkout(checkout: str, out: str, workloads: str, seed: str, rounds: str
     (out / MANIFEST).write_text(json.dumps(records))
 
 
-def _start(checkout: Path, out: Path, args) -> subprocess.Popen:
+def _start(checkout: Path, out: Path, args, env: dict | None) -> subprocess.Popen:
     code = "import sys; sys.path.insert(0, sys.argv[1]); import artifact_diff; artifact_diff.run_checkout(*sys.argv[2:])"
     return subprocess.Popen(
         [sys.executable, "-B", "-c", code, str(HERE), str(checkout), str(out),
          args.workloads, str(args.seed), str(args.rounds)],
         cwd=checkout,
+        env=env,
     )
 
 
@@ -144,40 +145,57 @@ def compare(a: dict, b: dict) -> list[tuple[str, str]]:
     return items
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("checkout_a", type=Path)
-    ap.add_argument("checkout_b", type=Path)
+def add_options(ap: argparse.ArgumentParser) -> None:
+    """The options that choose the command set: --workloads, --seed, --rounds."""
     ap.add_argument("--workloads", default="glide,audit,curved",
                     help="comma-separated perfbench workload names, or readme")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=3)
-    args = ap.parse_args(argv)
 
-    checkouts = [args.checkout_a.resolve(), args.checkout_b.resolve()]
-    for c in checkouts:
-        if not (c / "src" / "glancer" / "cli.py").is_file():
-            print(f"artifact_diff: no glancer sources under {c / 'src'}", file=sys.stderr)
-            return 2
+
+def has_sources(checkout: Path) -> bool:
+    if (checkout / "src" / "glancer" / "cli.py").is_file():
+        return True
+    print(f"artifact_diff: no glancer sources under {checkout / 'src'}", file=sys.stderr)
+    return False
+
+
+def diff_runs(runs: list[tuple[Path, dict | None]], args) -> int:
+    """Run the command set for two (checkout, environment) pairs, each in its
+    own subprocess (environment None: this one's), and print SAME or DIFF per
+    command. Returns the exit code: 0, 1 on any difference, 2 when a run fails."""
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         outs = [Path(tmp) / "a", Path(tmp) / "b"]
-        procs = [_start(c, o, args) for c, o in zip(checkouts, outs)]
+        procs = [_start(c, o, args, env) for (c, env), o in zip(runs, outs)]
         if any([p.wait() != 0 for p in procs]):  # a list: wait for both
             print("artifact_diff: a checkout's run failed", file=sys.stderr)
             return 2
-        runs = [json.loads((o / MANIFEST).read_text()) for o in outs]
+        manifests = [json.loads((o / MANIFEST).read_text()) for o in outs]
         n_diff = 0
-        for a, b in zip(*runs):
+        for a, b in zip(*manifests):
             items = compare(a, b)
             same = all(verdict == "SAME" for _, verdict in items)
             n_diff += not same
             detail = " ".join(f"{name}={verdict}" for name, verdict in items)
             print(f"{'SAME' if same else 'DIFF'}  {a['label']}: {detail}")
-        if len(runs[0]) != len(runs[1]):
+        if len(manifests[0]) != len(manifests[1]):
             n_diff += 1
-            print(f"DIFF  command count {len(runs[0])} vs {len(runs[1])}")
-    print(f"{n_diff} of {max(map(len, runs))} commands differ")
+            print(f"DIFF  command count {len(manifests[0])} vs {len(manifests[1])}")
+    print(f"{n_diff} of {max(map(len, manifests))} commands differ")
     return 1 if n_diff else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout_a", type=Path)
+    ap.add_argument("checkout_b", type=Path)
+    add_options(ap)
+    args = ap.parse_args(argv)
+
+    checkouts = [args.checkout_a.resolve(), args.checkout_b.resolve()]
+    if not all([has_sources(c) for c in checkouts]):
+        return 2
+    return diff_runs([(c, None) for c in checkouts], args)
 
 
 if __name__ == "__main__":

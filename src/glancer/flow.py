@@ -31,6 +31,12 @@ every step in this order:
 Event location (_locate_scalar_zero) and the straight-run planner take the
 interior RHS itself, as they re-step from a row with RK4 substeps.
 
+Every product on a 2-vector, a 2x2 matrix or a phase row is taken on
+floats: the shell rescale, q (sym.contact_values' hpz), the Newton steps
+toward a level of phi, the glancing-step vertices and the compressed
+distance, which sums its squares in order. None goes through numpy's @ or
+norm, whose BLAS kernels round differently from one CPU to the next.
+
 Under a constant metric an interior piece is a straight line with a fixed
 covector, and most of its steps are planned rather than taken one by one
 (_StraightRuns, the plan hook of _march). The rows ahead are built in one
@@ -173,10 +179,8 @@ class _MetricPoint:
     at(x1, x2) is (gi, dg) at x: the entries of g^-1 (geo.inverse_2x2 raises
     StepFailure where g is not positive definite) and those of dg/dx1 and
     dg/dx2, None under a constant metric. A call at the point of the last
-    one reuses it, so the post-step checks at a new state and the next step's
-    k1 there share one evaluation. gi(x) is the g^-1 array at x from the same
-    reading, for the checks that keep numpy's arithmetic (the shell rescale
-    and q).
+    one reuses it, so the post-step checks at a new state (the shell rescale
+    and q) and the next step's k1 there share one evaluation.
     """
 
     def __init__(self, metric):
@@ -184,20 +188,12 @@ class _MetricPoint:
         self.fixed = metric.is_constant
         self.x = None
         self.value = metric.at(np.zeros(2)) if self.fixed else None
-        self.gi_array = None
 
     def __call__(self, x1, x2):
         if not self.fixed and self.x != (x1, x2):
             self.value = self.metric.at((x1, x2))
             self.x = (x1, x2)
-            self.gi_array = None
         return self.value
-
-    def gi(self, x):
-        gi11, gi12, gi22 = self(*x.tolist())[0]
-        if self.gi_array is None:  # built once per point
-            self.gi_array = np.array(((gi11, gi12), (gi12, gi22)))
-        return self.gi_array
 
 
 def _interior_rhs(scenario, direction: float, at: _MetricPoint | None = None):
@@ -228,12 +224,13 @@ def _rk4_step(rhs, y, h):
 
 
 def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
-    """Project xi onto the characteristic shell |xi|_x = |tau| in place;
-    g^-1 comes from at when given, else from the metric's g_inv."""
-    xi = y[sym.XI]
-    gi = scenario.metric.g_inv(y[sym.X]) if at is None else at.gi(y[sym.X])
-    nrm = float(np.sqrt(xi @ gi @ xi))
-    target = abs(float(y[sym.TAU]))
+    """Project xi onto the characteristic shell |xi|_x = |tau| in place, on
+    floats; g^-1 comes from at when given, else from the metric's reading."""
+    _, x1, x2, tau, xi1, xi2 = y.tolist()
+    gi = (at or _MetricPoint(scenario.metric))(x1, x2)[0]
+    s1, s2 = geo.sharp(gi, xi1, xi2)
+    nrm = math.sqrt(xi1 * s1 + xi2 * s2)
+    target = abs(tau)
     if nrm < 1e-300:
         return
     factor = target / nrm
@@ -242,15 +239,22 @@ def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
             f"characteristic drift too large for projection: |xi| = {nrm:.6g}, "
             f"|tau| = {target:.6g}; reduce the step size"
         )
-    y[sym.XI] = xi * factor
+    y[sym.XI] = xi1 * factor, xi2 * factor
 
 
 def _approach_rate(scenario, sgn: float, at: _MetricPoint | None = None):
     """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart
-    check; g^-1 comes from at (a fresh _MetricPoint when None)."""
+    check: the hpz of sym.contact_values on the boundary's derivs and g^-1
+    from at (a fresh _MetricPoint when None)."""
     if at is None:
         at = _MetricPoint(scenario.metric)
-    return lambda y: sgn * sym._State(scenario, y[sym.X], xi=y[sym.XI], gi=at.gi(y[sym.X])).hpz
+    derivs = scenario.boundary.derivs
+
+    def q(y):
+        _, x1, x2, tau, xi1, xi2 = y.tolist()
+        return sgn * sym.contact_values(derivs(y[sym.X]), at(x1, x2)[0], None, tau, xi1, xi2)[1]
+
+    return q
 
 
 def _check_characteristic(scenario, rho: PhasePoint) -> None:
@@ -597,12 +601,14 @@ def _newton_on_x(scenario, x, target: float, steps: int, tol: float):
     for _ in range(steps):
         if abs(target - ph) <= tol:
             break
-        dp = scenario.boundary.dphi(x)
-        gidp = scenario.metric.g_inv(x) @ dp
-        denom = float(dp @ gidp)
+        d1, d2 = scenario.boundary.derivs(x)[:2]
+        w1, w2 = geo.sharp(scenario.metric.at(x)[0], d1, d2)
+        denom = d1 * w1 + d2 * w2
         if denom < 1e-16:
             raise DegenerateNormal(f"dphi degenerate in a Newton step toward phi = {target:.3e}")
-        x = x + ((target - ph) / denom) * gidp
+        f = (target - ph) / denom
+        x1, x2 = x.tolist()
+        x = np.array((x1 + f * w1, x2 + f * w2))
         ph = float(phi_f(x))
     return x, ph
 
@@ -870,20 +876,22 @@ def _surrogate_vertex(scenario, y_target, x_b, depth, tau) -> PhasePoint:
     target's tangential part and is lifted (or rescaled) onto the
     characteristic shell.
     """
-    xi_t = y_target[sym.XI]
-    n_b, _ = geo.unit_conormal(scenario, x_b, 1e-9)
-    x_in = x_b + depth * n_b
-    n_in, ns_in = geo.unit_conormal(scenario, x_in, max(scenario.band, 2.0 * depth))
-    c = float(xi_t @ n_in)
-    xi_par = xi_t - c * ns_in
-    p_par = -tau * tau + geo.conorm_sq(scenario, x_in, xi_par)
+    t, _, _, _, xi1, xi2 = y_target.tolist()
+    (nb1, nb2), _ = geo.unit_conormal(scenario, x_b, 1e-9)
+    xb1, xb2 = x_b.tolist()
+    x_in = np.array((xb1 + depth * nb1, xb2 + depth * nb2))
+    (n1, n2), (ns1, ns2) = geo.unit_conormal(scenario, x_in, max(scenario.band, 2.0 * depth))
+    c = xi1 * n1 + xi2 * n2
+    par1, par2 = xi1 - c * ns1, xi2 - c * ns2
+    norm2 = geo.conorm_sq(scenario, x_in, (par1, par2))
+    p_par = -tau * tau + norm2
     if p_par <= 0.0:
-        lam = float(np.sqrt(-p_par))
-        xi_new = xi_par + lam * ns_in
+        lam = math.sqrt(-p_par)
+        xi_new = (par1 + lam * ns1, par2 + lam * ns2)
     else:
-        nrm = float(np.sqrt(geo.conorm_sq(scenario, x_in, xi_par)))
-        xi_new = xi_par * (abs(tau) / nrm)
-    return PhasePoint(t=float(y_target[sym.T]), x=x_in, tau=tau, xi=xi_new)
+        f = abs(tau) / math.sqrt(norm2)
+        xi_new = (par1 * f, par2 * f)
+    return PhasePoint(t=t, x=x_in, tau=tau, xi=xi_new)
 
 
 def glancing_step_construct(
@@ -945,8 +953,8 @@ def glancing_step_construct(
 
     for _ in range(6):
         y_t = rho.as_vector() + delta * sym.gliding_field(scenario, rho)
-        x_b, ph, dp = geo.newton_to_boundary(scenario.boundary, y_t[sym.X], 12, 1e-13)
-        if abs(ph) > 1e-13 and float(dp @ dp) < 1e-24:
+        x_b, ph, (dp1, dp2) = geo.newton_to_boundary(scenario.boundary, y_t[sym.X], 12, 1e-13)
+        if abs(ph) > 1e-13 and dp1 * dp1 + dp2 * dp2 < 1e-24:
             raise DegenerateNormal(f"dphi ~ 0 while projecting {x_b} to the boundary")
         if not geo.in_domain(scenario, x_b):
             raise LeftChart("affine hop target left the chart")
@@ -1016,7 +1024,7 @@ def _extended_reflection(scenario, rho):
         mirrored = sym.sigma(scenario, rho)
     except (NotOnBoundary, DegenerateNormal):
         return None
-    return mirrored, abs(float(scenario.boundary.phi(sym._state(scenario, rho).x)))
+    return mirrored, abs(float(scenario.boundary.phi(sym._coords(rho)[0])))
 
 
 def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
@@ -1031,16 +1039,24 @@ def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
         if not geo.in_domain(scenario, p.x):
             raise OutOfChart(f"point {p.x} outside the chart box")
     va, vb = a.as_vector(), b.as_vector()
-    best = float(np.linalg.norm(va - vb))
+    best = _norm(va - vb)
     ra = _extended_reflection(scenario, va)
     rb = _extended_reflection(scenario, vb)
     if ra is not None:
-        best = min(best, float(np.linalg.norm(ra[0] - vb)) + ra[1])
+        best = min(best, _norm(ra[0] - vb) + ra[1])
     if rb is not None:
-        best = min(best, float(np.linalg.norm(va - rb[0])) + rb[1])
+        best = min(best, _norm(va - rb[0]) + rb[1])
     if ra is not None and rb is not None:
-        best = min(best, float(np.linalg.norm(ra[0] - rb[0])) + ra[1] + rb[1])
+        best = min(best, _norm(ra[0] - rb[0]) + ra[1] + rb[1])
     return best
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a vector: the square root of its squares summed in order."""
+    total = 0.0
+    for c in v.tolist():
+        total += c * c
+    return math.sqrt(total)
 
 
 def _distance_variants(scenario, states: np.ndarray):
@@ -1100,12 +1116,12 @@ def _perturb_characteristic(scenario, rho0: PhasePoint, delta: float, rng) -> Ph
     # uniform in the disks of radius delta / 2 about x and about xi: radius R sqrt(u)
     for _ in range(64):
         v = rng.normal(size=2)
-        v /= max(float(np.linalg.norm(v)), 1e-300)
+        v /= max(_norm(v), 1e-300)
         x_p = rho0.x + (0.5 * delta * rng.uniform() ** 0.5) * v
         if not geo.in_domain(scenario, x_p) or float(phi_f(x_p)) < 0.0:
             continue
         w = rng.normal(size=2)
-        w /= max(float(np.linalg.norm(w)), 1e-300)
+        w /= max(_norm(w), 1e-300)
         xi_p = rho0.xi + (0.5 * delta * rng.uniform() ** 0.5) * w
         nrm = float(np.sqrt(geo.conorm_sq(scenario, x_p, xi_p)))
         if nrm < 1e-12:

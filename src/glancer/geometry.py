@@ -18,7 +18,12 @@ Conventions used throughout the package:
   floats, one evaluation per point. ``g``, ``g_inv`` (the closed-form 2x2
   inverse of ``inverse_2x2``) and ``dg`` are read from it. ``MetricEval.at``
   is the one float reading of any metric, g^-1 and dg as floats, which the
-  tracer's hot paths and the row passes of ``glancer.measures`` take.
+  symbol, the tracer and the row passes of ``glancer.measures`` take;
+* products of 2-vectors and 2x2 matrices are written out on floats (``sharp``
+  for g^-1 a, then a dot product summed left to right), not taken with
+  numpy's ``@``, which leaves them to the BLAS kernel of the CPU. Only the
+  quasi-normal chart construction, ``constant_metric``'s one inverse and
+  ``MetricEval.dg_inv`` keep numpy's products.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ class BoundaryDef:
         return np.array(self.derivs(x)[:2], dtype=float)
 
     def d2phi(self, x: np.ndarray) -> np.ndarray:
-        return _hessian(self.derivs(x))
+        _, _, d11, d12, d22 = self.derivs(x)
+        return np.array([[d11, d12], [d12, d22]], dtype=float)
 
     def phi_on_rows(self, X: np.ndarray) -> np.ndarray:
         """phi at each row of X; one phi call per row without a row form."""
@@ -123,11 +129,6 @@ class BoundaryDef:
         if self.derivs_rows is not None:
             return np.array(self.derivs_rows(X), dtype=float)
         return np.array([self.derivs(x) for x in X], dtype=float).reshape(len(X), 5).T
-
-
-def _hessian(derivs) -> np.ndarray:
-    _, _, d11, d12, d22 = derivs
-    return np.array([[d11, d12], [d12, d22]], dtype=float)
 
 
 @dataclass
@@ -253,30 +254,43 @@ def _require_in_domain(scenario, x: np.ndarray) -> None:
         raise OutOfChart(f"point {np.asarray(x)} outside domain box of '{scenario.name}'")
 
 
+def sharp(gi, a1: float, a2: float) -> tuple[float, float]:
+    """g^-1 a for the covector a = (a1, a2), from gi = (gi11, gi12, gi22), the
+    entries of g^-1 as MetricEval.at reads them; with + and * alone, in
+    numpy's order without fused multiply-add."""
+    gi11, gi12, gi22 = gi
+    return gi11 * a1 + gi12 * a2, gi12 * a1 + gi22 * a2
+
+
 def conorm_sq(scenario, x, xi) -> float:
-    """Squared covector norm g*(xi, xi) at x."""
-    xi = np.asarray(xi, dtype=float)
-    return float(xi @ scenario.metric.g_inv(np.asarray(x, dtype=float)) @ xi)
+    """Squared covector norm g*(xi, xi) = xi . g^-1 xi at x, on floats."""
+    xi1, xi2 = (float(v) for v in xi)
+    s1, s2 = sharp(scenario.metric.at(np.asarray(x, dtype=float))[0], xi1, xi2)
+    return xi1 * s1 + xi2 * s2
 
 
-def unit_conormal(scenario, x, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def unit_conormal(scenario, x, tol: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """(n, n_star) from the normalized dphi, accepted within |phi| <= tol.
 
-    n_star is the inward unit conormal, n its sharp; g(n, n) = 1.
+    n_star is the inward unit conormal, n its sharp; g(n, n) = 1. Both come
+    as float pairs, from the boundary's derivs and the metric's float
+    reading at x.
     """
     x = np.asarray(x, dtype=float)
     if abs(scenario.boundary.phi(x)) > tol:
         raise NotOnBoundary(f"|phi| = {abs(scenario.boundary.phi(x)):.3e} > {tol:.3e} at {x}")
-    dphi = scenario.boundary.dphi(x)
-    gi = scenario.metric.g_inv(x)
-    norm2 = float(dphi @ gi @ dphi)
+    d1, d2 = scenario.boundary.derivs(x)[:2]
+    gi = scenario.metric.at(x)[0]
+    w1, w2 = sharp(gi, d1, d2)
+    norm2 = d1 * w1 + d2 * w2
     if norm2 < 1e-16:
-        raise DegenerateNormal(f"|dphi|_g* ~ {np.sqrt(max(norm2, 0.0)):.3e} at {x}")
-    n_star = dphi / np.sqrt(norm2)
-    return gi @ n_star, n_star
+        raise DegenerateNormal(f"|dphi|_g* ~ {math.sqrt(max(norm2, 0.0)):.3e} at {x}")
+    r = math.sqrt(norm2)
+    n_star = d1 / r, d2 / r
+    return sharp(gi, *n_star), n_star
 
 
-def unit_normal(scenario, x) -> tuple[np.ndarray, np.ndarray]:
+def unit_normal(scenario, x) -> tuple[tuple[float, float], tuple[float, float]]:
     """Inward unit normal (n, n_star) at a boundary point."""
     _require_in_domain(scenario, np.asarray(x, dtype=float))
     return unit_conormal(scenario, x, scenario.thresholds.boundary_tol)
@@ -310,8 +324,7 @@ def newton_to_boundary(boundary: BoundaryDef, x, steps: int, tol: float = 0.0,
         phi[live], dphi[live] = p, d
         if k == steps:
             break
-        # vecdot is the same dot product as dphi @ dphi, to the bit
-        nd2 = np.vecdot(d, d)
+        nd2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         go = ~((np.abs(p) <= tol) | (nd2 < 1e-24))
         if not go.all():
             live, Y, p, d, nd2 = live[go], Y[go], p[go], d[go], nd2[go]

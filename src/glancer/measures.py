@@ -85,14 +85,21 @@ class TestFunction:
         du[:, XI] = 2.0 * D[:, XI] / self.width_xi**2
         return u, du
 
+    def _beta_coordinate(self, Y: np.ndarray) -> np.ndarray:
+        """(Y - center) . beta_axis, shifted and scaled, at each row of Y,
+        the dot product summed in column order."""
+        D = Y - self.center.as_vector()[None, :]
+        v = 0.0
+        for k, b in enumerate(self.beta_axis.tolist()):
+            v = v + D[:, k] * b
+        return (v - self.beta_shift) / self.beta_scale
+
     def value_batch(self, Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         u, _ = self._quadratic(Y)
         a = _chi_arr(u)
         if self.beta_axis is not None:
-            v = (Y @ self.beta_axis - self.center.as_vector() @ self.beta_axis
-                 - self.beta_shift) / self.beta_scale
-            a = a * geo.smoothstep(v)
+            a = a * geo.smoothstep(self._beta_coordinate(Y))
         return a
 
     def gradient_batch(self, Y: np.ndarray) -> np.ndarray:
@@ -101,8 +108,7 @@ class TestFunction:
         chi_v = _chi_arr(u)
         g = _chi_prime_arr(u)[:, None] * du
         if self.beta_axis is not None:
-            v = (Y @ self.beta_axis - self.center.as_vector() @ self.beta_axis
-                 - self.beta_shift) / self.beta_scale
+            v = self._beta_coordinate(Y)
             b = geo.smoothstep(v)
             bp = geo.smoothstep_prime(v) / self.beta_scale
             g = g * b[:, None] + (chi_v * bp)[:, None] * self.beta_axis[None, :]
@@ -209,8 +215,9 @@ def boundary_measure_of(scenario, cm: CurveMeasure) -> BoundaryMeasure:
     atoms: list[Atom] = []
     for br in gb.break_set:
         w_b = cm.weight_at(br.s)
-        n, _ = geo.unit_normal(scenario, br.rho_minus.x)
-        mass = w_b * float((br.rho_plus.xi - br.rho_minus.xi) @ n)
+        (n1, n2), _ = geo.unit_normal(scenario, br.rho_minus.x)
+        (p1, p2), (m1, m2) = br.rho_plus.xi.tolist(), br.rho_minus.xi.tolist()
+        mass = w_b * ((p1 - m1) * n1 + (p2 - m2) * n2)
         if mass <= 0.0:
             raise ValueError(f"non-positive atom mass {mass:.3e} at s = {br.s:.6g}")
         bc = sym.classify_boundary_point(scenario, br.rho_minus)
@@ -298,22 +305,14 @@ def _metric_rows(metric, X: np.ndarray):
 
 
 def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """H_p a at each sample row, from the full packed gradient of a. Under a
-    constant metric dx = 2 g^-1 xi in one matrix product; else in one row
-    pass of sym.field_values over _metric_rows, the arithmetic of
-    flow._interior_rhs."""
-    m = scenario.metric
-    if m.is_constant:
-        gi = m.g_inv(np.zeros(2))
-        dx = 2.0 * (states[:, sym.XI] @ gi)
-        return -2.0 * states[:, sym.TAU] * grads[:, sym.T] + np.einsum(
-            "ij,ij->i", grads[:, sym.X], dx
-        )
-    gi, dg = _metric_rows(m, states[:, sym.X])
+    """H_p a = a_t dt + <a_x, dx> + <a_xi, dxi> at each sample row, from the
+    full packed gradient of a, in one row pass of sym.field_values over
+    _metric_rows, the arithmetic of flow._interior_rhs."""
+    gi, dg = _metric_rows(scenario.metric, states[:, sym.X])
     _, _, _, tau, xi1, xi2 = states.T
     dt, dx1, dx2, _, dxi1, dxi2 = sym.field_values(gi, dg, tau, xi1, xi2)
     a_t, a_x1, a_x2, _, a_xi1, a_xi2 = grads.T
-    return a_t * dt + a_x1 * dx1 + a_x2 * dx2 + a_xi1 * dxi1 + a_xi2 * dxi2
+    return a_t * dt + (a_x1 * dx1 + a_x2 * dx2) + (a_xi1 * dxi1 + a_xi2 * dxi2)
 
 
 def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction, f=None) -> float:

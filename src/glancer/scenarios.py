@@ -12,6 +12,7 @@ import dis
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -431,14 +432,15 @@ def _reject_corners(boundary: BoundaryDef, lo, hi) -> None:
     """
     grid = np.meshgrid(np.linspace(lo[0], hi[0], 41), np.linspace(lo[1], hi[1], 41), indexing="ij")
     # a longer step diverges rather than converging to a boundary point
-    max_step = 2.0 * float(np.linalg.norm(hi - lo))
+    w1, w2 = (hi - lo).tolist()
+    max_step = 2.0 * math.sqrt(w1 * w1 + w2 * w2)
     # grid points where phi or its steps overflow or leave phi's domain
     # (log of a negative number, say) come out NaN or infinite, not corners
     with np.errstate(all="ignore"):
         X, v, d = newton_to_boundary(
             boundary, np.column_stack([g.ravel() for g in grid]), 3, 1e-10, max_step
         )
-    bad = (np.abs(v) <= 1e-10) & (np.vecdot(d, d) < 1e-16)
+    bad = (np.abs(v) <= 1e-10) & (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < 1e-16)
     if bad.any():
         raise ValidationError(
             f"dphi vanishes on the boundary near {X[np.argmax(bad)]}; "

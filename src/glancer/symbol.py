@@ -13,11 +13,19 @@ below that takes a phase point takes either form and gives the same bits
 for both. The Hamiltonian and gliding fields return packed field vectors;
 project_parallel, sigma and hyperbolic_lifts return phase points in the
 form they were given.
+
+Every function here computes on floats, from the metric's float reading
+(MetricEval.at: g^-1 and dg), the boundary's derivs (five floats) and the
+formulas of field_values (H_p) and contact_values (p, hpz, hp2z), written
+with +, - and * in the order numpy takes without fused multiply-add. No
+numpy product (@, dot, norm) enters: on 2-vectors those go to the BLAS
+kernel the CPU selects, and round differently from one CPU to the next.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +37,7 @@ from .errors import (
     NotOnBoundary,
 )
 # in_domain stays importable from here: perfbench/tracer.py patches symbol.in_domain.
-from .geometry import _hessian, _require_in_domain, in_domain, unit_conormal  # noqa: F401
+from .geometry import _require_in_domain, conorm_sq, in_domain, sharp, unit_conormal  # noqa: F401
 
 # The packed row [t, x1, x2, tau, xi1, xi2]: its column names and positions.
 COLUMNS = ("t", "x1", "x2", "tau", "xi1", "xi2")
@@ -124,173 +132,68 @@ class ClassifyThresholds:
 # pointwise symbol algebra
 
 
-class _once:
-    """Attribute computed on first access and stored on the instance.
-
-    functools.cached_property without the lock it takes on every first
-    access before Python 3.12; a _State lives for one call, in one thread.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
-class _State:
-    """Metric and boundary data at one phase-space state, each evaluated once.
-
-    ``g_inv``, ``dg_inv`` and the boundary's ``derivs`` are evaluated at x on
-    first use, so a caller evaluates only what it reads, in the order it
-    reads it; ``dphi`` and ``d2phi`` are both built from the one ``derivs``
-    call, and every quantity below is derived from those evaluations. No
-    chart check is made here; the public functions make theirs. A caller
-    that already holds ``g_inv`` at x passes it in, and it is not evaluated
-    again.
-
-    A factor 2 is applied to a scalar rather than to a vector where the
-    result is the same: scaling by a power of two is exact in floating
-    point, short of overflow and subnormals.
-    """
-
-    def __init__(self, scenario, x, tau: float = 0.0, xi=None, gi=None):
-        self.metric = scenario.metric
-        self.boundary = scenario.boundary
-        self.x = x
-        self.tau = tau
-        self.xi = xi
-        if gi is not None:  # shadows the _once attribute below
-            self.gi = gi
-
-    @_once
-    def gi(self):
-        return self.metric.g_inv(self.x)
-
-    @_once
-    def dgi(self):
-        return self.metric.dg_inv(self.x, gi=self.gi)
-
-    @_once
-    def derivs(self):
-        return self.boundary.derivs(self.x)
-
-    @_once
-    def dphi(self):
-        return np.array(self.derivs[:2], dtype=float)
-
-    @_once
-    def d2phi(self):
-        return _hessian(self.derivs)
-
-    @_once
-    def sharp_xi(self):
-        return self.gi @ self.xi
-
-    @_once
-    def p(self) -> float:
-        return float(-self.tau**2 + self.xi @ self.gi @ self.xi)
-
-    @_once
-    def dx(self):
-        """x part of H_p: 2 g^-1 xi."""
-        return 2.0 * self.sharp_xi
-
-    @_once
-    def dxi(self):
-        """xi part of H_p: -dg^-1(xi, xi), zero for a constant metric."""
-        if self.metric.is_constant:
-            return np.zeros(len(self.xi))
-        return -np.einsum("kij,i,j->k", self.dgi, self.xi, self.xi)
-
-    @_once
-    def hpz(self) -> float:
-        return 2.0 * float(self.dphi @ self.sharp_xi)
-
-    @_once
-    def hz2p(self) -> float:
-        return 2.0 * float(self.dphi @ self.gi @ self.dphi)
-
-    @_once
-    def alpha(self) -> float:
-        return float(1.0 / np.sqrt(2.0 * self.hz2p))
-
-    @_once
-    def hp2z(self) -> float:
-        if self.metric.is_constant:
-            return 2.0 * float((self.d2phi @ self.sharp_xi) @ self.dx)
-        grad_x = 2.0 * (
-            self.d2phi @ self.sharp_xi + np.einsum("kij,i,j->k", self.dgi, self.dphi, self.xi)
-        )
-        grad_xi = 2.0 * self.gi @ self.dphi
-        return float(grad_x @ self.dx + grad_xi @ self.dxi)
-
-
-def _state(scenario, rho) -> _State:
-    """The state at rho, given as a PhasePoint or as its packed row."""
+def _coords(rho):
+    """(x, tau, xi1, xi2) of rho, a PhasePoint or its packed row."""
     if isinstance(rho, PhasePoint):
-        return _State(scenario, rho.x, rho.tau, rho.xi)
-    return _State(scenario, rho[X], float(rho[TAU]), rho[XI])
+        xi1, xi2 = rho.xi.tolist()
+        return rho.x, rho.tau, xi1, xi2
+    _, _, _, tau, xi1, xi2 = rho.tolist()
+    return rho[X], tau, xi1, xi2
 
 
-def _with_xi(rho, xi):
+def _with_xi(rho, xi1, xi2):
     """rho with its covector replaced, in the form rho was given."""
     if isinstance(rho, PhasePoint):
-        return PhasePoint(t=rho.t, x=rho.x, tau=rho.tau, xi=xi)
+        return PhasePoint(t=rho.t, x=rho.x, tau=rho.tau, xi=np.array((xi1, xi2)))
     out = np.array(rho, dtype=float)
-    out[XI] = xi
+    out[XI] = xi1, xi2
     return out
 
 
-def _field(s: _State, dxi) -> np.ndarray:
-    """Packed field vector with dt = -2 tau, dx = 2 g^-1 xi, dtau = 0."""
-    out = np.empty(len(COLUMNS))
-    out[T] = -2.0 * s.tau
-    out[X] = s.dx
-    out[TAU] = 0.0
-    out[XI] = dxi
-    return out
+def _contact(scenario, x, tau, xi1, xi2):
+    """(p, hpz, hp2z) at (x, tau, xi) after the chart check: contact_values
+    on the metric's float reading and the boundary's derivs at x."""
+    _require_in_domain(scenario, x)
+    gi, dg = scenario.metric.at(x)
+    return contact_values(scenario.boundary.derivs(x), gi, dg, tau, xi1, xi2)
 
 
 def p_eval(scenario, rho) -> float:
     """p(rho) = -tau^2 + |xi|^2_x."""
-    s = _state(scenario, rho)
-    _require_in_domain(scenario, s.x)
-    return s.p
+    x, tau, xi1, xi2 = _coords(rho)
+    _require_in_domain(scenario, x)
+    return -(tau * tau) + conorm_sq(scenario, x, (xi1, xi2))
 
 
 def hamiltonian_field(scenario, rho) -> np.ndarray:
     """H_p at rho as a packed vector: dt = -2 tau, dx = 2 g^-1 xi, dtau = 0, dxi from dg."""
-    s = _state(scenario, rho)
-    _require_in_domain(scenario, s.x)
-    return _field(s, s.dxi)
+    x, tau, xi1, xi2 = _coords(rho)
+    _require_in_domain(scenario, x)
+    return np.array(field_values(*scenario.metric.at(x), tau, xi1, xi2))
 
 
 def hpz(scenario, rho) -> float:
     """Derivative of phi along H_p: <dphi, 2 xi^sharp>."""
-    s = _state(scenario, rho)
-    _require_in_domain(scenario, s.x)
-    return s.hpz
+    return _contact(scenario, *_coords(rho))[1]
 
 
 def hz2p(scenario, x) -> float:
-    """Transversality coefficient 2 g*(dphi, dphi) at x."""
-    return _State(scenario, np.asarray(x, dtype=float)).hz2p
+    """Transversality coefficient 2 g*(dphi, dphi) at x: the hpz of
+    contact_values at xi = dphi."""
+    x = np.asarray(x, dtype=float)
+    d = scenario.boundary.derivs(x)
+    return contact_values(d, scenario.metric.at(x)[0], None, 0.0, d[0], d[1])[1]
 
 
 def alpha(scenario, x) -> float:
     """Normal normalization alpha(x) = (2 hz2p)^{-1/2}, the paper's factor in
     the gliding arc density, which transport_residual computes on rows."""
-    return _State(scenario, np.asarray(x, dtype=float)).alpha
+    return float(1.0 / np.sqrt(2.0 * hz2p(scenario, x)))
 
 
 def hp2z(scenario, rho) -> float:
     """Second derivative of phi along H_p (H_p applied to hpz)."""
-    s = _state(scenario, rho)
-    _require_in_domain(scenario, s.x)
-    return s.hp2z
+    return _contact(scenario, *_coords(rho))[2]
 
 
 def field_values(gi, dg, tau, xi1, xi2):
@@ -368,14 +271,11 @@ def contact_tag(th: ClassifyThresholds, p: float, hpz: float, hp2z: float) -> Ta
 def classify_boundary_point(scenario, rho) -> BoundaryClass:
     """Partition a boundary contact into the hyperbolic/glancing/elliptic cases."""
     th = scenario.thresholds
-    s = _state(scenario, rho)
-    phi = scenario.boundary.phi(s.x)
+    x, tau, xi1, xi2 = _coords(rho)
+    phi = scenario.boundary.phi(x)
     if abs(phi) > th.boundary_tol:
         raise NotOnBoundary(f"|phi| = {abs(phi):.3e} > boundary tolerance {th.boundary_tol:.0e}")
-    _require_in_domain(scenario, s.x)
-    p = s.p
-    v_hpz = s.hpz
-    v_hp2z = s.hp2z
+    p, v_hpz, v_hp2z = _contact(scenario, x, tau, xi1, xi2)
     tag = contact_tag(th, p, v_hpz, v_hp2z)
     if tag is None:
         p_par = p_eval(scenario, project_parallel(scenario, rho))
@@ -389,18 +289,18 @@ def classify_boundary_point(scenario, rho) -> BoundaryClass:
 
 def project_parallel(scenario, rho):
     """Tangential part of xi: remove the conormal component."""
-    s = _state(scenario, rho)
-    n, n_star = unit_conormal(scenario, s.x, scenario.band)
-    c = float(s.xi @ n)  # g*(xi, n_star) = <xi, n_star^sharp>
-    return _with_xi(rho, s.xi - c * n_star)
+    x, _, xi1, xi2 = _coords(rho)
+    (n1, n2), (ns1, ns2) = unit_conormal(scenario, x, scenario.band)
+    c = xi1 * n1 + xi2 * n2  # g*(xi, n_star) = <xi, n_star^sharp>
+    return _with_xi(rho, xi1 - c * ns1, xi2 - c * ns2)
 
 
 def sigma(scenario, rho):
     """Isometric reflection of xi across the boundary-tangential hyperplane."""
-    s = _state(scenario, rho)
-    n, n_star = unit_conormal(scenario, s.x, scenario.band)
-    c = float(s.xi @ n)
-    return _with_xi(rho, s.xi - 2.0 * c * n_star)
+    x, _, xi1, xi2 = _coords(rho)
+    (n1, n2), (ns1, ns2) = unit_conormal(scenario, x, scenario.band)
+    c2 = 2.0 * (xi1 * n1 + xi2 * n2)
+    return _with_xi(rho, xi1 - c2 * ns1, xi2 - c2 * ns2)
 
 
 def hyperbolic_lifts(scenario, rho_par):
@@ -412,35 +312,48 @@ def hyperbolic_lifts(scenario, rho_par):
     of a boundary measure are checked against.
     """
     th = scenario.thresholds
-    s = _state(scenario, rho_par)
-    n, n_star = unit_conormal(scenario, s.x, scenario.band)
-    scale = max(1.0, float(np.linalg.norm(s.xi)))
-    if abs(hpz(scenario, rho_par)) > 1e-6 * scale:
+    x, tau, xi1, xi2 = _coords(rho_par)
+    _, (ns1, ns2) = unit_conormal(scenario, x, scenario.band)
+    scale = max(1.0, math.sqrt(xi1 * xi1 + xi2 * xi2))
+    p, v_hpz, _ = _contact(scenario, x, tau, xi1, xi2)
+    if abs(v_hpz) > 1e-6 * scale:
         raise ValueError("hyperbolic_lifts expects a tangential point (hpz ~ 0)")
-    p = p_eval(scenario, rho_par)
     if p > th.char_tol:
         raise EllipticPoint(f"p(rho_par) = {p:.3e} > 0: no characteristic lifts")
-    lam = float(np.sqrt(max(0.0, -p)))
-    return _with_xi(rho_par, s.xi - lam * n_star), _with_xi(rho_par, s.xi + lam * n_star)
+    lam = math.sqrt(max(0.0, -p))
+    return (
+        _with_xi(rho_par, xi1 - lam * ns1, xi2 - lam * ns2),
+        _with_xi(rho_par, xi1 + lam * ns1, xi2 + lam * ns2),
+    )
 
 
 def gliding_field(scenario, rho) -> np.ndarray:
     """Extended gliding field as a packed vector: H_p corrected along the fiber direction of phi.
 
     Tangent to {phi = 0, hpz = 0} where those constraints hold, and its phi
-    derivative coincides with hpz everywhere in the extension band.
+    derivative coincides with hpz everywhere in the extension band. On
+    floats: H_p from field_values, hpz and hp2z from contact_values, and
+    H_p hz2p from the gradient of hz2p, 4 d2phi w - 2 (w^T dg_k w)_k with
+    w = g^-1 dphi.
     """
-    s = _state(scenario, rho)
-    if abs(scenario.boundary.phi(s.x)) > scenario.band:
+    x, tau, xi1, xi2 = _coords(rho)
+    if abs(scenario.boundary.phi(x)) > scenario.band:
         raise NotOnBoundary("gliding field is only defined inside the extension band")
-    v_hz2p = s.hz2p
+    gi, dg = scenario.metric.at(x)
+    d = d1, d2, d11, d12, d22 = scenario.boundary.derivs(x)
+    w1, w2 = sharp(gi, d1, d2)
+    v_hz2p = 2.0 * (d1 * w1 + d2 * w2)
     if v_hz2p < 1e-8:
-        raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {s.x}")
-    _require_in_domain(scenario, s.x)
-    # H_p applied to hz2p, from the gradient of hz2p in x
-    grad_hz2p = 4.0 * s.d2phi @ (s.gi @ s.dphi)
-    if not s.metric.is_constant:
-        grad_hz2p = grad_hz2p + 2.0 * np.einsum("kij,i,j->k", s.dgi, s.dphi, s.dphi)
-    hp_hz2p = float(grad_hz2p @ s.dx)
-    coef = s.hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * s.hpz
-    return _field(s, s.dxi - coef * s.dphi)
+        raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {x}")
+    _require_in_domain(scenario, x)
+    _, v_hpz, v_hp2z = contact_values(d, gi, dg, tau, xi1, xi2)
+    dt, dx1, dx2, dtau, dxi1, dxi2 = field_values(gi, dg, tau, xi1, xi2)
+    grad1 = 4.0 * (d11 * w1 + d12 * w2)
+    grad2 = 4.0 * (d12 * w1 + d22 * w2)
+    if dg is not None:
+        a11, a12, a22, b11, b12, b22 = dg
+        grad1 = grad1 - 2.0 * (w1 * (a11 * w1 + a12 * w2) + w2 * (a12 * w1 + a22 * w2))
+        grad2 = grad2 - 2.0 * (w1 * (b11 * w1 + b12 * w2) + w2 * (b12 * w1 + b22 * w2))
+    hp_hz2p = grad1 * dx1 + grad2 * dx2
+    coef = v_hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * v_hpz
+    return np.array((dt, dx1, dx2, dtau, dxi1 - coef * d1, dxi2 - coef * d2))

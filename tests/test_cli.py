@@ -1,11 +1,14 @@
 import json
 import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glancer
 from glancer import cli
 
 
@@ -301,3 +304,61 @@ def test_console_entry_point_and_log_env(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip().splitlines()[-1])["ok"] is True
+
+
+WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+
+# the README glide-step, a multi-bounce disk trace, a trace under the wavy
+# expression metric and wall, and a 2-sample strip continuity sweep
+KERNEL_COMMANDS = [
+    ["glide-step", "--scenario", "disk_interior", "--start", "0,1,0,1,0,1", "--delta", "1e-3"],
+    ["trace", "--scenario", "disk_interior", "--start", "0,0.3,0.1,1,0.6,0.8", "--t-horizon", "8"],
+    [
+        "trace", "--scenario", str(WAVY), "--start",
+        "0.0,-0.16507154133672985,0.04025441691165371,1.0,-0.09585803948820527,-0.9954410012735664",
+        "--t-horizon", "1.2", "--h", "0.007",
+    ],
+    [
+        "continuity", "--scenario", "strip", "--start", "0,0.1,0.45,1,0.6,0.8",
+        "--delta", "1e-2,1e-3,1e-4", "--samples", "2",
+    ],
+]
+
+
+def _uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _uses_openblas(),
+    reason="OPENBLAS_CORETYPE selects OpenBLAS kernels on x86-64 only",
+)
+def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The same commands write the same bytes under the default OpenBLAS
+    kernel of this CPU (with fused multiply-add on newer CPUs) and under
+    the Nehalem kernel (without), each run in its own process."""
+    script = (
+        "import sys\n"
+        "from glancer import cli\n"
+        "commands, out = eval(sys.argv[1]), sys.argv[2]\n"
+        "for k, argv in enumerate(commands):\n"
+        "    assert cli.main(argv + ['--out', f'{out}/{k}']) == 0\n"
+    )
+    src = str(Path(glancer.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    procs = []
+    for name, kernel in (("default", {}), ("nehalem", {"OPENBLAS_CORETYPE": "Nehalem"})):
+        cmd = [sys.executable, "-c", script, repr(KERNEL_COMMANDS), str(tmp_path / name)]
+        procs.append(subprocess.Popen(cmd, env={**env, **kernel}, stdout=subprocess.DEVNULL))
+    assert [p.wait() for p in procs] == [0, 0]
+    files = {
+        name: {str(f.relative_to(tmp_path / name)): f.read_bytes()
+               for f in sorted((tmp_path / name).rglob("*")) if f.is_file()}
+        for name in ("default", "nehalem")
+    }
+    assert len(files["default"]) == len(KERNEL_COMMANDS)
+    assert files["default"].keys() == files["nehalem"].keys()
+    differ = [f for f in files["default"] if files["default"][f] != files["nehalem"][f]]
+    assert differ == []

@@ -201,12 +201,13 @@ def test_gliding_field_outside_band_rejected(disk):
 
 
 # ---------------------------------------------------------------------------
-# fused per-state evaluation against the unfused composition
+# the symbol functions against unfused float compositions
 #
-# Each quantity below is written as it was before the metric and boundary
-# were evaluated once per state: every function evaluates what it needs
-# itself. The fused functions must agree with it bit for bit, and give the
-# same bits for a PhasePoint and for its packed row.
+# Each quantity below is written out as its formula reads, on floats: every
+# function reads g_inv, dg, dphi and d2phi itself, as 2x2 matrices and
+# 2-vectors, and combines them with +, - and * in dot products summed left
+# to right. The symbol functions must agree with it bit for bit, and give
+# the same bits for a PhasePoint and for its packed row.
 
 WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
 
@@ -216,69 +217,84 @@ def _ref_check_chart(scenario, x):
         raise OutOfChart(f"point {np.asarray(x)} outside domain box of '{scenario.name}'")
 
 
-def _packed(dt, dx, dtau, dxi):
-    """Field vector [dt, dx1, dx2, dtau, dxi1, dxi2]."""
-    return np.concatenate([[dt], dx, [dtau], dxi])
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _mv(M, v):
+    """M v for a 2x2 matrix M given by its rows."""
+    return _dot(M[0], v), _dot(M[1], v)
+
+
+def _read(scenario, x):
+    """g^-1 and dg (None under a constant metric) at x, as nested float lists."""
+    m = scenario.metric
+    return m.g_inv(x).tolist(), None if m.is_constant else m.dg(x).tolist()
+
+
+def _read_boundary(scenario, x):
+    """dphi and d2phi at x, as float lists."""
+    b = scenario.boundary
+    return b.dphi(x).tolist(), b.d2phi(x).tolist()
 
 
 def ref_p_eval(scenario, rho):
     _ref_check_chart(scenario, rho.x)
-    gi = scenario.metric.g_inv(rho.x)
-    return float(-rho.tau**2 + rho.xi @ gi @ rho.xi)
+    gi, _ = _read(scenario, rho.x)
+    xi = rho.xi.tolist()
+    return -(rho.tau * rho.tau) + _dot(xi, _mv(gi, xi))
 
 
 def ref_hamiltonian_field(scenario, rho):
+    """dt = -2 tau, dx = 2 g^-1 xi, dtau = 0, dxi_k = s^T dg_k s with s = g^-1 xi."""
     _ref_check_chart(scenario, rho.x)
-    m = scenario.metric
-    gi = m.g_inv(rho.x)
-    dx = 2.0 * gi @ rho.xi
-    if m.is_constant:
-        dxi = np.zeros(rho.dim)
-    else:
-        dxi = -np.einsum("kij,i,j->k", m.dg_inv(rho.x), rho.xi, rho.xi)
-    return _packed(-2.0 * rho.tau, dx, 0.0, dxi)
+    gi, dg = _read(scenario, rho.x)
+    s = _mv(gi, rho.xi.tolist())
+    dxi = (0.0, 0.0) if dg is None else [_dot(s, _mv(dg_k, s)) for dg_k in dg]
+    return np.array([-2.0 * rho.tau, 2.0 * s[0], 2.0 * s[1], 0.0, *dxi])
 
 
 def ref_hpz(scenario, rho):
     _ref_check_chart(scenario, rho.x)
-    gi = scenario.metric.g_inv(rho.x)
-    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    return float(2.0 * dphi @ (gi @ rho.xi))
+    gi, _ = _read(scenario, rho.x)
+    dphi, _ = _read_boundary(scenario, rho.x)
+    return 2.0 * _dot(dphi, _mv(gi, rho.xi.tolist()))
 
 
 def ref_hz2p(scenario, x):
     x = np.asarray(x, dtype=float)
-    gi = scenario.metric.g_inv(x)
-    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
-    return float(2.0 * dphi @ gi @ dphi)
+    gi, _ = _read(scenario, x)
+    dphi, _ = _read_boundary(scenario, x)
+    return 2.0 * _dot(dphi, _mv(gi, dphi))
 
 
 def ref_hp2z(scenario, rho):
+    """4 s^T d2phi s - 4 sum_k s_k (w^T dg_k s) + 2 sum_k w_k (s^T dg_k s),
+    with s = g^-1 xi and w = g^-1 dphi."""
     _ref_check_chart(scenario, rho.x)
-    m = scenario.metric
-    gi = m.g_inv(rho.x)
-    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    d2phi = np.asarray(scenario.boundary.d2phi(rho.x), dtype=float)
-    sharp_xi = gi @ rho.xi
-    dx = 2.0 * sharp_xi
-    if m.is_constant:
-        return float(2.0 * (d2phi @ sharp_xi) @ dx)
-    dgi = m.dg_inv(rho.x)
-    grad_x = 2.0 * (d2phi @ sharp_xi + np.einsum("kij,i,j->k", dgi, dphi, rho.xi))
-    grad_xi = 2.0 * gi @ dphi
-    dxi = -np.einsum("kij,i,j->k", dgi, rho.xi, rho.xi)
-    return float(grad_x @ dx + grad_xi @ dxi)
+    gi, dg = _read(scenario, rho.x)
+    dphi, d2phi = _read_boundary(scenario, rho.x)
+    s, w = _mv(gi, rho.xi.tolist()), _mv(gi, dphi)
+    out = 4.0 * _dot(s, _mv(d2phi, s))
+    if dg is None:
+        return out
+    dgs = [_mv(dg_k, s) for dg_k in dg]
+    return (
+        out
+        - 4.0 * _dot(s, [_dot(w, v) for v in dgs])
+        + 2.0 * _dot(w, [_dot(s, v) for v in dgs])
+    )
 
 
 def ref_grad_hz2p(scenario, x):
-    m = scenario.metric
-    gi = m.g_inv(x)
-    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
-    d2phi = np.asarray(scenario.boundary.d2phi(x), dtype=float)
-    out = 4.0 * d2phi @ (gi @ dphi)
-    if not m.is_constant:
-        out = out + 2.0 * np.einsum("kij,i,j->k", m.dg_inv(x), dphi, dphi)
-    return out
+    """The gradient of hz2p = 2 dphi^T g^-1 dphi: 4 d2phi w - 2 (w^T dg_k w)_k."""
+    gi, dg = _read(scenario, x)
+    dphi, d2phi = _read_boundary(scenario, x)
+    w = _mv(gi, dphi)
+    out = [4.0 * v for v in _mv(d2phi, w)]
+    if dg is None:
+        return out
+    return [v - 2.0 * _dot(w, _mv(dg_k, w)) for v, dg_k in zip(out, dg)]
 
 
 def ref_gliding_field(scenario, rho):
@@ -288,25 +304,27 @@ def ref_gliding_field(scenario, rho):
     if v_hz2p < 1e-8:
         raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {rho.x}")
     base = ref_hamiltonian_field(scenario, rho)
-    base_dt, base_dx, base_dxi = base[0], base[1:3], base[4:6]
     v_hpz = ref_hpz(scenario, rho)
     v_hp2z = ref_hp2z(scenario, rho)
-    hp_hz2p = float(ref_grad_hz2p(scenario, rho.x) @ base_dx)
+    hp_hz2p = _dot(ref_grad_hz2p(scenario, rho.x), base[sym.X].tolist())
     coef = v_hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * v_hpz
-    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
-    return _packed(base_dt, base_dx, 0.0, base_dxi - coef * dphi)
+    dphi, _ = _read_boundary(scenario, rho.x)
+    out = base.copy()
+    out[sym.XI] = base[4] - coef * dphi[0], base[5] - coef * dphi[1]
+    return out
 
 
-def ref_classify(scenario, rho):
+def _classify_with(ref_p, ref_hpz_, ref_hp2z_, scenario, rho):
+    """classify_boundary_point, from the given p, hpz and hp2z compositions."""
     th = scenario.thresholds
     phi = scenario.boundary.phi(rho.x)
     if abs(phi) > th.boundary_tol:
         raise NotOnBoundary(f"|phi| = {abs(phi):.3e} > boundary tolerance {th.boundary_tol:.0e}")
-    p = ref_p_eval(scenario, rho)
-    v_hpz = ref_hpz(scenario, rho)
-    v_hp2z = ref_hp2z(scenario, rho)
+    p = ref_p(scenario, rho)
+    v_hpz = ref_hpz_(scenario, rho)
+    v_hp2z = ref_hp2z_(scenario, rho)
     if abs(p) > th.char_tol:
-        p_par = ref_p_eval(scenario, sym.project_parallel(scenario, rho))
+        p_par = ref_p(scenario, sym.project_parallel(scenario, rho))
         if p_par > th.char_tol:
             return sym.BoundaryClass(tag=Tag.ELLIPTIC_TANGENTIAL, hpz=v_hpz, hp2z=v_hp2z, p=p)
         raise NotCharacteristic(
@@ -323,6 +341,10 @@ def ref_classify(scenario, rho):
     else:
         tag = Tag.GLANCING3
     return sym.BoundaryClass(tag=tag, hpz=v_hpz, hp2z=v_hp2z, p=p)
+
+
+def ref_classify(scenario, rho):
+    return _classify_with(ref_p_eval, ref_hpz, ref_hp2z, scenario, rho)
 
 
 def _outcome(fn, *args):
@@ -431,6 +453,151 @@ def test_fused_symbol_matches_unfused_composition(name):
             assert _same_for_row(sym.gliding_field, scenario, rho)
             tags.add(got[0])
     assert {Tag.HYPERBOLIC_IN, Tag.HYPERBOLIC_OUT, Tag.ELLIPTIC_TANGENTIAL} <= tags
+
+
+# The same quantities as numpy compositions through the derivative of the
+# inverse metric, dg^-1_k = -g^-1 dg_k g^-1 (MetricEval.dg_inv), rather than
+# dg itself: an independent formula, which agrees up to rounding.
+
+
+def _packed(dt, dx, dtau, dxi):
+    """Field vector [dt, dx1, dx2, dtau, dxi1, dxi2]."""
+    return np.concatenate([[dt], dx, [dtau], dxi])
+
+
+def np_ref_p_eval(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    gi = scenario.metric.g_inv(rho.x)
+    return float(-rho.tau**2 + rho.xi @ gi @ rho.xi)
+
+
+def np_ref_hamiltonian_field(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    m = scenario.metric
+    gi = m.g_inv(rho.x)
+    dx = 2.0 * gi @ rho.xi
+    if m.is_constant:
+        dxi = np.zeros(rho.dim)
+    else:
+        dxi = -np.einsum("kij,i,j->k", m.dg_inv(rho.x), rho.xi, rho.xi)
+    return _packed(-2.0 * rho.tau, dx, 0.0, dxi)
+
+
+def np_ref_hpz(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    gi = scenario.metric.g_inv(rho.x)
+    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
+    return float(2.0 * dphi @ (gi @ rho.xi))
+
+
+def np_ref_hz2p(scenario, x):
+    x = np.asarray(x, dtype=float)
+    gi = scenario.metric.g_inv(x)
+    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
+    return float(2.0 * dphi @ gi @ dphi)
+
+
+def np_ref_hp2z(scenario, rho):
+    _ref_check_chart(scenario, rho.x)
+    m = scenario.metric
+    gi = m.g_inv(rho.x)
+    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
+    d2phi = np.asarray(scenario.boundary.d2phi(rho.x), dtype=float)
+    sharp_xi = gi @ rho.xi
+    dx = 2.0 * sharp_xi
+    if m.is_constant:
+        return float(2.0 * (d2phi @ sharp_xi) @ dx)
+    dgi = m.dg_inv(rho.x)
+    grad_x = 2.0 * (d2phi @ sharp_xi + np.einsum("kij,i,j->k", dgi, dphi, rho.xi))
+    grad_xi = 2.0 * gi @ dphi
+    dxi = -np.einsum("kij,i,j->k", dgi, rho.xi, rho.xi)
+    return float(grad_x @ dx + grad_xi @ dxi)
+
+
+def np_ref_grad_hz2p(scenario, x):
+    m = scenario.metric
+    gi = m.g_inv(x)
+    dphi = np.asarray(scenario.boundary.dphi(x), dtype=float)
+    d2phi = np.asarray(scenario.boundary.d2phi(x), dtype=float)
+    out = 4.0 * d2phi @ (gi @ dphi)
+    if not m.is_constant:
+        out = out + 2.0 * np.einsum("kij,i,j->k", m.dg_inv(x), dphi, dphi)
+    return out
+
+
+def np_ref_gliding_field(scenario, rho):
+    if abs(scenario.boundary.phi(rho.x)) > scenario.band:
+        raise NotOnBoundary("gliding field is only defined inside the extension band")
+    v_hz2p = np_ref_hz2p(scenario, rho.x)
+    if v_hz2p < 1e-8:
+        raise DegenerateTransversal(f"hz2p = {v_hz2p:.3e} too small at x = {rho.x}")
+    base = np_ref_hamiltonian_field(scenario, rho)
+    base_dt, base_dx, base_dxi = base[0], base[1:3], base[4:6]
+    v_hpz = np_ref_hpz(scenario, rho)
+    v_hp2z = np_ref_hp2z(scenario, rho)
+    hp_hz2p = float(np_ref_grad_hz2p(scenario, rho.x) @ base_dx)
+    coef = v_hp2z / v_hz2p - (hp_hz2p / v_hz2p**2) * v_hpz
+    dphi = np.asarray(scenario.boundary.dphi(rho.x), dtype=float)
+    return _packed(base_dt, base_dx, 0.0, base_dxi - coef * dphi)
+
+
+def np_ref_classify(scenario, rho):
+    return _classify_with(np_ref_p_eval, np_ref_hpz, np_ref_hp2z, scenario, rho)
+
+
+# The float formulas and the numpy dg^-1 compositions round differently.
+# At these points each result is a sum of a few products of O(1) factors
+# (|x|, |xi|, |tau| <= 3, curvatures and metric derivatives <= 1), each side
+# within a few units in the last place of every product. The largest gap
+# on these points is 1.8e-15 relative to max(1, |value|) (p of a wavy wall
+# contact, a sum that cancels to about 0); 1e-14 leaves a margin of 5.
+DG_INV_REL = 1e-14
+
+
+def _close(a, b):
+    """Outcomes agree: the same error, or values within DG_INV_REL."""
+    if isinstance(b, tuple) and isinstance(b[0], type):  # an error: type and message
+        return a == b
+    if isinstance(b, sym.BoundaryClass):
+        return a.tag is b.tag and all(
+            _close(getattr(a, k), getattr(b, k)) for k in ("hpz", "hp2z", "p")
+        )
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= DG_INV_REL * np.maximum(1.0, np.abs(b))))
+
+
+def _value(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is part of the behaviour
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", ["disk_interior", "disk_exterior", "annulus", "strip", "wavy"]
+)
+def test_symbol_matches_the_dg_inv_composition(name):
+    scenario = scen.load_scenario(WAVY if name == "wavy" else name)
+    rng = np.random.default_rng(20240)
+    band, wall = _band_points(name, scenario, rng)
+    for x in band:
+        rho = PhasePoint(rng.uniform(-1, 1), x, rng.uniform(-2, 2), rng.normal(size=2))
+        for fn, ref in (
+            (sym.gliding_field, np_ref_gliding_field),
+            (sym.hamiltonian_field, np_ref_hamiltonian_field),
+            (sym.hpz, np_ref_hpz),
+            (sym.hp2z, np_ref_hp2z),
+            (sym.p_eval, np_ref_p_eval),
+        ):
+            assert _close(_value(fn, scenario, rho), _value(ref, scenario, rho)), fn.__name__
+        assert _close(sym.hz2p(scenario, x), np_ref_hz2p(scenario, x))
+    for x in wall:
+        for rho in _wall_covectors(scenario, x, rng):
+            for fn, ref in (
+                (sym.classify_boundary_point, np_ref_classify),
+                (sym.gliding_field, np_ref_gliding_field),
+            ):
+                assert _close(_value(fn, scenario, rho), _value(ref, scenario, rho)), fn.__name__
 
 
 @pytest.mark.parametrize(
