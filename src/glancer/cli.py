@@ -344,12 +344,10 @@ def cmd_continuity(args, scenario, out: Path) -> dict:
     rho0 = _parse_start(_require(args, "start"))
     deltas = _numbers(_require(args, "delta_list"), "delta")
     params = flow.IntegratorParams(h=args.h)
-    rows = []
-    for delta in deltas:
-        eps_hat = flow.continuity_probe(
-            scenario, rho0, delta, args.t_horizon, args.samples, params, seed=args.seed
-        )
-        rows.append((delta, eps_hat, args.samples))
+    sweep = flow.continuity_sweep(
+        scenario, rho0, deltas, args.t_horizon, args.samples, params, seed=args.seed
+    )
+    rows = [(delta, eps_hat, args.samples) for delta, eps_hat in zip(deltas, sweep)]
     echo = {
         "h": args.h,
         "t_horizon": args.t_horizon,

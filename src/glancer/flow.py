@@ -76,7 +76,6 @@ from .errors import (
     MaxPiecesExceeded,
     MaxStepsExceeded,
     NotCharacteristic,
-    NotOnBoundary,
     OutOfChart,
     ProjectionDiverged,
     StepFailure,
@@ -1019,12 +1018,16 @@ def _extended_reflection(scenario, rho):
     """Sigma-tilde near the boundary, or None outside the extension band.
 
     rho is a PhasePoint or its packed row; the image comes in the same form.
+    The band is screened on phi before the reflection is tried, by the test
+    sigma would raise NotOnBoundary on.
     """
-    try:
-        mirrored = sym.sigma(scenario, rho)
-    except (NotOnBoundary, DegenerateNormal):
+    pen = abs(float(scenario.boundary.phi(sym._coords(rho)[0])))
+    if pen > scenario.band:
         return None
-    return mirrored, abs(float(scenario.boundary.phi(sym._coords(rho)[0])))
+    try:
+        return sym.sigma(scenario, rho), pen
+    except DegenerateNormal:
+        return None
 
 
 def compressed_distance(scenario, a: PhasePoint, b: PhasePoint) -> float:
@@ -1062,38 +1065,81 @@ def _norm(v) -> float:
 def _distance_variants(scenario, states: np.ndarray):
     """Rows plus their Sigma-tilde images with penalties, for batch distances.
 
-    Rows with |phi| > band are skipped up front: the reflection rejects them
-    by the same test.
+    The rows with |phi| <= band (phi_on_rows) are reflected in one row pass:
+    the unit conormal from derivs_on_rows and MetricEval.at_rows, then
+    sigma's arithmetic (sharp, |dphi|^2_g*, its root, n_star, n, c2) with
+    +, -, *, / and sqrt alone, so each image has the bits sym.sigma gives
+    its row wherever the row derivatives have derivs' bits (every builtin
+    boundary; an expression boundary may move the last bits). Rows where
+    sigma raises DegenerateNormal (|dphi|^2_g* < 1e-16) have no image.
     """
     variants = [(states, np.zeros(len(states)))]
-    refl = np.empty_like(states)
-    pen = np.empty(len(states))
-    ok = np.zeros(len(states), dtype=bool)
-    far = np.abs(scenario.boundary.phi_on_rows(states[:, sym.X])) > scenario.band
-    for i in np.flatnonzero(~far):
-        r = _extended_reflection(scenario, states[i])
-        if r is None:
-            continue
-        refl[i] = r[0]
-        pen[i] = r[1]
-        ok[i] = True
-    if np.any(ok):
-        variants.append((refl[ok], pen[ok]))
+    X = states[:, sym.X]
+    pen = np.abs(scenario.boundary.phi_on_rows(X))
+    near = np.flatnonzero(~(pen > scenario.band))
+    d1, d2 = scenario.boundary.derivs_on_rows(X[near])[:2]
+    gi = scenario.metric.at_rows(X[near])[0]
+    w1, w2 = geo.sharp(gi, d1, d2)
+    norm2 = d1 * w1 + d2 * w2
+    keep = ~(norm2 < 1e-16)
+    if not keep.any():
+        return variants
+    r = np.sqrt(np.maximum(norm2, 1e-16))  # the rows below 1e-16 are dropped
+    ns1, ns2 = d1 / r, d2 / r
+    n1, n2 = geo.sharp(gi, ns1, ns2)
+    refl = states[near]
+    xi1, xi2 = refl[:, sym.XI].T
+    c2 = 2.0 * (xi1 * n1 + xi2 * n2)
+    refl[:, sym.XI] = np.column_stack((xi1 - c2 * ns1, xi2 - c2 * ns2))
+    variants.append((refl[keep], pen[near[keep]]))
     return variants
 
 
+# Relative widening of a block's t-window in _min_distances: far above the
+# few ulps by which a rounded norm can fall below the exact |t_p - t_r|.
+_WINDOW_MARGIN = 1e-9
+
+
 def _min_distances(P, variants) -> np.ndarray:
-    """Per row of P, the min compressed distance to the variant set."""
-    chunk = 512  # rows of P per cdist call, which bounds its memory
-    best = np.full(len(P), np.inf)
-    for rows, pens in variants:
-        for start in range(0, len(P), chunk):
-            block = P[start : start + chunk]
-            dist = cdist(block, rows) + pens[None, :]
-            np.minimum(
-                best[start : start + chunk], dist.min(axis=1), out=best[start : start + chunk]
-            )
-    return best
+    """Per row of P, the min compressed distance to the variant set.
+
+    A pair's distance is cdist(p, r) + pen_r >= |t_p - t_r|. The variant
+    rows, pooled, are sorted by t, and each row of P gets an upper bound
+    u_p: its least distance to the four pooled rows around it in t order,
+    which near a break take in the rows on both of its branches. The rows
+    of P, in t order, are then taken in blocks, and cdist runs on the
+    variant rows whose t lies within the block's t range widened by
+    max(u_p) * (1 + _WINDOW_MARGIN) and one ulp more, which holds every
+    row that can attain the minimum. cdist gives a pair the same bits
+    whatever other rows it is given, so every minimum is the all-pairs
+    minimum to the bit.
+    """
+    rows = np.concatenate([r for r, _ in variants])
+    pens = np.concatenate([p for _, p in variants])
+    order = np.argsort(rows[:, sym.T], kind="stable")
+    rows, pens = rows[order], pens[order]
+    t = rows[:, sym.T]
+    p_order = np.argsort(P[:, sym.T], kind="stable")
+    Ps = P[p_order]
+    tp = Ps[:, sym.T]
+    at = np.searchsorted(t, tp)
+    bound = np.full(len(P), np.inf)
+    for offset in (-2, -1, 0, 1):
+        j = np.clip(at + offset, 0, len(t) - 1)
+        np.minimum(bound, np.sqrt(np.square(Ps - rows[j]).sum(axis=1)) + pens[j], out=bound)
+    best = np.empty(len(P))
+    block = 64  # rows of P per cdist call
+    for start in range(0, len(P), block):
+        stop = min(start + block, len(P))
+        w = bound[start:stop].max() * (1.0 + _WINDOW_MARGIN)
+        lo = t.searchsorted(np.nextafter(tp[start] - w, -np.inf), side="left")
+        hi = t.searchsorted(np.nextafter(tp[stop - 1] + w, np.inf), side="right")
+        dist = cdist(Ps[start:stop], rows[lo:hi])
+        dist += pens[lo:hi]
+        best[start:stop] = dist.min(axis=1)
+    out = np.empty(len(P))
+    out[p_order] = best
+    return out
 
 
 def _semi_distance(P, variants) -> float:
@@ -1134,6 +1180,45 @@ def _perturb_characteristic(scenario, rho0: PhasePoint, delta: float, rng) -> Ph
     return rho0
 
 
+def continuity_sweep(
+    scenario,
+    rho0: PhasePoint,
+    deltas,
+    T: float,
+    n_samples: int,
+    params: IntegratorParams | None = None,
+    seed: int = 0,
+) -> list[float]:
+    """continuity_probe for each delta in deltas, with one reference.
+
+    Traces the reference ray through rho0 over the time horizon T in both
+    directions and builds its distance variants once. Each delta then draws
+    its n_samples perturbed starts from a fresh default_rng(seed), as its
+    own continuity_probe would, so the list holds exactly the probes'
+    values, in the order of deltas. Every delta must be finite and >= 0,
+    and n_samples >= 1; both are checked before anything is traced.
+    """
+    deltas = [float(d) for d in deltas]
+    for delta in deltas:
+        if not 0.0 <= delta < np.inf:
+            raise ValueError(f"continuity probe needs a finite delta >= 0, got {delta!r}")
+    if int(n_samples) < 1:
+        raise ValueError("continuity probe needs at least one perturbed sample")
+    params = params or IntegratorParams()
+    reference = _trace_states_both(scenario, rho0, T, params)
+    variants = _distance_variants(scenario, reference)
+    sweep = []
+    for delta in deltas:
+        rng = np.random.default_rng(seed)
+        eps_hat = 0.0
+        for _ in range(int(n_samples)):
+            pert = _perturb_characteristic(scenario, rho0, delta, rng)
+            pert_states = _trace_states_both(scenario, pert, T, params)
+            eps_hat = max(eps_hat, _semi_distance(pert_states, variants))
+        sweep.append(eps_hat)
+    return sweep
+
+
 def continuity_probe(
     scenario,
     rho0: PhasePoint,
@@ -1149,21 +1234,9 @@ def continuity_probe(
     directions, then n_samples perturbed starts within compressed distance
     delta, and returns the max over perturbed samples of the distance to the
     reference sample set; delta must be finite and >= 0, n_samples >= 1.
+    The one-delta case of continuity_sweep.
     """
-    if not 0.0 <= delta < np.inf:
-        raise ValueError(f"continuity probe needs a finite delta >= 0, got {delta!r}")
-    if int(n_samples) < 1:
-        raise ValueError("continuity probe needs at least one perturbed sample")
-    params = params or IntegratorParams()
-    reference = _trace_states_both(scenario, rho0, T, params)
-    variants = _distance_variants(scenario, reference)
-    rng = np.random.default_rng(seed)
-    eps_hat = 0.0
-    for _ in range(int(n_samples)):
-        pert = _perturb_characteristic(scenario, rho0, delta, rng)
-        pert_states = _trace_states_both(scenario, pert, T, params)
-        eps_hat = max(eps_hat, _semi_distance(pert_states, variants))
-    return eps_hat
+    return continuity_sweep(scenario, rho0, [delta], T, n_samples, params, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,17 @@ class MetricEval:
         e = self.entries(x)
         return inverse_2x2(e, x), e[3:]
 
+    def at_rows(self, X: np.ndarray):
+        """(gi, dg) at the rows of X, as at reads them and as the row passes
+        of sym.contact_values and sym.field_values take them: under a
+        constant metric one reading, whose floats serve every row; else one
+        per row, each entry an array over the rows."""
+        if self.is_constant:
+            return self.at(np.zeros(2))
+        rows = [(*gi, *dg) for gi, dg in map(self.at, X.tolist())]
+        cols = np.array(rows, dtype=float).reshape(len(X), 9).T
+        return cols[:3], cols[3:]
+
     def dg_inv(self, x: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
         """Derivative of the inverse metric: -g^-1 (dg) g^-1 per direction.
 

@@ -263,7 +263,7 @@ def _gliding_contacts(scenario, states: np.ndarray):
     The boundary-tolerance and chart-box tests run on all rows first; if a
     row fails one, the rows are classified one by one, which raises as
     classify_boundary_point does on the first failing row. Otherwise
-    sym.contact_values on the rows of derivs_on_rows and _metric_rows gives
+    sym.contact_values on the rows of derivs_on_rows and MetricEval.at_rows gives
     (p, hpz, hp2z) and sym.contact_tag the tags; a row off the characteristic
     set (|p| > char_tol) needs the elliptic test, so it alone is classified
     by classify_boundary_point.
@@ -276,7 +276,7 @@ def _gliding_contacts(scenario, states: np.ndarray):
     if bad.any():
         for row in states:
             sym.classify_boundary_point(scenario, row)
-    gi, dg = _metric_rows(scenario.metric, X)
+    gi, dg = scenario.metric.at_rows(X)
     xi1, xi2 = states[:, sym.XI].T
     d = scenario.boundary.derivs_on_rows(X)
     p, hpz, hp2z = sym.contact_values(d, gi, dg, states[:, sym.TAU], xi1, xi2)
@@ -292,23 +292,11 @@ def _gliding_contacts(scenario, states: np.ndarray):
 # the weak transport identity
 
 
-def _metric_rows(metric, X: np.ndarray):
-    """(gi, dg) at the rows of X, as sym.contact_values and sym.field_values
-    read them, from the metric's float reading (MetricEval.at): under a
-    constant metric one reading, whose floats serve every row; else one per
-    row, each entry an array over the rows."""
-    if metric.is_constant:
-        return metric.at(np.zeros(2))
-    rows = [(*gi, *dg) for gi, dg in map(metric.at, X.tolist())]
-    cols = np.array(rows, dtype=float).reshape(len(X), 9).T
-    return cols[:3], cols[3:]
-
-
 def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """H_p a = a_t dt + <a_x, dx> + <a_xi, dxi> at each sample row, from the
     full packed gradient of a, in one row pass of sym.field_values over
-    _metric_rows, the arithmetic of flow._interior_rhs."""
-    gi, dg = _metric_rows(scenario.metric, states[:, sym.X])
+    MetricEval.at_rows, the arithmetic of flow._interior_rhs."""
+    gi, dg = scenario.metric.at_rows(states[:, sym.X])
     _, _, _, tau, xi1, xi2 = states.T
     dt, dx1, dx2, _, dxi1, dxi2 = sym.field_values(gi, dg, tau, xi1, xi2)
     a_t, a_x1, a_x2, _, a_xi1, a_xi2 = grads.T
@@ -350,7 +338,7 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
         # hz2p = 2 g*(dphi, dphi) is the hpz of contact_values at xi = dphi
         X = arc.states[:, sym.X]
         d = scenario.boundary.derivs_on_rows(X)
-        gi, _ = _metric_rows(scenario.metric, X)
+        gi, _ = scenario.metric.at_rows(X)
         hz2p = sym.contact_values(d, gi, None, 0.0, d[0], d[1])[1]
         alpha = 1.0 / np.sqrt(2.0 * hz2p)
         dza = np.einsum("ij,ij->i", a.gradient_batch(arc.states)[:, sym.XI], d[:2].T)

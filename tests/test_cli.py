@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import glancer
-from glancer import cli
+from glancer import cli, flow
+from glancer import scenarios as scen
+from glancer.symbol import PhasePoint
 
 
 def run_cli(args, capsys):
@@ -210,6 +212,30 @@ def test_continuity_command_sweeps_delta(tmp_path, capsys):
         if not l.startswith("#")
     ]
     assert len(body) == 3
+
+
+def test_continuity_csv_rows_are_the_per_delta_probes(tmp_path, capsys):
+    # the sweep shares one reference trace; each row is still its own probe
+    start, deltas = "0,0.1,0.45,1,0.6,0.8", [1e-2, 1e-3, 1e-4]
+    code, _ = run_cli(
+        ["continuity", "--scenario", "strip", "--start", start,
+         "--delta", ",".join(map(repr, deltas)), "--h", "0.002", "--t-horizon", "1",
+         "--samples", "2", "--seed", "3", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    strip = scen.builtin("strip")
+    rho0 = PhasePoint.from_vector(np.array([float(v) for v in start.split(",")]))
+    params = flow.IntegratorParams(h=0.002)
+    rows = []
+    for d in deltas:
+        eps_hat = flow.continuity_probe(strip, rho0, d, 1.0, 2, params, seed=3)
+        rows.append(",".join(cli._fmt(v) for v in (d, eps_hat, 2)))
+    body = [
+        l for l in (tmp_path / "continuity.csv").read_text().splitlines()
+        if not l.startswith("#")
+    ]
+    assert body == ["delta,eps_hat,n_samples", *rows]
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from glancer import flow
 from glancer import geometry as geo
@@ -935,6 +936,122 @@ def test_continuity_probe_flat_scale(half_plane):
     delta = 1e-3
     eps_hat = flow.continuity_probe(half_plane, rho0, delta, 1.0, 16, seed=1)
     assert eps_hat <= 10 * delta
+
+
+def _all_pairs_min(P, variants):
+    """Reference for flow._min_distances: cdist of every row of P against
+    every variant row, plus its penalty."""
+    best = np.full(len(P), np.inf)
+    for rows, pens in variants:
+        np.minimum(best, (cdist(P, rows) + pens[None, :]).min(axis=1), out=best)
+    return best
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ref=st.integers(1, 90),
+    n_p=st.integers(1, 150),
+    t_grid=st.sampled_from([0.0, 0.05, 0.25]),
+    far=st.booleans(),
+    reflected=st.booleans(),
+    scale=st.sampled_from([1e-6, 1e-2, 1.0, 10.0]),
+)
+def test_min_distances_match_all_pairs(seed, n_ref, n_p, t_grid, far, reflected, scale):
+    # pruning in t keeps every row that can attain a minimum, so each
+    # minimum is the all-pairs cdist minimum to the bit; t_grid > 0 rounds t
+    # onto a grid, which ties many rows in t
+    rng = np.random.default_rng(seed)
+    band = scen.builtin("strip").band
+
+    def rows(n):
+        out = np.column_stack([rng.uniform(-1.0, 1.0, n), scale * rng.normal(size=(n, 5))])
+        if t_grid:
+            out[:, 0] = np.round(out[:, 0] / t_grid) * t_grid
+        return out
+
+    ref = rows(n_ref)
+    variants = [(ref, np.zeros(n_ref))]
+    if reflected:
+        pick = rng.random(n_ref) < 0.5
+        pick[0] = True  # _distance_variants adds no empty variant
+        refl = ref[pick].copy()
+        refl[:, 4:] = -refl[:, 4:]
+        variants.append((refl, rng.uniform(0.0, band, len(refl))))
+    P = np.vstack([rows(n_p), ref[rng.integers(0, n_ref, n_p // 3)]])
+    if far:
+        P[::4, 0] += rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 50.0)
+    assert np.array_equal(flow._min_distances(P, variants), _all_pairs_min(P, variants))
+
+
+def test_min_distances_match_all_pairs_on_traces(disk, strip):
+    # one-row P (as in the glancing-step convergence test), a perturbed
+    # trace against a reference with a reflected variant, and a base variant alone
+    rho0 = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]))
+    piece, _ = flow.integrate_gliding(disk, rho0, (0.0, 0.5), flow.IntegratorParams(h=1e-3))
+    variants = flow._distance_variants(disk, piece.states)
+    for p in flow.glancing_step_construct(disk, rho0, 1e-2, 0.1).points:
+        P = p.as_vector()[None, :]
+        assert np.array_equal(flow._min_distances(P, variants), _all_pairs_min(P, variants))
+    params = flow.IntegratorParams(h=2e-3)
+    rho = unit_start(0.0, [0.1, 0.45], 1.0, [0.6, 0.8])
+    ref = flow._trace_states_both(strip, rho, 1.0, params)
+    variants = flow._distance_variants(strip, ref)
+    assert len(variants) == 2
+    rng = np.random.default_rng(4)
+    for delta in (1e-2, 1e-4, 0.0):
+        pert = flow._perturb_characteristic(strip, rho, delta, rng)
+        P = flow._trace_states_both(strip, pert, 1.0, params)
+        for v in (variants, variants[:1]):
+            assert np.array_equal(flow._min_distances(P, v), _all_pairs_min(P, v))
+
+
+@pytest.mark.parametrize("name", ["half_plane", "disk"])
+def test_support_step_check_report_matches_all_pairs(monkeypatch, request, name):
+    # the t-pruned minimum gives the report the all-pairs cdist minimum gives
+    scenario = request.getfixturevalue(name)
+    start = {"half_plane": ([-0.5, 0.8], [0.6, -0.8]), "disk": ([1.0, 0.0], [0.0, 1.0])}[name]
+    rho0 = PhasePoint(0.0, np.array(start[0]), 1.0, np.array(start[1]))
+    gb = flow.trace_generalized(scenario, rho0, 0.6, flow.IntegratorParams(h=3e-4))
+    delta = 1e-2
+    full = measures.support_samples(gb)
+    trimmed = measures.support_samples(gb, s_margin=2 * delta)
+    report = measures.support_step_check(trimmed, scenario, delta, 0.01, reference=full)
+    assert report.n_failures > 0
+    monkeypatch.setattr(flow, "_min_distances", _all_pairs_min)
+    assert measures.support_step_check(trimmed, scenario, delta, 0.01, reference=full) == report
+
+
+_SWEEP_STARTS = {
+    "strip": ([0.1, 0.45], [0.6, 0.8]),
+    "half_plane": ([0.0, 0.3], [0.6, -0.8]),
+    "disk_interior": ([0.3, 0.1], [0.6, 0.8]),
+}
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_SWEEP_STARTS))
+def test_continuity_sweep_matches_per_delta_probes(monkeypatch, name, n_samples):
+    # one reference trace per sweep: 2 + 2 n len(deltas) traces, not
+    # 2 (1 + n) len(deltas) as one probe per delta takes
+    scenario = scen.builtin(name)
+    x, xi = _SWEEP_STARTS[name]
+    rho0 = unit_start(0.0, x, 1.0, xi)
+    params = flow.IntegratorParams(h=2e-3)
+    deltas = [1e-2, 0.0, 1e-3]
+    calls = []
+    trace = flow.trace_generalized
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "trace_generalized", counted)
+    sweep = flow.continuity_sweep(scenario, rho0, deltas, 0.5, n_samples, params, seed=7)
+    assert len(calls) == 2 + 2 * n_samples * len(deltas)
+    probes = [flow.continuity_probe(scenario, rho0, d, 0.5, n_samples, params, seed=7)
+              for d in deltas]
+    assert sweep == probes
+    assert sweep[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
