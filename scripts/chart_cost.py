@@ -5,6 +5,8 @@ Builds the chart of the unit disk at (1, 0), pulls the disk back through
 it and prints one JSON line with:
 
 * ``build_s``: seconds to build the chart;
+* ``boundary_trace_ms``: milliseconds of that build spent in
+  ``geometry._trace_boundary``, the Newton march along the boundary;
 * ``g_inv_us`` and ``dg_inv_us``: microseconds per call at (0.1, 0.03),
   the best of 3 rounds of 200 calls;
 * ``jets_per_step``: chart-jet evaluations per RK4 step of an interior
@@ -62,11 +64,30 @@ def jets_per_step(cs, chart, h=2e-3):
     return (counts[0] - counts[1]) / 49
 
 
+def build_chart(scenario, m0):
+    """(chart, build seconds, seconds of the build in geo._trace_boundary)."""
+    trace_boundary = geo._trace_boundary
+    spent = []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        out = trace_boundary(*args)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    geo._trace_boundary = timed
+    try:
+        t0 = time.perf_counter()
+        chart = geo.build_quasi_normal_chart(scenario, m0)
+        build_s = time.perf_counter() - t0
+    finally:
+        geo._trace_boundary = trace_boundary
+    return chart, build_s, sum(spent)
+
+
 def main():
     disk = scen.builtin("disk_interior")
-    t0 = time.perf_counter()
-    chart = geo.build_quasi_normal_chart(disk, [1.0, 0.0])
-    build_s = time.perf_counter() - t0
+    chart, build_s, boundary_trace_s = build_chart(disk, [1.0, 0.0])
     cs = scen.chart_scenario(disk, chart)
 
     y = np.array([0.1, 0.03])
@@ -83,6 +104,7 @@ def main():
 
     print(json.dumps({
         "build_s": round(build_s, 4),
+        "boundary_trace_ms": round(1e3 * boundary_trace_s, 2),
         "g_inv_us": round(per_call_us(cs.metric.g_inv, y), 1),
         "dg_inv_us": round(per_call_us(cs.metric.dg_inv, y), 1),
         "jets_per_step": round(jets_per_step(cs, chart), 3),

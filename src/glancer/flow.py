@@ -33,9 +33,10 @@ interior RHS itself, as they re-step from a row with RK4 substeps.
 
 Every product on a 2-vector, a 2x2 matrix or a phase row is taken on
 floats: the shell rescale, q (sym.contact_values' hpz), the Newton steps
-toward a level of phi, the glancing-step vertices and the compressed
-distance, which sums its squares in order. None goes through numpy's @ or
-norm, whose BLAS kernels round differently from one CPU to the next.
+toward a level of phi (geo.newton_to_level), the glancing-step vertices
+and the compressed distance, which sums its squares in order. None goes
+through numpy's @ or norm, whose BLAS kernels round differently from one
+CPU to the next.
 
 Under a constant metric an interior piece is a straight line with a fixed
 covector, and most of its steps are planned rather than taken one by one
@@ -96,7 +97,6 @@ class IntegratorParams:
 
     h: float = 1e-3
     max_pieces: int = 256
-    project: bool = True
     max_steps: int = 2_000_000
     tangency_gate: float = 0.05
 
@@ -414,11 +414,10 @@ class _StraightRuns:
             inc = _rk4_increment(self.rhs, z, h)
             incs.append(inc)
             z = z + inc
-            if self.params.project:
-                try:
-                    _rescale_char(self.scenario, z)
-                except StepFailure:
-                    return None
+            try:
+                _rescale_char(self.scenario, z)
+            except StepFailure:
+                return None
         return None
 
     def _build(self, y, sig, steps):
@@ -530,8 +529,7 @@ def integrate_interior(
 
     def advance(y, y_new, h):
         nonlocal phi_prev, q_prev, skip
-        if params.project:
-            _rescale_char(scenario, y_new, at)
+        _rescale_char(scenario, y_new, at)
         phi_new = phi_of(y_new)
         q_new = q_of(y_new)
 
@@ -545,8 +543,7 @@ def integrate_interior(
             sig_hit, y_hit = found
             if sig_hit < 1e-12 * h:
                 raise StepFailure("boundary crossing at zero step; reduce the step size")
-            if params.project:
-                _rescale_char(scenario, y_hit, at)
+            _rescale_char(scenario, y_hit, at)
             return "boundary", sig_hit, y_hit
 
         if not geo.in_domain(scenario, y_new[sym.X]):
@@ -563,8 +560,7 @@ def integrate_interior(
             if found is not None:
                 sig_t, y_t = found
                 if abs(phi_of(y_t)) <= max(b_tol, 10.0 * EVENT_TOL):
-                    if params.project:
-                        _rescale_char(scenario, y_t, at)
+                    _rescale_char(scenario, y_t, at)
                     return "boundary", sig_t, y_t
 
         phi_prev, q_prev = phi_new, q_new
@@ -590,26 +586,6 @@ def integrate_interior(
     if ev.reason == "boundary":
         ev.bclass = sym.classify_boundary_point(scenario, ev.rho)
     return piece, ev
-
-
-def _newton_on_x(scenario, x, target: float, steps: int, tol: float):
-    """Up to steps Newton steps x <- x + ((target - phi) / g*(dphi, dphi)) g^-1 dphi,
-    stopping once |target - phi| <= tol. Returns x and phi there."""
-    phi_f = scenario.boundary.phi
-    ph = float(phi_f(x))
-    for _ in range(steps):
-        if abs(target - ph) <= tol:
-            break
-        d1, d2 = scenario.boundary.derivs(x)[:2]
-        w1, w2 = geo.sharp(scenario.metric.at(x)[0], d1, d2)
-        denom = d1 * w1 + d2 * w2
-        if denom < 1e-16:
-            raise DegenerateNormal(f"dphi degenerate in a Newton step toward phi = {target:.3e}")
-        f = (target - ph) / denom
-        x1, x2 = x.tolist()
-        x = np.array((x1 + f * w1, x2 + f * w2))
-        ph = float(phi_f(x))
-    return x, ph
 
 
 def _boundary_tangent(d, g, x):
@@ -696,7 +672,7 @@ def integrate_gliding(
 
     def settle(y):
         """Settle y on the gliding set in place; returns derivs and xi at its x."""
-        x, ph = _newton_on_x(scenario, y[sym.X], 0.0, 25, 1e-12)
+        x, ph = geo.newton_to_level(scenario.boundary, y[sym.X], 0.0, 25, 1e-12, metric)
         if abs(ph) > 1e-12:
             raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
         d, v1, v2, gv1, gv2, nv = tangent(x)
@@ -952,9 +928,7 @@ def glancing_step_construct(
 
     for _ in range(6):
         y_t = rho.as_vector() + delta * sym.gliding_field(scenario, rho)
-        x_b, ph, (dp1, dp2) = geo.newton_to_boundary(scenario.boundary, y_t[sym.X], 12, 1e-13)
-        if abs(ph) > 1e-13 and dp1 * dp1 + dp2 * dp2 < 1e-24:
-            raise DegenerateNormal(f"dphi ~ 0 while projecting {x_b} to the boundary")
+        x_b = geo.newton_to_level(scenario.boundary, y_t[sym.X], 0.0, 12, 1e-13)[0]
         if not geo.in_domain(scenario, x_b):
             raise LeftChart("affine hop target left the chart")
         vertex = _surrogate_vertex(scenario, y_t, x_b, eps * delta, rho.tau)
@@ -1010,7 +984,7 @@ def fold_into_domain(scenario, rho: PhasePoint) -> PhasePoint:
         return rho
     if -ph > scenario.band:
         raise OutOfChart(f"point at phi = {ph:.3e} is beyond the reflection band")
-    x, _ = _newton_on_x(scenario, rho.x, -ph, 2, 0.0)
+    x, _ = geo.newton_to_level(scenario.boundary, rho.x, -ph, 2, 0.0, scenario.metric)
     return sym.sigma(scenario, PhasePoint(rho.t, x, rho.tau, rho.xi))
 
 

@@ -12,18 +12,22 @@ Conventions used throughout the package:
   ``derivs_rows(X)``, the five derivatives on every row as five arrays,
   equal to ``derivs`` on each row up to the last bit or two (the expression
   boundaries evaluate it on row jets, see ``glancer.jet``);
-* a metric is a ``MetricEval``. A constant one holds its matrices. A
-  non-constant 2-D one is built by ``callable_metric`` from one function,
-  ``entries(x)``: g11, g12, g22 and their x1 and x2 derivatives as nine
-  floats, one evaluation per point. ``g``, ``g_inv`` (the closed-form 2x2
-  inverse of ``inverse_2x2``) and ``dg`` are read from it. ``MetricEval.at``
-  is the one float reading of any metric, g^-1 and dg as floats, which the
-  symbol, the tracer and the row passes of ``glancer.measures`` take;
+* a metric is a ``MetricEval``, built by ``callable_metric`` from one
+  function, ``entries(x)``: g11, g12, g22 and their x1 and x2 derivatives as
+  nine floats, one evaluation per point. A constant metric
+  (``constant_metric``) is its case with fixed entries and derivatives 0.
+  ``g``, ``g_inv`` (the closed-form 2x2 inverse of ``inverse_2x2``) and
+  ``dg`` are read from it. ``MetricEval.at`` is the one float reading of any
+  metric, g^-1 and dg as floats, which the symbol, the tracer and the row
+  passes of ``glancer.measures`` take;
+* ``newton_to_level`` is the one pointwise Newton onto a level of phi, along
+  g^-1 dphi or, without a metric, along dphi; ``newton_to_boundary`` is its
+  Euclidean row form for batches of points;
 * products of 2-vectors and 2x2 matrices are written out on floats (``sharp``
   for g^-1 a, then a dot product summed left to right), not taken with
   numpy's ``@``, which leaves them to the BLAS kernel of the CPU. Only the
-  quasi-normal chart construction, ``constant_metric``'s one inverse and
-  ``MetricEval.dg_inv`` keep numpy's products.
+  quasi-normal chart construction and ``MetricEval.dg_inv`` keep numpy's
+  products.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ class MetricEval:
     """Pointwise metric data: g, its inverse, and the derivative tensor.
 
     ``dg(x)[k, i, j]`` is the partial derivative of ``g_ij`` in direction
-    ``x_k``. ``is_constant`` marks metrics whose dg vanishes identically,
-    which lets integrators skip the covector update entirely. ``entries``,
-    on a non-constant metric, is the one function the other three are read
-    from (see ``callable_metric``).
+    ``x_k``. ``entries`` is the one function the other three are read from
+    (see ``callable_metric``). ``is_constant`` marks metrics whose dg
+    vanishes identically (``constant_metric``), which lets integrators skip
+    the covector update entirely.
     """
 
     dim: int
@@ -64,16 +68,13 @@ class MetricEval:
     entries: Callable[..., tuple[float, ...]] | None = None
 
     def at(self, x) -> tuple[tuple[float, float, float], tuple[float, ...] | None]:
-        """(gi, dg) at x as floats: gi = (gi11, gi12, gi22), the entries of
-        g_inv(x), and dg = (d1 g11, d1 g12, d1 g22, d2 g11, d2 g12, d2 g22),
-        those of dg(x), or None under a constant metric. A non-constant
-        metric is read from one entries call, its g^-1 by inverse_2x2.
+        """(gi, dg) at x as floats, from one entries call: gi = (gi11, gi12,
+        gi22), the entries of g_inv(x) by inverse_2x2, and dg = (d1 g11,
+        d1 g12, d1 g22, d2 g11, d2 g12, d2 g22), those of dg(x), or None
+        under a constant metric.
         """
-        if self.is_constant:
-            (gi11, gi12), (_, gi22) = self.g_inv(x).tolist()
-            return (gi11, gi12, gi22), None
         e = self.entries(x)
-        return inverse_2x2(e, x), e[3:]
+        return inverse_2x2(e, x), None if self.is_constant else e[3:]
 
     def at_rows(self, X: np.ndarray):
         """(gi, dg) at the rows of X, as at reads them and as the row passes
@@ -164,29 +165,24 @@ class Chart:
 # metric constructors
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def constant_metric(matrix) -> MetricEval:
-    gmat = _readonly(np.array(matrix, dtype=float))
-    if not np.allclose(gmat, gmat.T, atol=1e-14):
-        raise ValueError("metric matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(gmat)
-    if eigs.min() <= 0:
-        raise ValueError("metric matrix must be positive definite")
-    dim = gmat.shape[0]
-    ginv = _readonly(np.linalg.inv(gmat))
-    zeros = _readonly(np.zeros((dim, dim, dim)))
-    return MetricEval(
-        dim=dim,
-        g=lambda x: gmat,
-        g_inv=lambda x: ginv,
-        dg=lambda x: zeros,
-        is_constant=True,
-    )
+    """The metric of a fixed symmetric positive definite 2x2 matrix:
+    callable_metric's case with fixed entries and derivatives 0, with
+    is_constant set, so g^-1 is inverse_2x2's closed form.
+
+    Raises ValueError unless matrix is a finite 2x2 matrix with equal
+    off-diagonal entries, g11 > 0 and det g > 0.
+    """
+    gmat = np.array(matrix, dtype=float)
+    if gmat.shape != (2, 2) or not np.isfinite(gmat).all() or gmat[0, 1] != gmat[1, 0]:
+        raise ValueError(f"metric matrix must be finite, symmetric and 2x2, got {gmat.tolist()}")
+    (g11, g12), (_, g22) = gmat.tolist()
+    if not (g11 > 0.0 and g11 * g22 - g12 * g12 > 0.0):
+        raise ValueError(f"metric matrix must be positive definite, got {gmat.tolist()}")
+    e = (g11, g12, g22, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    metric = callable_metric(lambda x: e)
+    metric.is_constant = True
+    return metric
 
 
 def identity_metric(dim: int) -> MetricEval:
@@ -307,31 +303,53 @@ def unit_normal(scenario, x) -> tuple[tuple[float, float], tuple[float, float]]:
     return unit_conormal(scenario, x, scenario.thresholds.boundary_tol)
 
 
-def newton_to_boundary(boundary: BoundaryDef, x, steps: int, tol: float = 0.0,
-                       max_step: float = math.inf):
-    """Euclidean Newton steps x <- x - (phi / |dphi|^2) dphi toward {phi = 0}.
+def newton_to_level(boundary: BoundaryDef, x: np.ndarray, target: float, steps: int,
+                    tol: float, metric: MetricEval | None = None):
+    """Newton steps x <- x + ((target - phi) / <dphi, w>) w toward {phi = target}.
 
-    Takes at most ``steps`` steps. Stops early at a point with |phi| <= tol,
-    at one with |dphi|^2 < 1e-24, or before a step longer than max_step.
-    Returns (x, phi, dphi) at the point where it stopped; what a degenerate
-    dphi there means is for the caller to decide.
-
-    x is one point, evaluated through ``phi`` and ``dphi``, or an (N, 2)
-    batch, evaluated through ``phi_on_rows`` and ``derivs_on_rows``. Each
-    row of a batch stops by the rules above on its own and is not evaluated
-    again; the result is then (X, phi, dphi) with N rows each.
+    w is g^-1 dphi, read through metric.at, or dphi itself when metric is
+    None (the Euclidean step, x - (phi / |dphi|^2) dphi onto phi = 0).
+    Takes at most ``steps`` steps, each on floats from one ``derivs`` call,
+    and stops early once |target - phi| <= tol. Raises DegenerateNormal where
+    <dphi, w> < 1e-16. Returns x and phi at the point where it stopped: the
+    given x when it takes no step, else a new array.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.array(x, ndmin=2)
+    phi_f = boundary.phi
+    ph = float(phi_f(x))
+    for _ in range(steps):
+        if abs(target - ph) <= tol:
+            break
+        d1, d2 = boundary.derivs(x)[:2]
+        w1, w2 = (d1, d2) if metric is None else sharp(metric.at(x)[0], d1, d2)
+        denom = d1 * w1 + d2 * w2
+        if denom < 1e-16:
+            raise DegenerateNormal(f"dphi degenerate at {x} in a Newton step to phi = {target:.3e}")
+        f = (target - ph) / denom
+        x1, x2 = x.tolist()
+        x = np.array((x1 + f * w1, x2 + f * w2))
+        ph = float(phi_f(x))
+    return x, ph
+
+
+def newton_to_boundary(boundary: BoundaryDef, X: np.ndarray, steps: int, tol: float = 0.0,
+                       max_step: float = math.inf):
+    """Euclidean Newton steps x <- x - (phi / |dphi|^2) dphi toward {phi = 0}
+    on every row of the (N, 2) array X: the row form of newton_to_level
+    without a metric, evaluated through ``phi_on_rows`` and ``derivs_on_rows``.
+
+    Each row takes at most ``steps`` steps and stops on its own, and is not
+    evaluated again, at a point with |phi| <= tol, at one with
+    |dphi|^2 < 1e-24, or before a step longer than max_step. Returns
+    (X, phi, dphi) with N rows each, at the points where the rows stopped;
+    what a degenerate dphi there means is for the caller to decide.
+    """
+    X = np.array(X, dtype=float)
     phi = np.empty(len(X))
     dphi = np.empty_like(X)
     live = np.arange(len(X))
     Y = X
     for k in range(steps + 1):
-        if x.ndim == 2:
-            p, d = boundary.phi_on_rows(Y), boundary.derivs_on_rows(Y)[:2].T
-        else:
-            p, d = np.array([float(boundary.phi(Y[0]))]), boundary.dphi(Y[0])[None]
+        p, d = boundary.phi_on_rows(Y), boundary.derivs_on_rows(Y)[:2].T
         phi[live], dphi[live] = p, d
         if k == steps:
             break
@@ -347,9 +365,7 @@ def newton_to_boundary(boundary: BoundaryDef, x, steps: int, tol: float = 0.0,
             break
         Y = Y - step
         X[live] = Y
-    if x.ndim == 2:
-        return X, phi, dphi
-    return X[0], float(phi[0]), dphi[0]
+    return X, phi, dphi
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +446,8 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
     us = np.arange(-n_side, n_side + 1) * step
     pts = np.empty((len(us), 2))
     grads = np.empty_like(pts)
-    x0, _, d0 = newton_to_boundary(bnd, m0, 4)
+    x0 = newton_to_level(bnd, m0, 0.0, 4, 0.0)[0]
+    d0 = bnd.dphi(x0)
     pts[n_side], grads[n_side] = x0, d0
     for direction in (+1, -1):
         x, d = x0, d0
@@ -438,7 +455,8 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
             # midpoint step along the tangent, then project back
             h = direction * step
             xm = x + 0.5 * h * tangent(d)
-            x, _, d = newton_to_boundary(bnd, x + h * tangent(bnd.dphi(xm)), 4)
+            x = newton_to_level(bnd, x + h * tangent(bnd.dphi(xm)), 0.0, 4, 0.0)[0]
+            d = bnd.dphi(x)
             pts[n_side + direction * k], grads[n_side + direction * k] = x, d
     normals = np.array([d / np.linalg.norm(d) for d in grads])
     b_spline = CubicSpline(us, pts, axis=0)

@@ -39,6 +39,17 @@ log = logging.getLogger("glancer.scenarios")
 
 BUILTIN_NAMES = ("half_plane", "strip", "disk_interior", "disk_exterior", "annulus")
 
+
+def _pair(item: dict) -> dict:
+    return {"type": "array", "items": item, "minItems": 2, "maxItems": 2}
+
+
+def _required_for(kind: str, key: str) -> dict:
+    return {"if": {"properties": {"kind": {"const": kind}}}, "then": {"required": [key]}}
+
+
+_NUMBER = {"type": "number"}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["schema"],
@@ -64,19 +75,24 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["identity", "diagonal", "constant", "expression"]},
-                "entries": {"type": "array"},
-                "matrix": {"type": "array"},
-                "expressions": {"type": "array"},
+                "entries": _pair(_NUMBER),
+                "matrix": _pair(_pair(_NUMBER)),
+                "expressions": _pair(_pair({"type": ["string", "number"]})),
             },
+            "allOf": [
+                _required_for("diagonal", "entries"),
+                _required_for("constant", "matrix"),
+                _required_for("expression", "expressions"),
+            ],
         },
         "boundary": {
             "type": "object",
-            "required": ["kind"],
+            "required": ["kind", "phi"],
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["expression"]},
                 "phi": {"type": "string"},
-                "box": {"type": "array"},
+                "box": _pair(_pair(_NUMBER)),
             },
         },
         "potential": {
@@ -88,6 +104,7 @@ CONFIG_SCHEMA = {
                 "value": {"type": "number"},
                 "expr": {"type": "string"},
             },
+            **_required_for("expression", "expr"),
         },
         "band": {"type": "number", "exclusiveMinimum": 0},
         "thresholds": {
@@ -320,10 +337,13 @@ def _metric_from_block(block: dict, dim: int, box) -> MetricEval:
     kind = block.get("kind", "identity")
     if kind == "identity":
         return identity_metric(dim)
-    if kind == "diagonal":
-        return diagonal_metric(block["entries"])
-    if kind == "constant":
-        return constant_metric(block["matrix"])
+    try:
+        if kind == "diagonal":
+            return diagonal_metric(block["entries"])
+        if kind == "constant":
+            return constant_metric(block["matrix"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if kind == "expression":
         return _expression_metric(block, box)
     raise ValidationError(f"unknown metric kind {kind!r}")
@@ -336,6 +356,11 @@ def _expression_metric(block: dict, box) -> MetricEval:
     entries(x) evaluates the jet of each other entry once.
     """
     exprs = block["expressions"]
+    if "".join(str(exprs[0][1]).split()) != "".join(str(exprs[1][0]).split()):
+        raise ValidationError(
+            f"expression metric needs equal off-diagonal entries, got {exprs[0][1]!r} "
+            f"and {exprs[1][0]!r}"
+        )
     folded = [0.0] * 9
     varying = []
     for slot, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
@@ -484,6 +509,8 @@ def from_config(config: dict) -> Scenario:
         block = resolved["boundary"]
         box = block.get("box", [[-2.0, -2.0], [2.0, 2.0]])
         lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+        if not (lo < hi).all():
+            raise ValidationError(f"boundary box {box} needs lo < hi in each coordinate")
         boundary = _expression_boundary(block["phi"])
         # Builtin defining functions have no critical point on their zero set.
         _reject_corners(boundary, lo, hi)

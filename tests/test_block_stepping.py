@@ -109,12 +109,6 @@ def test_planned_runs_match_when_xi_settles_in_a_two_cycle():
     )
 
 
-def test_planned_runs_match_without_projection():
-    params = flow.IntegratorParams(h=1e-3, project=False)
-    for name, x, direction, horizon in [p.values for p in BOUNCES]:
-        assert_same_as_twin(name, x, direction, horizon, params)
-
-
 def test_planned_chart_exit_matches_single_steps():
     scenario = scen.builtin("half_plane")
     rho0 = shell_start(scenario, [0.0, 1.0], [1.0, 0.0])
@@ -210,6 +204,10 @@ def test_random_interior_starts_match_single_steps(name, u, v, th, horizon, trac
 # the tangency gate band (phi <= tangency_gate): steps there are planned
 # when the row q = d(phi)/d(sigma) cannot turn from - to + across them
 
+# interior steps are projected onto the characteristic shell, which the
+# "project" in these tests' ids names
+PROJECTED = pytest.mark.parametrize("params", [flow.IntegratorParams(h=1e-3)], ids=["project"])
+
 
 def band_start(name, depth, angle):
     """A shell start at phi = depth; angle is the direction's angle to the inward normal."""
@@ -234,11 +232,10 @@ def assert_band_start_matches(name, depth, angle, horizon, params, trace_directi
 
 
 @pytest.mark.parametrize("trace_direction", [1, -1])
-@pytest.mark.parametrize("project", [True, False], ids=["project", "no-project"])
-def test_turning_point_inside_the_band_matches_single_steps(project, trace_direction):
+@PROJECTED
+def test_turning_point_inside_the_band_matches_single_steps(params, trace_direction):
     # a pass by the obstacle whose closest point lies at phi = 0.03, inside
     # the band (tangency_gate = 0.05) but off the wall: q turns - to + there
-    params = flow.IntegratorParams(h=1e-3, project=project)
     gb = assert_same_as_twin(
         "disk_exterior", [-2.0 * trace_direction, 1.03], [1.0, 0.0], 4.0, params, trace_direction
     )
@@ -249,11 +246,10 @@ def test_turning_point_inside_the_band_matches_single_steps(project, trace_direc
 
 
 @pytest.mark.parametrize("trace_direction", [1, -1])
-@pytest.mark.parametrize("project", [True, False], ids=["project", "no-project"])
-def test_graze_between_two_rows_matches_single_steps(project, trace_direction):
+@PROJECTED
+def test_graze_between_two_rows_matches_single_steps(params, trace_direction):
     # the rows next to the contact lie at x1 = -0.001 and 0.001, both at
     # phi = 5e-7, so only the q screen keeps the graze off the planned runs
-    params = flow.IntegratorParams(h=1e-3, project=project)
     gb = assert_same_as_twin(
         "disk_exterior", [-1.501 * trace_direction, 1.0], [1.0, 0.0], 4.0, params, trace_direction
     )
@@ -261,13 +257,12 @@ def test_graze_between_two_rows_matches_single_steps(project, trace_direction):
 
 
 @pytest.mark.parametrize("trace_direction", [1, -1])
-@pytest.mark.parametrize("project", [True, False], ids=["project", "no-project"])
+@PROJECTED
 @pytest.mark.parametrize("name", ["disk_interior", "annulus", "strip"])
 @pytest.mark.parametrize("angle", [2.8, 0.4], ids=["heading-in", "heading-out"])
-def test_band_starts_match_single_steps(name, angle, project, trace_direction):
+def test_band_starts_match_single_steps(name, angle, params, trace_direction):
     # from phi = 0.02: heading in (q < 0 at the start) the ray bounces
     # inside the band, heading out (q > 0) it leaves the band
-    params = flow.IntegratorParams(h=1e-3, project=project)
     gb = assert_band_start_matches(name, 0.02, angle, 1.5, params, trace_direction)
     assert gb.n_samples > 500
 

@@ -268,6 +268,43 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert err["error"] == "config", case
 
 
+STRIP = {"schema": 1, "builtin": "strip"}
+BOUNDARY = {"schema": 1, "boundary": {"kind": "expression", "phi": "x2"}}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**STRIP, "metric": {"kind": "constant", "matrix": [[1, 2], [2, 1]]}},
+        {**STRIP, "metric": {"kind": "constant", "matrix": [[1, 0.1], [0.2, 1]]}},
+        {**STRIP, "metric": {"kind": "constant", "matrix": [[1, 0], [0, 1], [0, 0]]}},
+        {**STRIP, "metric": {"kind": "diagonal", "entries": [1, 1, 1]}},
+        {**STRIP, "metric": {"kind": "diagonal", "entries": [1, -1]}},
+        {**STRIP, "metric": {"kind": "diagonal"}},
+        {**STRIP, "metric": {"kind": "expression", "expressions": [["1"]]}},
+        {**STRIP, "metric": {"kind": "expression", "expressions": [["1", "0"], ["0.5", "1"]]}},
+        {**STRIP,
+         "metric": {"kind": "expression", "expressions": [["1", "0", "1"], ["0", "1", "0"]]}},
+        {"schema": 1, "boundary": {"kind": "expression"}},
+        {**BOUNDARY, "boundary": {**BOUNDARY["boundary"], "box": [[0, 0]]}},
+        {**BOUNDARY, "boundary": {**BOUNDARY["boundary"], "box": [[1, -1], [-1, 1]]}},
+        {**STRIP, "potential": {"kind": "expression"}},
+    ],
+    ids=[
+        "constant-not-positive", "constant-not-symmetric", "constant-3x2", "diagonal-3",
+        "diagonal-not-positive", "diagonal-no-entries", "expression-1x1",
+        "expression-off-diagonals-differ", "expression-extra-columns", "boundary-no-phi",
+        "boundary-box-one-corner", "boundary-box-lo-above-hi", "potential-no-expr",
+    ],
+)
+def test_malformed_scenario_blocks_exit_two(tmp_path, capsys, config):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    argv = ["classify", "--scenario", str(path), "--start", "0,0.5,0.5,1,1,0"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
 @pytest.mark.parametrize("deltas", ["-1e-2,nan", "1e-2,inf", "-0.5", "1e-2,-inf"])
 def test_continuity_rejects_negative_or_non_finite_deltas(tmp_path, capsys, deltas):
     code = cli.main(
@@ -334,8 +371,17 @@ def test_console_entry_point_and_log_env(tmp_path):
 
 WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
 
+# a strip under a non-diagonal constant metric whose LAPACK inverse has other
+# bits under the Nehalem kernel than under the AVX-512 one
+NON_DIAGONAL_STRIP = {
+    "schema": 1, "builtin": "strip",
+    "metric": {"kind": "constant", "matrix": [[1.94, 0.23], [0.23, 0.71]]},
+}
+
 # the README glide-step, a multi-bounce disk trace, a trace under the wavy
-# expression metric and wall, and a 2-sample strip continuity sweep
+# expression metric and wall, a 2-sample strip continuity sweep and a
+# multi-bounce trace on the strip under NON_DIAGONAL_STRIP (its file is
+# written by the test)
 KERNEL_COMMANDS = [
     ["glide-step", "--scenario", "disk_interior", "--start", "0,1,0,1,0,1", "--delta", "1e-3"],
     ["trace", "--scenario", "disk_interior", "--start", "0,0.3,0.1,1,0.6,0.8", "--t-horizon", "8"],
@@ -347,6 +393,10 @@ KERNEL_COMMANDS = [
     [
         "continuity", "--scenario", "strip", "--start", "0,0.1,0.45,1,0.6,0.8",
         "--delta", "1e-2,1e-3,1e-4", "--samples", "2",
+    ],
+    [
+        "trace", "--scenario", "non_diagonal_strip.json", "--start",
+        "0,0.1,0.45,1,0.6112006873056985,0.8149342497409315", "--t-horizon", "6",
     ],
 ]
 
@@ -371,13 +421,15 @@ def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
         "for k, argv in enumerate(commands):\n"
         "    assert cli.main(argv + ['--out', f'{out}/{k}']) == 0\n"
     )
+    (tmp_path / "non_diagonal_strip.json").write_text(json.dumps(NON_DIAGONAL_STRIP))
     src = str(Path(glancer.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     procs = []
     for name, kernel in (("default", {}), ("nehalem", {"OPENBLAS_CORETYPE": "Nehalem"})):
         cmd = [sys.executable, "-c", script, repr(KERNEL_COMMANDS), str(tmp_path / name)]
-        procs.append(subprocess.Popen(cmd, env={**env, **kernel}, stdout=subprocess.DEVNULL))
+        procs.append(subprocess.Popen(cmd, env={**env, **kernel}, stdout=subprocess.DEVNULL,
+                                      cwd=tmp_path))
     assert [p.wait() for p in procs] == [0, 0]
     files = {
         name: {str(f.relative_to(tmp_path / name)): f.read_bytes()

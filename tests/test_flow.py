@@ -205,9 +205,7 @@ def test_rk4_self_convergence_on_curved_metric():
     rho0 = PhasePoint(0.0, x0, 1.0, xi0)
 
     def end_state(h):
-        piece, _ = flow.integrate_interior(
-            curved, rho0, (0.0, 0.5), flow.IntegratorParams(h=h, project=False)
-        )
+        piece, _ = flow.integrate_interior(curved, rho0, (0.0, 0.5), flow.IntegratorParams(h=h))
         return piece.states[-1]
 
     ref = end_state(5e-5)

@@ -13,6 +13,15 @@ from glancer.symbol import PhasePoint
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 WAVY_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+EXPRESSION_DISK = scen.from_config(
+    {
+        "schema": 1,
+        "boundary": {"kind": "expression", "phi": "1 - hypot(x1, x2)",
+                     "box": [[-1.25, -1.25], [1.25, 1.25]]},
+        "metric": {"kind": "expression",
+                   "expressions": [["1 + 0.25 * x2", "0.1 * x1"], ["0.1 * x1", "1"]]},
+    }
+)
 
 
 def test_in_domain_is_the_chart_box(half_plane):
@@ -103,6 +112,19 @@ def test_constant_metric_rejects_bad_input():
         geo.constant_metric([[1.0, 0.5], [0.4, 1.0]])
     with pytest.raises(ValueError):
         geo.constant_metric([[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_constant_metric_inverse_is_the_closed_form():
+    rng = np.random.default_rng(17)
+    for _ in range(10_000):
+        g11, g22 = rng.uniform(0.5, 2.0, size=2).tolist()
+        g12 = float(rng.uniform(-0.4, 0.4))
+        m = geo.constant_metric([[g11, g12], [g12, g22]])
+        gi = m.g_inv(np.zeros(2))
+        assert gi[0, 1] == gi[1, 0]
+        e = (g11, g12, g22)
+        assert (gi[0, 0], gi[0, 1], gi[1, 1]) == geo.inverse_2x2(e, np.zeros(2))
+        assert m.at(np.zeros(2)) == (geo.inverse_2x2(e, np.zeros(2)), None)
 
 
 def test_smoothstep_ramp():
@@ -271,6 +293,8 @@ def test_dg_inv_reuses_the_callers_g_inv_bit_for_bit():
 
 @pytest.mark.parametrize("name", list(scen.BUILTIN_NAMES) + ["wavy"])
 def test_newton_to_boundary_lands_on_the_wall_from_the_band(name):
+    """The Euclidean newton_to_level and a one-row newton_to_boundary take
+    the same steps to the bit."""
     scenario = scen.load_scenario(WAVY_PATH if name == "wavy" else name)
     bnd = scenario.boundary
     rng = np.random.default_rng(11)
@@ -278,22 +302,50 @@ def test_newton_to_boundary_lands_on_the_wall_from_the_band(name):
     band = X[np.abs(bnd.phi_on_rows(X)) <= scenario.band][:60]
     assert len(band) == 60
     for x0 in band:
-        x, phi, dphi = geo.newton_to_boundary(bnd, x0, 12, 1e-13)
+        x, phi = geo.newton_to_level(bnd, x0, 0.0, 12, 1e-13)
         assert abs(phi) <= 1e-13
         assert phi == bnd.phi(x)
-        assert np.array_equal(dphi, bnd.dphi(x))
+        X1, phi1, dphi1 = geo.newton_to_boundary(bnd, x0[None], 12, 1e-13)
+        assert X1[0].tobytes() == x.tobytes() and phi1[0] == phi
+        assert np.array_equal(dphi1[0], bnd.dphi(x))
+
+
+@pytest.mark.parametrize("name", ["wavy", "expression_disk"])
+def test_newton_to_level_along_the_metric_gradient_reaches_the_level(name):
+    scenario = scen.load_scenario(WAVY_PATH) if name == "wavy" else EXPRESSION_DISK
+    bnd, metric = scenario.boundary, scenario.metric
+    rng = np.random.default_rng(12)
+    X = rng.uniform(scenario.domain_lo, scenario.domain_hi, size=(20000, 2))
+    band = X[np.abs(bnd.phi_on_rows(X)) <= scenario.band][:60]
+    assert len(band) == 60
+    for x0 in band:
+        for target in (0.0, 0.01):
+            x, phi = geo.newton_to_level(bnd, x0, target, 25, 1e-12, metric)
+            assert abs(target - phi) <= 1e-12
+            assert phi == bnd.phi(x)
+
+
+def test_newton_to_level_raises_where_dphi_vanishes(disk):
+    # dphi vanishes at the centre (the builtin clamps the radius there, the
+    # expression's jet takes hypot's gradient 0 at 0)
+    for scenario in (disk, EXPRESSION_DISK):
+        for metric in (None, scenario.metric):
+            with pytest.raises(DegenerateNormal):
+                geo.newton_to_level(scenario.boundary, np.zeros(2), 0.0, 12, 1e-13, metric)
 
 
 def test_newton_to_boundary_stops_where_it_cannot_step(disk):
     bnd = disk.boundary
     # dphi vanishes at the origin (the radius is clamped there)
-    x, phi, dphi = geo.newton_to_boundary(bnd, np.zeros(2), 12, 1e-13)
-    assert np.array_equal(x, np.zeros(2)) and phi == 1.0 and not dphi.any()
+    X, phi, dphi = geo.newton_to_boundary(bnd, np.zeros((1, 2)), 12, 1e-13)
+    assert np.array_equal(X, np.zeros((1, 2))) and phi[0] == 1.0 and not dphi.any()
     # the step to the wall from (0.5, 0) is 0.5 long
-    x, phi, _ = geo.newton_to_boundary(bnd, np.array([0.5, 0.0]), 12, 1e-13, max_step=0.4)
-    assert np.array_equal(x, [0.5, 0.0]) and phi == 0.5
-    x, phi, _ = geo.newton_to_boundary(bnd, np.array([0.5, 0.0]), 12, 1e-13, max_step=0.6)
-    assert abs(phi) <= 1e-13
+    X, phi, _ = geo.newton_to_boundary(bnd, np.array([[0.5, 0.0]]), 12, 1e-13, max_step=0.4)
+    assert np.array_equal(X, [[0.5, 0.0]]) and phi[0] == 0.5
+    X, phi, _ = geo.newton_to_boundary(bnd, np.array([[0.5, 0.0]]), 12, 1e-13, max_step=0.6)
+    assert abs(phi[0]) <= 1e-13
     # without a tolerance it takes every step it is given
-    x, phi, _ = geo.newton_to_boundary(bnd, np.array([0.5, 0.0]), 1)
+    X, phi, _ = geo.newton_to_boundary(bnd, np.array([[0.5, 0.0]]), 1)
+    assert np.array_equal(X, [[1.0, 0.0]])
+    x, phi = geo.newton_to_level(bnd, np.array([0.5, 0.0]), 0.0, 1, 0.0)
     assert np.array_equal(x, [1.0, 0.0])

@@ -192,6 +192,12 @@ def test_expression_metric_not_positive_definite_at_the_box_center(entry):
         )
 
 
+def test_expression_metric_off_diagonals_may_differ_in_whitespace():
+    exprs = [["1", "0.1 * x1"], ["0.1*x1", "1"]]
+    s = scen.builtin("strip", metric={"kind": "expression", "expressions": exprs})
+    assert s.metric.entries(np.array([0.5, 0.5]))[1] == 0.05
+
+
 def test_grid_n_is_rejected():
     config = {
         "schema": 1,
@@ -370,15 +376,15 @@ def test_loading_silences_numpy_warnings_off_phi_domain():
 
 
 def _scalar_corner_verdict(boundary, lo, hi, n=41):
-    """The corner check as one scalar Newton run per grid point."""
+    """The corner check with each grid point run alone, as a one-row batch."""
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
     max_step = 2.0 * float(np.linalg.norm(hi - lo))
     with np.errstate(all="ignore"):
         for a in xs:
             for b in ys:
-                x, v, d = geo.newton_to_boundary(boundary, np.array([a, b]), 3, 1e-10, max_step)
-                if abs(v) <= 1e-10 and float(d @ d) < 1e-16:
+                _, v, d = geo.newton_to_boundary(boundary, np.array([[a, b]]), 3, 1e-10, max_step)
+                if abs(v[0]) <= 1e-10 and float(d[0] @ d[0]) < 1e-16:
                     return True
     return False
 
