@@ -3,13 +3,16 @@
 Interior Hamiltonian integration with bisected boundary detection, specular
 reflection, gliding arcs traced as a flow along the boundary curve, diffractive
 pass-through, the discrete glancing-step construction, and perturbation
-probes for flow continuity. States are packed rows [t, x1, x2, tau, xi1,
-xi2], as PhasePoint.as_vector writes them, indexed through the row
-positions symbol names (sym.T, sym.X, sym.TAU, sym.XI).
+probes for flow continuity. States are packed [t, x1, x2, tau, xi1, xi2],
+as PhasePoint.as_vector writes them, indexed through the positions symbol
+names (sym.T, sym.X, sym.TAU, sym.XI).
 
-Every ray flight runs through one fixed-step marcher, _march: it takes
-the steps (the last clipped to the span), enforces the step budget and
-finiteness, records the samples and applies the chart-box policy. Each
+Every ray flight runs through one fixed-step marcher, _march. Flights,
+event location (_locate_scalar_zero) and the straight-run planner step
+with one RK4, _rk4_increment, on lists of floats; numpy rows are built only
+where _march records the samples and in the planner's array passes. _march
+takes the steps (the last clipped to the span), enforces the step budget
+and finiteness, records the samples and applies the chart-box policy. Each
 caller passes its step map and its projection and event checks, run after
 every step in this order:
 
@@ -20,16 +23,13 @@ every step in this order:
   fixed under a constant metric, else one evaluation per RK stage, where
   the projection and q at the new state share one evaluation, which the
   next step's k1 reuses;
-* gliding piece: RK4 on (t, x1, x2) as floats, one boundary derivs and
-  metric g evaluation per stage, the first taken from the settled sample;
-  the chart box, x settled on phi = 0 and xi rebuilt there, the hp2z exit
-  hysteresis (two consecutive samples above GLIDING_EXIT);
+* gliding piece: RK4 on (t, x1, x2), one boundary derivs and metric g
+  evaluation per stage, k1 taken from the settled sample; the chart box, x
+  settled on phi = 0 and xi rebuilt there, the hp2z exit hysteresis (two
+  consecutive samples above GLIDING_EXIT);
 * chord flight to its apex (glancing-step construction): RK4 as for the
   interior; the chart box, shell projection, q turning from + to -
   (bisected).
-
-Event location (_locate_scalar_zero) and the straight-run planner take the
-interior RHS itself, as they re-step from a row with RK4 substeps.
 
 Every product on a 2-vector, a 2x2 matrix or a phase row is taken on
 floats: the shell rescale, q (sym.contact_values' hpz), the Newton steps
@@ -196,36 +196,42 @@ class _MetricPoint:
 
 
 def _interior_rhs(scenario, direction: float, at: _MetricPoint | None = None):
-    """H_p at a packed state, times direction, on floats (sym.field_values);
-    the metric is read through at (a fresh _MetricPoint when None), once per
-    call."""
+    """H_p at a packed state, times direction, as a list of six floats
+    (sym.field_values); the metric is read through at (a fresh _MetricPoint
+    when None), once per call."""
     if at is None:
         at = _MetricPoint(scenario.metric)
 
     def rhs(y):
-        _, x1, x2, tau, xi1, xi2 = y.tolist()
+        _, x1, x2, tau, xi1, xi2 = y
         gi, dg = at(x1, x2)
-        return direction * np.array(sym.field_values(gi, dg, tau, xi1, xi2))
+        return [direction * v for v in sym.field_values(gi, dg, tau, xi1, xi2)]
 
     return rhs
 
 
-def _rk4_increment(rhs, y, h):
-    k1 = rhs(y)
-    k2 = rhs(y + (0.5 * h) * k1)
-    k3 = rhs(y + (0.5 * h) * k2)
-    k4 = rhs(y + h * k3)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_increment(f, y, h, k1=None):
+    """The RK4 increment (h / 6) (k1 + 2 k2 + 2 k3 + k4) of the field f over a
+    step h from y, on floats, with k1 = f(y) unless given; every term in the
+    order numpy takes on rows, so the bits are those of the row formula."""
+    if k1 is None:
+        k1 = f(y)
+    a = 0.5 * h
+    k2 = f([u + a * k for u, k in zip(y, k1)])
+    k3 = f([u + a * k for u, k in zip(y, k2)])
+    k4 = f([u + h * k for u, k in zip(y, k3)])
+    w = h / 6.0
+    return [w * (p + 2.0 * q + 2.0 * r + v) for p, q, r, v in zip(k1, k2, k3, k4)]
 
 
-def _rk4_step(rhs, y, h):
-    return y + _rk4_increment(rhs, y, h)
+def _rk4_step(f, y, h, k1=None):
+    return [u + d for u, d in zip(y, _rk4_increment(f, y, h, k1))]
 
 
 def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
     """Project xi onto the characteristic shell |xi|_x = |tau| in place, on
     floats; g^-1 comes from at when given, else from the metric's reading."""
-    _, x1, x2, tau, xi1, xi2 = y.tolist()
+    _, x1, x2, tau, xi1, xi2 = y
     gi = (at or _MetricPoint(scenario.metric))(x1, x2)[0]
     s1, s2 = geo.sharp(gi, xi1, xi2)
     nrm = math.sqrt(xi1 * s1 + xi2 * s2)
@@ -250,8 +256,8 @@ def _approach_rate(scenario, sgn: float, at: _MetricPoint | None = None):
     derivs = scenario.boundary.derivs
 
     def q(y):
-        _, x1, x2, tau, xi1, xi2 = y.tolist()
-        return sgn * sym.contact_values(derivs(y[sym.X]), at(x1, x2)[0], None, tau, xi1, xi2)[1]
+        _, x1, x2, tau, xi1, xi2 = y
+        return sgn * sym.contact_values(derivs((x1, x2)), at(x1, x2)[0], None, tau, xi1, xi2)[1]
 
     return q
 
@@ -294,9 +300,9 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
     """Fixed steps y_new = step(y, h) on the clock sigma in s_span; recorded s =
     direction * sigma.
 
-    step maps the last accepted row and a step length to the next row; the
-    interior pieces pass partial(_rk4_step, rhs), the gliding piece its
-    float stepper. After each step, advance(y, y_new, h) projects y_new in
+    step maps the last accepted state and a step length to the next state;
+    the interior pieces pass partial(_rk4_step, rhs), the gliding piece its
+    RK4 on (t, x1, x2). After each step, advance(y, y_new, h) projects y_new in
     place and runs the caller's event checks. It returns None to accept the
     step, or (reason, dsigma, y_event) to end the piece with y_event
     recorded at sigma + dsigma (None: at the last accepted state). A step
@@ -325,7 +331,7 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
             ys.append(states)
             steps += len(sigs)
             sig = float(sigs[-1])
-            y = states[-1]
+            y = states[-1].tolist()
             continue
         h = min(params.h, sig1 - sig)
         try:
@@ -336,7 +342,7 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
         steps += 1
         if steps > params.max_steps:
             raise MaxStepsExceeded(f"more than {params.max_steps} {kind.lower()} steps")
-        if not np.isfinite(y_new).all():
+        if not all(map(math.isfinite, y_new)):
             raise StepFailure("non-finite state produced by the integrator")
         event = advance(y, y_new, h)
         if event is not None:
@@ -380,13 +386,13 @@ class _StraightRuns:
     MAX_CYCLE = 8
     FLOOR = 1e-9  # phi of a clear row; also the q margin per unit of max(1, |tau|)
 
-    def __init__(self, scenario, rhs, params, sig1, sgn):
+    def __init__(self, scenario, rhs, params, sig1, sgn, at: _MetricPoint | None = None):
         self.scenario = scenario
         self.rhs = rhs
         self.params = params
         self.sig1 = sig1
         self.sgn = sgn
-        self.gi = scenario.metric.at(np.zeros(2))[0]
+        self.at = at or _MetricPoint(scenario.metric)
         self.level = max(params.tangency_gate, 0.0) + self.FLOOR
         self.lo = scenario.domain_lo - 1e-9 + 1e-12
         self.hi = scenario.domain_hi + 1e-9 - 1e-12
@@ -400,22 +406,22 @@ class _StraightRuns:
 
         Returns (vs, incs, j): row k has (tau, xi) = vs[k] and takes the
         increment incs[k]; rows from j on cycle through vs[j:]. None when no
-        cycle shows within MAX_CYCLE rows or the projection fails.
+        cycle shows within MAX_CYCLE rows or the projection fails. Rows are
+        compared by their bytes, so -0.0 and 0.0 stay apart.
         """
         h = self.params.h
-        z = y.copy()
         keys, vs, incs = [], [], []
         for _ in range(self.MAX_CYCLE):
-            key = z[sym.TAU :].tobytes()
+            key = np.array(y[sym.TAU :]).tobytes()
             if key in keys:
                 return np.array(vs), np.array(incs), keys.index(key)
             keys.append(key)
-            vs.append(z[sym.TAU :].copy())
-            inc = _rk4_increment(self.rhs, z, h)
+            vs.append(y[sym.TAU :])
+            inc = _rk4_increment(self.rhs, y, h)
             incs.append(inc)
-            z = z + inc
+            y = [u + d for u, d in zip(y, inc)]
             try:
-                _rescale_char(self.scenario, z)
+                _rescale_char(self.scenario, y, self.at)
             except StepFailure:
                 return None
         return None
@@ -443,7 +449,7 @@ class _StraightRuns:
         k = np.where(rows < j, rows, j + (rows - j) % (len(vs) - j))
         # (t, x) accumulate; (tau, xi) come from the cycle
         states = np.empty((n + 1, len(y)))
-        tx = np.concatenate((y[None, : sym.TAU], incs[k[:-1], : sym.TAU]))
+        tx = np.concatenate(([y[: sym.TAU]], incs[k[:-1], : sym.TAU]))
         np.add.accumulate(tx, axis=0, out=states[:, : sym.TAU])
         states[:, sym.TAU :] = vs[k]
         X = states[:, sym.X]
@@ -470,7 +476,8 @@ class _StraightRuns:
         """q = sgn * hpz at each row, from the boundary's row derivatives."""
         d = self.scenario.boundary.derivs_on_rows(rows[:, sym.X])
         xi1, xi2 = rows[:, sym.XI].T
-        return self.sgn * sym.contact_values(d, self.gi, None, rows[:, sym.TAU], xi1, xi2)[1]
+        gi = self.at.value[0]
+        return self.sgn * sym.contact_values(d, gi, None, rows[:, sym.TAU], xi1, xi2)[1]
 
     def __call__(self, y, sig, steps):
         if self.dead:
@@ -480,7 +487,7 @@ class _StraightRuns:
             if not self._build(y, sig, steps):
                 return None
             i = 0
-        elif y.tobytes() != self.chunk[2][i].tobytes():
+        elif np.array(y).tobytes() != self.chunk[2][i].tobytes():
             self.dead = True  # the loop left the plan: it steps alone from here
             return None
         _, sigs, states, clear = self.chunk
@@ -520,7 +527,7 @@ def integrate_interior(
     def phi_of(y):
         return float(phi_f(y[sym.X]))
 
-    y0 = rho0.as_vector()
+    y0 = rho0.as_vector().tolist()
     phi_prev = phi_of(y0)
     q_prev = q_of(y0)
     if phi_prev < -10.0 * EVENT_TOL:
@@ -568,7 +575,7 @@ def integrate_interior(
 
     plan = None
     if scenario.metric.is_constant:
-        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]), sgn)
+        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]), sgn, at)
 
         def plan(y, sig, steps):
             # A run needs a clear start row and no pending tangency skips;
@@ -601,7 +608,7 @@ def _boundary_tangent(d, g, x):
     vgv = v1 * gv1 + v2 * gv2
     hz2p = 2.0 * vgv / (g11 * g22 - g12 * g21)
     if hz2p < 1e-8:
-        raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {x}")
+        raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {np.asarray(x)}")
     return v1, v2, gv1, gv2, math.sqrt(vgv)
 
 
@@ -618,12 +625,12 @@ def integrate_gliding(
     g^-1 xi = c v for the tangent v = J dphi = (-d2 phi, d1 phi), so xi = c g v,
     and p = 0 with the sense of motion sgn = sign <xi, v> at the start gives
     c = sgn |tau| / |v|_g. H_p moves t by -2 tau and x by 2 g^-1 xi = 2 c v, so
-    RK4 steps t and x alone, as floats, on direction * (-2 tau, 2 c v), with the
-    combination (k1 + 2 k2 + 2 k3 + k4) h / 6 of _rk4_increment. The start and
-    each step are settled: x by Newton along the metric gradient of phi to
-    |phi| <= 1e-12 (ProjectionDiverged after 25 steps), then xi = c g v there.
-    Hands off to the interior when hp2z, read on the settled state, exceeds
-    GLIDING_EXIT at two consecutive samples; the event points at the first.
+    RK4 steps (t, x1, x2) alone on direction * (-2 tau, 2 c v), with k1 from
+    the settled sample. The start and each step are settled: x by Newton along
+    the metric gradient of phi to |phi| <= 1e-12 (ProjectionDiverged after 25
+    steps), then xi = c g v there. Hands off to the interior when hp2z, read
+    on the settled state, exceeds GLIDING_EXIT at two consecutive samples;
+    the event points at the first.
 
     Each RK stage evaluates the boundary's derivs and the metric g once (g
     once per piece under a constant metric), after the chart-box test of
@@ -643,8 +650,8 @@ def integrate_gliding(
     reading = _MetricPoint(metric)
     (lo1, lo2), (hi1, hi2) = scenario.domain_lo.tolist(), scenario.domain_hi.tolist()
     lo1, lo2, hi1, hi2 = lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
-    y0 = rho0.as_vector()
-    tau = float(y0[sym.TAU])
+    y0 = rho0.as_vector().tolist()
+    tau = y0[sym.TAU]
     kt = direction * (-2.0 * tau)
 
     def tangent(x):
@@ -661,59 +668,48 @@ def integrate_gliding(
             raise OutOfChart(f"point {np.array((x1, x2))} outside domain box of '{scenario.name}'")
 
     _, v1, v2, _, _, _ = tangent(y0[sym.X])
-    xi1, xi2 = y0[sym.XI].tolist()
+    xi1, xi2 = y0[sym.XI]
     c_num = math.copysign(abs(tau), xi1 * v1 + xi2 * v2)  # c |v|_g = sgn |tau|
-    k1 = [0.0, 0.0]  # x part of the field at the last settled x
+    k1 = []  # the field at the last settled x
 
     def velocity(v1, v2, nv):
-        """x part of the field, direction * 2 c v."""
+        """The field direction * (-2 tau, 2 c v) on (t, x1, x2)."""
         a = 2.0 * c_num / nv
-        return direction * (a * v1), direction * (a * v2)
+        return kt, direction * (a * v1), direction * (a * v2)
+
+    def field(z):
+        """The field at z = (t, x1, x2), after the chart test."""
+        require_inside(z[1], z[2])
+        _, v1, v2, _, _, nv = tangent(z[1:])
+        return velocity(v1, v2, nv)
 
     def settle(y):
         """Settle y on the gliding set in place; returns derivs and xi at its x."""
-        x, ph = geo.newton_to_level(scenario.boundary, y[sym.X], 0.0, 25, 1e-12, metric)
+        x, ph = geo.newton_to_level(scenario.boundary, np.array(y[sym.X]), 0.0, 25, 1e-12, metric)
         if abs(ph) > 1e-12:
             raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
         d, v1, v2, gv1, gv2, nv = tangent(x)
         c = c_num / nv
         xi1, xi2 = c * gv1, c * gv2
-        y[sym.X] = x
+        y[sym.X] = x.tolist()
         y[sym.XI] = (xi1, xi2)
         k1[:] = velocity(v1, v2, nv)
         return d, xi1, xi2
 
-    def stage(x1, x2):
-        require_inside(x1, x2)
-        _, v1, v2, _, _, nv = tangent(np.array((x1, x2)))
-        return velocity(v1, v2, nv)
-
     def step(y, h):
-        # _march steps from the last accepted row, which advance has settled
-        t, x1, x2 = y[: sym.TAU].tolist()
-        require_inside(x1, x2)
-        a1, b1 = k1
-        a2, b2 = stage(x1 + (0.5 * h) * a1, x2 + (0.5 * h) * b1)
-        a3, b3 = stage(x1 + (0.5 * h) * a2, x2 + (0.5 * h) * b2)
-        a4, b4 = stage(x1 + h * a3, x2 + h * b3)
-        w = h / 6.0
-        y_new = y.copy()
-        y_new[: sym.TAU] = (
-            t + w * (kt + 2.0 * kt + 2.0 * kt + kt),
-            x1 + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            x2 + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-        )
-        return y_new
+        # _march steps from the last accepted state, which advance has settled
+        require_inside(*y[sym.X])
+        return _rk4_step(field, y[: sym.TAU], h, k1) + y[sym.TAU :]
 
     settle(y0)
     exceed = 0
 
     def advance(y, y_new, h):
         nonlocal exceed
-        if not inside(*y_new[sym.X].tolist()):
+        if not inside(*y_new[sym.X]):
             return _CHART_EXIT
         d, xi1, xi2 = settle(y_new)
-        x = y_new[sym.X].tolist()
+        x = y_new[sym.X]
         require_inside(*x)  # as sym.hp2z checks the settled x
         hp2z = sym.contact_values(d, *reading(*x), tau, xi1, xi2)[2]
         exceed = exceed + 1 if hp2z > GLIDING_EXIT else 0
@@ -949,7 +945,7 @@ def glancing_step_construct(
             hpz_max = max(hpz_max, abs(ev.bclass.hpz))
             contacts.append({"s": s_now, "hpz": ev.bclass.hpz, "tag": ev.bclass.tag.value})
             if ev.bclass.tag is Tag.HYPERBOLIC_OUT:
-                y_r = sym.sigma(scenario, ev.rho.as_vector())
+                y_r = sym.sigma(scenario, ev.rho.as_vector()).tolist()
                 add(PhasePoint.from_vector(y_r), "flight")
                 q_prev = q_of(y_r)
                 _, ev = _march(
@@ -1169,8 +1165,10 @@ def continuity_sweep(
     directions and builds its distance variants once. Each delta then draws
     its n_samples perturbed starts from a fresh default_rng(seed), as its
     own continuity_probe would, so the list holds exactly the probes'
-    values, in the order of deltas. Every delta must be finite and >= 0,
-    and n_samples >= 1; both are checked before anything is traced.
+    values, in the order of deltas. A delta of 0 scores 0.0 without
+    tracing: its perturbed starts are rho0 itself, whose traces repeat the
+    reference. Every delta must be finite and >= 0, and n_samples >= 1; both
+    are checked before anything is traced.
     """
     deltas = [float(d) for d in deltas]
     for delta in deltas:
@@ -1185,7 +1183,7 @@ def continuity_sweep(
     for delta in deltas:
         rng = np.random.default_rng(seed)
         eps_hat = 0.0
-        for _ in range(int(n_samples)):
+        for _ in range(int(n_samples) if delta else 0):
             pert = _perturb_characteristic(scenario, rho0, delta, rng)
             pert_states = _trace_states_both(scenario, pert, T, params)
             eps_hat = max(eps_hat, _semi_distance(pert_states, variants))

@@ -304,7 +304,9 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
     fn = _numpy_eval(code)
 
     def phi(x):
-        return float(fn(x1=x[0], x2=x[1]))
+        # numpy scalars at any point form: on Python floats 1/0 would raise
+        # and a negative base to a fractional power would turn complex
+        return float(fn(x1=np.float64(x[0]), x2=np.float64(x[1])))
 
     def derivs(x):
         j = jet.evaluate(code, x[0], x[1])

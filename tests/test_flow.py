@@ -315,6 +315,36 @@ def test_gliding_hands_off_where_curvature_flips():
     assert len(gb.junctions) >= 1
 
 
+def _reference_rk4_step(rhs, y, h):
+    """The earlier RK4 step on numpy rows, the reference of flow._rk4_step."""
+    k1 = rhs(y)
+    k2 = rhs(y + (0.5 * h) * k1)
+    k3 = rhs(y + (0.5 * h) * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_locate(rhs, y_from, h, value_of, tol):
+    """The earlier event bisection on numpy rows (flow._locate_scalar_zero
+    with _reference_rk4_step substeps)."""
+    lo, hi = 0.0, h
+    best = None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        y_mid = _reference_rk4_step(rhs, y_from, mid)
+        v = value_of(y_mid)
+        if abs(v) <= tol:
+            return mid, y_mid
+        if v > 0.0:
+            lo = mid
+        else:
+            hi = mid
+            best = (mid, y_mid)
+        if hi - lo < 1e-16 * max(1.0, h):
+            break
+    return best
+
+
 def _reference_project_gliding(scenario, y):
     """The earlier projection onto {phi = 0, hpz = 0, p = 0}: x/xi Newton plus shell rescale."""
     x = y[sym.X]
@@ -358,7 +388,7 @@ def _reference_glide(scenario, rho0, s_span, params, direction):
     def rhs(y):
         return direction * sym.gliding_field(scenario, y)
 
-    step = partial(flow._rk4_step, rhs)
+    step = partial(_reference_rk4_step, rhs)
     return flow._march(flow.GLIDING, step, y0, s_span, params, direction, advance)
 
 
@@ -441,6 +471,66 @@ def test_glide_time_reversal(name):
     back = flow.trace_generalized(scenario, end, 1.0, params, direction=-1)
     assert [p.kind for p in back.pieces] == [flow.GLIDING]
     assert np.max(np.abs(back.pieces[-1].states[-1] - rho0.as_vector())) <= 1e-12
+
+
+def _reversal_starts(scenario, name, rng, n):
+    """n starts with tau = 1 and a uniform direction, uniform over the domain
+    at phi > 1e-3; on the strip at |x1| <= 8, so that no trace of T = 3
+    (|dx/ds| = 2 over s <= 1.5) reaches the box edge |x1| = 12."""
+    lo, hi = scenario.domain_lo.copy(), scenario.domain_hi.copy()
+    if name == "strip":
+        lo[0], hi[0] = -8.0, 8.0
+    starts = []
+    while len(starts) < n:
+        x = rng.uniform(lo, hi)
+        if scenario.boundary.phi(x) > 1e-3:
+            th = rng.uniform(0.0, 2 * np.pi)
+            starts.append(PhasePoint(0.0, x, 1.0, np.array([np.cos(th), np.sin(th)])))
+    return starts
+
+
+@pytest.mark.parametrize("name, seed", [("strip", 1), ("disk_interior", 2), ("annulus", 3)])
+def test_interior_time_reversal(name, seed):
+    """Trace forward to T = 3, then backward from the last sample: the start
+    comes back within sum_b C EVENT_TOL / |hpz_b| over the breaks of both
+    traces, plus rounding.
+
+    C = 16, from a first-order count per break under the identity metric
+    (tau = 1, |dphi| = 1 on every wall, hpz = 2 cos(theta) at incidence
+    theta). The break is located where |phi| = e <= EVENT_TOL, off the
+    crossing by ds = e / |hpz| <= X = EVENT_TOL / |hpz| along the ray. The
+    reflection there, in the wall's normal at that point, keeps the
+    invariant of the wall's symmetry (x1-momentum on the strip, angular
+    momentum on the disk and the annulus), so the rest of the trace is the
+    exact one moved by a symmetry motion and a shift along the flow, both
+    of which commute with the flow and so do not grow:
+    * the motion: on a circle of radius r, the outgoing line turns about the
+      origin by 2 tan(theta) e / r = 4 sin(theta) X / r <= 8 X (r >= 0.5),
+      which moves x (|x| <= 1) and xi (|xi| = 1) by at most 8 X; on the
+      strip, a translation along x1 by 2 |v1| ds <= 4 X;
+    * the shift along the line: the points on the two lines differ by at most
+      |v - v'| ds + |x| times the turn <= 2 e + 4 sin(theta) X <= 8 X.
+    So each break moves the state by at most 16 X in every component.
+    Rounding: each of the N steps of both traces rounds t, x and xi by a
+    few ulps in the increment, the sum and the shell rescale, and a rounded
+    xi moves x by up to 2 s <= 3 over the rest of the trace; 16 eps
+    max(1, |x|) per step covers these.
+    """
+    scenario = scen.builtin(name)
+    params = flow.IntegratorParams(h=1e-3)
+    c, eps = 16.0, np.finfo(float).eps
+    for rho0 in _reversal_starts(scenario, name, np.random.default_rng(seed), 20):
+        fwd = flow.trace_generalized(scenario, rho0, 3.0, params, direction=1)
+        end = PhasePoint.from_vector(fwd.pieces[-1].states[-1])
+        back = flow.trace_generalized(scenario, end, 3.0, params, direction=-1)
+        assert not fwd.junctions and not back.junctions
+        breaks = fwd.break_set + back.break_set
+        kicks = sum(flow.EVENT_TOL / abs(sym.hpz(scenario, br.rho_minus)) for br in breaks)
+        _, states, _, _ = fwd.all_samples()
+        rounding = 16.0 * eps * max(1.0, np.abs(states[:, sym.X]).max())
+        rounding *= fwd.n_samples + back.n_samples
+        err = np.abs(back.pieces[-1].states[-1] - rho0.as_vector()).max()
+        assert err <= c * kicks + rounding
 
 
 def test_gliding_start_must_be_on_the_gliding_set(disk):
@@ -634,20 +724,20 @@ def _reference_interior(scenario, rho0, s_span, params, direction):
         rescale(y_new)
         phi_new, q_new = phi_of(y_new), q_of(y_new)
         if phi_new < -1e-14:
-            sig, y_hit = flow._locate_scalar_zero(rhs, y, h, phi_of, flow.EVENT_TOL)
+            sig, y_hit = _reference_locate(rhs, y, h, phi_of, flow.EVENT_TOL)
             rescale(y_hit)
             return "boundary", sig, y_hit
         if not geo.in_domain(scenario, y_new[sym.X]):
             return flow._CHART_EXIT
         if q_prev < 0.0 <= q_new and min(phi_prev, phi_new) <= params.tangency_gate:
-            found = flow._locate_scalar_zero(rhs, y, h, lambda yy: -q_of(yy), 1e-12)
+            found = _reference_locate(rhs, y, h, lambda yy: -q_of(yy), 1e-12)
             if found is not None and abs(phi_of(found[1])) <= contact_tol:
                 rescale(found[1])
                 return "boundary", *found
         phi_prev, q_prev = phi_new, q_new
         return None
 
-    step = partial(flow._rk4_step, rhs)
+    step = partial(_reference_rk4_step, rhs)
     return flow._march(flow.INTERIOR, step, y0, s_span, params, direction, advance)
 
 
@@ -699,7 +789,38 @@ def test_float_rhs_is_the_hamiltonian_field(name, metric):
             x = rng.uniform(scenario.domain_lo, scenario.domain_hi)
             rho = PhasePoint(0.0, x, rng.uniform(0.5, 2.0), rng.normal(size=2))
             ref = direction * sym.hamiltonian_field(scenario, rho)
-            assert rhs(rho.as_vector()).tobytes() == ref.tobytes()
+            assert np.array(rhs(rho.as_vector().tolist())).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, metric",
+    [
+        pytest.param("wavy", None, id="wavy"),
+        pytest.param("expression_disk", None, id="expression_disk"),
+        pytest.param("half_plane", [[1.0, 0.3], [0.3, 1.0]], id="half_plane-non_diagonal"),
+    ],
+)
+def test_rk4_step_on_floats_is_the_numpy_step(name, metric):
+    # one RK4 step on a list of floats against the earlier step on numpy rows
+    # of the Hamiltonian field, to the bit
+    scenario = _case(name)
+    if metric is not None:
+        scenario = dataclasses.replace(scenario, metric=geo.constant_metric(metric))
+    rng = np.random.default_rng(20)
+    h = 1e-3
+    for direction in (1.0, -1.0):
+        rhs = flow._interior_rhs(scenario, direction)
+
+        def field(y):
+            return direction * sym.hamiltonian_field(scenario, y)
+
+        for _ in range(200):
+            # the stages stay in the chart box: they move x by less than 0.05
+            x = rng.uniform(scenario.domain_lo + 0.05, scenario.domain_hi - 0.05)
+            rho = PhasePoint(0.0, x, rng.uniform(0.5, 2.0), rng.normal(size=2))
+            y = rho.as_vector()
+            stepped = flow._rk4_step(rhs, y.tolist(), h)
+            assert np.array(stepped).tobytes() == _reference_rk4_step(field, y, h).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1029,7 +1150,7 @@ _SWEEP_STARTS = {
 @pytest.mark.parametrize("n_samples", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_SWEEP_STARTS))
 def test_continuity_sweep_matches_per_delta_probes(monkeypatch, name, n_samples):
-    # one reference trace per sweep: 2 + 2 n len(deltas) traces, not
+    # one reference trace per sweep: 2 + 2 n (nonzero deltas) traces, not
     # 2 (1 + n) len(deltas) as one probe per delta takes
     scenario = scen.builtin(name)
     x, xi = _SWEEP_STARTS[name]
@@ -1045,7 +1166,7 @@ def test_continuity_sweep_matches_per_delta_probes(monkeypatch, name, n_samples)
 
     monkeypatch.setattr(flow, "trace_generalized", counted)
     sweep = flow.continuity_sweep(scenario, rho0, deltas, 0.5, n_samples, params, seed=7)
-    assert len(calls) == 2 + 2 * n_samples * len(deltas)
+    assert len(calls) == 2 + 2 * n_samples * (len(deltas) - 1)
     probes = [flow.continuity_probe(scenario, rho0, d, 0.5, n_samples, params, seed=7)
               for d in deltas]
     assert sweep == probes

@@ -422,6 +422,19 @@ def test_batched_corner_check_matches_scalar_loop(expr, box):
     assert rejected == _scalar_corner_verdict(boundary, lo, hi)
 
 
+def test_expression_phi_has_numpy_semantics_at_any_point_form():
+    # the tracer hands phi list slices and tuples of Python floats, on which
+    # 1 / 0 would raise and a negative base to a fractional power turn complex
+    quotient = scen._expression_boundary("x2 - 1/x1")
+    with np.errstate(divide="ignore"):
+        assert quotient.phi((0.0, 1.0)) == quotient.phi(np.array([0.0, 1.0])) == -np.inf
+    power = scen._expression_boundary(POWER)
+    X = np.random.default_rng(9).uniform(-2.0, 2.0, size=(1000, 2))
+    from_lists = np.array([power.phi(x) for x in X.tolist()])
+    from_arrays = np.array([power.phi(x) for x in X])
+    assert from_lists.tobytes() == from_arrays.tobytes()
+
+
 ROW_JET_CASES = {
     "wavy": (CORNER_EXPRESSIONS[0], [[-3.5, -1.1], [3.5, 2.5]]),
     "all-functions": (ALL_FUNCS, [[-4.0, -2.5], [2.5, 2.5]]),
