@@ -12,10 +12,17 @@ Prints one JSON line, without bounds, with:
   hand-off check and records included);
 * ``event_us``: microseconds per ``flow._locate_scalar_zero`` call that
   locates the strip's wall x2 = 0 to ``flow.EVENT_TOL`` within a step
-  h = 1e-3 from x2 = 5e-4, as an interior piece does at a break.
+  h = 1e-3 from x2 = 5e-4, as an interior piece does at a break;
+* ``entries_wavy_us`` and ``derivs_wavy_us``: microseconds per metric
+  ``entries`` and wall ``derivs`` call of wavy.json, at the point where
+  ``rk4_wavy_us`` starts;
+* ``kernel_build_us``: microseconds to build the jet kernels that loading
+  wavy.json builds (each metric entry, and the wall's point and row
+  kernels) with the kernel memo cleared first, as a new process does.
 
 Each figure is the best of 5 rounds; a round repeats the call 200 times
-(the glide trace 3 times).
+(``entries`` and ``derivs`` 2,000 times, the glide trace 3 times, the
+kernel build once).
 
 Usage:
     python3 scripts/step_cost.py
@@ -27,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from glancer import flow
+from glancer import flow, jet
 from glancer import geometry as geo
 from glancer import scenarios as scen
 from glancer import symbol as sym
@@ -58,10 +65,20 @@ def rk4_us(scenario, y):
     return best_us(lambda: flow._rk4_step(rhs, y, 1e-3), 200)
 
 
+def build_wavy_kernels():
+    config = json.loads(WAVY.read_text())
+    phi = config["boundary"]["phi"]
+    jet._KERNELS.clear()
+    for expr in {phi, *(e for row in config["metric"]["expressions"] for e in row)}:
+        jet.kernel(expr)
+    jet.row_kernel(phi)
+
+
 def main():
     strip = scen.builtin("strip")
     wavy = scen.load_scenario(WAVY)
     disk = scen.builtin("disk_interior")
+    kernel_build_us = best_us(build_wavy_kernels, 1)
 
     glide_start = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]))
     params = flow.IntegratorParams(h=1e-3)
@@ -80,10 +97,14 @@ def main():
     if not abs(phi_of(locate()[1])) <= flow.EVENT_TOL:
         raise RuntimeError("the strip wall event was not located")
 
+    y_wavy = start(wavy, [0.3, 0.35 - 0.3 * np.cos(0.3)], [0.2, -1.0])
+    x_wavy = y_wavy[sym.X]
     print(json.dumps({
         "rk4_strip_us": round(rk4_us(strip, start(strip, [0.0, 0.5], [0.6, 0.8])), 2),
-        "rk4_wavy_us": round(rk4_us(wavy, start(wavy, [0.3, 0.35 - 0.3 * np.cos(0.3)],
-                                                [0.2, -1.0])), 2),
+        "rk4_wavy_us": round(rk4_us(wavy, y_wavy), 2),
+        "entries_wavy_us": round(best_us(lambda: wavy.metric.entries(x_wavy), 2000), 3),
+        "derivs_wavy_us": round(best_us(lambda: wavy.boundary.derivs(x_wavy), 2000), 3),
+        "kernel_build_us": round(kernel_build_us, 1),
         "glide_us_per_sample": round(glide_us / samples, 2),
         "glide_samples": samples,
         "event_us": round(best_us(locate, 200), 2),

@@ -319,7 +319,8 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
         raise ValueError(f"empty integration span {s_span}")
     sgn = float(direction)
     ss = [sgn * sig0]
-    ys = [y.copy()]
+    ys = [y.copy()]  # the stepped rows since the last planned run
+    chunks = []  # the rows before them, as arrays
     sig = sig0
     steps = 0
     event = None
@@ -328,7 +329,10 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
         if run is not None:
             sigs, states = run
             ss.extend((sgn * sigs).tolist())
-            ys.append(states)
+            if ys:
+                chunks.append(np.array(ys))
+                ys = []
+            chunks.append(states)
             steps += len(sigs)
             sig = float(sigs[-1])
             y = states[-1].tolist()
@@ -355,7 +359,10 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
     if y_event is not None:
         ss.append(sgn * (sig + dsig))
         ys.append(y_event)
-    piece = TrajectoryPiece(kind=kind, s=np.asarray(ss, dtype=float), states=np.vstack(ys))
+    if ys:
+        chunks.append(np.array(ys))
+    states = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    piece = TrajectoryPiece(kind=kind, s=np.asarray(ss, dtype=float), states=states)
     end = PhasePoint.from_vector(piece.states[-1].copy())
     return piece, ExitEvent(reason, ss[-1], end)
 
@@ -685,13 +692,13 @@ def integrate_gliding(
 
     def settle(y):
         """Settle y on the gliding set in place; returns derivs and xi at its x."""
-        x, ph = geo.newton_to_level(scenario.boundary, np.array(y[sym.X]), 0.0, 25, 1e-12, metric)
+        x, ph = geo.newton_to_level(scenario.boundary, y[sym.X], 0.0, 25, 1e-12, metric)
         if abs(ph) > 1e-12:
             raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
         d, v1, v2, gv1, gv2, nv = tangent(x)
         c = c_num / nv
         xi1, xi2 = c * gv1, c * gv2
-        y[sym.X] = x.tolist()
+        y[sym.X] = x
         y[sym.XI] = (xi1, xi2)
         k1[:] = velocity(v1, v2, nv)
         return d, xi1, xi2
@@ -849,7 +856,7 @@ def _surrogate_vertex(scenario, y_target, x_b, depth, tau) -> PhasePoint:
     """
     t, _, _, _, xi1, xi2 = y_target.tolist()
     (nb1, nb2), _ = geo.unit_conormal(scenario, x_b, 1e-9)
-    xb1, xb2 = x_b.tolist()
+    xb1, xb2 = x_b
     x_in = np.array((xb1 + depth * nb1, xb2 + depth * nb2))
     (n1, n2), (ns1, ns2) = geo.unit_conormal(scenario, x_in, max(scenario.band, 2.0 * depth))
     c = xi1 * n1 + xi2 * n2
@@ -924,7 +931,7 @@ def glancing_step_construct(
 
     for _ in range(6):
         y_t = rho.as_vector() + delta * sym.gliding_field(scenario, rho)
-        x_b = geo.newton_to_level(scenario.boundary, y_t[sym.X], 0.0, 12, 1e-13)[0]
+        x_b = geo.newton_to_level(scenario.boundary, y_t[sym.X].tolist(), 0.0, 12, 1e-13)[0]
         if not geo.in_domain(scenario, x_b):
             raise LeftChart("affine hop target left the chart")
         vertex = _surrogate_vertex(scenario, y_t, x_b, eps * delta, rho.tau)
@@ -980,7 +987,7 @@ def fold_into_domain(scenario, rho: PhasePoint) -> PhasePoint:
         return rho
     if -ph > scenario.band:
         raise OutOfChart(f"point at phi = {ph:.3e} is beyond the reflection band")
-    x, _ = geo.newton_to_level(scenario.boundary, rho.x, -ph, 2, 0.0, scenario.metric)
+    x, _ = geo.newton_to_level(scenario.boundary, rho.x.tolist(), -ph, 2, 0.0, scenario.metric)
     return sym.sigma(scenario, PhasePoint(rho.t, x, rho.tau, rho.xi))
 
 

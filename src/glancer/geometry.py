@@ -11,7 +11,7 @@ Conventions used throughout the package:
   row of an array, bit for bit equal to ``phi`` on each row; and optionally
   ``derivs_rows(X)``, the five derivatives on every row as five arrays,
   equal to ``derivs`` on each row up to the last bit or two (the expression
-  boundaries evaluate it on row jets, see ``glancer.jet``);
+  boundaries evaluate it with a row jet kernel, see ``glancer.jet``);
 * a metric is a ``MetricEval``, built by ``callable_metric`` from one
   function, ``entries(x)``: g11, g12, g22 and their x1 and x2 derivatives as
   nine floats, one evaluation per point. A constant metric
@@ -20,9 +20,9 @@ Conventions used throughout the package:
   ``dg`` are read from it. ``MetricEval.at`` is the one float reading of any
   metric, g^-1 and dg as floats, which the symbol, the tracer and the row
   passes of ``glancer.measures`` take;
-* ``newton_to_level`` is the one pointwise Newton onto a level of phi, along
-  g^-1 dphi or, without a metric, along dphi; ``newton_to_boundary`` is its
-  Euclidean row form for batches of points;
+* ``newton_to_level`` is the one pointwise Newton onto a level of phi, on a
+  float pair, along g^-1 dphi or, without a metric, along dphi;
+  ``newton_to_boundary`` is its Euclidean row form for batches of points;
 * products of 2-vectors and 2x2 matrices are written out on floats (``sharp``
   for g^-1 a, then a dot product summed left to right), not taken with
   numpy's ``@``, which leaves them to the BLAS kernel of the CPU. Only the
@@ -303,18 +303,19 @@ def unit_normal(scenario, x) -> tuple[tuple[float, float], tuple[float, float]]:
     return unit_conormal(scenario, x, scenario.thresholds.boundary_tol)
 
 
-def newton_to_level(boundary: BoundaryDef, x: np.ndarray, target: float, steps: int,
-                    tol: float, metric: MetricEval | None = None):
+def newton_to_level(boundary: BoundaryDef, x, target: float, steps: int, tol: float,
+                    metric: MetricEval | None = None):
     """Newton steps x <- x + ((target - phi) / <dphi, w>) w toward {phi = target}.
 
-    w is g^-1 dphi, read through metric.at, or dphi itself when metric is
-    None (the Euclidean step, x - (phi / |dphi|^2) dphi onto phi = 0).
-    Takes at most ``steps`` steps, each on floats from one ``derivs`` call,
-    and stops early once |target - phi| <= tol. Raises DegenerateNormal where
-    <dphi, w> < 1e-16. Returns x and phi at the point where it stopped: the
-    given x when it takes no step, else a new array.
+    x is a float pair (x1, x2). w is g^-1 dphi, read through metric.at, or
+    dphi itself when metric is None (the Euclidean step, x - (phi /
+    |dphi|^2) dphi onto phi = 0). Takes at most ``steps`` steps, each on
+    floats from one ``derivs`` call, and stops early once |target - phi| <=
+    tol. Raises DegenerateNormal where <dphi, w> < 1e-16. Returns the pair
+    (x1, x2) and phi at the point where it stopped.
     """
     phi_f = boundary.phi
+    x1, x2 = x
     ph = float(phi_f(x))
     for _ in range(steps):
         if abs(target - ph) <= tol:
@@ -323,12 +324,14 @@ def newton_to_level(boundary: BoundaryDef, x: np.ndarray, target: float, steps: 
         w1, w2 = (d1, d2) if metric is None else sharp(metric.at(x)[0], d1, d2)
         denom = d1 * w1 + d2 * w2
         if denom < 1e-16:
-            raise DegenerateNormal(f"dphi degenerate at {x} in a Newton step to phi = {target:.3e}")
+            raise DegenerateNormal(
+                f"dphi degenerate at {np.array(x)} in a Newton step to phi = {target:.3e}"
+            )
         f = (target - ph) / denom
-        x1, x2 = x.tolist()
-        x = np.array((x1 + f * w1, x2 + f * w2))
+        x1, x2 = x1 + f * w1, x2 + f * w2
+        x = (x1, x2)
         ph = float(phi_f(x))
-    return x, ph
+    return (x1, x2), ph
 
 
 def newton_to_boundary(boundary: BoundaryDef, X: np.ndarray, steps: int, tol: float = 0.0,
@@ -446,7 +449,7 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
     us = np.arange(-n_side, n_side + 1) * step
     pts = np.empty((len(us), 2))
     grads = np.empty_like(pts)
-    x0 = newton_to_level(bnd, m0, 0.0, 4, 0.0)[0]
+    x0 = np.array(newton_to_level(bnd, m0.tolist(), 0.0, 4, 0.0)[0])
     d0 = bnd.dphi(x0)
     pts[n_side], grads[n_side] = x0, d0
     for direction in (+1, -1):
@@ -455,7 +458,8 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
             # midpoint step along the tangent, then project back
             h = direction * step
             xm = x + 0.5 * h * tangent(d)
-            x = newton_to_level(bnd, x + h * tangent(bnd.dphi(xm)), 0.0, 4, 0.0)[0]
+            x = (x + h * tangent(bnd.dphi(xm))).tolist()
+            x = np.array(newton_to_level(bnd, x, 0.0, 4, 0.0)[0])
             d = bnd.dphi(x)
             pts[n_side + direction * k], grads[n_side + direction * k] = x, d
     normals = np.array([d / np.linalg.norm(d) for d in grads])

@@ -1,33 +1,70 @@
-"""Second-order forward-mode jets in two variables.
+"""Second-order jets in two variables, compiled once per expression.
 
-A ``Jet`` carries a value with its gradient and Hessian in (x1, x2) as six
-plain floats ``(v, d1, d2, d11, d12, d22)``. Arithmetic and the functions in
-``FUNCS`` push all six through the chain rule, so evaluating a scenario
-expression on the two seed jets gives its exact first and second
-derivatives (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+A jet is a value with its gradient and Hessian in (x1, x2), the six fields
+``(v, d1, d2, d11, d12, d22)``. ``kernel(expr)`` turns a scenario expression
+into one Python function of the point that returns the six fields of the
+expression's jet there. The generator walks the expression's syntax tree once
+and writes the chain rule of each operation out on floats, one operation a
+line, and compiles that source once: forward mode by source transformation
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13 and 15). Each rule
+takes the operands it always took, in the same order, so a kernel gives the
+bits of evaluating the expression on jet objects. The one change is that an
+operation whose operands are all known when the kernel is built (numbers,
+``pi``, the seed derivatives 1 and 0 and what follows from them alone) is
+done then: the same IEEE operation, done earlier.
 
-``FUNCS`` mirrors the restricted namespace of scenario expressions. Where a
-derivative does not exist (``abs``, ``sqrt`` and ``hypot`` at zero), the jet
-carries a zero gradient and a zero Hessian, the value a symmetric central
-difference gives there.
+Where a derivative does not exist (``abs``, ``sqrt`` and ``hypot`` at zero),
+the jet carries a zero gradient and a zero Hessian, the value a symmetric
+central difference gives there. Arithmetic that fails (division by zero, a
+logarithm of a negative number, overflow) gives an all-NaN jet, as the
+numpy evaluation of the same expression gives NaN or infinity there.
 
-Row jets: the arithmetic is elementwise, so the six fields may as well be
-numpy arrays. ``evaluate_rows`` evaluates an expression on every row of an
-(N, 2) array at once, through ``ROW_FUNCS``, the numpy lifts of the same
-functions with the same conventions at zero. Its values agree with the
-scalar ``evaluate`` row by row to the last bit or two, not bit for bit.
+``row_kernel(expr)`` is the same generator bound to the numpy lifts of the
+functions: it evaluates the jet on every row of an (N, 2) array at once, and
+a row with a non-finite field is NaN in all six. Its rows agree with the
+pointwise kernel to the last bit or two where numpy's functions do not give
+the math module's bits.
+
+The grammar is numbers, ``x1``, ``x2``, ``pi``, unary ``+`` and ``-``,
+``+ - * / **`` and calls of ``FUNCS`` with their arity. Anything else is a
+``ValidationError`` when the kernel is built, and so is a constant that is
+not real. The generated source holds only names the generator made and
+``repr``'d numbers, never text of the expression. Kernels are kept per
+expression text for the life of the process.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 
 import numpy as np
 
+from .errors import ValidationError
+
 _NAN = float("nan")
+
+# the functions of scenario expressions, with their number of arguments
+FUNCS = {
+    "sin": 1,
+    "cos": 1,
+    "tan": 1,
+    "exp": 1,
+    "log": 1,
+    "sqrt": 1,
+    "tanh": 1,
+    "sinh": 1,
+    "cosh": 1,
+    "arctan": 1,
+    "abs": 1,
+    "hypot": 2,
+}
 
 
 class Jet:
+    """The six fields of a jet, as ``evaluate`` and ``evaluate_rows`` give them."""
+
     __slots__ = ("v", "d1", "d2", "d11", "d12", "d22")
 
     def __init__(self, v, d1=0.0, d2=0.0, d11=0.0, d12=0.0, d22=0.0):
@@ -38,236 +75,483 @@ class Jet:
         self.d12 = d12
         self.d22 = d22
 
-    def __pos__(self):
-        return self
-
-    def __neg__(self):
-        return Jet(-self.v, -self.d1, -self.d2, -self.d11, -self.d12, -self.d22)
-
-    def __add__(self, o):
-        if isinstance(o, Jet):
-            return Jet(
-                self.v + o.v, self.d1 + o.d1, self.d2 + o.d2,
-                self.d11 + o.d11, self.d12 + o.d12, self.d22 + o.d22,
-            )
-        return Jet(self.v + o, self.d1, self.d2, self.d11, self.d12, self.d22)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if isinstance(o, Jet):
-            a, b = self, o
-            return Jet(
-                a.v * b.v,
-                a.d1 * b.v + a.v * b.d1,
-                a.d2 * b.v + a.v * b.d2,
-                a.d11 * b.v + 2.0 * a.d1 * b.d1 + a.v * b.d11,
-                a.d12 * b.v + a.d1 * b.d2 + a.d2 * b.d1 + a.v * b.d12,
-                a.d22 * b.v + 2.0 * a.d2 * b.d2 + a.v * b.d22,
-            )
-        return Jet(self.v * o, self.d1 * o, self.d2 * o, self.d11 * o, self.d12 * o, self.d22 * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet):
-            return self * _recip(o)
-        return self * (1.0 / o)
-
-    def __rtruediv__(self, o):
-        return _recip(self) * o
-
-    def __pow__(self, o):
-        if isinstance(o, Jet):
-            funcs = _funcs(self.v, o.v)
-            return funcs["exp"](o * funcs["log"](self))
-        if o == 0:
-            return Jet(1.0)
-        if o == 1:
-            return self
-        if o == 2:
-            return self * self
-        u = self.v
-        pow_ = np.power if isinstance(u, np.ndarray) else math.pow
-        return _chain(self, pow_(u, o), o * pow_(u, o - 1), o * (o - 1) * pow_(u, o - 2))
-
-    def __rpow__(self, o):
-        return _funcs(self.v)["exp"](self * math.log(o))
-
-
-def _chain(a: Jet, f: float, f1: float, f2: float) -> Jet:
-    """Compose a scalar function with value f, slope f1, curvature f2 at a.v."""
-    d1, d2 = a.d1, a.d2
-    return Jet(
-        f,
-        f1 * d1,
-        f1 * d2,
-        f1 * a.d11 + f2 * d1 * d1,
-        f1 * a.d12 + f2 * d1 * d2,
-        f1 * a.d22 + f2 * d2 * d2,
-    )
-
-
-def _recip(a: Jet) -> Jet:
-    r = 1.0 / a.v
-    return _chain(a, r, -r * r, 2.0 * r * r * r)
-
-
-def _lift(f, slopes):
-    """Extend a math function to jets; slopes(u, f(u)) gives (f'(u), f''(u))."""
-
-    def fn(a):
-        if not isinstance(a, Jet):
-            return f(a)
-        fu = f(a.v)
-        return _chain(a, fu, *slopes(a.v, fu))
-
-    return fn
-
-
-sin = _lift(math.sin, lambda u, s: (math.cos(u), -s))
-cos = _lift(math.cos, lambda u, c: (-math.sin(u), -c))
-tan = _lift(math.tan, lambda u, t: (1.0 + t * t, 2.0 * t * (1.0 + t * t)))
-exp = _lift(math.exp, lambda u, e: (e, e))
-log = _lift(math.log, lambda u, _: (1.0 / u, -1.0 / (u * u)))
-tanh = _lift(math.tanh, lambda u, t: (1.0 - t * t, -2.0 * t * (1.0 - t * t)))
-sinh = _lift(math.sinh, lambda u, s: (math.cosh(u), s))
-cosh = _lift(math.cosh, lambda u, c: (math.sinh(u), c))
-arctan = _lift(math.atan, lambda u, _: (1.0 / (1.0 + u * u), -2.0 * u / (1.0 + u * u) ** 2))
-# sqrt and abs take zero slopes at 0, where they are not differentiable
-sqrt = _lift(math.sqrt, lambda u, s: (0.5 / s, -0.25 / (s * u)) if u else (0.0, 0.0))
-abs_ = _lift(abs, lambda u, _: (math.copysign(1.0, u) if u else 0.0, 0.0))
-
-
-def hypot(a, b):
-    if not isinstance(a, Jet) and not isinstance(b, Jet):
-        return math.hypot(a, b)
-    a = a if isinstance(a, Jet) else Jet(a)
-    b = b if isinstance(b, Jet) else Jet(b)
-    r = math.hypot(a.v, b.v)
-    if r == 0.0:
-        return Jet(0.0)
-    return Jet(*_hypot_fields(a, b, r))
-
-
-def _hypot_fields(a: Jet, b: Jet, r):
-    """The six jet fields of hypot(a, b), given its value r > 0."""
-    r1 = (a.v * a.d1 + b.v * b.d1) / r
-    r2 = (a.v * a.d2 + b.v * b.d2) / r
-    return (
-        r,
-        r1,
-        r2,
-        (a.d1 * a.d1 + a.v * a.d11 + b.d1 * b.d1 + b.v * b.d11 - r1 * r1) / r,
-        (a.d1 * a.d2 + a.v * a.d12 + b.d1 * b.d2 + b.v * b.d12 - r1 * r2) / r,
-        (a.d2 * a.d2 + a.v * a.d22 + b.d2 * b.d2 + b.v * b.d22 - r2 * r2) / r,
-    )
-
-
-FUNCS = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "tanh": tanh,
-    "sinh": sinh,
-    "cosh": cosh,
-    "arctan": arctan,
-    "abs": abs_,
-    "hypot": hypot,
-    "pi": math.pi,
-}
-
-_GLOBALS = {"__builtins__": {}, **FUNCS}
-
 
 # math.hypot rounds correctly; np.hypot (the C library's) is one ulp off on
-# some 0.6 % of inputs, and the Hessian below divides that by r.
+# some 0.6 % of inputs, and the Hessian divides that by r.
 _math_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def _hypot_rows(a, b):
-    if not isinstance(a, Jet) and not isinstance(b, Jet):
-        return math.hypot(a, b)
-    a = a if isinstance(a, Jet) else Jet(a)
-    b = b if isinstance(b, Jet) else Jet(b)
-    r = np.asarray(_math_hypot(a.v, b.v), dtype=float)
-    return Jet(*(np.where(r == 0.0, 0.0, f) for f in _hypot_fields(a, b, r)))
+    return np.asarray(_math_hypot(a, b), dtype=float)
 
 
-def _sqrt_slopes(u, s):
-    return np.where(u != 0.0, 0.5 / s, 0.0), np.where(u != 0.0, -0.25 / (s * u), 0.0)
-
-
-ROW_FUNCS = {
-    "sin": _lift(np.sin, lambda u, s: (np.cos(u), -s)),
-    "cos": _lift(np.cos, lambda u, c: (-np.sin(u), -c)),
-    "tan": _lift(np.tan, lambda u, t: (1.0 + t * t, 2.0 * t * (1.0 + t * t))),
-    "exp": _lift(np.exp, lambda u, e: (e, e)),
-    "log": _lift(np.log, lambda u, _: (1.0 / u, -1.0 / (u * u))),
-    "sqrt": _lift(np.sqrt, _sqrt_slopes),
-    "tanh": _lift(np.tanh, lambda u, t: (1.0 - t * t, -2.0 * t * (1.0 - t * t))),
-    "sinh": _lift(np.sinh, lambda u, s: (np.cosh(u), s)),
-    "cosh": _lift(np.cosh, lambda u, c: (np.sinh(u), c)),
-    "arctan": _lift(np.arctan, lambda u, _: (1.0 / (1.0 + u * u), -2.0 * u / (1.0 + u * u) ** 2)),
-    "abs": _lift(np.abs, lambda u, _: (np.sign(u), 0.0)),
-    "hypot": _hypot_rows,
-    "pi": math.pi,
+# What a kernel calls, by the name it is written under: "p_" on floats,
+# "r_" on rows. A row kernel calls the float functions where the jet
+# arithmetic it transcribes does (the exponent of a power, and both
+# arguments of hypot constant).
+_POINT = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "tanh": math.tanh,
+    "sinh": math.sinh,
+    "cosh": math.cosh,
+    "arctan": math.atan,
+    "abs": abs,
+    "hypot": math.hypot,
+    "pow": math.pow,
+    "copysign": math.copysign,
+    "float": float,
+}
+_ROWS = {
+    **{name: getattr(np, name) for name in FUNCS if name != "hypot"},
+    "hypot": math.hypot,
+    "hypot_r": _hypot_rows,
+    "pow": np.power,
+    "where": np.where,
+    "sign": np.sign,
+}
+_GLOBALS = {
+    "__builtins__": {},
+    "_errors": (ArithmeticError, ValueError),
+    "_nan6": (_NAN,) * 6,
+    **{"p_" + name: f for name, f in _POINT.items()},
+    **{"r_" + name: f for name, f in _ROWS.items()},
 }
 
-_ROW_GLOBALS = {"__builtins__": {}, **ROW_FUNCS}
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "**": operator.pow,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
 
 
-def _funcs(*values):
-    """ROW_FUNCS if any of the values is an array, else FUNCS."""
-    return ROW_FUNCS if any(isinstance(v, np.ndarray) for v in values) else FUNCS
+class _Lit:
+    """A value known when the kernel is built."""
+
+    __slots__ = ("val",)
+
+    def __init__(self, val):
+        self.val = val
 
 
-def evaluate(code, x1: float, x2: float) -> Jet:
-    """Jet of a compiled expression in x1, x2 at the point (x1, x2).
+# An atom is a _Lit or the name of a variable of the kernel. A node of the
+# expression is a constant, one atom, or a jet, a tuple of six atoms.
+_ZERO, _ONE, _TWO = _Lit(0.0), _Lit(1.0), _Lit(2.0)
+_X1 = ("x1", _ONE, _ZERO, _ZERO, _ZERO, _ZERO)
+_X2 = ("x2", _ZERO, _ONE, _ZERO, _ZERO, _ZERO)
+
+
+def _is_jet(node) -> bool:
+    return isinstance(node, tuple)
+
+
+class _Writer:
+    """Writes one kernel: each operation is folded now or written out a line."""
+
+    def __init__(self, expr: str, rows: bool):
+        self.expr = expr
+        self.rows = rows
+        self.lines: list[str] = []
+        self.indent = " " * 8
+        self.consts: dict[str, object] = {}
+        self.count = 0
+
+    def fresh(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def src(self, a) -> str:
+        if isinstance(a, str):
+            return a
+        v = a.val
+        if (type(v) is float and math.isfinite(v)) or (type(v) is int and v.bit_length() < 64):
+            text = repr(v)
+            return f"({text})" if text.startswith("-") else text
+        name = f"c{len(self.consts)}"
+        self.consts[name] = v
+        return name
+
+    def is_array(self, a) -> bool:
+        """Whether a is a numpy array when a row kernel runs: the test by
+        which the jet arithmetic takes numpy's functions over the math
+        module's."""
+        return self.rows and (isinstance(a, str) or isinstance(a.val, np.ndarray))
+
+    def lit(self, v) -> _Lit:
+        if isinstance(v, complex):
+            raise ValidationError(f"expression {self.expr!r} has a constant that is not real")
+        return _Lit(v)
+
+    def emit(self, text: str) -> str:
+        name = self.fresh()
+        self.lines.append(f"{self.indent}{name} = {text}")
+        return name
+
+    def fold(self, fn, args, text):
+        """fn(*args) now if every argument is known, else the line ``text()``.
+
+        An operation that fails now fails again when the kernel runs, which
+        then gives the all-NaN jet, so it is written out.
+        """
+        if all(isinstance(a, _Lit) for a in args):
+            try:
+                with np.errstate(all="ignore"):
+                    return self.lit(fn(*(a.val for a in args)))
+            except (ArithmeticError, ValueError):
+                pass
+        return self.emit(text())
+
+    def op(self, a, sym: str, b):
+        return self.fold(_OPS[sym], (a, b), lambda: f"{self.src(a)} {sym} {self.src(b)}")
+
+    def neg(self, a):
+        return self.fold(operator.neg, (a,), lambda: f"-{self.src(a)}")
+
+    def add(self, *terms):
+        """The sum of the terms, taken left to right."""
+        out = terms[0]
+        for t in terms[1:]:
+            out = self.op(out, "+", t)
+        return out
+
+    def mul(self, *factors):
+        """The product of the factors, taken left to right."""
+        out = factors[0]
+        for f in factors[1:]:
+            out = self.op(out, "*", f)
+        return out
+
+    def div(self, a, b):
+        return self.op(a, "/", b)
+
+    def call(self, name: str, *args, rows: bool | None = None):
+        rows = self.rows if rows is None else rows
+        table, prefix = (_ROWS, "r_") if rows else (_POINT, "p_")
+        return self.fold(
+            table[name], args, lambda: f"{prefix}{name}({', '.join(map(self.src, args))})"
+        )
+
+    def branch(self, cond, then, other):
+        """then() where cond holds, else other(); each gives a tuple of atoms.
+
+        Decided now for a known cond, else written as an if statement whose
+        two arms assign the same names.
+        """
+        if isinstance(cond, _Lit):
+            return then() if cond.val else other()
+        names = None
+        self.lines.append(f"{self.indent}if {self.src(cond)}:")
+        for arm, head in ((then, None), (other, "else:")):
+            if head:
+                self.lines.append(f"{self.indent}{head}")
+            self.indent += "    "
+            out = arm()
+            names = names or tuple(self.fresh() for _ in out)
+            for name, a in zip(names, out):
+                self.lines.append(f"{self.indent}{name} = {self.src(a)}")
+            self.indent = self.indent[:-4]
+        return names
+
+    # -- the syntax tree ---------------------------------------------------
+
+    def node(self, t):
+        if isinstance(t, ast.Constant):
+            if type(t.value) in (int, float):
+                return _Lit(t.value)
+            if isinstance(t.value, complex):
+                self.lit(t.value)
+        elif isinstance(t, ast.Name):
+            if t.id == "pi":
+                return _Lit(math.pi)
+            if t.id in ("x1", "x2"):
+                return _X1 if t.id == "x1" else _X2
+        elif isinstance(t, ast.UnaryOp) and isinstance(t.op, (ast.UAdd, ast.USub)):
+            a = self.node(t.operand)
+            return a if isinstance(t.op, ast.UAdd) else _neg(self, a)
+        elif isinstance(t, ast.BinOp) and type(t.op) in _BINOPS:
+            return _BINOPS[type(t.op)](self, self.node(t.left), self.node(t.right))
+        elif isinstance(t, ast.Call) and isinstance(t.func, ast.Name) and t.func.id in FUNCS:
+            name = t.func.id
+            if t.keywords or len(t.args) != FUNCS[name] or any(
+                isinstance(a, ast.Starred) for a in t.args
+            ):
+                raise ValidationError(
+                    f"{name} takes {FUNCS[name]} positional argument(s), in expression "
+                    f"{self.expr!r}"
+                )
+            args = [self.node(a) for a in t.args]
+            return _hypot(self, *args) if name == "hypot" else _lift(self, name, args[0])
+        raise ValidationError(
+            f"unsupported syntax {ast.unparse(t)!r} in expression {self.expr!r}: only numbers, "
+            f"x1, x2, pi, unary + and -, + - * / ** and calls of {sorted(FUNCS)} are allowed"
+        )
+
+
+# -- the chain rule of each operation, as the jet arithmetic takes it -------
+
+
+def _neg(w, a):
+    return tuple(w.neg(p) for p in a) if _is_jet(a) else w.neg(a)
+
+
+def _add(w, a, b):
+    if _is_jet(a) and _is_jet(b):
+        return tuple(w.add(p, q) for p, q in zip(a, b))
+    if _is_jet(a):
+        return (w.add(a[0], b), *a[1:])
+    if _is_jet(b):
+        return (w.add(b[0], a), *b[1:])
+    return w.add(a, b)
+
+
+def _sub(w, a, b):
+    if _is_jet(b):
+        return _add(w, a, _neg(w, b)) if _is_jet(a) else _add(w, _neg(w, b), a)
+    return _add(w, a, w.neg(b)) if _is_jet(a) else w.op(a, "-", b)
+
+
+def _mul(w, a, b):
+    if _is_jet(a) and _is_jet(b):
+        av, a1, a2, a11, a12, a22 = a
+        bv, b1, b2, b11, b12, b22 = b
+        m = w.mul
+        return (
+            m(av, bv),
+            w.add(m(a1, bv), m(av, b1)),
+            w.add(m(a2, bv), m(av, b2)),
+            w.add(m(a11, bv), m(_TWO, a1, b1), m(av, b11)),
+            w.add(m(a12, bv), m(a1, b2), m(a2, b1), m(av, b12)),
+            w.add(m(a22, bv), m(_TWO, a2, b2), m(av, b22)),
+        )
+    if _is_jet(a):
+        return tuple(w.mul(p, b) for p in a)
+    if _is_jet(b):
+        return tuple(w.mul(p, a) for p in b)
+    return w.mul(a, b)
+
+
+def _div(w, a, b):
+    if _is_jet(b):
+        return _mul(w, a, _recip(w, b)) if _is_jet(a) else _mul(w, _recip(w, b), a)
+    return _mul(w, a, w.div(_ONE, b)) if _is_jet(a) else w.div(a, b)
+
+
+def _pow(w, a, b):
+    if _is_jet(a) and _is_jet(b):
+        rows = w.is_array(a[0]) or w.is_array(b[0])
+        return _lift(w, "exp", _mul(w, b, _lift(w, "log", a, rows)), rows)
+    if _is_jet(b):
+        return _lift(w, "exp", _mul(w, b, w.call("log", a, rows=False)), w.is_array(b[0]))
+    if not _is_jet(a):
+        return w.op(a, "**", b)
+    if isinstance(b, _Lit):
+        if b.val == 0:
+            return (_ONE, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+        if b.val == 1:
+            return a
+        if b.val == 2:
+            return _mul(w, a, a)
+    u = a[0]
+
+    def power(k):
+        """u ** (b - k), through math.pow or np.power as u is a float or an array."""
+        return w.call("pow", u, w.op(b, "-", _Lit(k)) if k else b, rows=w.is_array(u))
+
+    return _chain(w, a, power(0), w.mul(b, power(1)), w.mul(b, w.op(b, "-", _Lit(1)), power(2)))
+
+
+_BINOPS = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div, ast.Pow: _pow}
+
+
+def _chain(w, a, f, f1, f2):
+    """Compose a scalar function with value f, slope f1, curvature f2 at a's value."""
+    _, d1, d2, d11, d12, d22 = a
+    m = w.mul
+    return (
+        f,
+        m(f1, d1),
+        m(f1, d2),
+        w.add(m(f1, d11), m(f2, d1, d1)),
+        w.add(m(f1, d12), m(f2, d1, d2)),
+        w.add(m(f1, d22), m(f2, d2, d2)),
+    )
+
+
+def _recip(w, a):
+    r = w.div(_ONE, a[0])
+    return _chain(w, a, r, w.mul(w.neg(r), r), w.mul(_TWO, r, r, r))
+
+
+def _slopes(w, name, u, fu, rows):
+    """(f'(u), f''(u)) of a function in FUNCS with value fu at u."""
+    m = w.mul
+
+    def call(fn, *args):
+        return w.call(fn, *args, rows=rows)
+
+    if name in ("sin", "cos"):
+        other = call("cos" if name == "sin" else "sin", u)
+        return (other if name == "sin" else w.neg(other)), w.neg(fu)
+    if name in ("sinh", "cosh"):
+        return call("cosh" if name == "sinh" else "sinh", u), fu
+    if name == "exp":
+        return fu, fu
+    if name == "log":
+        return w.div(_ONE, u), w.div(_Lit(-1.0), m(u, u))
+    if name == "tan":
+        f1 = w.add(_ONE, m(fu, fu))
+        return f1, m(_TWO, fu, f1)
+    if name == "tanh":
+        f1 = w.op(_ONE, "-", m(fu, fu))
+        return f1, m(_Lit(-2.0), fu, f1)
+    if name == "arctan":
+        q = w.add(_ONE, m(u, u))
+        return w.div(_ONE, q), w.div(m(_Lit(-2.0), u), w.op(q, "**", _Lit(2)))
+    # sqrt and abs take zero slopes at 0, where they are not differentiable
+    if name == "sqrt":
+        if rows:
+            nonzero = w.op(u, "!=", _ZERO)
+            return (
+                call("where", nonzero, w.div(_Lit(0.5), fu), _ZERO),
+                call("where", nonzero, w.div(_Lit(-0.25), m(fu, u)), _ZERO),
+            )
+        return w.branch(
+            u,
+            lambda: (w.div(_Lit(0.5), fu), w.div(_Lit(-0.25), m(fu, u))),
+            lambda: (_ZERO, _ZERO),
+        )
+    if rows:
+        return call("sign", u), _ZERO
+    return w.branch(u, lambda: (call("copysign", _ONE, u),), lambda: (_ZERO,))[0], _ZERO
+
+
+def _lift(w, name, a, rows=None):
+    """A function of FUNCS at a constant, or its chain rule at a jet."""
+    rows = w.rows if rows is None else rows
+    if not _is_jet(a):
+        return w.call(name, a, rows=rows)
+    fu = w.call(name, a[0], rows=rows)
+    return _chain(w, a, fu, *_slopes(w, name, a[0], fu, rows))
+
+
+def _hypot(w, a, b):
+    if not _is_jet(a) and not _is_jet(b):
+        return w.call("hypot", a, b)
+    a = a if _is_jet(a) else (a, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+    b = b if _is_jet(b) else (b, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+    if w.rows:
+        r = w.call("hypot_r", a[0], b[0])
+        fields = _hypot_fields(w, a, b, r)
+        zero = w.op(r, "==", _ZERO)
+        return tuple(w.call("where", zero, _ZERO, f) for f in fields)
+    r = w.call("hypot", a[0], b[0])
+    return w.branch(
+        w.op(r, "==", _ZERO), lambda: (_ZERO,) * 6, lambda: _hypot_fields(w, a, b, r)
+    )
+
+
+def _hypot_fields(w, a, b, r):
+    """The six jet fields of hypot(a, b), given its value r > 0."""
+    av, a1, a2, a11, a12, a22 = a
+    bv, b1, b2, b11, b12, b22 = b
+    m = w.mul
+    r1 = w.div(w.add(m(av, a1), m(bv, b1)), r)
+    r2 = w.div(w.add(m(av, a2), m(bv, b2)), r)
+
+    def second(pa, qa, aa, pb, qb, bb, rp, rq):
+        s = w.add(m(pa, qa), m(av, aa), m(pb, qb), m(bv, bb))
+        return w.div(w.op(s, "-", m(rp, rq)), r)
+
+    return (
+        r,
+        r1,
+        r2,
+        second(a1, a1, a11, b1, b1, b11, r1, r1),
+        second(a1, a2, a12, b1, b2, b12, r1, r2),
+        second(a2, a2, a22, b2, b2, b22, r2, r2),
+    )
+
+
+# -- building ---------------------------------------------------------------
+
+_KERNELS: dict[tuple[str, bool], object] = {}
+
+
+def _build(expr: str, rows: bool):
+    """The kernel function of expr: (x1, x2) -> the six jet fields."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValidationError(f"expression {expr!r} is not valid syntax: {exc.msg}") from exc
+    w = _Writer(expr, rows)
+    out = w.node(tree.body)
+    if not _is_jet(out):
+        out = (w.call("float", out, rows=False), _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+    fields = ", ".join(w.src(a) for a in out)
+    head = [] if rows else ["    x1 = p_float(x1)", "    x2 = p_float(x2)"]
+    source = "\n".join(
+        ["def kernel(x1, x2):", *head, "    try:", *w.lines, f"        return ({fields})",
+         "    except _errors:", "        return _nan6", ""]
+    )
+    namespace = {**_GLOBALS, **w.consts}
+    exec(compile(source, "<jet kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _memo(expr: str, rows: bool):
+    fn = _KERNELS.get((expr, rows))
+    if fn is None:
+        fn = _KERNELS[expr, rows] = _build(expr, rows)
+    return fn
+
+
+def kernel(expr: str):
+    """The jet of expr in x1, x2 as a function of the point: kernel(expr)(x1,
+    x2) gives the six fields (v, d1, d2, d11, d12, d22) as floats.
+
+    Built once per expression text; raises ValidationError for syntax
+    outside the grammar (see the module docstring).
+    """
+    return _memo(expr, False)
+
+
+def row_kernel(expr: str):
+    """The jet of expr at every row of an (N, 2) array: row_kernel(expr)(X)
+    gives a (6, N) array of the six fields. A row with a non-finite field,
+    where the pointwise kernel fails, is NaN in all six.
+    """
+    fn = _memo(expr, True)
+
+    def rows(X):
+        X = np.asarray(X, dtype=float)
+        out = np.empty((6, len(X)))
+        with np.errstate(all="ignore"):
+            fields = fn(X[:, 0], X[:, 1])
+        for k, f in enumerate(fields):
+            out[k] = f
+        out[:, ~np.isfinite(out).all(axis=0)] = _NAN
+        return out
+
+    return rows
+
+
+def evaluate(expr: str, x1: float, x2: float) -> Jet:
+    """Jet of expr at the point (x1, x2).
 
     An expression that does not use the variables, such as ``"0"``, gives a
-    constant jet. Arithmetic that fails (division by zero, a logarithm of a
-    negative number, overflow) gives an all-NaN jet, as the numpy evaluation
-    of the same expression gives NaN or infinity there.
+    constant jet. Arithmetic that fails gives an all-NaN jet.
     """
-    env = {"x1": Jet(float(x1), 1.0), "x2": Jet(float(x2), 0.0, 1.0)}
-    try:
-        out = eval(code, _GLOBALS, env)
-    except (ArithmeticError, ValueError):
-        return Jet(_NAN, _NAN, _NAN, _NAN, _NAN, _NAN)
-    return out if isinstance(out, Jet) else Jet(float(out))
+    return Jet(*kernel(expr)(x1, x2))
 
 
-def evaluate_rows(code, X: np.ndarray) -> Jet:
-    """Jet of a compiled expression at every row of an (N, 2) array X.
-
-    Each of the six fields is an array of N values. Where the scalar
-    ``evaluate`` gives its all-NaN jet, the row is all NaN: any row with a
-    non-finite field (division by zero, a logarithm of a negative number,
-    overflow) is set to NaN in all six. Arithmetic that fails for every row
-    at once, as on constants, makes every row NaN.
-    """
-    X = np.asarray(X, dtype=float)
-    out = np.empty((6, len(X)))
-    env = {"x1": Jet(X[:, 0], 1.0), "x2": Jet(X[:, 1], 0.0, 1.0)}
-    with np.errstate(all="ignore"):
-        try:
-            j = eval(code, _ROW_GLOBALS, env)
-        except (ArithmeticError, ValueError):
-            out.fill(_NAN)
-            return Jet(*out)
-    if not isinstance(j, Jet):
-        j = Jet(j)
-    for k, f in enumerate((j.v, j.d1, j.d2, j.d11, j.d12, j.d22)):
-        out[k] = f
-    out[:, ~np.isfinite(out).all(axis=0)] = _NAN
-    return Jet(*out)
+def evaluate_rows(expr: str, X: np.ndarray) -> Jet:
+    """Jet of expr at every row of an (N, 2) array X: each field an array of N."""
+    return Jet(*row_kernel(expr)(X))

@@ -170,12 +170,13 @@ def compile_jet(expr: str):
     """Compile an expression in x1, x2 to its exact second-order jet.
 
     Same names as ``compile_expression``; returns a function of a point x
-    giving a ``jet.Jet`` with the value, gradient and Hessian at x. It stays
-    as the entry through which the jets of the expression geometry are
-    checked against closed forms.
+    giving a ``jet.Jet`` with the value, gradient and Hessian at x, from the
+    expression's ``jet.kernel``. It stays as the entry through which the
+    jets of the expression geometry are checked against closed forms.
     """
-    code = _compile(expr, ("x1", "x2"))
-    return lambda x: jet.evaluate(code, x[0], x[1])
+    _compile(expr, ("x1", "x2"))
+    k = jet.kernel(expr)
+    return lambda x: jet.Jet(*k(x[0], x[1]))
 
 
 @dataclass
@@ -302,6 +303,7 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
     code = _compile(phi_expr, ("x1", "x2"))
     fn = _numpy_eval(code)
+    point, rows = jet.kernel(phi_expr), jet.row_kernel(phi_expr)
 
     def phi(x):
         # numpy scalars at any point form: on Python floats 1/0 would raise
@@ -309,15 +311,13 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
         return float(fn(x1=np.float64(x[0]), x2=np.float64(x[1])))
 
     def derivs(x):
-        j = jet.evaluate(code, x[0], x[1])
-        return j.d1, j.d2, j.d11, j.d12, j.d22
+        return point(x[0], x[1])[1:]
 
     def phi_rows(X):
         return np.broadcast_to(np.asarray(fn(x1=X[:, 0], x2=X[:, 1]), dtype=float), X.shape[:1])
 
     def derivs_rows(X):
-        j = jet.evaluate_rows(code, X)
-        return j.d1, j.d2, j.d11, j.d12, j.d22
+        return rows(X)[1:]
 
     # numpy computes an array power by other routines than a scalar one
     # (x ** 2 as a square, x ** 0.5 as a root, the rest by a vector pow) and
@@ -355,7 +355,7 @@ def _expression_metric(block: dict, box) -> MetricEval:
     """Expression entries evaluated exactly: jet values give g, jet gradients dg.
 
     An entry whose code names neither x1 nor x2 is folded to its value here;
-    entries(x) evaluates the jet of each other entry once.
+    entries(x) calls the jet kernel of each other entry once.
     """
     exprs = block["expressions"]
     if "".join(str(exprs[0][1]).split()) != "".join(str(exprs[1][0]).split()):
@@ -366,17 +366,19 @@ def _expression_metric(block: dict, box) -> MetricEval:
     folded = [0.0] * 9
     varying = []
     for slot, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-        code = _compile(str(exprs[i][j]), ("x1", "x2"))
-        if {"x1", "x2"} & set(code.co_names):
-            varying.append((slot, code))
+        text = str(exprs[i][j])
+        names = _compile(text, ("x1", "x2")).co_names
+        k = jet.kernel(text)
+        if {"x1", "x2"} & set(names):
+            varying.append((slot, k))
         else:
-            folded[slot] = jet.evaluate(code, 0.0, 0.0).v
+            folded[slot] = k(0.0, 0.0)[0]
 
     def entries(x):
         out = folded.copy()
-        for slot, code in varying:
-            e = jet.evaluate(code, x[0], x[1])
-            out[slot], out[3 + slot], out[6 + slot] = e.v, e.d1, e.d2
+        x1, x2 = x[0], x[1]
+        for slot, k in varying:
+            out[slot], out[3 + slot], out[6 + slot] = k(x1, x2)[:3]
         return out
 
     lo, hi = box

@@ -289,12 +289,15 @@ BOUNDARY = {"schema": 1, "boundary": {"kind": "expression", "phi": "x2"}}
         {**BOUNDARY, "boundary": {**BOUNDARY["boundary"], "box": [[0, 0]]}},
         {**BOUNDARY, "boundary": {**BOUNDARY["boundary"], "box": [[1, -1], [-1, 1]]}},
         {**STRIP, "potential": {"kind": "expression"}},
+        {**STRIP,
+         "metric": {"kind": "expression", "expressions": [["10 ** 400", "0"], ["0", "1"]]}},
     ],
     ids=[
         "constant-not-positive", "constant-not-symmetric", "constant-3x2", "diagonal-3",
         "diagonal-not-positive", "diagonal-no-entries", "expression-1x1",
         "expression-off-diagonals-differ", "expression-extra-columns", "boundary-no-phi",
         "boundary-box-one-corner", "boundary-box-lo-above-hi", "potential-no-expr",
+        "expression-constant-past-float-range",
     ],
 )
 def test_malformed_scenario_blocks_exit_two(tmp_path, capsys, config):
@@ -303,6 +306,38 @@ def test_malformed_scenario_blocks_exit_two(tmp_path, capsys, config):
     argv = ["classify", "--scenario", str(path), "--start", "0,0.5,0.5,1,1,0"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
+_UNSUPPORTED = {
+    "comparison": "0.1 * (x1 > 0)",
+    "conditional": "(x1 if x2 else 0)",
+    "subscript": "[x1, x2][0]",
+    "floor-division": "x1 // 3",
+    "modulo": "x1 % 3",
+    "non-real-constant": "(-1) ** 0.5",
+    "complex-literal": "0j",
+    "arity": "cos(x1, x2)",
+}
+
+
+@pytest.mark.parametrize("where", ["phi", "metric"])
+@pytest.mark.parametrize("syntax", list(_UNSUPPORTED))
+def test_unsupported_expression_syntax_exits_two(tmp_path, capsys, where, syntax):
+    """Syntax the jets do not take is a config error when the scenario loads,
+    not a traceback out of the command."""
+    term = _UNSUPPORTED[syntax]
+    if where == "phi":
+        config = {**BOUNDARY, "boundary": {**BOUNDARY["boundary"], "phi": f"x2 + 0 * {term}"}}
+    else:
+        entries = [[f"1 + 0 * {term}", "0"], ["0", "1"]]
+        config = {**STRIP, "metric": {"kind": "expression", "expressions": entries}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    argv = ["trace", "--scenario", str(path), "--start", "0,0,0.5,1,1,0", "--t-horizon", "0.1"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 @pytest.mark.parametrize("deltas", ["-1e-2,nan", "1e-2,inf", "-0.5", "1e-2,-inf"])

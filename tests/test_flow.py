@@ -829,15 +829,23 @@ def test_rk4_step_on_floats_is_the_numpy_step(name, metric):
 def test_interior_step_evaluates_the_metric_once_per_stage(name, x, xi, monkeypatch):
     """At most 4 metric evaluations per step: one per RK stage, with the shell
     rescale, q and the next step's k1 sharing the one at the new state; and no
-    jet of an entry that names neither x1 nor x2 (folded when compiled)."""
-    scenarios = [_case(name) for _ in range(2)]
+    jet kernel call for an entry that names neither x1 nor x2 (folded when
+    loaded)."""
     codes = []
 
-    def traced(code, x1, x2, _evaluate=jet.evaluate):
-        codes.append(code)
-        return _evaluate(code, x1, x2)
+    def traced(expr, _kernel=jet.kernel):
+        k = _kernel(expr)
+        code = compile(expr, "<entry>", "eval")
 
-    monkeypatch.setattr(jet, "evaluate", traced)
+        def counted(x1, x2):
+            codes.append(code)
+            return k(x1, x2)
+
+        return counted
+
+    monkeypatch.setattr(jet, "kernel", traced)
+    scenarios = [_case(name) for _ in range(2)]
+    codes.clear()  # the one call that folds a constant entry at load
 
     def calls(scenario, span):
         n = [0]

@@ -302,11 +302,11 @@ def test_newton_to_boundary_lands_on_the_wall_from_the_band(name):
     band = X[np.abs(bnd.phi_on_rows(X)) <= scenario.band][:60]
     assert len(band) == 60
     for x0 in band:
-        x, phi = geo.newton_to_level(bnd, x0, 0.0, 12, 1e-13)
+        x, phi = geo.newton_to_level(bnd, x0.tolist(), 0.0, 12, 1e-13)
         assert abs(phi) <= 1e-13
         assert phi == bnd.phi(x)
         X1, phi1, dphi1 = geo.newton_to_boundary(bnd, x0[None], 12, 1e-13)
-        assert X1[0].tobytes() == x.tobytes() and phi1[0] == phi
+        assert X1[0].tobytes() == np.array(x).tobytes() and phi1[0] == phi
         assert np.array_equal(dphi1[0], bnd.dphi(x))
 
 

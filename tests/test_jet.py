@@ -1,10 +1,14 @@
 import math
 
+import _reference_jet as reference
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from glancer import jet
 from glancer import scenarios as scen
+from glancer.errors import ValidationError
 
 # Closed forms (value, gradient, Hessian) at x = (a, b). One-variable
 # functions are applied to u = a + 2 b, so gradient f'(u) (1, 2) and
@@ -88,7 +92,7 @@ POINTS = [(0.3, 0.1), (0.7, -0.2), (1.2, 0.25)]
 def test_cases_cover_the_expression_namespace():
     used = set().union(*(compile(e, "", "eval").co_names for e in CASES))
     assert set(scen._EXPR_FUNCS) <= used
-    assert set(jet.FUNCS) == set(jet.ROW_FUNCS) == set(scen._EXPR_FUNCS)
+    assert set(jet.FUNCS) | {"pi"} == set(scen._EXPR_FUNCS)
 
 
 @pytest.mark.parametrize("point", POINTS)
@@ -123,11 +127,10 @@ def test_failed_arithmetic_gives_nan_jet(expr):
     j = scen.compile_jet(expr)(np.array([-1.0, 1.0]))
     assert all(math.isnan(c) for c in (j.v, j.d1, j.d2, j.d11, j.d12, j.d22))
     # the row form: NaN in that row only, and the same NaNs as the scalar jets
-    code = compile(expr, "<expr>", "eval")
     X = np.array([[-1.0, 1.0], [0.5, -0.5]])
-    rows = _fields(jet.evaluate_rows(code, X))
+    rows = _fields(jet.evaluate_rows(expr, X))
     assert np.isnan(rows[:, 0]).all()
-    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(_fields(jet.evaluate(code, *X[1]))))
+    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(_fields(jet.evaluate(expr, *X[1]))))
 
 
 def _fields(j):
@@ -136,16 +139,152 @@ def _fields(j):
 
 @pytest.mark.parametrize("expr", list(CASES) + ["0", "hypot(3, 4)", "x1 ** 0 + abs(x2)"])
 def test_row_jets_match_scalar_jets(expr):
-    code = compile(expr, "<expr>", "eval")
     X = np.array(POINTS + [(0.0, 0.0), (0.0, 0.4)])
-    rows = _fields(jet.evaluate_rows(code, X))
+    rows = _fields(jet.evaluate_rows(expr, X))
     assert rows.shape == (6, len(X))
-    scalar = np.array([_fields(jet.evaluate(code, *x)) for x in X]).T
+    scalar = np.array([_fields(jet.evaluate(expr, *x)) for x in X]).T
     assert np.array_equal(np.isnan(rows), np.isnan(scalar))
     ok = ~np.isnan(scalar)
     assert np.all(np.abs(rows - scalar)[ok] <= 1e-15 * (1.0 + np.abs(scalar[ok])))
 
 
 def test_constant_arithmetic_failure_gives_nan_rows():
-    rows = _fields(jet.evaluate_rows(compile("x1 + 1 / 0", "<expr>", "eval"), np.ones((3, 2))))
+    rows = _fields(jet.evaluate_rows("x1 + 1 / 0", np.ones((3, 2))))
     assert rows.shape == (6, 3) and np.isnan(rows).all()
+
+
+# Random expressions over the kernel grammar: every function, ** with jet
+# and constant exponents, integer and float literals. A constant ** takes a
+# literal exponent or one that names x1 or x2, so no tower of integer powers
+# is drawn. Two leaves mix x1 and x2, so that the terms of the chain rule
+# differ in the last bits.
+_VARIABLES = st.sampled_from(["x1", "x2", "pi", "(x1 * x2)", "(x1 - 0.7 * x2)"])
+_LEAVES = st.one_of(
+    _VARIABLES,
+    _VARIABLES,
+    st.integers(-4, 4).map(str),
+    st.floats(-3.0, 3.0).map(repr),
+)
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "0.5", "2.5"])
+_UNARY = sorted(set(jet.FUNCS) - {"hypot"})
+
+
+@st.composite
+def _expressions(draw, depth=4):
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        return draw(_LEAVES)
+    kind = draw(st.sampled_from(["arithmetic", "arithmetic", "call", "call", "**", "hypot", "-"]))
+    a = draw(_expressions(depth - 1))
+    if kind == "arithmetic":
+        return f"({a} {draw(st.sampled_from('+-*/'))} {draw(_expressions(depth - 1))})"
+    if kind == "call":
+        return f"{draw(st.sampled_from(_UNARY))}({a})"
+    if kind == "**":
+        b = draw(st.one_of(_EXPONENTS, _expressions(depth - 1).filter(lambda e: "x" in e)))
+        return f"({a} ** {b})"
+    if kind == "hypot":
+        return f"hypot({a}, {draw(_expressions(depth - 1))})"
+    return f"(-{a})"
+
+
+_COORDS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e-310, -2.0, 1e200, -1e300]),
+)
+
+
+def _same_bits(a, b):
+    """Bit for bit, with NaN in the same fields: a NaN's sign and payload
+    depend on the order in which the interpreter hands commutative operands
+    to the CPU, so NaNs are compared as NaN."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    a[np.isnan(a)] = np.nan
+    b[np.isnan(b)] = np.nan
+    return a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200)
+@given(_expressions(), st.lists(st.tuples(_COORDS, _COORDS), min_size=2, max_size=8))
+def test_kernels_give_the_interpreted_jets_bit_for_bit(expr, points):
+    try:
+        point, rows = jet.kernel(expr), jet.row_kernel(expr)
+    except ValidationError as exc:
+        assert "not real" in str(exc)  # as (-2) ** 0.5, a complex jet for the interpreter
+        reject()
+    code = compile(expr, "<expr>", "eval")
+    for x in points:
+        try:
+            expected = _fields(reference.evaluate(code, *x))
+        except OverflowError:
+            # the interpreter turns a constant result into a float outside
+            # its guard (an integer past the float range); the kernel's NaN
+            assert np.isnan(point(*x)).all()
+            continue
+        assert _same_bits(point(*x), expected), x
+    X = np.array(points)
+    try:
+        expected = _fields(reference.evaluate_rows(code, X))
+    except OverflowError:
+        expected = np.full((6, len(X)), np.nan)
+    assert rows(X).tobytes() == expected.tobytes()
+
+
+_MIXED = [f"{name}(0.3 + x1 * x2 / 2)" for name in sorted(set(jet.FUNCS) - {"hypot"})] + [
+    "hypot(x1 * x2, x1 - 0.7 * x2)",
+    "hypot(x1 * x2, 2)",
+    "(x1 * x2 + 1) ** 2.5",
+    "(x1 * x2 + 1) ** 2 / (x1 - x2 * x2)",
+    "(x1 + x2) ** (x1 * x2)",
+    "3 ** (x1 * x2) - x1",
+]
+
+
+@pytest.mark.parametrize("expr", _MIXED)
+def test_kernels_match_the_interpreter_where_every_field_is_mixed(expr):
+    # arguments whose two first and three second derivatives all differ, so
+    # that every term of the chain rule shows in the last bits
+    X = np.random.default_rng(5).uniform(0.1, 2.0, size=(200, 2))
+    code = compile(expr, "<expr>", "eval")
+    point = jet.kernel(expr)
+    for x in X:
+        assert _same_bits(point(*x), _fields(reference.evaluate(code, *x))), x
+    assert jet.row_kernel(expr)(X).tobytes() == _fields(reference.evaluate_rows(code, X)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "x2 + 0.1 * (x1 > 0)",
+        "x1 if x2 else 1",
+        "x1 and x2",
+        "[x1, x2][0]",
+        "x1 // 2",
+        "x1 % 2",
+        "x1 + 1j",
+        "x1 + (-8) ** 0.5",
+        "cos(x1, x2)",
+        "hypot(x1)",
+        "sin(x=x1)",
+        "sin(*x1)",
+        "x3 + 1",
+        "sin",
+        "pi(x1)",
+        "x1.real",
+        "'x1'",
+        "True * x1",
+        "lambda: x1",
+        "x1 +",
+    ],
+)
+def test_unsupported_syntax_is_rejected_when_the_kernel_is_built(expr):
+    for build in (jet.kernel, jet.row_kernel):
+        with pytest.raises(ValidationError):
+            build(expr)
+
+
+def test_kernels_are_built_once_per_expression():
+    assert jet.kernel("x1 * sin(x2)") is jet.kernel("x1 * sin(x2)")
+    assert jet.kernel("x1 * sin(x2)")(0.5, 0.25) == tuple(
+        _fields(reference.evaluate(compile("x1 * sin(x2)", "", "eval"), 0.5, 0.25))
+    )
