@@ -602,23 +602,6 @@ def integrate_interior(
     return piece, ev
 
 
-def _boundary_tangent(d, g, x):
-    """(v1, v2, (g v)1, (g v)2, |v|_g) as floats for the level-curve tangent
-    v = J dphi = (-d2 phi, d1 phi), from the boundary's derivs d and the rows
-    of the metric g at x (x only names the point in an error).
-
-    In 2-D J^T g J = det(g) g^-1, so hz2p = 2 |v|_g^2 / det g; it must be >= 1e-8."""
-    v1, v2 = -float(d[1]), float(d[0])
-    (g11, g12), (g21, g22) = g
-    gv1 = g11 * v1 + g12 * v2
-    gv2 = g21 * v1 + g22 * v2
-    vgv = v1 * gv1 + v2 * gv2
-    hz2p = 2.0 * vgv / (g11 * g22 - g12 * g21)
-    if hz2p < 1e-8:
-        raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {np.asarray(x)}")
-    return v1, v2, gv1, gv2, math.sqrt(vgv)
-
-
 def integrate_gliding(
     scenario,
     rho0: PhasePoint,
@@ -639,11 +622,13 @@ def integrate_gliding(
     on the settled state, exceeds GLIDING_EXIT at two consecutive samples;
     the event points at the first.
 
-    Each RK stage evaluates the boundary's derivs and the metric g once (g
-    once per piece under a constant metric), after the chart-box test of
-    geo._require_in_domain. The one evaluation at a settled x rebuilds xi,
-    is the next step's k1 and gives hp2z on floats (sym.contact_values),
-    with the metric's float reading there (_MetricPoint).
+    Each RK stage is one closure on floats: the chart-box test of
+    geo._require_in_domain, one call of the boundary's derivs, the metric g
+    (read once per piece under a constant metric), the tangent with the
+    hz2p >= 1e-8 check (DegenerateTransversal) and the field. The one stage
+    at a settled x also rebuilds xi, is the next step's k1 and gives hp2z
+    on floats (sym.contact_values), with the metric's float reading there
+    (_MetricPoint).
 
     The start must be a boundary point (NotOnBoundary past boundary_tol)
     that classifies as Gliding or Glancing3 (ValueError otherwise).
@@ -660,65 +645,63 @@ def integrate_gliding(
     y0 = rho0.as_vector().tolist()
     tau = y0[sym.TAU]
     kt = direction * (-2.0 * tau)
-
-    def tangent(x):
-        """derivs at x, then _boundary_tangent's five floats."""
-        d = derivs(x)
-        return (d, *_boundary_tangent(d, g_const or metric.g(x).tolist(), x))
-
-    def inside(x1, x2):
-        """geo.in_domain on floats."""
-        return lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2
-
-    def require_inside(x1, x2):
-        if not inside(x1, x2):
-            raise OutOfChart(f"point {np.array((x1, x2))} outside domain box of '{scenario.name}'")
-
-    _, v1, v2, _, _, _ = tangent(y0[sym.X])
+    d = derivs(y0[sym.X])
     xi1, xi2 = y0[sym.XI]
-    c_num = math.copysign(abs(tau), xi1 * v1 + xi2 * v2)  # c |v|_g = sgn |tau|
+    c_num = math.copysign(abs(tau), xi1 * -d[1] + xi2 * d[0])  # c |v|_g = sgn |tau|
     k1 = []  # the field at the last settled x
+    at_x = ()  # derivs, g v and |v|_g at the x of the last stage
 
-    def velocity(v1, v2, nv):
-        """The field direction * (-2 tau, 2 c v) on (t, x1, x2)."""
+    def stage(z):
+        """The field direction * (-2 tau, 2 c v) at z = (t, x1, x2), after the
+        chart test; leaves derivs, g v and |v|_g there in at_x."""
+        nonlocal at_x
+        _, x1, x2 = z
+        if not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
+            raise OutOfChart(f"point {np.array((x1, x2))} outside domain box of '{scenario.name}'")
+        d = derivs((x1, x2))
+        (g11, g12), (g21, g22) = g_const or metric.g((x1, x2)).tolist()
+        # the level-curve tangent v = J dphi = (-d2 phi, d1 phi), g v and
+        # v.gv; in 2-D J^T g J = det(g) g^-1, so hz2p = 2 |v|_g^2 / det g
+        v1, v2 = -d[1], d[0]
+        gv1 = g11 * v1 + g12 * v2
+        gv2 = g21 * v1 + g22 * v2
+        vgv = v1 * gv1 + v2 * gv2
+        hz2p = 2.0 * vgv / (g11 * g22 - g12 * g21)
+        if hz2p < 1e-8:
+            raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {np.array((x1, x2))}")
+        nv = math.sqrt(vgv)
+        at_x = d, gv1, gv2, nv
         a = 2.0 * c_num / nv
         return kt, direction * (a * v1), direction * (a * v2)
-
-    def field(z):
-        """The field at z = (t, x1, x2), after the chart test."""
-        require_inside(z[1], z[2])
-        _, v1, v2, _, _, nv = tangent(z[1:])
-        return velocity(v1, v2, nv)
 
     def settle(y):
         """Settle y on the gliding set in place; returns derivs and xi at its x."""
         x, ph = geo.newton_to_level(scenario.boundary, y[sym.X], 0.0, 25, 1e-12, metric)
         if abs(ph) > 1e-12:
             raise ProjectionDiverged("gliding projection onto phi = 0 did not converge")
-        d, v1, v2, gv1, gv2, nv = tangent(x)
+        k1[:] = stage((0.0, *x))
+        d, gv1, gv2, nv = at_x
         c = c_num / nv
         xi1, xi2 = c * gv1, c * gv2
         y[sym.X] = x
         y[sym.XI] = (xi1, xi2)
-        k1[:] = velocity(v1, v2, nv)
         return d, xi1, xi2
 
     def step(y, h):
-        # _march steps from the last accepted state, which advance has settled
-        require_inside(*y[sym.X])
-        return _rk4_step(field, y[: sym.TAU], h, k1) + y[sym.TAU :]
+        # _march steps from the last accepted state, which settle has
+        # checked against the chart box
+        return _rk4_step(stage, y[: sym.TAU], h, k1) + y[sym.TAU :]
 
     settle(y0)
     exceed = 0
 
     def advance(y, y_new, h):
         nonlocal exceed
-        if not inside(*y_new[sym.X]):
+        x1, x2 = y_new[sym.X]
+        if not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
             return _CHART_EXIT
         d, xi1, xi2 = settle(y_new)
-        x = y_new[sym.X]
-        require_inside(*x)  # as sym.hp2z checks the settled x
-        hp2z = sym.contact_values(d, *reading(*x), tau, xi1, xi2)[2]
+        hp2z = sym.contact_values(d, *reading(*y_new[sym.X]), tau, xi1, xi2)[2]
         exceed = exceed + 1 if hp2z > GLIDING_EXIT else 0
         return ("glide_handoff", 0.0, None) if exceed >= 2 else None
 

@@ -30,7 +30,9 @@ The grammar is numbers, ``x1``, ``x2``, ``pi``, unary ``+`` and ``-``,
 ``ValidationError`` when the kernel is built, and so is a constant that is
 not real. The generated source holds only names the generator made and
 ``repr``'d numbers, never text of the expression. Kernels are kept per
-expression text for the life of the process.
+expression text for the life of the process. ``constant(expr)`` reads the
+value of an expression in neither x1 nor x2 off the same folding, without
+building a kernel.
 """
 
 from __future__ import annotations
@@ -483,16 +485,23 @@ def _hypot_fields(w, a, b, r):
 # -- building ---------------------------------------------------------------
 
 _KERNELS: dict[tuple[str, bool], object] = {}
+_CONSTANTS: dict[str, float] = {}  # jet.constant per expression text
 
 
-def _build(expr: str, rows: bool):
-    """The kernel function of expr: (x1, x2) -> the six jet fields."""
+def _walk(expr: str, rows: bool):
+    """The writer of expr's kernel after it has walked the expression, and
+    the expression's node: a jet, or a constant for one in neither x1 nor x2."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"expression {expr!r} is not valid syntax: {exc.msg}") from exc
     w = _Writer(expr, rows)
-    out = w.node(tree.body)
+    return w, w.node(tree.body)
+
+
+def _build(expr: str, rows: bool):
+    """The kernel function of expr: (x1, x2) -> the six jet fields."""
+    w, out = _walk(expr, rows)
     if not _is_jet(out):
         out = (w.call("float", out, rows=False), _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
     fields = ", ".join(w.src(a) for a in out)
@@ -521,6 +530,25 @@ def kernel(expr: str):
     outside the grammar (see the module docstring).
     """
     return _memo(expr, False)
+
+
+def constant(expr: str) -> float:
+    """The value of an expression in neither x1 nor x2, as its kernel gives
+    it at every point, without building the kernel: the value the generator
+    folds, or NaN where the arithmetic fails (the kernel's all-NaN jet).
+    Kept per expression text, as the kernels are.
+
+    Raises ValueError for an expression in x1 or x2, and ValidationError as
+    ``kernel`` does.
+    """
+    value = _CONSTANTS.get(expr)
+    if value is None:
+        w, out = _walk(expr, False)
+        if _is_jet(out):
+            raise ValueError(f"expression {expr!r} is not constant")
+        v = w.call("float", out)
+        value = _CONSTANTS[expr] = v.val if isinstance(v, _Lit) else _NAN
+    return value
 
 
 def row_kernel(expr: str):

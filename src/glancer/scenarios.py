@@ -240,64 +240,73 @@ def _strip_boundary(height: float) -> BoundaryDef:
     )
 
 
-def _radial_derivs(x, c: float):
-    """Gradient and Hessian of c |x|: c x / |x| and c (I - xhat xhat^T) / |x|.
+def _radius(x1, x2):
+    """|x| as sqrt(x1 x1 + x2 x2): products, a sum and a correctly rounded root,
+    so floats and rows give the same bits, and no C library hypot."""
+    return math.sqrt(x1 * x1 + x2 * x2)
 
-    |x| is clamped away from 0 at 1e-12. The coordinates are read as floats,
-    whose arithmetic is numpy's scalar arithmetic to the bit, only quicker.
-    """
-    x1, x2 = float(x[0]), float(x[1])
-    r = max(float(np.hypot(x1, x2)), 1e-12)
+
+def _radius_rows(X):
+    """_radius of every row of X."""
+    X1, X2 = X[:, 0], X[:, 1]
+    return np.sqrt(X1 * X1 + X2 * X2)
+
+
+def _radial_derivs(x1: float, x2: float, r: float, c: float):
+    """Gradient and Hessian of c |x| at x = (x1, x2) with r = |x|: c x / |x|
+    and c (I - xhat xhat^T) / |x|, |x| clamped away from 0 at 1e-12 (a NaN r
+    stays NaN). The floats' arithmetic is numpy's scalar arithmetic to the
+    bit, only quicker."""
+    if r < 1e-12:
+        r = 1e-12
     u, v = x1 / r, x2 / r
     return c * u, c * v, c * (1.0 - u * u) / r, c * (0.0 - u * v) / r, c * (1.0 - v * v) / r
 
 
-def _radial_derivs_rows(X, c):
-    """_radial_derivs at every row of X, with the same arithmetic; c may be per row."""
-    r = np.maximum(np.hypot(X[:, 0], X[:, 1]), 1e-12)
+def _radial_derivs_rows(X, r, c):
+    """_radial_derivs at every row of X with r = |x| per row, with the same
+    arithmetic; c may be per row."""
+    r = np.maximum(r, 1e-12)
     u, v = X[:, 0] / r, X[:, 1] / r
     return c * u, c * v, c * (1.0 - u * u) / r, c * (0.0 - u * v) / r, c * (1.0 - v * v) / r
 
 
 def _disk_boundary(radius: float, interior: bool) -> BoundaryDef:
     sign = 1.0 if interior else -1.0
+    c = -sign
 
-    def phi(x):
-        r = float(np.hypot(x[0], x[1]))
-        return sign * (radius - r)
+    def derivs(x):
+        x1, x2 = float(x[0]), float(x[1])
+        return _radial_derivs(x1, x2, _radius(x1, x2), c)
 
     return BoundaryDef(
-        phi=phi,
-        derivs=lambda x: _radial_derivs(x, -sign),
-        phi_rows=lambda X: sign * (radius - np.hypot(X[:, 0], X[:, 1])),
-        derivs_rows=lambda X: _radial_derivs_rows(X, -sign),
+        phi=lambda x: sign * (radius - _radius(x[0], x[1])),
+        derivs=derivs,
+        phi_rows=lambda X: sign * (radius - _radius_rows(X)),
+        derivs_rows=lambda X: _radial_derivs_rows(X, _radius_rows(X), c),
     )
 
 
 def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
-    def side(x) -> float:
-        """+1 on the inner wall's branch of phi, -1 on the outer wall's."""
-        r = float(np.hypot(x[0], x[1]))
-        return 1.0 if (r - r0) <= (r1 - r) else -1.0
-
     def phi(x):
-        r = float(np.hypot(x[0], x[1]))
+        r = _radius(x[0], x[1])
         return min(r - r0, r1 - r)
 
+    def derivs(x):
+        """The inner wall's branch of phi where (r - r0) <= (r1 - r), else the outer's."""
+        x1, x2 = float(x[0]), float(x[1])
+        r = _radius(x1, x2)
+        return _radial_derivs(x1, x2, r, 1.0 if (r - r0) <= (r1 - r) else -1.0)
+
     def phi_rows(X):
-        r = np.hypot(X[:, 0], X[:, 1])
+        r = _radius_rows(X)
         return np.minimum(r - r0, r1 - r)
 
     def derivs_rows(X):
-        r = np.hypot(X[:, 0], X[:, 1])
-        return _radial_derivs_rows(X, np.where((r - r0) <= (r1 - r), 1.0, -1.0))
+        r = _radius_rows(X)
+        return _radial_derivs_rows(X, r, np.where((r - r0) <= (r1 - r), 1.0, -1.0))
 
-    return BoundaryDef(
-        phi=phi,
-        derivs=lambda x: _radial_derivs(x, side(x)),
-        phi_rows=phi_rows,
-        derivs_rows=derivs_rows,
-    )
+    return BoundaryDef(phi=phi, derivs=derivs, phi_rows=phi_rows, derivs_rows=derivs_rows)
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
@@ -354,8 +363,9 @@ def _metric_from_block(block: dict, dim: int, box) -> MetricEval:
 def _expression_metric(block: dict, box) -> MetricEval:
     """Expression entries evaluated exactly: jet values give g, jet gradients dg.
 
-    An entry whose code names neither x1 nor x2 is folded to its value here;
-    entries(x) calls the jet kernel of each other entry once.
+    An entry whose code names neither x1 nor x2 is folded to its value here
+    (jet.constant, no kernel is built); entries(x) calls the jet kernel of
+    each other entry once.
     """
     exprs = block["expressions"]
     if "".join(str(exprs[0][1]).split()) != "".join(str(exprs[1][0]).split()):
@@ -367,12 +377,10 @@ def _expression_metric(block: dict, box) -> MetricEval:
     varying = []
     for slot, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
         text = str(exprs[i][j])
-        names = _compile(text, ("x1", "x2")).co_names
-        k = jet.kernel(text)
-        if {"x1", "x2"} & set(names):
-            varying.append((slot, k))
+        if {"x1", "x2"} & set(_compile(text, ("x1", "x2")).co_names):
+            varying.append((slot, jet.kernel(text)))
         else:
-            folded[slot] = k(0.0, 0.0)[0]
+            folded[slot] = jet.constant(text)
 
     def entries(x):
         out = folded.copy()

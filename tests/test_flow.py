@@ -587,6 +587,22 @@ def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
     assert (n["g"] - n1["g"]) / (steps - one) <= 4.0
 
 
+@pytest.mark.parametrize("name", ["disk_interior", "annulus"])
+def test_constant_metric_glide_reads_g_once_per_piece(name):
+    scenario = _case(name)
+    rho0 = gliding_start(scenario, {"disk_interior": [1.0, 0.0], "annulus": [0.0, 1.0]}[name], -1.0)
+    n = [0]
+
+    def counted(x, _g=scenario.metric.g):
+        n[0] += 1
+        return _g(x)
+
+    scenario.metric.g = counted
+    piece, ev = flow.integrate_gliding(scenario, rho0, (0.0, 1.0), flow.IntegratorParams(h=1e-3))
+    assert ev.reason == "span_end" and len(piece) == 1001
+    assert n[0] <= 1
+
+
 def _glide_piece(name, direction):
     """A gliding piece at h = 1e-3: s in [0, 1.2] on the disk, the annulus outer
     wall and the expression disk; on wavy.json the arc up to its hand-off."""
@@ -845,7 +861,7 @@ def test_interior_step_evaluates_the_metric_once_per_stage(name, x, xi, monkeypa
 
     monkeypatch.setattr(jet, "kernel", traced)
     scenarios = [_case(name) for _ in range(2)]
-    codes.clear()  # the one call that folds a constant entry at load
+    codes.clear()  # the calls of the positive-definiteness check at load
 
     def calls(scenario, span):
         n = [0]

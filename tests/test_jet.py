@@ -288,3 +288,27 @@ def test_kernels_are_built_once_per_expression():
     assert jet.kernel("x1 * sin(x2)")(0.5, 0.25) == tuple(
         _fields(reference.evaluate(compile("x1 * sin(x2)", "", "eval"), 0.5, 0.25))
     )
+
+
+@pytest.mark.parametrize("expr", ["0", "1", "cos(0.3)", "2 ** 0.5", "pi / 4", "log(-1)"])
+def test_constant_is_the_kernels_value_without_a_build(expr, monkeypatch):
+    monkeypatch.setattr(jet, "_KERNELS", {})
+    monkeypatch.setattr(jet, "_CONSTANTS", {})
+    folded = jet.constant(expr)
+    assert jet._KERNELS == {}
+    assert type(folded) is float and jet.constant(expr) is folded
+    assert np.float64(folded).tobytes() == np.float64(jet.kernel(expr)(0, 0)[0]).tobytes()
+
+
+def test_constant_rejects_an_expression_in_the_variables():
+    for expr in ("x1", "0 * x2 + 1"):
+        with pytest.raises(ValueError, match="not constant"):
+            jet.constant(expr)
+
+
+def test_constant_metric_entries_build_no_kernel(monkeypatch):
+    monkeypatch.setattr(jet, "_KERNELS", {})
+    exprs = [["2 + sin(x1)", "0"], ["0", "1"]]
+    s = scen.builtin("half_plane", metric={"kind": "expression", "expressions": exprs})
+    assert list(jet._KERNELS) == [("2 + sin(x1)", False)]
+    assert s.metric.entries((0.5, 0.0))[1:3] == [0.0, 1.0]

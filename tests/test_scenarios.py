@@ -7,6 +7,8 @@ import _reference_jet
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glancer import geometry as geo
 from glancer import scenarios as scen
@@ -292,9 +294,14 @@ def test_readme_quick_start_runs(capsys):
     assert capsys.readouterr().out == "[0.5, 1.0, 1.5]\n"
 
 
+def _radial_norm(x):
+    """|x| as the builtin circular walls take it: sqrt(x1 x1 + x2 x2)."""
+    return float(np.sqrt(x[0] * x[0] + x[1] * x[1]))
+
+
 def _radial_reference(x):
     """xhat and the tangential projector I - xhat xhat^T, radius clamped at 1e-12."""
-    r = max(float(np.hypot(x[0], x[1])), 1e-12)
+    r = max(_radial_norm(x), 1e-12)
     xhat = np.asarray(x, dtype=float) / r
     return r, xhat, np.eye(2) - np.outer(xhat, xhat)
 
@@ -317,7 +324,7 @@ def test_radial_kernels_match_projector_reference(name):
     for x in pts:
         r, xhat, tang = _radial_reference(x)
         if name == "annulus":
-            r_raw = float(np.hypot(x[0], x[1]))
+            r_raw = _radial_norm(x)
             inner = (r_raw - 0.5) <= (1.0 - r_raw)
             dphi_ref = xhat if inner else -xhat
             d2phi_ref = tang / r if inner else -tang / r
@@ -329,6 +336,35 @@ def test_radial_kernels_match_projector_reference(name):
         assert dphi.shape == (2,) and d2phi.shape == (2, 2)
         assert dphi.tobytes() == dphi_ref.tobytes()
         assert d2phi.tobytes() == d2phi_ref.tobytes()
+
+
+# the origin, the 1e-12 clamp of the radius, the annulus midline r = 0.75
+# (r0 = 0.5, r1 = 1) where derivs changes wall, and signed zeros
+_RADIAL_EDGES = [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1e-13, -0.0), (-1e-13, 1e-13),
+    (1e-160, 1e-160), (-0.0, -1e-160), (0.75, 0.0), (-0.0, -0.75), (0.45, 0.6),
+    (-0.6, 0.45), (0.75 * 2**-0.5, 0.75 * 2**-0.5),
+]
+_RADIAL_COORD = st.floats(-700.0, 700.0)  # |x| <= 1e3
+_RADIAL_WALLS = {
+    name: scen.load_scenario(name).boundary for name in ("disk_interior", "disk_exterior", "annulus")
+}
+
+
+@pytest.mark.parametrize("name", list(_RADIAL_WALLS))
+@settings(max_examples=200)
+@given(pts=st.lists(
+    st.one_of(st.sampled_from(_RADIAL_EDGES), st.tuples(_RADIAL_COORD, _RADIAL_COORD)),
+    min_size=1, max_size=8,
+))
+@example(pts=_RADIAL_EDGES)
+def test_radial_row_forms_are_the_point_forms_to_the_bit(name, pts):
+    b = _RADIAL_WALLS[name]
+    X = np.array(pts, dtype=float)
+    phi = np.array([b.phi(p) for p in pts], dtype=float)
+    derivs = np.array([b.derivs(p) for p in pts], dtype=float).T
+    assert b.phi_rows(X).tobytes() == phi.tobytes()
+    assert np.array(b.derivs_rows(X), dtype=float).tobytes() == derivs.tobytes()
 
 
 WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
