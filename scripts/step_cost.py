@@ -12,6 +12,10 @@ Prints one JSON line, without bounds, with:
   hand-off check and records included);
 * ``glide_annulus_us_per_sample``: the same on the annulus's outer wall
   from (0, 1) with xi = (-1, 0);
+* ``glide_wavy_us_per_sample``: microseconds per sample of the gliding
+  piece on wavy.json's wall, a non-constant metric, from x1 = -0.4 with
+  g^-1 xi along -(-d2 phi, d1 phi), tau = 1, up to its hand-off to the
+  interior, h = 1e-3 (``flow.integrate_gliding`` alone);
 * ``radial_derivs_us``: microseconds per ``derivs`` call of the unit disk's
   wall, at (0.6, 0.8);
 * ``event_us``: microseconds per ``flow._locate_scalar_zero`` call that
@@ -20,14 +24,17 @@ Prints one JSON line, without bounds, with:
 * ``entries_wavy_us`` and ``derivs_wavy_us``: microseconds per metric
   ``entries`` and wall ``derivs`` call of wavy.json, at the point where
   ``rk4_wavy_us`` starts;
+* ``metric_at_wavy_us``: microseconds per ``metric.at`` call of wavy.json,
+  alternating between that point and (-1.1, 0.6), so that no call is read
+  off the last-point memo;
 * ``kernel_build_us``: microseconds to build the jet kernels that loading
   wavy.json builds (each metric entry in x1 or x2, and the wall's point
   and row kernels) with the kernel memo cleared first, as a new process
   does.
 
 Each figure is the best of 5 rounds; a round repeats the call 200 times
-(``entries`` and ``derivs`` 2,000 times, each glide trace 3 times, the
-kernel build once).
+(``entries``, ``derivs`` and ``at`` 2,000 times, each glide trace 3 times,
+the kernel build once).
 
 Usage:
     python3 scripts/step_cost.py
@@ -81,6 +88,22 @@ def glide_us_per_sample(scenario, x, xi):
     return us / gb.n_samples, gb.n_samples
 
 
+def glide_wavy_us_per_sample(wavy):
+    """Microseconds per sample of wavy.json's gliding piece from x1 = -0.4."""
+    x = [-0.4, -0.3 * np.cos(-0.4)]
+    d1, d2 = wavy.boundary.derivs(x)[:2]
+    rho0 = PhasePoint.from_vector(np.array(start(wavy, x, wavy.metric.g(x) @ [d2, -d1])))
+    params = flow.IntegratorParams(h=1e-3)
+
+    def glide():
+        return flow.integrate_gliding(wavy, rho0, (0.0, 3.0), params)
+
+    piece, ev = glide()
+    if ev.reason != "glide_handoff":
+        raise RuntimeError(f"the wavy glide ended by {ev.reason}, not a hand-off")
+    return best_us(glide, 3) / len(piece)
+
+
 def build_wavy_kernels():
     config = json.loads(WAVY.read_text())
     phi = config["boundary"]["phi"]
@@ -102,6 +125,7 @@ def main():
     kernel_build_us = best_us(build_wavy_kernels, 1)
     glide = glide_us_per_sample(disk, [1.0, 0.0], [0.0, 1.0])
     glide_annulus = glide_us_per_sample(scen.builtin("annulus"), [0.0, 1.0], [-1.0, 0.0])
+    glide_wavy = glide_wavy_us_per_sample(wavy)
 
     rhs = flow._interior_rhs(strip, 1.0)
     y = start(strip, [0.0, 5e-4], [0.6, -0.8])
@@ -117,15 +141,22 @@ def main():
 
     y_wavy = start(wavy, [0.3, 0.35 - 0.3 * np.cos(0.3)], [0.2, -1.0])
     x_wavy = y_wavy[sym.X]
+    other = [-1.1, 0.6]
+
+    def at_alternating():
+        wavy.metric.at(x_wavy)
+        wavy.metric.at(other)
     print(json.dumps({
         "rk4_strip_us": round(rk4_us(strip, start(strip, [0.0, 0.5], [0.6, 0.8])), 2),
         "rk4_wavy_us": round(rk4_us(wavy, y_wavy), 2),
         "entries_wavy_us": round(best_us(lambda: wavy.metric.entries(x_wavy), 2000), 3),
         "derivs_wavy_us": round(best_us(lambda: wavy.boundary.derivs(x_wavy), 2000), 3),
+        "metric_at_wavy_us": round(best_us(at_alternating, 1000) / 2.0, 3),
         "kernel_build_us": round(kernel_build_us, 1),
         "glide_us_per_sample": round(glide[0], 2),
         "glide_samples": glide[1],
         "glide_annulus_us_per_sample": round(glide_annulus[0], 2),
+        "glide_wavy_us_per_sample": round(glide_wavy, 2),
         "radial_derivs_us": round(best_us(lambda: disk.boundary.derivs((0.6, 0.8)), 2000), 3),
         "event_us": round(best_us(locate, 200), 2),
     }))

@@ -97,6 +97,8 @@ def _parse_start(text: str) -> PhasePoint:
         raise ConfigError(
             f"--start needs {len(sym.COLUMNS)} values {','.join(sym.COLUMNS)}; got {len(vals)}"
         )
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"--start values must be finite, got {text!r}")
     return PhasePoint.from_vector(np.asarray(vals))
 
 
@@ -308,8 +310,10 @@ def cmd_gcc(args, scenario, out: Path) -> dict:
 def cmd_quasi_normal(args, scenario, out: Path) -> dict:
     m0_text = _require(args, "m0")
     m0 = np.asarray(_numbers(m0_text, "m0"), dtype=float)
-    if len(m0) != scenario.dim:
-        raise ConfigError(f"--m0 needs {scenario.dim} coordinates")
+    if len(m0) != 2:
+        raise ConfigError("--m0 needs 2 coordinates")
+    if not np.isfinite(m0).all():
+        raise ConfigError(f"--m0 coordinates must be finite, got {m0_text!r}")
     n = args.samples if args.samples is not None else 33
     chart = geo.build_quasi_normal_chart(scenario, m0)
     cs = scen.chart_scenario(scenario, chart)

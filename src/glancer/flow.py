@@ -19,10 +19,10 @@ every step in this order:
 * interior piece: RK4 on the Hamiltonian field (_rk4_step); shell
   projection, the phi crossing (bisected), the chart box, the tangency
   (q = d(phi)/d(sigma) turning from - to +). The field is computed on
-  floats (sym.field_values) from the metric's float reading (_MetricPoint):
+  floats (sym.field_values) from the metric's float reading (MetricEval.at):
   fixed under a constant metric, else one evaluation per RK stage, where
-  the projection and q at the new state share one evaluation, which the
-  next step's k1 reuses;
+  the projection and q at the new state share one evaluation through the
+  reading's last-point memo, which the next step's k1 reuses;
 * gliding piece: RK4 on (t, x1, x2), one boundary derivs and metric g
   evaluation per stage, k1 taken from the settled sample; the chart box, x
   settled on phi = 0 and xi rebuilt there, the hp2z exit hysteresis (two
@@ -143,7 +143,7 @@ class GenBicharacteristic:
     pieces: list[TrajectoryPiece]
     break_set: list[Break]
     junctions: list[tuple[float, sym.BoundaryClass]]
-    dim: int
+    dim = 2  # every trace is 2-D
 
     def all_samples(self):
         """Concatenated (s, states, kind_code, piece_index) across pieces.
@@ -171,40 +171,14 @@ class GenBicharacteristic:
         return sum(len(p) for p in self.pieces)
 
 
-class _MetricPoint:
-    """The metric's float reading (MetricEval.at) with a last-point memo; under
-    a constant metric the one fixed reading, taken once.
-
-    at(x1, x2) is (gi, dg) at x: the entries of g^-1 (geo.inverse_2x2 raises
-    StepFailure where g is not positive definite) and those of dg/dx1 and
-    dg/dx2, None under a constant metric. A call at the point of the last
-    one reuses it, so the post-step checks at a new state (the shell rescale
-    and q) and the next step's k1 there share one evaluation.
-    """
-
-    def __init__(self, metric):
-        self.metric = metric
-        self.fixed = metric.is_constant
-        self.x = None
-        self.value = metric.at(np.zeros(2)) if self.fixed else None
-
-    def __call__(self, x1, x2):
-        if not self.fixed and self.x != (x1, x2):
-            self.value = self.metric.at((x1, x2))
-            self.x = (x1, x2)
-        return self.value
-
-
-def _interior_rhs(scenario, direction: float, at: _MetricPoint | None = None):
+def _interior_rhs(scenario, direction: float):
     """H_p at a packed state, times direction, as a list of six floats
-    (sym.field_values); the metric is read through at (a fresh _MetricPoint
-    when None), once per call."""
-    if at is None:
-        at = _MetricPoint(scenario.metric)
+    (sym.field_values); the metric is read through its at, once per call."""
+    at = scenario.metric.at
 
     def rhs(y):
         _, x1, x2, tau, xi1, xi2 = y
-        gi, dg = at(x1, x2)
+        gi, dg = at((x1, x2))
         return [direction * v for v in sym.field_values(gi, dg, tau, xi1, xi2)]
 
     return rhs
@@ -228,11 +202,11 @@ def _rk4_step(f, y, h, k1=None):
     return [u + d for u, d in zip(y, _rk4_increment(f, y, h, k1))]
 
 
-def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
+def _rescale_char(scenario, y) -> None:
     """Project xi onto the characteristic shell |xi|_x = |tau| in place, on
-    floats; g^-1 comes from at when given, else from the metric's reading."""
+    floats, with g^-1 from the metric's reading."""
     _, x1, x2, tau, xi1, xi2 = y
-    gi = (at or _MetricPoint(scenario.metric))(x1, x2)[0]
+    gi = scenario.metric.at((x1, x2))[0]
     s1, s2 = geo.sharp(gi, xi1, xi2)
     nrm = math.sqrt(xi1 * s1 + xi2 * s2)
     target = abs(tau)
@@ -247,17 +221,16 @@ def _rescale_char(scenario, y, at: _MetricPoint | None = None) -> None:
     y[sym.XI] = xi1 * factor, xi2 * factor
 
 
-def _approach_rate(scenario, sgn: float, at: _MetricPoint | None = None):
+def _approach_rate(scenario, sgn: float):
     """q(y) = d(phi)/d(sigma) = sgn * hpz at a packed state, without the chart
     check: the hpz of sym.contact_values on the boundary's derivs and g^-1
-    from at (a fresh _MetricPoint when None)."""
-    if at is None:
-        at = _MetricPoint(scenario.metric)
-    derivs = scenario.boundary.derivs
+    from the metric's reading."""
+    at, derivs = scenario.metric.at, scenario.boundary.derivs
 
     def q(y):
         _, x1, x2, tau, xi1, xi2 = y
-        return sgn * sym.contact_values(derivs((x1, x2)), at(x1, x2)[0], None, tau, xi1, xi2)[1]
+        x = (x1, x2)
+        return sgn * sym.contact_values(derivs(x), at(x)[0], None, tau, xi1, xi2)[1]
 
     return q
 
@@ -265,7 +238,7 @@ def _approach_rate(scenario, sgn: float, at: _MetricPoint | None = None):
 def _check_characteristic(scenario, rho: PhasePoint) -> None:
     scale = max(1.0, rho.tau * rho.tau)
     p0 = sym.p_eval(scenario, rho)
-    if abs(p0) > 1e-6 * scale:
+    if not (math.isfinite(p0) and abs(p0) <= 1e-6 * scale):
         raise NotCharacteristic(f"p(rho) = {p0:.3e}; start must lie on the characteristic set")
 
 
@@ -393,13 +366,12 @@ class _StraightRuns:
     MAX_CYCLE = 8
     FLOOR = 1e-9  # phi of a clear row; also the q margin per unit of max(1, |tau|)
 
-    def __init__(self, scenario, rhs, params, sig1, sgn, at: _MetricPoint | None = None):
+    def __init__(self, scenario, rhs, params, sig1, sgn):
         self.scenario = scenario
         self.rhs = rhs
         self.params = params
         self.sig1 = sig1
         self.sgn = sgn
-        self.at = at or _MetricPoint(scenario.metric)
         self.level = max(params.tangency_gate, 0.0) + self.FLOOR
         self.lo = scenario.domain_lo - 1e-9 + 1e-12
         self.hi = scenario.domain_hi + 1e-9 - 1e-12
@@ -428,7 +400,7 @@ class _StraightRuns:
             incs.append(inc)
             y = [u + d for u, d in zip(y, inc)]
             try:
-                _rescale_char(self.scenario, y, self.at)
+                _rescale_char(self.scenario, y)
             except StepFailure:
                 return None
         return None
@@ -481,9 +453,10 @@ class _StraightRuns:
 
     def _q_rows(self, rows):
         """q = sgn * hpz at each row, from the boundary's row derivatives."""
-        d = self.scenario.boundary.derivs_on_rows(rows[:, sym.X])
+        X = rows[:, sym.X]
+        d = self.scenario.boundary.derivs_on_rows(X)
         xi1, xi2 = rows[:, sym.XI].T
-        gi = self.at.value[0]
+        gi = self.scenario.metric.at_rows(X)[0]
         return self.sgn * sym.contact_values(d, gi, None, rows[:, sym.TAU], xi1, xi2)[1]
 
     def __call__(self, y, sig, steps):
@@ -525,10 +498,9 @@ def integrate_interior(
     params = params or IntegratorParams()
     _check_characteristic(scenario, rho0)
     sgn = float(direction)
-    at = _MetricPoint(scenario.metric)
-    rhs = _interior_rhs(scenario, sgn, at)
+    rhs = _interior_rhs(scenario, sgn)
     phi_f = scenario.boundary.phi
-    q_of = _approach_rate(scenario, sgn, at)
+    q_of = _approach_rate(scenario, sgn)
     b_tol = scenario.thresholds.boundary_tol
 
     def phi_of(y):
@@ -543,7 +515,7 @@ def integrate_interior(
 
     def advance(y, y_new, h):
         nonlocal phi_prev, q_prev, skip
-        _rescale_char(scenario, y_new, at)
+        _rescale_char(scenario, y_new)
         phi_new = phi_of(y_new)
         q_new = q_of(y_new)
 
@@ -557,7 +529,7 @@ def integrate_interior(
             sig_hit, y_hit = found
             if sig_hit < 1e-12 * h:
                 raise StepFailure("boundary crossing at zero step; reduce the step size")
-            _rescale_char(scenario, y_hit, at)
+            _rescale_char(scenario, y_hit)
             return "boundary", sig_hit, y_hit
 
         if not geo.in_domain(scenario, y_new[sym.X]):
@@ -574,7 +546,7 @@ def integrate_interior(
             if found is not None:
                 sig_t, y_t = found
                 if abs(phi_of(y_t)) <= max(b_tol, 10.0 * EVENT_TOL):
-                    _rescale_char(scenario, y_t, at)
+                    _rescale_char(scenario, y_t)
                     return "boundary", sig_t, y_t
 
         phi_prev, q_prev = phi_new, q_new
@@ -582,7 +554,7 @@ def integrate_interior(
 
     plan = None
     if scenario.metric.is_constant:
-        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]), sgn, at)
+        runs = _StraightRuns(scenario, rhs, params, float(s_span[1]), sgn)
 
         def plan(y, sig, steps):
             # A run needs a clear start row and no pending tangency skips;
@@ -623,12 +595,12 @@ def integrate_gliding(
     the event points at the first.
 
     Each RK stage is one closure on floats: the chart-box test of
-    geo._require_in_domain, one call of the boundary's derivs, the metric g
-    (read once per piece under a constant metric), the tangent with the
-    hz2p >= 1e-8 check (DegenerateTransversal) and the field. The one stage
-    at a settled x also rebuilds xi, is the next step's k1 and gives hp2z
-    on floats (sym.contact_values), with the metric's float reading there
-    (_MetricPoint).
+    geo._require_in_domain, one call of the boundary's derivs, g as floats
+    (MetricEval.g_values, read once per piece under a constant metric), the
+    tangent with the hz2p >= 1e-8 check (DegenerateTransversal) and the
+    field. The one stage at a settled x also rebuilds xi, is the next
+    step's k1 and gives hp2z on floats (sym.contact_values), with the
+    metric's float reading there (MetricEval.at).
 
     The start must be a boundary point (NotOnBoundary past boundary_tol)
     that classifies as Gliding or Glancing3 (ValueError otherwise).
@@ -638,8 +610,7 @@ def integrate_gliding(
     if bc.tag not in (Tag.GLIDING, Tag.GLANCING3):
         raise ValueError(f"a gliding piece starts on the gliding set, got {bc.tag.value}")
     metric, derivs = scenario.metric, scenario.boundary.derivs
-    g_const = metric.g(np.zeros(2)).tolist() if metric.is_constant else None
-    reading = _MetricPoint(metric)
+    g_const = metric.g_values((0.0, 0.0)) if metric.is_constant else None
     (lo1, lo2), (hi1, hi2) = scenario.domain_lo.tolist(), scenario.domain_hi.tolist()
     lo1, lo2, hi1, hi2 = lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
     y0 = rho0.as_vector().tolist()
@@ -659,14 +630,14 @@ def integrate_gliding(
         if not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
             raise OutOfChart(f"point {np.array((x1, x2))} outside domain box of '{scenario.name}'")
         d = derivs((x1, x2))
-        (g11, g12), (g21, g22) = g_const or metric.g((x1, x2)).tolist()
+        g11, g12, g22 = g_const or metric.g_values((x1, x2))
         # the level-curve tangent v = J dphi = (-d2 phi, d1 phi), g v and
         # v.gv; in 2-D J^T g J = det(g) g^-1, so hz2p = 2 |v|_g^2 / det g
         v1, v2 = -d[1], d[0]
         gv1 = g11 * v1 + g12 * v2
-        gv2 = g21 * v1 + g22 * v2
+        gv2 = g12 * v1 + g22 * v2
         vgv = v1 * gv1 + v2 * gv2
-        hz2p = 2.0 * vgv / (g11 * g22 - g12 * g21)
+        hz2p = 2.0 * vgv / (g11 * g22 - g12 * g12)
         if hz2p < 1e-8:
             raise DegenerateTransversal(f"hz2p = {hz2p:.3e} too small at x = {np.array((x1, x2))}")
         nv = math.sqrt(vgv)
@@ -701,7 +672,7 @@ def integrate_gliding(
         if not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
             return _CHART_EXIT
         d, xi1, xi2 = settle(y_new)
-        hp2z = sym.contact_values(d, *reading(*y_new[sym.X]), tau, xi1, xi2)[2]
+        hp2z = sym.contact_values(d, *metric.at(y_new[sym.X]), tau, xi1, xi2)[2]
         exceed = exceed + 1 if hp2z > GLIDING_EXIT else 0
         return ("glide_handoff", 0.0, None) if exceed >= 2 else None
 
@@ -804,7 +775,6 @@ def trace_generalized(
         pieces=pieces,
         break_set=breaks,
         junctions=junctions,
-        dim=scenario.dim,
     )
 
 
@@ -886,9 +856,8 @@ def glancing_step_construct(
     hpz_max = abs(bc.hpz)
     rho = rho0
     s_now = 0.0
-    at = _MetricPoint(scenario.metric)
-    rhs = _interior_rhs(scenario, 1.0, at)
-    q_of = _approach_rate(scenario, 1.0, at)
+    rhs = _interior_rhs(scenario, 1.0)
+    q_of = _approach_rate(scenario, 1.0)
     q_prev = 0.0
 
     def to_apex(y, y_new, h):
@@ -896,13 +865,13 @@ def glancing_step_construct(
         nonlocal q_prev
         if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
-        _rescale_char(scenario, y_new, at)
+        _rescale_char(scenario, y_new)
         q_new = q_of(y_new)
         if q_prev > 0.0 >= q_new:
             found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12)
             if found is not None:
                 sig_t, y_t = found
-                _rescale_char(scenario, y_t, at)
+                _rescale_char(scenario, y_t)
                 return "apex", sig_t, y_t
         q_prev = q_new
         return None

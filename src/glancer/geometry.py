@@ -12,14 +12,15 @@ Conventions used throughout the package:
   ``derivs_rows(X)``, the five derivatives on every row as five arrays,
   equal to ``derivs`` on each row up to the last bit or two (the expression
   boundaries evaluate it with a row jet kernel, see ``glancer.jet``);
-* a metric is a ``MetricEval``, built by ``callable_metric`` from one
-  function, ``entries(x)``: g11, g12, g22 and their x1 and x2 derivatives as
-  nine floats, one evaluation per point. A constant metric
-  (``constant_metric``) is its case with fixed entries and derivatives 0.
-  ``g``, ``g_inv`` (the closed-form 2x2 inverse of ``inverse_2x2``) and
-  ``dg`` are read from it. ``MetricEval.at`` is the one float reading of any
-  metric, g^-1 and dg as floats, which the symbol, the tracer and the row
-  passes of ``glancer.measures`` take;
+* a metric is a ``MetricEval``, built from one function, ``entries(x)``:
+  g11, g12, g22 and their x1 and x2 derivatives as nine floats, one
+  evaluation per point, and optionally ``values(x)``, g alone. A constant
+  metric (``constant_metric``) is its case with fixed entries and
+  derivatives 0. ``MetricEval.at`` is the one float reading of any metric,
+  g^-1 and dg as floats with a last-point memo, which the symbol, the
+  tracer and the row passes of ``glancer.measures`` take; ``g_values`` gives
+  g as floats, and the numpy ``g``, ``g_inv`` (the closed-form 2x2 inverse
+  of ``inverse_2x2``) and ``dg`` are read from the same functions;
 * ``newton_to_level`` is the one pointwise Newton onto a level of phi, on a
   float pair, along g^-1 dphi or, without a metric, along dphi;
   ``newton_to_boundary`` is its Euclidean row form for batches of points;
@@ -49,32 +50,53 @@ from .errors import (
 )
 
 
-@dataclass
 class MetricEval:
-    """Pointwise metric data: g, its inverse, and the derivative tensor.
+    """A 2-D metric, from one function of a point x evaluated once per point:
+    entries(x) = (g11, g12, g22, d1 g11, d1 g12, d1 g22, d2 g11, d2 g12,
+    d2 g22), nine floats, dk the derivative in x_k. values(x), when given,
+    is (g11, g12, g22) alone, where that costs less. ``is_constant`` marks
+    a metric whose entries are fixed with derivatives 0 (constant_metric),
+    which lets integrators skip the covector update entirely.
 
-    ``dg(x)[k, i, j]`` is the partial derivative of ``g_ij`` in direction
-    ``x_k``. ``entries`` is the one function the other three are read from
-    (see ``callable_metric``). ``is_constant`` marks metrics whose dg
-    vanishes identically (``constant_metric``), which lets integrators skip
-    the covector update entirely.
+    ``at`` is the one float reading; ``g_values`` reads g alone as floats,
+    and the numpy ``g``, ``g_inv`` (inverse_2x2), ``dg`` and ``dg_inv`` are
+    built from the same calls. Each call goes through the ``entries`` and
+    ``values`` attributes, so a wrapper set there sees them all.
     """
 
-    dim: int
-    g: Callable[[np.ndarray], np.ndarray]
-    g_inv: Callable[[np.ndarray], np.ndarray]
-    dg: Callable[[np.ndarray], np.ndarray]
-    is_constant: bool = False
-    entries: Callable[..., tuple[float, ...]] | None = None
+    def __init__(
+        self,
+        entries: Callable[..., tuple[float, ...]],
+        values: Callable[..., tuple[float, float, float]] | None = None,
+        is_constant: bool = False,
+    ):
+        self.entries = entries
+        self.values = values
+        self.is_constant = is_constant
+        self._x = None
+        self._reading = None
+        if is_constant:
+            self._reading = inverse_2x2(entries((0.0, 0.0)), (0.0, 0.0)), None
 
     def at(self, x) -> tuple[tuple[float, float, float], tuple[float, ...] | None]:
-        """(gi, dg) at x as floats, from one entries call: gi = (gi11, gi12,
-        gi22), the entries of g_inv(x) by inverse_2x2, and dg = (d1 g11,
-        d1 g12, d1 g22, d2 g11, d2 g12, d2 g22), those of dg(x), or None
-        under a constant metric.
+        """(gi, dg) at the point pair x as floats, from one entries call: gi =
+        (gi11, gi12, gi22), the entries of g^-1 by inverse_2x2 (StepFailure
+        where g is not positive definite), and dg = (d1 g11, d1 g12, d1 g22,
+        d2 g11, d2 g12, d2 g22), or None under a constant metric.
+
+        A call at the point of the last one (its coordinates compare equal)
+        returns that reading again, so the checks at a new state and the next
+        RK stage there share one evaluation. Under a constant metric every
+        call returns the one reading taken at construction.
         """
-        e = self.entries(x)
-        return inverse_2x2(e, x), None if self.is_constant else e[3:]
+        if self.is_constant:
+            return self._reading
+        x1, x2 = x
+        if self._x != (x1, x2):
+            e = self.entries(x)
+            self._reading = inverse_2x2(e, x), e[3:]
+            self._x = (x1, x2)
+        return self._reading
 
     def at_rows(self, X: np.ndarray):
         """(gi, dg) at the rows of X, as at reads them and as the row passes
@@ -82,10 +104,28 @@ class MetricEval:
         constant metric one reading, whose floats serve every row; else one
         per row, each entry an array over the rows."""
         if self.is_constant:
-            return self.at(np.zeros(2))
+            return self._reading
         rows = [(*gi, *dg) for gi, dg in map(self.at, X.tolist())]
         cols = np.array(rows, dtype=float).reshape(len(X), 9).T
         return cols[:3], cols[3:]
+
+    def g_values(self, x) -> tuple[float, float, float]:
+        """(g11, g12, g22) at x as floats: values(x) where given, else the
+        first three entries."""
+        return self.entries(x)[:3] if self.values is None else self.values(x)
+
+    def g(self, x) -> np.ndarray:
+        g11, g12, g22 = self.g_values(x)
+        return np.array(((g11, g12), (g12, g22)))
+
+    def g_inv(self, x) -> np.ndarray:
+        gi11, gi12, gi22 = inverse_2x2(self.g_values(x), x)
+        return np.array(((gi11, gi12), (gi12, gi22)))
+
+    def dg(self, x) -> np.ndarray:
+        """dg(x)[k, i, j], the derivative of g_ij in direction x_k."""
+        e = self.entries(x)
+        return np.array((((e[3], e[4]), (e[4], e[5])), ((e[6], e[7]), (e[7], e[8]))))
 
     def dg_inv(self, x: np.ndarray, gi: np.ndarray | None = None) -> np.ndarray:
         """Derivative of the inverse metric: -g^-1 (dg) g^-1 per direction.
@@ -93,7 +133,7 @@ class MetricEval:
         gi is g_inv at x, when the caller has already evaluated it.
         """
         if self.is_constant:
-            return np.zeros((self.dim, self.dim, self.dim))
+            return np.zeros((2, 2, 2))
         if gi is None:
             gi = self.g_inv(x)
         return -np.einsum("il,klm,mj->kij", gi, self.dg(x), gi)
@@ -106,7 +146,8 @@ class BoundaryDef:
     ``phi(x)`` is the value, and every sign or tolerance test reads it.
     ``derivs(x)`` returns the derivatives ``(d1, d2, d11, d12, d22)`` at x as
     five floats, so one call gives what the contact classification needs;
-    ``dphi`` and ``d2phi`` build the gradient and Hessian arrays from it.
+    ``dphi`` and ``d2phi`` build the gradient and Hessian arrays from it,
+    for ``perfbench/tracer.py`` and the tests (no caller in the package).
     ``phi_rows``, when given, evaluates phi at every row of an (N, 2) array
     with the same arithmetic as ``phi``, so bit for bit the same values.
     ``derivs_rows``, when given, evaluates the five derivatives at every row
@@ -166,9 +207,9 @@ class Chart:
 
 
 def constant_metric(matrix) -> MetricEval:
-    """The metric of a fixed symmetric positive definite 2x2 matrix:
-    callable_metric's case with fixed entries and derivatives 0, with
-    is_constant set, so g^-1 is inverse_2x2's closed form.
+    """The metric of a fixed symmetric positive definite 2x2 matrix: fixed
+    entries with derivatives 0 and is_constant set, so g^-1 is
+    inverse_2x2's closed form, read once.
 
     Raises ValueError unless matrix is a finite 2x2 matrix with equal
     off-diagonal entries, g11 > 0 and det g > 0.
@@ -180,13 +221,11 @@ def constant_metric(matrix) -> MetricEval:
     if not (g11 > 0.0 and g11 * g22 - g12 * g12 > 0.0):
         raise ValueError(f"metric matrix must be positive definite, got {gmat.tolist()}")
     e = (g11, g12, g22, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    metric = callable_metric(lambda x: e)
-    metric.is_constant = True
-    return metric
+    return MetricEval(lambda x: e, is_constant=True)
 
 
-def identity_metric(dim: int) -> MetricEval:
-    return constant_metric(np.eye(dim))
+def identity_metric() -> MetricEval:
+    return constant_metric(np.eye(2))
 
 
 def diagonal_metric(entries) -> MetricEval:
@@ -208,39 +247,6 @@ def inverse_2x2(e, x) -> tuple[float, float, float]:
             f"g11 = {g11:.6g}, det g = {det:.6g}"
         )
     return g22 / det, -g12 / det, g11 / det
-
-
-def callable_metric(
-    entries: Callable[..., tuple[float, ...]],
-    values: Callable[..., tuple[float, float, float]] | None = None,
-) -> MetricEval:
-    """2-D metric from one function of a point x, evaluated once per point:
-    entries(x) = (g11, g12, g22, d1 g11, d1 g12, d1 g22, d2 g11, d2 g12,
-    d2 g22), nine floats, dk the derivative in x_k.
-
-    ``g`` and ``g_inv`` (inverse_2x2) read the first three, or values(x),
-    (g11, g12, g22) alone, where that is given because it costs less;
-    ``dg`` reads the other six. Each makes one call, through the metric's
-    ``entries`` attribute, so a wrapper set there sees them all.
-    """
-
-    def g_of(x):
-        return metric.entries(x) if values is None else values(x)
-
-    def g(x):
-        e = g_of(x)
-        return np.array(((e[0], e[1]), (e[1], e[2])))
-
-    def g_inv(x):
-        gi11, gi12, gi22 = inverse_2x2(g_of(x), x)
-        return np.array(((gi11, gi12), (gi12, gi22)))
-
-    def dg(x):
-        e = metric.entries(x)
-        return np.array((((e[3], e[4]), (e[4], e[5])), ((e[6], e[7]), (e[7], e[8]))))
-
-    metric = MetricEval(dim=2, g=g, g_inv=g_inv, dg=dg, is_constant=False, entries=entries)
-    return metric
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +456,7 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
     pts = np.empty((len(us), 2))
     grads = np.empty_like(pts)
     x0 = np.array(newton_to_level(bnd, m0.tolist(), 0.0, 4, 0.0)[0])
-    d0 = bnd.dphi(x0)
+    d0 = bnd.derivs(x0)[:2]
     pts[n_side], grads[n_side] = x0, d0
     for direction in (+1, -1):
         x, d = x0, d0
@@ -458,9 +464,9 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
             # midpoint step along the tangent, then project back
             h = direction * step
             xm = x + 0.5 * h * tangent(d)
-            x = (x + h * tangent(bnd.dphi(xm))).tolist()
+            x = (x + h * tangent(bnd.derivs(xm)[:2])).tolist()
             x = np.array(newton_to_level(bnd, x, 0.0, 4, 0.0)[0])
-            d = bnd.dphi(x)
+            d = bnd.derivs(x)[:2]
             pts[n_side + direction * k], grads[n_side + direction * k] = x, d
     normals = np.array([d / np.linalg.norm(d) for d in grads])
     b_spline = CubicSpline(us, pts, axis=0)
@@ -485,10 +491,8 @@ def build_quasi_normal_chart(scenario, m0) -> Chart:
     n' from dG0 = Pu^T g P + P^T g Pu + P^T (dg . b') P for the flattened
     metric G0 = P^T g P, P = [b', e], Pu = [b'', e'].
     """
-    if scenario.dim != 2:
-        raise NotImplementedError("quasi-normal charts implemented for dim = 2")
     m0 = np.asarray(m0, dtype=float)
-    if abs(scenario.boundary.phi(m0)) > 1e-6:
+    if not abs(scenario.boundary.phi(m0)) <= 1e-6:
         raise NotOnBoundary(f"m0 must lie on the boundary, phi = {scenario.boundary.phi(m0):.3e}")
 
     half_span = 2.0 * _CUTOFF_RADIUS + 4.0 * _GRID_STEP

@@ -26,7 +26,6 @@ from .geometry import (
     BoundaryDef,
     Chart,
     MetricEval,
-    callable_metric,
     constant_metric,
     diagonal_metric,
     identity_metric,
@@ -124,21 +123,7 @@ CONFIG_SCHEMA = {
 # on every call, which costs more than the validation itself.
 _VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
-_EXPR_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "arctan": np.arctan,
-    "abs": np.abs,
-    "hypot": np.hypot,
-    "pi": np.pi,
-}
+_EXPR_FUNCS = {**{name: getattr(np, name) for name in jet.FUNCS}, "pi": np.pi}
 
 
 def _compile(expr: str, names: tuple[str, ...]):
@@ -181,8 +166,8 @@ def compile_jet(expr: str):
 
 @dataclass
 class Scenario:
+    dim = 2  # every scenario is 2-D
     name: str
-    dim: int
     metric: MetricEval
     boundary: BoundaryDef
     domain_lo: np.ndarray
@@ -344,10 +329,10 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
 # metric and potential blocks
 
 
-def _metric_from_block(block: dict, dim: int, box) -> MetricEval:
+def _metric_from_block(block: dict, box) -> MetricEval:
     kind = block.get("kind", "identity")
     if kind == "identity":
-        return identity_metric(dim)
+        return identity_metric()
     try:
         if kind == "diagonal":
             return diagonal_metric(block["entries"])
@@ -397,7 +382,7 @@ def _expression_metric(block: dict, box) -> MetricEval:
         raise ValidationError(
             "expression metric is not positive definite at the box center"
         ) from exc
-    return callable_metric(entries)
+    return MetricEval(entries)
 
 
 def _potential_from_block(block: dict | None):
@@ -514,7 +499,6 @@ def resolve_config(config: dict) -> dict:
 
 def from_config(config: dict) -> Scenario:
     resolved = resolve_config(config)
-    dim = 2
     if resolved.get("builtin") is not None:
         boundary, (lo, hi) = _builtin_geometry(resolved["builtin"], resolved["params"])
     else:
@@ -526,11 +510,10 @@ def from_config(config: dict) -> Scenario:
         boundary = _expression_boundary(block["phi"])
         # Builtin defining functions have no critical point on their zero set.
         _reject_corners(boundary, lo, hi)
-    metric = _metric_from_block(resolved["metric"], dim, (lo, hi))
+    metric = _metric_from_block(resolved["metric"], (lo, hi))
     thresholds = ClassifyThresholds(**resolved["thresholds"])
     return Scenario(
         name=resolved["name"],
-        dim=dim,
         metric=metric,
         boundary=boundary,
         domain_lo=lo,
@@ -586,10 +569,9 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
     pulled-back metric is G = J^T g(x) J and its derivative along y_k is
     dG_k = H_k^T g J + J^T g H_k + J^T (sum_l dg_l(x) J_lk) J, where dg is
     the base metric's own derivative. One jet at y gives both: the metric's
-    entries(y) (see callable_metric), with G and dG_k read above the
-    diagonal. g and g_inv alone take the order-1 jet, which costs less.
+    entries(y) (see MetricEval), with G and dG_k read above the diagonal.
+    g alone, values(y), takes the order-1 jet, which costs less.
     """
-    dim = base.dim
 
     def entries(y):
         x, J, H = chart.jet(y, 2)
@@ -605,13 +587,12 @@ def chart_scenario(base: Scenario, chart: Chart) -> Scenario:
         (g11, g12), (_, g22) = (J.T @ base.metric.g(x) @ J).tolist()
         return g11, g12, g22
 
-    metric = callable_metric(entries, values)
+    metric = MetricEval(entries, values)
     f = None
     if base.f is not None:
         f = lambda t, y: base.potential(t, chart.to_scenario(y))
     return Scenario(
         name=chart.name,
-        dim=dim,
         metric=metric,
         boundary=_half_plane_boundary(),
         domain_lo=chart.domain_lo,

@@ -2,9 +2,9 @@
 
 Under a constant metric, interior pieces take their straight runs from a
 plan built in array passes. A twin of the scenario whose identity metric
-comes through ``geo.callable_metric`` (so ``is_constant`` is False) takes
-every step one at a time with the same arithmetic; both must give the same
-samples, breaks and junctions.
+is a plain ``geo.MetricEval`` of its entries (so ``is_constant`` is False)
+takes every step one at a time with the same arithmetic; both must give the
+same samples, breaks and junctions.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from glancer.symbol import PhasePoint
 
 def stepped_twin(scenario):
     twin = dataclasses.replace(
-        scenario, metric=geo.callable_metric(lambda x: (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        scenario, metric=geo.MetricEval(lambda x: (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     )
     assert scenario.metric.is_constant and not twin.metric.is_constant
     return twin

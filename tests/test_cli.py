@@ -369,6 +369,27 @@ def test_infinite_numbers_exit_two(tmp_path, capsys, argv):
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--scenario", "strip", "--start=0,0,0.5,{},0.6,0.8", "--t-horizon", "1"],
+        ["classify", "--scenario", "strip", "--start=0,0,0,{},0.6,-0.8"],
+        ["verify-transport", "--scenario", "strip", "--start=0,0,0.5,1,{},0.8"],
+        ["glide-step", "--scenario", "disk_interior", "--start={},1,0,1,0,1", "--delta", "0.01"],
+        ["continuity", "--scenario", "strip", "--start=0,0.1,{},1,0.6,0.8", "--delta", "0.01"],
+        ["quasi-normal", "--scenario", "disk_interior", "--m0={},0"],
+    ],
+    ids=["trace", "classify", "verify-transport", "glide-step", "continuity", "quasi-normal"],
+)
+def test_non_finite_start_or_base_point_exits_two(tmp_path, capsys, argv, value):
+    argv = [a.format(value) for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "must be finite" in err["detail"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_continuity_accepts_a_zero_delta(tmp_path, capsys):
     code, summary = run_cli(
         ["continuity", "--scenario", "strip", "--start", "0,0.1,0.45,1,0.6,0.8",

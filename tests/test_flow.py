@@ -174,6 +174,14 @@ def test_non_characteristic_start_rejected(half_plane):
         flow.trace_generalized(half_plane, rho0, 1.0)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_non_finite_tau_is_not_characteristic(strip, tau):
+    # NaN passes a test |p| > tol, and tau = inf scales the tolerance to inf
+    rho0 = PhasePoint(0.0, np.array([0.0, 0.5]), tau, np.array([0.6, 0.8]))
+    with pytest.raises(NotCharacteristic):
+        flow.trace_generalized(strip, rho0, 1.0)
+
+
 @given(
     x1=st.floats(-1.0, 1.0),
     x2=st.floats(0.3, 2.0),
@@ -198,7 +206,7 @@ def test_rk4_self_convergence_on_curved_metric():
         dc2 = -np.sin(2.0 * x[0]) * np.sin(2.0 * x[1])
         return c, 0.0, c, dc1, 0.0, dc1, dc2, 0.0, dc2
 
-    curved = dataclasses.replace(scen.builtin("half_plane"), metric=geo.callable_metric(entries))
+    curved = dataclasses.replace(scen.builtin("half_plane"), metric=geo.MetricEval(entries))
     x0 = np.array([0.3, 0.8])
     xi0 = np.array([0.55, 0.65])
     xi0 /= np.sqrt(float(xi0 @ curved.metric.g_inv(x0) @ xi0))
@@ -561,13 +569,13 @@ def test_curve_glide_leaves_the_chart(strip, direction):
 
 @pytest.mark.parametrize("name", ["disk_interior", "expression_disk"])
 def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
-    """At most 4 derivs and 4 g calls per step: one per RK stage, with k1, the xi
-    rebuild and hp2z sharing the evaluation at the settled x."""
+    """At most 4 derivs and 4 g_values calls per step: one per RK stage, with
+    k1, the xi rebuild and hp2z sharing the evaluation at the settled x."""
 
     def calls(span):
         scenario = _case(name)
-        n = {"derivs": 0, "g": 0}
-        for owner, attr in ((scenario.boundary, "derivs"), (scenario.metric, "g")):
+        n = {"derivs": 0, "g_values": 0}
+        for owner, attr in ((scenario.boundary, "derivs"), (scenario.metric, "g_values")):
             def counted(x, _f=getattr(owner, attr), _key=attr):
                 n[_key] += 1
                 return _f(x)
@@ -584,7 +592,7 @@ def test_gliding_step_evaluates_the_boundary_once_per_stage(name):
     one, n1 = calls((0.0, 1e-3))
     assert (steps, one) == (1000, 1)
     assert (n["derivs"] - n1["derivs"]) / (steps - one) <= 4.0
-    assert (n["g"] - n1["g"]) / (steps - one) <= 4.0
+    assert (n["g_values"] - n1["g_values"]) / (steps - one) <= 4.0
 
 
 @pytest.mark.parametrize("name", ["disk_interior", "annulus"])
@@ -593,11 +601,11 @@ def test_constant_metric_glide_reads_g_once_per_piece(name):
     rho0 = gliding_start(scenario, {"disk_interior": [1.0, 0.0], "annulus": [0.0, 1.0]}[name], -1.0)
     n = [0]
 
-    def counted(x, _g=scenario.metric.g):
+    def counted(x, _g=scenario.metric.g_values):
         n[0] += 1
         return _g(x)
 
-    scenario.metric.g = counted
+    scenario.metric.g_values = counted
     piece, ev = flow.integrate_gliding(scenario, rho0, (0.0, 1.0), flow.IntegratorParams(h=1e-3))
     assert ev.reason == "span_end" and len(piece) == 1001
     assert n[0] <= 1
@@ -1244,7 +1252,7 @@ def _odd_trace(n_pieces=12):
         s = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, float(k)])
         kind = flow.GLIDING if k % 3 == 1 else flow.INTERIOR
         pieces.append(flow.TrajectoryPiece(kind, s, states))
-    return flow.GenBicharacteristic(pieces, [], [], 2)
+    return flow.GenBicharacteristic(pieces, [], [])
 
 
 @pytest.mark.parametrize(

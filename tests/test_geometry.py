@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from glancer import flow
 from glancer import geometry as geo
 from glancer import scenarios as scen
-from glancer.errors import DegenerateNormal, NotOnBoundary, OutOfChart, SmoothingFailure
+from glancer.errors import (
+    DegenerateNormal,
+    NotOnBoundary,
+    OutOfChart,
+    SmoothingFailure,
+    StepFailure,
+)
 from glancer.symbol import PhasePoint
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -97,7 +103,7 @@ def test_callable_metric_dg_inv():
         dc1, dc2 = 0.1 * np.cos(x[0]) * np.cos(x[1]), -0.1 * np.sin(x[0]) * np.sin(x[1])
         return c, 0.0, c, dc1, 0.0, dc1, dc2, 0.0, dc2
 
-    m = geo.callable_metric(entries)
+    m = geo.MetricEval(entries)
     assert not m.is_constant
     x = np.array([0.4, 0.7])
     dg = m.dg(x)
@@ -349,3 +355,62 @@ def test_newton_to_boundary_stops_where_it_cannot_step(disk):
     assert np.array_equal(X, [[1.0, 0.0]])
     x, phi = geo.newton_to_level(bnd, np.array([0.5, 0.0]), 0.0, 1, 0.0)
     assert np.array_equal(x, [1.0, 0.0])
+
+
+def _reading_bytes(reading):
+    gi, dg = reading
+    return np.array([*gi, *(dg or ())]).tobytes()
+
+
+def _counted_entries(metric):
+    n = [0]
+
+    def counted(x, _entries=metric.entries):
+        n[0] += 1
+        return _entries(x)
+
+    metric.entries = counted
+    return n
+
+
+@pytest.mark.parametrize("name", ["wavy", "disk"])
+def test_at_memo_returns_a_fresh_reading_bit_for_bit(charts, name):
+    """The last-point memo of MetricEval.at: A, B, A again and A in each point
+    form give what a fresh metric over the same functions reads at A; a repeat
+    call at A makes no entries call."""
+    if name == "wavy":
+        metric = scen.load_scenario(WAVY_PATH).metric
+        a, b = [0.3, 0.35 - 0.3 * np.cos(0.3)], [-1.1, 0.6]
+    else:
+        # a metric of its own over the chart's functions: the fixture is shared
+        chart_metric = charts["disk"][2].metric
+        metric = geo.MetricEval(chart_metric.entries, chart_metric.values)
+        a, b = [0.1, 0.03], [-0.2, 0.05]
+    want_a = _reading_bytes(geo.MetricEval(metric.entries, metric.values).at(np.array(a)))
+    want_b = _reading_bytes(geo.MetricEval(metric.entries, metric.values).at(np.array(b)))
+    n = _counted_entries(metric)
+    assert _reading_bytes(metric.at(a)) == want_a
+    assert _reading_bytes(metric.at(b)) == want_b
+    for x in (np.array(a), list(a), tuple(a)):
+        assert _reading_bytes(metric.at(x)) == want_a
+    assert n[0] == 3  # A, B, then A once more; each repeat of A is read off the memo
+
+
+def test_constant_metric_reads_no_entries_after_it_is_built():
+    strip = scen.builtin("strip")
+    n = _counted_entries(strip.metric)
+    rho0 = PhasePoint(0.0, np.array([0.0, 0.5]), 1.0, np.array([0.6, 0.8]))
+    gb = flow.trace_generalized(strip, rho0, 4.0)
+    assert gb.break_set and n[0] == 0
+
+
+def test_at_raises_where_g_is_not_positive_definite_and_keeps_its_reading():
+    metric = scen.load_scenario(WAVY_PATH).metric
+    a = (0.3, 0.5)
+    want = _reading_bytes(geo.MetricEval(metric.entries).at(a))
+    assert _reading_bytes(metric.at(a)) == want
+    # g11 = 1 + 0.25 x2 is negative at x2 = -5
+    with pytest.raises(StepFailure, match=r"not positive definite at x = \[0\.3, -5\.0\]"):
+        metric.at((0.3, -5.0))
+    n = _counted_entries(metric)
+    assert _reading_bytes(metric.at(a)) == want and n[0] == 0

@@ -627,7 +627,7 @@ def test_one_boundary_derivs_call_per_state(name):
 
 def _scenario_with(boundary, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
     return scen.Scenario(
-        name="probe", dim=2, metric=geo.identity_metric(2), boundary=boundary,
+        name="probe", metric=geo.identity_metric(), boundary=boundary,
         domain_lo=np.array(lo), domain_hi=np.array(hi),
     )
 
@@ -685,7 +685,7 @@ def _metrics_to_read():
     wavy = scen.load_scenario(WAVY)
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     return {
-        "identity": (geo.identity_metric(2), *box),
+        "identity": (geo.identity_metric(), *box),
         "diagonal": (geo.diagonal_metric([2.0, 0.5]), *box),
         "non_diagonal": (geo.constant_metric([[1.0, 0.3], [0.3, 1.0]]), *box),
         "wavy": (wavy.metric, wavy.domain_lo, wavy.domain_hi),
