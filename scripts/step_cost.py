@@ -30,11 +30,16 @@ Prints one JSON line, without bounds, with:
 * ``kernel_build_us``: microseconds to build the jet kernels that loading
   wavy.json builds (each metric entry in x1 or x2, and the wall's point
   and row kernels) with the kernel memo cleared first, as a new process
-  does.
+  does;
+* ``phi_wavy_us``: microseconds per ``phi`` call of wavy.json's wall, at
+  the point where ``rk4_wavy_us`` starts;
+* ``load_wavy_ms``: milliseconds per ``scenarios.load_scenario`` of
+  wavy.json after its first load (schema check, corner check and metric
+  check included; the compiled expressions are kept from the first).
 
 Each figure is the best of 5 rounds; a round repeats the call 200 times
-(``entries``, ``derivs`` and ``at`` 2,000 times, each glide trace 3 times,
-the kernel build once).
+(``entries``, ``derivs``, ``at`` and ``phi`` 2,000 times, each glide trace
+3 times, the load 20 times, the kernel build once).
 
 Usage:
     python3 scripts/step_cost.py
@@ -108,10 +113,12 @@ def build_wavy_kernels():
     config = json.loads(WAVY.read_text())
     phi = config["boundary"]["phi"]
     # an entry in neither x1 nor x2 is folded without a kernel
-    varying = {
-        str(e) for row in config["metric"]["expressions"] for e in row
-        if {"x1", "x2"} & set(compile(str(e), "", "eval").co_names)
-    }
+    varying = set()
+    for e in (str(e) for row in config["metric"]["expressions"] for e in row):
+        try:
+            jet.constant(e)
+        except ValueError:
+            varying.add(e)
     jet._KERNELS.clear()
     for expr in {phi, *varying}:
         jet.kernel(expr)
@@ -153,6 +160,8 @@ def main():
         "derivs_wavy_us": round(best_us(lambda: wavy.boundary.derivs(x_wavy), 2000), 3),
         "metric_at_wavy_us": round(best_us(at_alternating, 1000) / 2.0, 3),
         "kernel_build_us": round(kernel_build_us, 1),
+        "phi_wavy_us": round(best_us(lambda: wavy.boundary.phi(x_wavy), 2000), 3),
+        "load_wavy_ms": round(best_us(lambda: scen.load_scenario(WAVY), 20) / 1e3, 3),
         "glide_us_per_sample": round(glide[0], 2),
         "glide_samples": glide[1],
         "glide_annulus_us_per_sample": round(glide_annulus[0], 2),

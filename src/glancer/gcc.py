@@ -17,6 +17,7 @@ import numpy as np
 
 from . import flow
 from . import geometry as geo
+from . import jet
 from . import scenarios as scen
 from . import symbol as sym
 from .errors import GlancerError, ValidationError
@@ -33,7 +34,8 @@ _KRONECKER = np.array([0.7548776662466927, 0.5698402909980532])
 class ObservationRegion:
     """Observation set {expr > 0} over the names t, x1, x2.
 
-    The expression evaluates vectorized and is sent as text to worker
+    The expression is in the language of ``glancer.jet`` (ValidationError
+    otherwise), evaluates vectorized and is sent as text to worker
     processes, which compile it again.
     """
 
@@ -42,15 +44,15 @@ class ObservationRegion:
     def __post_init__(self):
         if self.expression is None:
             raise ValidationError("region needs an expression")
-        self._fn = scen.compile_expression(self.expression, ("t", "x1", "x2"))
+        self._fn = jet.function(self.expression, ("t", "x1", "x2"))
 
     def contains(self, t: float, x) -> bool:
         """Whether (t, x) lies in the region: the pointwise reference for entered."""
         x = np.asarray(x, dtype=float)
-        return bool(float(self._fn(t=float(t), x1=float(x[0]), x2=float(x[1]))) > 0.0)
+        return bool(float(self._fn(float(t), float(x[0]), float(x[1]))) > 0.0)
 
     def entered(self, t_arr: np.ndarray, X: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self._fn(t=t_arr, x1=X[:, 0], x2=X[:, 1]), dtype=float)
+        vals = np.asarray(self._fn(t_arr, X[:, 0], X[:, 1]), dtype=float)
         return np.broadcast_to(vals, t_arr.shape) > 0.0
 
 

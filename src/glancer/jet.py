@@ -1,17 +1,30 @@
-"""Second-order jets in two variables, compiled once per expression.
+"""The expression language of scenarios, and the jets of its expressions.
+
+This module owns the language of every scenario expression: an expression
+wall's ``phi`` and an expression metric's entries, in ``x1`` and ``x2``,
+and the potential and the ``gcc`` observation region, in ``t``, ``x1`` and
+``x2``. The grammar is numbers, the slot's variables, ``pi``, unary ``+``
+and ``-``, ``+ - * / **`` and calls of ``FUNCS`` with their arity. One
+walker of the syntax tree checks all four slots: anything else, and a
+constant that is not real, is a ``ValidationError``.
+
+``function(expr, names)`` is the checked tree compiled as a lambda of the
+names over numpy's functions (``hypot`` is the C library's ``np.hypot``),
+so floats, numpy scalars and arrays take the arithmetic of evaluating the
+text in numpy's namespace, bit for bit.
 
 A jet is a value with its gradient and Hessian in (x1, x2), the six fields
-``(v, d1, d2, d11, d12, d22)``. ``kernel(expr)`` turns a scenario expression
-into one Python function of the point that returns the six fields of the
-expression's jet there. The generator walks the expression's syntax tree once
-and writes the chain rule of each operation out on floats, one operation a
-line, and compiles that source once: forward mode by source transformation
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13 and 15). Each rule
-takes the operands it always took, in the same order, so a kernel gives the
-bits of evaluating the expression on jet objects. The one change is that an
-operation whose operands are all known when the kernel is built (numbers,
-``pi``, the seed derivatives 1 and 0 and what follows from them alone) is
-done then: the same IEEE operation, done earlier.
+``(v, d1, d2, d11, d12, d22)``. ``kernel(expr)`` turns an expression in x1
+and x2 into one Python function of the point that returns the six fields
+of its jet there. The same walker writes the chain rule of each operation
+out on floats, one operation a line, and compiles that source once:
+forward mode by source transformation (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13 and 15). Each rule takes the operands it always took,
+in the same order, so a kernel gives the bits of evaluating the expression
+on jet objects. The one change is that an operation whose operands are all
+known when the kernel is built (numbers, ``pi``, the seed derivatives 1 and
+0 and what follows from them alone) is done then: the same IEEE operation,
+done earlier. Kernels take ``hypot`` from ``math.hypot``.
 
 Where a derivative does not exist (``abs``, ``sqrt`` and ``hypot`` at zero),
 the jet carries a zero gradient and a zero Hessian, the value a symmetric
@@ -25,11 +38,8 @@ a row with a non-finite field is NaN in all six. Its rows agree with the
 pointwise kernel to the last bit or two where numpy's functions do not give
 the math module's bits.
 
-The grammar is numbers, ``x1``, ``x2``, ``pi``, unary ``+`` and ``-``,
-``+ - * / **`` and calls of ``FUNCS`` with their arity. Anything else is a
-``ValidationError`` when the kernel is built, and so is a constant that is
-not real. The generated source holds only names the generator made and
-``repr``'d numbers, never text of the expression. Kernels are kept per
+The generated source holds only names the generator made and ``repr``'d
+numbers, never text of the expression. Functions and kernels are kept per
 expression text for the life of the process. ``constant(expr)`` reads the
 value of an expression in neither x1 nor x2 off the same folding, without
 building a kernel.
@@ -63,19 +73,11 @@ FUNCS = {
     "hypot": 2,
 }
 
+# what a name of an expression's value is: numpy's functions, and pi
+_NUMPY = {**{name: getattr(np, name) for name in FUNCS}, "pi": np.pi}
 
-class Jet:
-    """The six fields of a jet, as ``evaluate`` and ``evaluate_rows`` give them."""
-
-    __slots__ = ("v", "d1", "d2", "d11", "d12", "d22")
-
-    def __init__(self, v, d1=0.0, d2=0.0, d11=0.0, d12=0.0, d22=0.0):
-        self.v = v
-        self.d1 = d1
-        self.d2 = d2
-        self.d11 = d11
-        self.d12 = d12
-        self.d22 = d22
+# the variables of a wall or a metric entry, the two that seed jets
+_XY = ("x1", "x2")
 
 
 # math.hypot rounds correctly; np.hypot (the C library's) is one ulp off on
@@ -158,9 +160,14 @@ def _is_jet(node) -> bool:
 class _Writer:
     """Writes one kernel: each operation is folded now or written out a line."""
 
-    def __init__(self, expr: str, rows: bool):
+    def __init__(self, expr: str, rows: bool, names: tuple[str, ...]):
         self.expr = expr
         self.rows = rows
+        self.names = names
+        try:
+            self.tree = ast.parse(expr, mode="eval")
+        except SyntaxError as exc:
+            raise ValidationError(f"expression {expr!r} is not valid syntax: {exc.msg}") from exc
         self.lines: list[str] = []
         self.indent = " " * 8
         self.consts: dict[str, object] = {}
@@ -265,6 +272,11 @@ class _Writer:
     # -- the syntax tree ---------------------------------------------------
 
     def node(self, t):
+        """The node of the syntax tree t: the one check of the grammar.
+
+        x1 and x2 seed jets; another variable of the slot (t) is a plain
+        operand, written under its own name.
+        """
         if isinstance(t, ast.Constant):
             if type(t.value) in (int, float):
                 return _Lit(t.value)
@@ -273,8 +285,8 @@ class _Writer:
         elif isinstance(t, ast.Name):
             if t.id == "pi":
                 return _Lit(math.pi)
-            if t.id in ("x1", "x2"):
-                return _X1 if t.id == "x1" else _X2
+            if t.id in self.names:
+                return {"x1": _X1, "x2": _X2}.get(t.id, t.id)
         elif isinstance(t, ast.UnaryOp) and isinstance(t.op, (ast.UAdd, ast.USub)):
             a = self.node(t.operand)
             return a if isinstance(t.op, ast.UAdd) else _neg(self, a)
@@ -293,7 +305,8 @@ class _Writer:
             return _hypot(self, *args) if name == "hypot" else _lift(self, name, args[0])
         raise ValidationError(
             f"unsupported syntax {ast.unparse(t)!r} in expression {self.expr!r}: only numbers, "
-            f"x1, x2, pi, unary + and -, + - * / ** and calls of {sorted(FUNCS)} are allowed"
+            f"{', '.join(self.names)}, pi, unary + and -, + - * / ** and calls of "
+            f"{sorted(FUNCS)} are allowed"
         )
 
 
@@ -485,18 +498,15 @@ def _hypot_fields(w, a, b, r):
 # -- building ---------------------------------------------------------------
 
 _KERNELS: dict[tuple[str, bool], object] = {}
-_CONSTANTS: dict[str, float] = {}  # jet.constant per expression text
+_FUNCTIONS: dict[tuple[str, tuple[str, ...]], object] = {}
+_CONSTANTS: dict[str, float | None] = {}  # jet.constant per text, None if not constant
 
 
-def _walk(expr: str, rows: bool):
+def _walk(expr: str, rows: bool, names: tuple[str, ...] = _XY):
     """The writer of expr's kernel after it has walked the expression, and
     the expression's node: a jet, or a constant for one in neither x1 nor x2."""
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValidationError(f"expression {expr!r} is not valid syntax: {exc.msg}") from exc
-    w = _Writer(expr, rows)
-    return w, w.node(tree.body)
+    w = _Writer(expr, rows, names)
+    return w, w.node(w.tree.body)
 
 
 def _build(expr: str, rows: bool):
@@ -536,18 +546,22 @@ def constant(expr: str) -> float:
     """The value of an expression in neither x1 nor x2, as its kernel gives
     it at every point, without building the kernel: the value the generator
     folds, or NaN where the arithmetic fails (the kernel's all-NaN jet).
-    Kept per expression text, as the kernels are.
+    Kept per expression text, as the kernels are, and so is the finding
+    that an expression is not constant.
 
     Raises ValueError for an expression in x1 or x2, and ValidationError as
     ``kernel`` does.
     """
-    value = _CONSTANTS.get(expr)
-    if value is None:
+    if expr not in _CONSTANTS:
         w, out = _walk(expr, False)
         if _is_jet(out):
-            raise ValueError(f"expression {expr!r} is not constant")
-        v = w.call("float", out)
-        value = _CONSTANTS[expr] = v.val if isinstance(v, _Lit) else _NAN
+            _CONSTANTS[expr] = None
+        else:
+            v = w.call("float", out)
+            _CONSTANTS[expr] = v.val if isinstance(v, _Lit) else _NAN
+    value = _CONSTANTS[expr]
+    if value is None:
+        raise ValueError(f"expression {expr!r} is not constant")
     return value
 
 
@@ -571,15 +585,36 @@ def row_kernel(expr: str):
     return rows
 
 
-def evaluate(expr: str, x1: float, x2: float) -> Jet:
-    """Jet of expr at the point (x1, x2).
+def function(expr: str, names: tuple[str, ...]):
+    """The value of expr as a function of its slot's variables: function(expr,
+    names)(*values), the values in the order of names.
 
-    An expression that does not use the variables, such as ``"0"``, gives a
-    constant jet. Arithmetic that fails gives an all-NaN jet.
+    The expression's checked syntax tree compiled as a lambda over numpy's
+    functions, so Python floats, numpy scalars and arrays take the
+    arithmetic of evaluating the text with numpy's functions, bit for bit.
+    Built once per expression text and names; raises ValidationError for
+    syntax outside the grammar (see the module docstring).
     """
-    return Jet(*kernel(expr)(x1, x2))
+    fn = _FUNCTIONS.get((expr, names))
+    if fn is None:
+        w, _ = _walk(expr, False, names)
+        args = ast.arguments(
+            posonlyargs=[], args=[ast.arg(n) for n in names], kwonlyargs=[], kw_defaults=[],
+            defaults=[],
+        )
+        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, w.tree.body)))
+        code = compile(tree, "<scenario expression>", "eval")
+        fn = _FUNCTIONS[expr, names] = eval(code, {"__builtins__": {}, **_NUMPY})
+    return fn
 
 
-def evaluate_rows(expr: str, X: np.ndarray) -> Jet:
-    """Jet of expr at every row of an (N, 2) array X: each field an array of N."""
-    return Jet(*row_kernel(expr)(X))
+def power_of_variables(expr: str) -> bool:
+    """Whether expr has a ``**`` with an operand that names x1 or x2: a
+    power that numpy takes by other routines on an array than on a scalar.
+    For an expression that ``function`` has checked."""
+    return any(
+        isinstance(t, ast.BinOp)
+        and isinstance(t.op, ast.Pow)
+        and any(isinstance(n, ast.Name) and n.id in _XY for n in ast.walk(t))
+        for t in ast.walk(ast.parse(expr, mode="eval"))
+    )

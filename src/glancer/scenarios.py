@@ -8,7 +8,6 @@ rebuilt from their resolved config dict when shipped to worker processes.
 
 from __future__ import annotations
 
-import dis
 import hashlib
 import json
 import logging
@@ -122,47 +121,6 @@ CONFIG_SCHEMA = {
 # Built once: jsonschema.validate re-checks the schema against its metaschema
 # on every call, which costs more than the validation itself.
 _VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-_EXPR_FUNCS = {**{name: getattr(np, name) for name in jet.FUNCS}, "pi": np.pi}
-
-
-def _compile(expr: str, names: tuple[str, ...]):
-    code = compile(expr, "<scenario expression>", "eval")
-    allowed = set(names) | set(_EXPR_FUNCS)
-    unknown = set(code.co_names) - allowed
-    if unknown:
-        raise ValidationError(f"expression uses unknown names {sorted(unknown)}: {expr!r}")
-    return code
-
-
-def compile_expression(expr: str, names: tuple[str, ...]):
-    """Compile a scalar expression over the given variable names.
-
-    Only the listed names and a fixed table of numpy math functions are
-    visible; no builtins. Returns a function of keyword arguments.
-    """
-    return _numpy_eval(_compile(expr, names))
-
-
-def _numpy_eval(code):
-    def fn(**env):
-        return eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, **env})
-
-    return fn
-
-
-def compile_jet(expr: str):
-    """Compile an expression in x1, x2 to its exact second-order jet.
-
-    Same names as ``compile_expression``; returns a function of a point x
-    giving a ``jet.Jet`` with the value, gradient and Hessian at x, from the
-    expression's ``jet.kernel``. It stays as the entry through which the
-    jets of the expression geometry are checked against closed forms.
-    """
-    _compile(expr, ("x1", "x2"))
-    k = jet.kernel(expr)
-    return lambda x: jet.Jet(*k(x[0], x[1]))
-
 
 @dataclass
 class Scenario:
@@ -295,31 +253,29 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
-    code = _compile(phi_expr, ("x1", "x2"))
-    fn = _numpy_eval(code)
+    fn = jet.function(phi_expr, ("x1", "x2"))
     point, rows = jet.kernel(phi_expr), jet.row_kernel(phi_expr)
 
     def phi(x):
         # numpy scalars at any point form: on Python floats 1/0 would raise
         # and a negative base to a fractional power would turn complex
-        return float(fn(x1=np.float64(x[0]), x2=np.float64(x[1])))
+        return float(fn(np.float64(x[0]), np.float64(x[1])))
 
     def derivs(x):
         return point(x[0], x[1])[1:]
 
     def phi_rows(X):
-        return np.broadcast_to(np.asarray(fn(x1=X[:, 0], x2=X[:, 1]), dtype=float), X.shape[:1])
+        return np.broadcast_to(np.asarray(fn(X[:, 0], X[:, 1]), dtype=float), X.shape[:1])
 
     def derivs_rows(X):
         return rows(X)[1:]
 
     # numpy computes an array power by other routines than a scalar one
     # (x ** 2 as a square, x ** 0.5 as a root, the rest by a vector pow) and
-    # the last bits differ, so an expression with ** keeps the per-row loop
-    # for phi. The derivatives need not match derivs to the bit.
-    has_pow = any(
-        i.opname == "BINARY_POWER" or i.argrepr == "**" for i in dis.get_instructions(code)
-    )
+    # the last bits differ, so an expression with a power of x1 or x2 keeps
+    # the per-row loop for phi. The derivatives need not match derivs to the
+    # bit.
+    has_pow = jet.power_of_variables(phi_expr)
     return BoundaryDef(
         phi=phi, derivs=derivs, phi_rows=None if has_pow else phi_rows, derivs_rows=derivs_rows
     )
@@ -348,9 +304,9 @@ def _metric_from_block(block: dict, box) -> MetricEval:
 def _expression_metric(block: dict, box) -> MetricEval:
     """Expression entries evaluated exactly: jet values give g, jet gradients dg.
 
-    An entry whose code names neither x1 nor x2 is folded to its value here
-    (jet.constant, no kernel is built); entries(x) calls the jet kernel of
-    each other entry once.
+    An entry in neither x1 nor x2 is folded to its value here (jet.constant,
+    no kernel is built); entries(x) calls the jet kernel of each other entry
+    once.
     """
     exprs = block["expressions"]
     if "".join(str(exprs[0][1]).split()) != "".join(str(exprs[1][0]).split()):
@@ -362,10 +318,10 @@ def _expression_metric(block: dict, box) -> MetricEval:
     varying = []
     for slot, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
         text = str(exprs[i][j])
-        if {"x1", "x2"} & set(_compile(text, ("x1", "x2")).co_names):
-            varying.append((slot, jet.kernel(text)))
-        else:
+        try:
             folded[slot] = jet.constant(text)
+        except ValueError:
+            varying.append((slot, jet.kernel(text)))
 
     def entries(x):
         out = folded.copy()
@@ -393,8 +349,8 @@ def _potential_from_block(block: dict | None):
         c = float(block.get("value", 0.0))
         return lambda t, x: c
     if kind == "expression":
-        fn = compile_expression(block["expr"], ("t", "x1", "x2"))
-        return lambda t, x: float(fn(t=t, x1=x[0], x2=x[1]))
+        fn = jet.function(block["expr"], ("t", "x1", "x2"))
+        return lambda t, x: float(fn(t, x[0], x[1]))
     raise ValidationError(f"unknown potential kind {kind!r}")
 
 

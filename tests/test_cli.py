@@ -12,6 +12,7 @@ import glancer
 from glancer import cli, flow
 from glancer import scenarios as scen
 from glancer.symbol import PhasePoint
+from test_gcc import OUTSIDE_THE_GRAMMAR
 
 
 def run_cli(args, capsys):
@@ -338,6 +339,24 @@ def test_unsupported_expression_syntax_exits_two(tmp_path, capsys, where, syntax
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert not (tmp_path / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("where", ["region", "potential"])
+@pytest.mark.parametrize("expr", OUTSIDE_THE_GRAMMAR.values(), ids=list(OUTSIDE_THE_GRAMMAR))
+def test_region_or_potential_outside_the_grammar_exits_two(tmp_path, capsys, where, expr):
+    """Regions and potentials are checked by the grammar of walls and
+    metrics: no lambda, comprehension, conditional, comparison, attribute
+    or subscript runs, and none ends in a traceback."""
+    scenario, region = "strip", expr
+    if where == "potential":
+        scenario, region = tmp_path / "scenario.json", "0.2 - x2"
+        scenario.write_text(json.dumps({**STRIP, "potential": {"kind": "expression", "expr": expr}}))
+    argv = ["gcc", "--scenario", str(scenario), "--region", region, "--samples", "4",
+            "--t-horizon", "0.5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not (tmp_path / "gcc_report.csv").exists()
 
 
 @pytest.mark.parametrize("deltas", ["-1e-2,nan", "1e-2,inf", "-0.5", "1e-2,-inf"])

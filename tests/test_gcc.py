@@ -24,6 +24,23 @@ def test_region_batch_matches_scalar():
     assert list(mask) == [region.contains(0.0, x) for x in X]
 
 
+# expressions outside the language of glancer.jet
+OUTSIDE_THE_GRAMMAR = {
+    "lambda-call": "(lambda: ().__class__.__bases__[0].__subclasses__().__len__())()",
+    "comprehension": "[x1 for _ in (0, 1)][0]",
+    "conditional": "x1 if x2 > 0.5 else -1",
+    "comparison": "0.5 - (x2 > 0.5)",
+    "attribute": "x1.real",
+    "subscript": "(x1, x2)[0]",
+}
+
+
+@pytest.mark.parametrize("expr", OUTSIDE_THE_GRAMMAR.values(), ids=list(OUTSIDE_THE_GRAMMAR))
+def test_region_outside_the_grammar_is_a_validation_error(expr):
+    with pytest.raises(ValidationError):
+        gcc.ObservationRegion(expression=expr)
+
+
 def test_region_needs_expression_or_predicate():
     with pytest.raises(ValidationError):
         gcc.ObservationRegion()

@@ -91,46 +91,87 @@ POINTS = [(0.3, 0.1), (0.7, -0.2), (1.2, 0.25)]
 
 def test_cases_cover_the_expression_namespace():
     used = set().union(*(compile(e, "", "eval").co_names for e in CASES))
-    assert set(scen._EXPR_FUNCS) <= used
-    assert set(jet.FUNCS) | {"pi"} == set(scen._EXPR_FUNCS)
+    assert set(jet._NUMPY) <= used
+    assert set(jet.FUNCS) | {"pi"} == set(jet._NUMPY)
 
 
 @pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("expr", list(CASES))
 def test_jet_matches_closed_form(expr, point):
-    j = scen.compile_jet(expr)(np.array(point))
+    v0, d1, d2, d11, d12, d22 = jet.kernel(expr)(*point)
     v, grad, hess = CASES[expr](*point)
-    assert j.v == pytest.approx(v, rel=1e-13)
-    assert np.array([j.d1, j.d2]) == pytest.approx(grad, rel=1e-12, abs=1e-13)
-    assert np.array([[j.d11, j.d12], [j.d12, j.d22]]) == pytest.approx(hess, rel=1e-12, abs=1e-13)
-    numpy_value = scen.compile_expression(expr, ("x1", "x2"))(x1=point[0], x2=point[1])
-    assert j.v == pytest.approx(float(numpy_value), rel=1e-14)
+    assert v0 == pytest.approx(v, rel=1e-13)
+    assert np.array([d1, d2]) == pytest.approx(grad, rel=1e-12, abs=1e-13)
+    assert np.array([[d11, d12], [d12, d22]]) == pytest.approx(hess, rel=1e-12, abs=1e-13)
+    numpy_value = jet.function(expr, ("x1", "x2"))(*point)
+    assert v0 == pytest.approx(float(numpy_value), rel=1e-14)
+
+
+def _numpy_eval(expr, x1, x2):
+    """The text evaluated in numpy's namespace without builtins: how scenario
+    expressions were evaluated before jet.function, kept as its oracle."""
+    namespace = {**{name: getattr(np, name) for name in jet.FUNCS}, "pi": np.pi}
+    code = compile(expr, "<scenario expression>", "eval")
+    return eval(code, {"__builtins__": {}}, {**namespace, "x1": x1, "x2": x2})
+
+
+def _outcome(fn, *args):
+    """fn(*args) as the bytes of a real result, a complex one as it is, or
+    the type of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except Exception as exc:  # the exception is the outcome, as the oracle raises it
+        return type(exc)
+    return np.asarray(out).tobytes() if np.isrealobj(out) else complex(out)
+
+
+_EDGES = [("1 / x1", 0.0, 0.5), ("x1 ** 0.5", -2.0, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "expr, edge", [(e, None) for e in CASES] + [(e, (a, b)) for e, a, b in _EDGES]
+)
+def test_function_is_the_numpy_evaluation_bit_for_bit(expr, edge):
+    fn = jet.function(expr, ("x1", "x2"))
+    points = [edge] if edge else POINTS
+    X = np.array(points + [(0.0, 0.4), (-0.7, 1.3)])
+    for a, b in points:
+        for x1, x2 in ((a, b), (np.float64(a), np.float64(b))):
+            assert _outcome(fn, x1, x2) == _outcome(_numpy_eval, expr, x1, x2), (x1, x2)
+    assert _outcome(fn, X[:, 0], X[:, 1]) == _outcome(_numpy_eval, expr, X[:, 0], X[:, 1])
+    if edge:
+        # numpy scalars and rows keep numpy's semantics: inf or nan, no exception
+        with np.errstate(all="ignore"):
+            scalar = fn(np.float64(edge[0]), np.float64(edge[1]))
+            rows = fn(X[:, 0], X[:, 1])
+        assert not np.isfinite(scalar) and not np.isfinite(rows[0])
 
 
 @pytest.mark.parametrize(
     "expr", ["hypot(x1, x2)", "sqrt(x1 * x1 + x2 * x2)", "abs(x1)", "abs(x2 - x1)", "hypot(x1, 0)"]
 )
 def test_nonsmooth_points_give_zero_derivatives(expr):
-    j = scen.compile_jet(expr)(np.zeros(2))
-    assert (j.v, j.d1, j.d2, j.d11, j.d12, j.d22) == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    j = jet.kernel(expr)(0.0, 0.0)
+    assert j == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("expr, value", [("0", 0.0), ("1.5", 1.5), ("cos(pi)", -1.0), ("hypot(3, 4)", 5.0)])
 def test_constant_expressions_give_constant_jets(expr, value):
-    j = scen.compile_jet(expr)(np.array([0.4, -0.3]))
-    assert isinstance(j, jet.Jet)
-    assert (j.v, j.d1, j.d2, j.d11, j.d12, j.d22) == (value, 0.0, 0.0, 0.0, 0.0, 0.0)
+    j = jet.kernel(expr)(0.4, -0.3)
+    assert len(j) == 6 and all(type(c) is float for c in j)
+    assert j == (value, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("expr", ["log(x1)", "1 / (x1 + 1)", "sqrt(x1)", "x1 ** 0.5", "exp(1000 * x2)"])
 def test_failed_arithmetic_gives_nan_jet(expr):
-    j = scen.compile_jet(expr)(np.array([-1.0, 1.0]))
-    assert all(math.isnan(c) for c in (j.v, j.d1, j.d2, j.d11, j.d12, j.d22))
+    j = jet.kernel(expr)(-1.0, 1.0)
+    assert all(math.isnan(c) for c in j)
     # the row form: NaN in that row only, and the same NaNs as the scalar jets
     X = np.array([[-1.0, 1.0], [0.5, -0.5]])
-    rows = _fields(jet.evaluate_rows(expr, X))
+    rows = jet.row_kernel(expr)(X)
     assert np.isnan(rows[:, 0]).all()
-    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(_fields(jet.evaluate(expr, *X[1]))))
+    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(jet.kernel(expr)(*X[1])))
 
 
 def _fields(j):
@@ -140,16 +181,16 @@ def _fields(j):
 @pytest.mark.parametrize("expr", list(CASES) + ["0", "hypot(3, 4)", "x1 ** 0 + abs(x2)"])
 def test_row_jets_match_scalar_jets(expr):
     X = np.array(POINTS + [(0.0, 0.0), (0.0, 0.4)])
-    rows = _fields(jet.evaluate_rows(expr, X))
+    rows = jet.row_kernel(expr)(X)
     assert rows.shape == (6, len(X))
-    scalar = np.array([_fields(jet.evaluate(expr, *x)) for x in X]).T
+    scalar = np.array([jet.kernel(expr)(*x) for x in X]).T
     assert np.array_equal(np.isnan(rows), np.isnan(scalar))
     ok = ~np.isnan(scalar)
     assert np.all(np.abs(rows - scalar)[ok] <= 1e-15 * (1.0 + np.abs(scalar[ok])))
 
 
 def test_constant_arithmetic_failure_gives_nan_rows():
-    rows = _fields(jet.evaluate_rows("x1 + 1 / 0", np.ones((3, 2))))
+    rows = jet.row_kernel("x1 + 1 / 0")(np.ones((3, 2)))
     assert rows.shape == (6, 3) and np.isnan(rows).all()
 
 

@@ -379,8 +379,10 @@ ALL_FUNCS = (
     "source",
     [*scen.BUILTIN_NAMES, str(WAVY),
      {"schema": 1, "boundary": {"kind": "expression", "phi": ALL_FUNCS}},
-     {"schema": 1, "boundary": {"kind": "expression", "phi": "x2 - 0.2 * x1 ** 2 + 0.1 * abs(x1) ** 1.5"}}],
-    ids=[*scen.BUILTIN_NAMES, "wavy", "all-functions", "power"],
+     {"schema": 1, "boundary": {"kind": "expression", "phi": "x2 - 0.2 * x1 ** 2 + 0.1 * abs(x1) ** 1.5"}},
+     {"schema": 1, "boundary": {"kind": "expression", "phi": "x2 - 2 ** 0.5 * x1"}},
+     {"schema": 1, "boundary": {"kind": "expression", "phi": "x2 - 0.2 * x1 ** 2"}}],
+    ids=[*scen.BUILTIN_NAMES, "wavy", "all-functions", "power", "constant-power", "square"],
 )
 def test_phi_on_rows_is_scalar_phi_bit_for_bit(source):
     scenario = scen.load_scenario(source)
@@ -393,6 +395,16 @@ def test_phi_on_rows_is_scalar_phi_bit_for_bit(source):
     one_by_one = np.array([float(scenario.boundary.phi(x)) for x in X])
     assert rows.shape == (10_000,)
     assert rows.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize(
+    "phi, has_rows", [("x2 - 2 ** 0.5 * x1", True), ("x2 - 0.2 * x1 ** 2", False)]
+)
+def test_phi_rows_is_dropped_for_a_power_of_a_variable_only(phi, has_rows):
+    """numpy takes an array's power by other routines than a scalar's; a
+    power of constants is the same float on both."""
+    scenario = scen.from_config({"schema": 1, "boundary": {"kind": "expression", "phi": phi}})
+    assert (scenario.boundary.phi_rows is not None) == has_rows
 
 
 def test_loading_silences_numpy_warnings_off_phi_domain():
