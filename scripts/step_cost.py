@@ -28,8 +28,8 @@ Prints one JSON line, without bounds, with:
   alternating between that point and (-1.1, 0.6), so that no call is read
   off the last-point memo;
 * ``kernel_build_us``: microseconds to build the jet kernels that loading
-  wavy.json builds (each metric entry in x1 or x2, and the wall's point
-  and row kernels) with the kernel memo cleared first, as a new process
+  wavy.json builds (the one kernel of the three metric entries, and the
+  wall's point and row kernels), past the kernel memo, as a new process
   does;
 * ``phi_wavy_us``: microseconds per ``phi`` call of wavy.json's wall, at
   the point where ``rk4_wavy_us`` starts;
@@ -112,17 +112,11 @@ def glide_wavy_us_per_sample(wavy):
 def build_wavy_kernels():
     config = json.loads(WAVY.read_text())
     phi = config["boundary"]["phi"]
-    # an entry in neither x1 nor x2 is folded without a kernel
-    varying = set()
-    for e in (str(e) for row in config["metric"]["expressions"] for e in row):
-        try:
-            jet.constant(e)
-        except ValueError:
-            varying.add(e)
-    jet._KERNELS.clear()
-    for expr in {phi, *varying}:
-        jet.kernel(expr)
-    jet.row_kernel(phi)
+    (g11, g12), (_, g22) = ([str(e) for e in row] for row in config["metric"]["expressions"])
+    derivs = ("d1", "d2", "d11", "d12", "d22")
+    jet._build((g11, g12, g22), ("v", "d1", "d2"), False)
+    jet._build((phi,), derivs, False)
+    jet._build((phi,), derivs, True)
 
 
 def main():

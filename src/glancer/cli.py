@@ -103,8 +103,8 @@ def _parse_start(text: str) -> PhasePoint:
 
 
 def _check_numbers(args) -> None:
-    """Reject a step, horizon or hop length <= 0, a depth or continuity radius
-    < 0, any of them not finite, fewer than 1 sample."""
+    """Reject a step, horizon or hop length <= 0, a depth, continuity radius
+    or tolerance < 0, any of them not finite, fewer than 1 sample or worker."""
     for name in ("h", "t_horizon", "delta"):
         v = getattr(args, name, None)
         if v is not None and not 0 < v < np.inf:
@@ -112,11 +112,14 @@ def _check_numbers(args) -> None:
     for v in _numbers(args.delta_list, "delta") if getattr(args, "delta_list", None) else ():
         if not 0.0 <= v < np.inf:
             raise ConfigError(f"--delta entries must be finite and nonnegative, got {v!r}")
-    eps, samples = getattr(args, "eps", None), getattr(args, "samples", None)
-    if eps is not None and not 0 <= eps < np.inf:
-        raise ConfigError(f"--eps must be finite and nonnegative, got {eps!r}")
-    if samples is not None and samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {samples}")
+    for name in ("eps", "tolerance"):
+        v = getattr(args, name, None)
+        if v is not None and not 0 <= v < np.inf:
+            raise ConfigError(f"--{name} must be finite and nonnegative, got {v!r}")
+    for name in ("samples", "workers"):
+        v = getattr(args, name, None)
+        if v is not None and v < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {v}")
 
 
 def _require(args, name: str):

@@ -10,11 +10,12 @@ Conventions used throughout the package:
   derivatives as five floats; optionally ``phi_rows(X)``, phi on every
   row of an array, bit for bit equal to ``phi`` on each row; and optionally
   ``derivs_rows(X)``, the five derivatives on every row as five arrays,
-  equal to ``derivs`` on each row up to the last bit or two (the expression
-  boundaries evaluate it with a row jet kernel, see ``glancer.jet``);
+  equal to ``derivs`` on each row up to the last bit or two (an expression
+  wall's are the jet kernels of phi's fields, see ``glancer.jet``);
 * a metric is a ``MetricEval``, built from one function, ``entries(x)``:
   g11, g12, g22 and their x1 and x2 derivatives as nine floats, one
-  evaluation per point, and optionally ``values(x)``, g alone. A constant
+  evaluation per point (a jet kernel for expression entries), and
+  optionally ``values(x)``, g alone. A constant
   metric (``constant_metric``) is its case with fixed entries and
   derivatives 0. ``MetricEval.at`` is the one float reading of any metric,
   g^-1 and dg as floats with a last-point memo, which the symbol, the
@@ -151,7 +152,8 @@ class BoundaryDef:
     ``phi_rows``, when given, evaluates phi at every row of an (N, 2) array
     with the same arithmetic as ``phi``, so bit for bit the same values.
     ``derivs_rows``, when given, evaluates the five derivatives at every row
-    as five arrays of N; they may differ from ``derivs`` in the last bits.
+    as five arrays of N; they may differ from ``derivs`` in the last bits,
+    and an expression wall's are NaN where phi's jet is not finite.
     """
 
     phi: Callable[[np.ndarray], float]

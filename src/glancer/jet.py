@@ -5,44 +5,45 @@ wall's ``phi`` and an expression metric's entries, in ``x1`` and ``x2``,
 and the potential and the ``gcc`` observation region, in ``t``, ``x1`` and
 ``x2``. The grammar is numbers, the slot's variables, ``pi``, unary ``+``
 and ``-``, ``+ - * / **`` and calls of ``FUNCS`` with their arity. One
-walker of the syntax tree checks all four slots: anything else, and a
-constant that is not real, is a ``ValidationError``.
+walker of the syntax tree checks all four slots: anything else, a constant
+that is not real, and an integer constant past the float range (an integer
+power is sized before it is computed) is a ``ValidationError``.
 
 ``function(expr, names)`` is the checked tree compiled as a lambda of the
 names over numpy's functions (``hypot`` is the C library's ``np.hypot``),
 so floats, numpy scalars and arrays take the arithmetic of evaluating the
 text in numpy's namespace, bit for bit.
 
-A jet is a value with its gradient and Hessian in (x1, x2), the six fields
-``(v, d1, d2, d11, d12, d22)``. ``kernel(expr)`` turns an expression in x1
-and x2 into one Python function of the point that returns the six fields
-of its jet there. The same walker writes the chain rule of each operation
-out on floats, one operation a line, and compiles that source once:
-forward mode by source transformation (Griewank & Walther, *Evaluating
-Derivatives*, ch. 13 and 15). Each rule takes the operands it always took,
-in the same order, so a kernel gives the bits of evaluating the expression
-on jet objects. The one change is that an operation whose operands are all
-known when the kernel is built (numbers, ``pi``, the seed derivatives 1 and
-0 and what follows from them alone) is done then: the same IEEE operation,
-done earlier. Kernels take ``hypot`` from ``math.hypot``.
+A jet is a value with its gradient and Hessian in (x1, x2), the six
+``FIELDS`` ``(v, d1, d2, d11, d12, d22)``. ``kernel(exprs, fields)`` is one
+Python function of the point pair x that returns the chosen fields of every
+expression's jet, field by field. The walker writes the chain rule of each
+operation out on floats, one operation a line, and compiles that source
+once: forward mode by source transformation (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13 and 15). Each rule takes the operands it
+always took, in the same order, so a kernel gives the bits of evaluating
+each expression on jet objects. The one change is that an operation whose
+operands are all known when the kernel is built (numbers, ``pi``, the seed
+derivatives 1 and 0 and what follows from them alone) is done then: the
+same IEEE operation, done earlier, so an expression in neither x1 nor x2
+writes no line. Kernels take ``hypot`` from ``math.hypot``.
 
 Where a derivative does not exist (``abs``, ``sqrt`` and ``hypot`` at zero),
 the jet carries a zero gradient and a zero Hessian, the value a symmetric
 central difference gives there. Arithmetic that fails (division by zero, a
-logarithm of a negative number, overflow) gives an all-NaN jet, as the
-numpy evaluation of the same expression gives NaN or infinity there.
+logarithm of a negative number, overflow) gives that expression an all-NaN
+jet, as the numpy evaluation of the same expression gives NaN or infinity.
 
-``row_kernel(expr)`` is the same generator bound to the numpy lifts of the
-functions: it evaluates the jet on every row of an (N, 2) array at once, and
-a row with a non-finite field is NaN in all six. Its rows agree with the
-pointwise kernel to the last bit or two where numpy's functions do not give
-the math module's bits.
+``row_kernel(exprs, fields)`` is the same generator bound to the numpy
+lifts of the functions, on every row of an (N, 2) array at once; a row
+with a non-finite field anywhere in an expression's jet, value included, is
+NaN in all that expression's fields. Its rows agree with the pointwise
+kernel to the last bit or two where numpy's functions do not give the math
+module's bits.
 
 The generated source holds only names the generator made and ``repr``'d
-numbers, never text of the expression. Functions and kernels are kept per
-expression text for the life of the process. ``constant(expr)`` reads the
-value of an expression in neither x1 nor x2 off the same folding, without
-building a kernel.
+numbers, never text of the expression. A process keeps each function per
+text and names, and each kernel per expressions and fields.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -121,17 +123,26 @@ _ROWS = {
 _GLOBALS = {
     "__builtins__": {},
     "_errors": (ArithmeticError, ValueError),
-    "_nan6": (_NAN,) * 6,
+    "_nan": _NAN,
     **{"p_" + name: f for name, f in _POINT.items()},
     **{"r_" + name: f for name, f in _ROWS.items()},
 }
+
+
+def _power(a, b):
+    """a ** b; for an integer power of at least 2 ** 1025, which lit refuses,
+    that bound, not computed."""
+    if type(a) is int and type(b) is int and b > 0 and b * (abs(a).bit_length() - 1) > 1024:
+        return 1 << 1025
+    return a**b
+
 
 _OPS = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
-    "**": operator.pow,
+    "**": _power,
     "==": operator.eq,
     "!=": operator.ne,
 }
@@ -158,20 +169,27 @@ def _is_jet(node) -> bool:
 
 
 class _Writer:
-    """Writes one kernel: each operation is folded now or written out a line."""
+    """Writes one kernel: each operation is folded now or written out a line.
+    The expressions it walks share its name counter and its constants."""
 
-    def __init__(self, expr: str, rows: bool, names: tuple[str, ...]):
-        self.expr = expr
+    def __init__(self, rows: bool, names: tuple[str, ...] = _XY):
         self.rows = rows
         self.names = names
-        try:
-            self.tree = ast.parse(expr, mode="eval")
-        except SyntaxError as exc:
-            raise ValidationError(f"expression {expr!r} is not valid syntax: {exc.msg}") from exc
+        self.expr = ""
         self.lines: list[str] = []
         self.indent = " " * 8
         self.consts: dict[str, object] = {}
         self.count = 0
+
+    def walk(self, expr: str):
+        """The checked syntax tree of expr, and its node: a jet, or a
+        constant for an expression in neither x1 nor x2."""
+        self.expr = expr
+        try:
+            tree = ast.parse(expr, mode="eval")
+        except SyntaxError as exc:
+            raise ValidationError(f"expression {expr!r} is not valid syntax: {exc.msg}") from exc
+        return tree, self.node(tree.body)
 
     def fresh(self) -> str:
         self.count += 1
@@ -197,6 +215,8 @@ class _Writer:
     def lit(self, v) -> _Lit:
         if isinstance(v, complex):
             raise ValidationError(f"expression {self.expr!r} has a constant that is not real")
+        if type(v) is int and abs(v) > sys.float_info.max:
+            raise ValidationError(f"expression {self.expr!r} has an integer past the float range")
         return _Lit(v)
 
     def emit(self, text: str) -> str:
@@ -278,10 +298,8 @@ class _Writer:
         operand, written under its own name.
         """
         if isinstance(t, ast.Constant):
-            if type(t.value) in (int, float):
-                return _Lit(t.value)
-            if isinstance(t.value, complex):
-                self.lit(t.value)
+            if type(t.value) in (int, float, complex):
+                return self.lit(t.value)
         elif isinstance(t, ast.Name):
             if t.id == "pi":
                 return _Lit(math.pi)
@@ -497,92 +515,82 @@ def _hypot_fields(w, a, b, r):
 
 # -- building ---------------------------------------------------------------
 
-_KERNELS: dict[tuple[str, bool], object] = {}
+# the fields of a jet, by the names a kernel chooses them with
+FIELDS = ("v", "d1", "d2", "d11", "d12", "d22")
+
+_KERNELS: dict[tuple, object] = {}
 _FUNCTIONS: dict[tuple[str, tuple[str, ...]], object] = {}
-_CONSTANTS: dict[str, float | None] = {}  # jet.constant per text, None if not constant
 
 
-def _walk(expr: str, rows: bool, names: tuple[str, ...] = _XY):
-    """The writer of expr's kernel after it has walked the expression, and
-    the expression's node: a jet, or a constant for one in neither x1 nor x2."""
-    w = _Writer(expr, rows, names)
-    return w, w.node(w.tree.body)
+def _build(exprs: tuple[str, ...], fields: tuple[str, ...], rows: bool):
+    """The kernel of exprs: the point pair x (rows: x = X.T of an (N, 2)
+    array X) -> the chosen fields of every expression's jet, field by field.
 
-
-def _build(expr: str, rows: bool):
-    """The kernel function of expr: (x1, x2) -> the six jet fields."""
-    w, out = _walk(expr, rows)
-    if not _is_jet(out):
-        out = (w.call("float", out, rows=False), _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
-    fields = ", ".join(w.src(a) for a in out)
-    head = [] if rows else ["    x1 = p_float(x1)", "    x2 = p_float(x2)"]
-    source = "\n".join(
-        ["def kernel(x1, x2):", *head, "    try:", *w.lines, f"        return ({fields})",
-         "    except _errors:", "        return _nan6", ""]
-    )
+    An expression that writes lines runs them in a try of its own, whose
+    failure makes its fields NaN; its fields are then names it made. A row
+    kernel writes all six fields, the chosen first, and masks rows on all.
+    """
+    order = fields + tuple(f for f in FIELDS if f not in fields) if rows else fields
+    w = _Writer(rows)
+    body, jets = [], []
+    for expr in exprs:
+        w.lines = []
+        out = w.walk(expr)[1]
+        if not _is_jet(out):
+            out = (w.call("float", out, rows=False), _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+        out = [out[FIELDS.index(f)] for f in order]
+        if w.lines:
+            out = [a if isinstance(a, str) and a not in _XY else w.emit(w.src(a)) for a in out]
+            failed = " = ".join(dict.fromkeys(out))
+            body += ["    try:", *w.lines, "    except _errors:", f"        {failed} = _nan"]
+        jets.append(out)
+    returned = ", ".join(w.src(a) for field in zip(*jets) for a in field)
+    head = ("x1 = x[0]", "x2 = x[1]") if rows else ("x1 = p_float(x[0])", "x2 = p_float(x[1])")
+    source = ["def kernel(x):", *("    " + h for h in head), *body, f"    return ({returned},)"]
     namespace = {**_GLOBALS, **w.consts}
-    exec(compile(source, "<jet kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile("\n".join(source), "<jet kernel>", "exec"), namespace)
+    fn = namespace["kernel"]
+    if not rows:
+        return fn
+    n, k = len(exprs), len(fields)
+
+    def on_rows(X):
+        X = np.asarray(X, dtype=float)
+        out = np.empty((6, n, len(X)))
+        with np.errstate(all="ignore"):
+            for i, f in enumerate(fn(X.T)):
+                out[divmod(i, n)] = f
+        out[:, ~np.isfinite(out).all(axis=0)] = _NAN
+        return out[:k].reshape(k * n, len(X))
+
+    return on_rows
 
 
-def _memo(expr: str, rows: bool):
-    fn = _KERNELS.get((expr, rows))
+def _memo(*key):
+    fn = _KERNELS.get(key)
     if fn is None:
-        fn = _KERNELS[expr, rows] = _build(expr, rows)
+        fn = _KERNELS[key] = _build(*key)
     return fn
 
 
-def kernel(expr: str):
-    """The jet of expr in x1, x2 as a function of the point: kernel(expr)(x1,
-    x2) gives the six fields (v, d1, d2, d11, d12, d22) as floats.
+def kernel(exprs: tuple[str, ...], fields: tuple[str, ...]):
+    """The jets of exprs in x1, x2 as one function of the point pair x:
+    kernel(exprs, fields)(x) gives each chosen field (of ``FIELDS``) of every
+    expression as a float, field by field.
 
-    Built once per expression text; raises ValidationError for syntax
-    outside the grammar (see the module docstring).
+    Built once per expressions and fields; raises ValidationError for
+    syntax outside the grammar (see the module docstring).
     """
-    return _memo(expr, False)
+    return _memo(tuple(exprs), tuple(fields), False)
 
 
-def constant(expr: str) -> float:
-    """The value of an expression in neither x1 nor x2, as its kernel gives
-    it at every point, without building the kernel: the value the generator
-    folds, or NaN where the arithmetic fails (the kernel's all-NaN jet).
-    Kept per expression text, as the kernels are, and so is the finding
-    that an expression is not constant.
-
-    Raises ValueError for an expression in x1 or x2, and ValidationError as
-    ``kernel`` does.
+def row_kernel(exprs: tuple[str, ...], fields: tuple[str, ...]):
+    """The jets of exprs at every row of an (N, 2) array X: row_kernel(exprs,
+    fields)(X) gives a (len(fields) * len(exprs), N) array in the order of
+    ``kernel``'s floats, a row NaN in all of an expression's fields where
+    its jet there, value included, is not finite.
     """
-    if expr not in _CONSTANTS:
-        w, out = _walk(expr, False)
-        if _is_jet(out):
-            _CONSTANTS[expr] = None
-        else:
-            v = w.call("float", out)
-            _CONSTANTS[expr] = v.val if isinstance(v, _Lit) else _NAN
-    value = _CONSTANTS[expr]
-    if value is None:
-        raise ValueError(f"expression {expr!r} is not constant")
-    return value
-
-
-def row_kernel(expr: str):
-    """The jet of expr at every row of an (N, 2) array: row_kernel(expr)(X)
-    gives a (6, N) array of the six fields. A row with a non-finite field,
-    where the pointwise kernel fails, is NaN in all six.
-    """
-    fn = _memo(expr, True)
-
-    def rows(X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty((6, len(X)))
-        with np.errstate(all="ignore"):
-            fields = fn(X[:, 0], X[:, 1])
-        for k, f in enumerate(fields):
-            out[k] = f
-        out[:, ~np.isfinite(out).all(axis=0)] = _NAN
-        return out
-
-    return rows
+    return _memo(tuple(exprs), tuple(fields), True)
 
 
 def function(expr: str, names: tuple[str, ...]):
@@ -597,12 +605,12 @@ def function(expr: str, names: tuple[str, ...]):
     """
     fn = _FUNCTIONS.get((expr, names))
     if fn is None:
-        w, _ = _walk(expr, False, names)
+        tree = _Writer(False, names).walk(expr)[0]
         args = ast.arguments(
             posonlyargs=[], args=[ast.arg(n) for n in names], kwonlyargs=[], kw_defaults=[],
             defaults=[],
         )
-        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, w.tree.body)))
+        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, tree.body)))
         code = compile(tree, "<scenario expression>", "eval")
         fn = _FUNCTIONS[expr, names] = eval(code, {"__builtins__": {}, **_NUMPY})
     return fn

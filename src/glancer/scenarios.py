@@ -4,6 +4,10 @@ A scenario bundles the metric evaluator, the boundary defining function, the
 domain box, an optional potential f(t, x), classification thresholds, and the
 extension-band half width. Scenarios are read-only after construction and are
 rebuilt from their resolved config dict when shipped to worker processes.
+
+Expression slots compile through ``glancer.jet`` at load: an expression
+wall's ``derivs`` and ``derivs_rows`` and an expression metric's ``entries``
+are jet kernels themselves.
 """
 
 from __future__ import annotations
@@ -253,22 +257,18 @@ def _annulus_boundary(r0: float, r1: float) -> BoundaryDef:
 
 
 def _expression_boundary(phi_expr: str) -> BoundaryDef:
+    """phi through jet.function; derivs and derivs_rows are the point and
+    row jet kernels of phi's fields (d1, d2, d11, d12, d22)."""
     fn = jet.function(phi_expr, ("x1", "x2"))
-    point, rows = jet.kernel(phi_expr), jet.row_kernel(phi_expr)
+    fields = ("d1", "d2", "d11", "d12", "d22")
 
     def phi(x):
         # numpy scalars at any point form: on Python floats 1/0 would raise
         # and a negative base to a fractional power would turn complex
         return float(fn(np.float64(x[0]), np.float64(x[1])))
 
-    def derivs(x):
-        return point(x[0], x[1])[1:]
-
     def phi_rows(X):
         return np.broadcast_to(np.asarray(fn(X[:, 0], X[:, 1]), dtype=float), X.shape[:1])
-
-    def derivs_rows(X):
-        return rows(X)[1:]
 
     # numpy computes an array power by other routines than a scalar one
     # (x ** 2 as a square, x ** 0.5 as a root, the rest by a vector pow) and
@@ -277,7 +277,10 @@ def _expression_boundary(phi_expr: str) -> BoundaryDef:
     # bit.
     has_pow = jet.power_of_variables(phi_expr)
     return BoundaryDef(
-        phi=phi, derivs=derivs, phi_rows=None if has_pow else phi_rows, derivs_rows=derivs_rows
+        phi=phi,
+        derivs=jet.kernel((phi_expr,), fields),
+        phi_rows=None if has_pow else phi_rows,
+        derivs_rows=jet.row_kernel((phi_expr,), fields),
     )
 
 
@@ -302,34 +305,17 @@ def _metric_from_block(block: dict, box) -> MetricEval:
 
 
 def _expression_metric(block: dict, box) -> MetricEval:
-    """Expression entries evaluated exactly: jet values give g, jet gradients dg.
-
-    An entry in neither x1 nor x2 is folded to its value here (jet.constant,
-    no kernel is built); entries(x) calls the jet kernel of each other entry
-    once.
-    """
+    """Expression entries evaluated exactly: the entries of the metric are
+    the jet kernel of g11, g12, g22 with fields (v, d1, d2), in which an
+    entry in neither x1 nor x2 folds to literals."""
     exprs = block["expressions"]
     if "".join(str(exprs[0][1]).split()) != "".join(str(exprs[1][0]).split()):
         raise ValidationError(
             f"expression metric needs equal off-diagonal entries, got {exprs[0][1]!r} "
             f"and {exprs[1][0]!r}"
         )
-    folded = [0.0] * 9
-    varying = []
-    for slot, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-        text = str(exprs[i][j])
-        try:
-            folded[slot] = jet.constant(text)
-        except ValueError:
-            varying.append((slot, jet.kernel(text)))
-
-    def entries(x):
-        out = folded.copy()
-        x1, x2 = x[0], x[1]
-        for slot, k in varying:
-            out[slot], out[3 + slot], out[6 + slot] = k(x1, x2)[:3]
-        return out
-
+    g11, g12, g22 = (str(exprs[i][j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    entries = jet.kernel((g11, g12, g22), ("v", "d1", "d2"))
     lo, hi = box
     center = 0.5 * (np.asarray(lo) + np.asarray(hi))
     try:

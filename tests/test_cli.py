@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,63 @@ def test_continuity_rejects_negative_or_non_finite_deltas(tmp_path, capsys, delt
 def test_infinite_numbers_exit_two(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
+_TRANSPORT = ["verify-transport", "--scenario", "strip", "--start", "0,0,0.5,1,0.6,0.8"]
+_QUASI_NORMAL = ["quasi-normal", "--scenario", "disk_interior", "--m0", "1,0", "--samples", "5"]
+_GCC = ["gcc", "--scenario", "strip", "--region", "x1", "--samples", "2", "--t-horizon", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(_TRANSPORT + [f"--tolerance={v}"] for v in ("nan", "inf", "-1e-3")),
+        *(_QUASI_NORMAL + [f"--tolerance={v}"] for v in ("nan", "inf", "-1e-3")),
+        _GCC + ["--workers=0"],
+        _GCC + ["--workers=-3"],
+    ],
+    ids=[
+        "transport-tolerance-nan", "transport-tolerance-inf", "transport-tolerance-negative",
+        "quasi-normal-tolerance-nan", "quasi-normal-tolerance-inf",
+        "quasi-normal-tolerance-negative", "workers-zero", "workers-negative",
+    ],
+)
+def test_out_of_range_tolerance_or_workers_exits_two(tmp_path, capsys, argv):
+    """A tolerance that is not finite and nonnegative, or fewer than one
+    worker, is a config error: not a run that fails every check (exit 1) or
+    an audit that quietly runs serially."""
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and argv[-1].split("=")[0] in err["detail"]
+    assert not list(tmp_path.iterdir())
+
+
+_PAST_FLOATS = {
+    "wall": {**BOUNDARY, "boundary": {**BOUNDARY["boundary"], "phi": "x2 + 0 * 9 ** 9 ** 7"}},
+    "metric": {**STRIP,
+               "metric": {"kind": "expression", "expressions": [["1 + 0 * 9 ** 9 ** 7 * x1", "0"],
+                                                                ["0", "1"]]}},
+    "potential": {**STRIP, "potential": {"kind": "expression", "expr": "10 ** 400 * x1"}},
+    "region": STRIP,
+}
+
+
+@pytest.mark.parametrize("where", list(_PAST_FLOATS))
+def test_integer_constant_past_the_float_range_exits_two_at_once(tmp_path, capsys, where):
+    """An integer constant past the float range is refused when the
+    expression is checked, and a power is sized before it is computed: no
+    9 ** 9 ** 7 is computed (seconds) and no overflow escapes a command."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_PAST_FLOATS[where]))
+    region = "t + 9 ** 9 ** 7 - x1" if where == "region" else "0.2 - x2"
+    argv = ["gcc", "--scenario", str(scenario), "--region", region, "--samples", "4",
+            "--t-horizon", "0.5", "--out", str(tmp_path)]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "past the float range" in err["detail"]
+    assert not (tmp_path / "gcc_report.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -98,7 +98,7 @@ def test_cases_cover_the_expression_namespace():
 @pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("expr", list(CASES))
 def test_jet_matches_closed_form(expr, point):
-    v0, d1, d2, d11, d12, d22 = jet.kernel(expr)(*point)
+    v0, d1, d2, d11, d12, d22 = jet.kernel((expr,), jet.FIELDS)(point)
     v, grad, hess = CASES[expr](*point)
     assert v0 == pytest.approx(v, rel=1e-13)
     assert np.array([d1, d2]) == pytest.approx(grad, rel=1e-12, abs=1e-13)
@@ -152,26 +152,26 @@ def test_function_is_the_numpy_evaluation_bit_for_bit(expr, edge):
     "expr", ["hypot(x1, x2)", "sqrt(x1 * x1 + x2 * x2)", "abs(x1)", "abs(x2 - x1)", "hypot(x1, 0)"]
 )
 def test_nonsmooth_points_give_zero_derivatives(expr):
-    j = jet.kernel(expr)(0.0, 0.0)
+    j = jet.kernel((expr,), jet.FIELDS)((0.0, 0.0))
     assert j == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("expr, value", [("0", 0.0), ("1.5", 1.5), ("cos(pi)", -1.0), ("hypot(3, 4)", 5.0)])
 def test_constant_expressions_give_constant_jets(expr, value):
-    j = jet.kernel(expr)(0.4, -0.3)
+    j = jet.kernel((expr,), jet.FIELDS)((0.4, -0.3))
     assert len(j) == 6 and all(type(c) is float for c in j)
     assert j == (value, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("expr", ["log(x1)", "1 / (x1 + 1)", "sqrt(x1)", "x1 ** 0.5", "exp(1000 * x2)"])
 def test_failed_arithmetic_gives_nan_jet(expr):
-    j = jet.kernel(expr)(-1.0, 1.0)
+    j = jet.kernel((expr,), jet.FIELDS)((-1.0, 1.0))
     assert all(math.isnan(c) for c in j)
     # the row form: NaN in that row only, and the same NaNs as the scalar jets
     X = np.array([[-1.0, 1.0], [0.5, -0.5]])
-    rows = jet.row_kernel(expr)(X)
+    rows = jet.row_kernel((expr,), jet.FIELDS)(X)
     assert np.isnan(rows[:, 0]).all()
-    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(jet.kernel(expr)(*X[1])))
+    assert np.array_equal(np.isnan(rows[:, 1]), np.isnan(jet.kernel((expr,), jet.FIELDS)(X[1])))
 
 
 def _fields(j):
@@ -181,16 +181,16 @@ def _fields(j):
 @pytest.mark.parametrize("expr", list(CASES) + ["0", "hypot(3, 4)", "x1 ** 0 + abs(x2)"])
 def test_row_jets_match_scalar_jets(expr):
     X = np.array(POINTS + [(0.0, 0.0), (0.0, 0.4)])
-    rows = jet.row_kernel(expr)(X)
+    rows = jet.row_kernel((expr,), jet.FIELDS)(X)
     assert rows.shape == (6, len(X))
-    scalar = np.array([jet.kernel(expr)(*x) for x in X]).T
+    scalar = np.array([jet.kernel((expr,), jet.FIELDS)(x) for x in X]).T
     assert np.array_equal(np.isnan(rows), np.isnan(scalar))
     ok = ~np.isnan(scalar)
     assert np.all(np.abs(rows - scalar)[ok] <= 1e-15 * (1.0 + np.abs(scalar[ok])))
 
 
 def test_constant_arithmetic_failure_gives_nan_rows():
-    rows = jet.row_kernel("x1 + 1 / 0")(np.ones((3, 2)))
+    rows = jet.row_kernel(("x1 + 1 / 0",), jet.FIELDS)(np.ones((3, 2)))
     assert rows.shape == (6, 3) and np.isnan(rows).all()
 
 
@@ -249,7 +249,7 @@ def _same_bits(a, b):
 @given(_expressions(), st.lists(st.tuples(_COORDS, _COORDS), min_size=2, max_size=8))
 def test_kernels_give_the_interpreted_jets_bit_for_bit(expr, points):
     try:
-        point, rows = jet.kernel(expr), jet.row_kernel(expr)
+        point, rows = jet.kernel((expr,), jet.FIELDS), jet.row_kernel((expr,), jet.FIELDS)
     except ValidationError as exc:
         assert "not real" in str(exc)  # as (-2) ** 0.5, a complex jet for the interpreter
         reject()
@@ -260,15 +260,55 @@ def test_kernels_give_the_interpreted_jets_bit_for_bit(expr, points):
         except OverflowError:
             # the interpreter turns a constant result into a float outside
             # its guard (an integer past the float range); the kernel's NaN
-            assert np.isnan(point(*x)).all()
+            assert np.isnan(point(x)).all()
             continue
-        assert _same_bits(point(*x), expected), x
+        assert _same_bits(point(x), expected), x
     X = np.array(points)
     try:
         expected = _fields(reference.evaluate_rows(code, X))
     except OverflowError:
         expected = np.full((6, len(X)), np.nan)
     assert rows(X).tobytes() == expected.tobytes()
+
+
+# metric entries: random expressions, constants (one that fails everywhere)
+# and entries that fail at some points
+_ENTRIES = st.one_of(
+    _expressions(3),
+    st.sampled_from(["0", "cos(0.3)", "log(-1)", "log(x1)", "1 / (x1 - x2)", "sqrt(x2 - 1)"]),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.tuples(_ENTRIES, _ENTRIES, _ENTRIES), st.lists(st.tuples(_COORDS, _COORDS), min_size=2, max_size=6)
+)
+def test_metric_kernel_is_the_per_entry_jets_bit_for_bit(entries, points):
+    """The one kernel of three entries with fields (v, d1, d2) gives the nine
+    floats of the entries' own jets in the slot order of MetricEval.entries
+    (g11, g12, g22, then their d1, then their d2); its rows are each entry's
+    row jets, a row NaN in an entry's fields where its jet is not finite."""
+    fields = ("v", "d1", "d2")
+    try:
+        point, rows = jet.kernel(entries, fields), jet.row_kernel(entries, fields)
+    except ValidationError as exc:
+        assert "not real" in str(exc)
+        reject()
+    codes = [compile(e, "<entry>", "eval") for e in entries]
+
+    def jets(evaluate, at, n):
+        out = []
+        for code in codes:
+            try:
+                out.append(_fields(evaluate(code, *at)))
+            except OverflowError:  # as in the property above: the kernel's NaN jet
+                out.append(np.full((6, n), np.nan).squeeze())
+        return np.array([j[k] for k in range(3) for j in out])
+
+    for x in points:
+        assert _same_bits(point(x), jets(reference.evaluate, x, 1)), x
+    X = np.array(points)
+    assert rows(X).tobytes() == jets(reference.evaluate_rows, (X,), len(X)).tobytes()
 
 
 _MIXED = [f"{name}(0.3 + x1 * x2 / 2)" for name in sorted(set(jet.FUNCS) - {"hypot"})] + [
@@ -287,10 +327,11 @@ def test_kernels_match_the_interpreter_where_every_field_is_mixed(expr):
     # that every term of the chain rule shows in the last bits
     X = np.random.default_rng(5).uniform(0.1, 2.0, size=(200, 2))
     code = compile(expr, "<expr>", "eval")
-    point = jet.kernel(expr)
+    point = jet.kernel((expr,), jet.FIELDS)
     for x in X:
-        assert _same_bits(point(*x), _fields(reference.evaluate(code, *x))), x
-    assert jet.row_kernel(expr)(X).tobytes() == _fields(reference.evaluate_rows(code, X)).tobytes()
+        assert _same_bits(point(x), _fields(reference.evaluate(code, *x))), x
+    rows = jet.row_kernel((expr,), jet.FIELDS)(X)
+    assert rows.tobytes() == _fields(reference.evaluate_rows(code, X)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -321,35 +362,55 @@ def test_kernels_match_the_interpreter_where_every_field_is_mixed(expr):
 def test_unsupported_syntax_is_rejected_when_the_kernel_is_built(expr):
     for build in (jet.kernel, jet.row_kernel):
         with pytest.raises(ValidationError):
-            build(expr)
+            build((expr,), jet.FIELDS)
 
 
 def test_kernels_are_built_once_per_expression():
-    assert jet.kernel("x1 * sin(x2)") is jet.kernel("x1 * sin(x2)")
-    assert jet.kernel("x1 * sin(x2)")(0.5, 0.25) == tuple(
+    assert jet.kernel(("x1 * sin(x2)",), jet.FIELDS) is jet.kernel(("x1 * sin(x2)",), jet.FIELDS)
+    assert jet.kernel(("x1 * sin(x2)",), jet.FIELDS)((0.5, 0.25)) == tuple(
         _fields(reference.evaluate(compile("x1 * sin(x2)", "", "eval"), 0.5, 0.25))
     )
 
 
-@pytest.mark.parametrize("expr", ["0", "1", "cos(0.3)", "2 ** 0.5", "pi / 4", "log(-1)"])
-def test_constant_is_the_kernels_value_without_a_build(expr, monkeypatch):
+def _recorded_lines(monkeypatch):
+    """The lines the kernel writer writes from now on, with the kernel memo
+    emptied so that every kernel is built."""
+    lines = []
+
+    def emit(self, text, _emit=jet._Writer.emit):
+        lines.append(text)
+        return _emit(self, text)
+
     monkeypatch.setattr(jet, "_KERNELS", {})
-    monkeypatch.setattr(jet, "_CONSTANTS", {})
-    folded = jet.constant(expr)
-    assert jet._KERNELS == {}
-    assert type(folded) is float and jet.constant(expr) is folded
-    assert np.float64(folded).tobytes() == np.float64(jet.kernel(expr)(0, 0)[0]).tobytes()
+    monkeypatch.setattr(jet._Writer, "emit", emit)
+    return lines
 
 
-def test_constant_rejects_an_expression_in_the_variables():
-    for expr in ("x1", "0 * x2 + 1"):
-        with pytest.raises(ValueError, match="not constant"):
-            jet.constant(expr)
+@pytest.mark.parametrize("expr", ["0", "1", "cos(0.3)", "2 ** 0.5", "pi / 4", "log(-1)"])
+def test_constant_entry_is_the_kernels_value_without_a_line(expr, monkeypatch):
+    """A constant expression beside a varying one folds to literals: its
+    fields are its lone kernel's, and it writes no line unless its
+    arithmetic fails (log(-1), written out to fail at every point: NaN)."""
+    lines = _recorded_lines(monkeypatch)
+    jet.kernel(("x1 * x2",), ("v", "d1", "d2"))
+    varying = len(lines)
+    fields = jet.kernel(("x1 * x2", expr), ("v", "d1", "d2"))((0.5, 0.25))
+    assert (len(lines) > 2 * varying) == (expr == "log(-1)")
+    assert all(type(f) is float for f in fields)
+    assert _same_bits(fields[1::2], jet.kernel((expr,), jet.FIELDS)((0.5, 0.25))[:3])
+    assert _same_bits(fields[1::2][1:], [np.nan] * 2 if expr == "log(-1)" else [0.0, 0.0])
 
 
 def test_constant_metric_entries_build_no_kernel(monkeypatch):
-    monkeypatch.setattr(jet, "_KERNELS", {})
-    exprs = [["2 + sin(x1)", "0"], ["0", "1"]]
-    s = scen.builtin("half_plane", metric={"kind": "expression", "expressions": exprs})
-    assert list(jet._KERNELS) == [("2 + sin(x1)", False)]
-    assert s.metric.entries((0.5, 0.0))[1:3] == [0.0, 1.0]
+    """The metric's entries are the one kernel of its three entries; a
+    constant entry writes no line in it."""
+    lines = _recorded_lines(monkeypatch)
+    jet.kernel(("2 + sin(x1)",), ("v", "d1", "d2"))
+    alone = list(lines)
+    for g22, value in (("1", 1.0), ("cos(0.3)", math.cos(0.3))):
+        lines.clear()
+        exprs = [["2 + sin(x1)", "0"], ["0", g22]]
+        s = scen.builtin("half_plane", metric={"kind": "expression", "expressions": exprs})
+        assert s.metric.entries is jet.kernel(("2 + sin(x1)", "0", g22), ("v", "d1", "d2"))
+        assert lines == alone
+        assert list(s.metric.entries((0.5, 0.0))[1:3]) == [0.0, value]
