@@ -104,7 +104,8 @@ def _parse_start(text: str) -> PhasePoint:
 
 def _check_numbers(args) -> None:
     """Reject a step, horizon or hop length <= 0, a depth, continuity radius
-    or tolerance < 0, any of them not finite, fewer than 1 sample or worker."""
+    or tolerance < 0, any of them not finite, fewer than 1 sample or worker,
+    and a negative seed."""
     for name in ("h", "t_horizon", "delta"):
         v = getattr(args, name, None)
         if v is not None and not 0 < v < np.inf:
@@ -120,6 +121,8 @@ def _check_numbers(args) -> None:
         v = getattr(args, name, None)
         if v is not None and v < 1:
             raise ConfigError(f"--{name} must be at least 1, got {v}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def _require(args, name: str):

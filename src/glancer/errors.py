@@ -44,7 +44,10 @@ class ChartDegenerate(GlancerError):
 
 
 class StepFailure(GlancerError):
-    """Integrator produced a non-finite state."""
+    """A trace or the measure along it left the floats: the integrator
+    produced a non-finite state, the metric is not positive definite at a
+    point of the trace, or a damping weight or the transport residual is
+    not finite (or a weight not > 0)."""
 
 
 class MaxStepsExceeded(GlancerError):

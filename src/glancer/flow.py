@@ -373,8 +373,8 @@ class _StraightRuns:
         self.sig1 = sig1
         self.sgn = sgn
         self.level = max(params.tangency_gate, 0.0) + self.FLOOR
-        self.lo = scenario.domain_lo - 1e-9 + 1e-12
-        self.hi = scenario.domain_hi + 1e-9 - 1e-12
+        self.lo = np.array(scenario.box[:2]) + 1e-12
+        self.hi = np.array(scenario.box[2:]) - 1e-12
         self.size = self.FIRST_CHUNK
         self.dead = False
         self.cycle = None  # (vs, incs, j, steps at vs[0]) from _settle
@@ -611,8 +611,7 @@ def integrate_gliding(
         raise ValueError(f"a gliding piece starts on the gliding set, got {bc.tag.value}")
     metric, derivs = scenario.metric, scenario.boundary.derivs
     g_const = metric.g_values((0.0, 0.0)) if metric.is_constant else None
-    (lo1, lo2), (hi1, hi2) = scenario.domain_lo.tolist(), scenario.domain_hi.tolist()
-    lo1, lo2, hi1, hi2 = lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
+    lo1, lo2, hi1, hi2 = scenario.box
     y0 = rho0.as_vector().tolist()
     tau = y0[sym.TAU]
     kt = direction * (-2.0 * tau)

@@ -47,12 +47,16 @@ class ObservationRegion:
         self._fn = jet.function(self.expression, ("t", "x1", "x2"))
 
     def contains(self, t: float, x) -> bool:
-        """Whether (t, x) lies in the region: the pointwise reference for entered."""
+        """Whether (t, x) lies in the region: the pointwise reference for
+        entered. Both evaluate with numpy's warnings off: a value that
+        overflows or is NaN decides as it compares, silently."""
         x = np.asarray(x, dtype=float)
-        return bool(float(self._fn(float(t), float(x[0]), float(x[1]))) > 0.0)
+        with np.errstate(all="ignore"):
+            return bool(float(self._fn(float(t), float(x[0]), float(x[1]))) > 0.0)
 
     def entered(self, t_arr: np.ndarray, X: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self._fn(t_arr, X[:, 0], X[:, 1]), dtype=float)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(self._fn(t_arr, X[:, 0], X[:, 1]), dtype=float)
         return np.broadcast_to(vals, t_arr.shape) > 0.0
 
 

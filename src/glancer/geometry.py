@@ -192,6 +192,7 @@ class Chart:
 
     ``jet(y, order)`` gives ``(x, J, H)`` at the chart point y: x, from order
     1 ``J[i, k] = dx_i/dy_k``, at order 2 ``H[k] = dJ/dy_k``; else None.
+    ``box`` is the chart box [domain_lo, domain_hi] widened (widened_box).
     """
 
     name: str
@@ -199,6 +200,9 @@ class Chart:
     from_scenario: Callable[[np.ndarray], np.ndarray]
     domain_lo: np.ndarray
     domain_hi: np.ndarray
+
+    def __post_init__(self):
+        self.box = widened_box(self.domain_lo, self.domain_hi)
 
     def to_scenario(self, y) -> np.ndarray:
         return self.jet(y, 0)[0]
@@ -255,13 +259,22 @@ def inverse_2x2(e, x) -> tuple[float, float, float]:
 # basic operations
 
 
+def widened_box(lo, hi) -> tuple[float, float, float, float]:
+    """(lo1, lo2, hi1, hi2): the box [lo, hi] widened by 1e-9 on every side.
+
+    Every chart-box test reads these four floats, kept as ``box`` on each
+    scenario and chart: in_domain, the gliding stage of flow.integrate_gliding,
+    the row screen of flow._StraightRuns and the row test of
+    measures._gliding_contacts.
+    """
+    (lo1, lo2), (hi1, hi2) = np.asarray(lo, float).tolist(), np.asarray(hi, float).tolist()
+    return lo1 - 1e-9, lo2 - 1e-9, hi1 + 1e-9, hi2 + 1e-9
+
+
 def in_domain(scenario, x: np.ndarray) -> bool:
-    """x lies in the chart box widened by 1e-9; NaN coordinates do not."""
-    lo, hi = scenario.domain_lo, scenario.domain_hi
-    for k in range(len(lo)):
-        if not lo[k] - 1e-9 <= x[k] <= hi[k] + 1e-9:
-            return False
-    return True
+    """x lies in the widened chart box, scenario.box; NaN coordinates do not."""
+    lo1, lo2, hi1, hi2 = scenario.box
+    return bool(lo1 <= x[0] <= hi1 and lo2 <= x[1] <= hi2)
 
 
 def _require_in_domain(scenario, x: np.ndarray) -> None:

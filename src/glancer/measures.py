@@ -20,7 +20,7 @@ import numpy as np
 from . import flow
 from . import geometry as geo
 from . import symbol as sym
-from .errors import EmptySupport, SupportLeak
+from .errors import EmptySupport, StepFailure, SupportLeak
 from .symbol import PhasePoint, Tag
 
 _ZERO_MASS_TAGS = (Tag.DIFFRACTIVE, Tag.GLANCING3)
@@ -145,12 +145,15 @@ class CurveMeasure:
         return float(np.interp(s_query, s, self.w))
 
 
+@np.errstate(all="ignore")
 def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeasure:
     """Curve measure with the damping law w(s) = exp(-int_0^s f dsigma).
 
     f is evaluated as f(t, x) along the carrier samples and integrated by
     the trapezoid rule on the actual sample grid; f None or identically
-    zero gives unit weights.
+    zero gives unit weights. numpy's warnings are off: where a value of f
+    or a weight is not finite, or a weight is not > 0, it raises
+    StepFailure naming the first such sample's s.
     """
     s, states, _, _ = gb.all_samples()
     if f is None:
@@ -160,6 +163,13 @@ def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeas
         # scipy.integrate.cumulative_trapezoid(vals, s, initial=0.0), to the bit
         integral = np.concatenate(([0.0], np.cumsum(np.diff(s) * (vals[1:] + vals[:-1]) / 2.0)))
         w = np.exp(-integral)
+        bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            i = bad[0]
+            raise StepFailure(
+                f"damping weight w = {w[i]:.6g} from f = {vals[i]:.6g} at s = {s[i]:.6g}: "
+                "f and w must be finite and w > 0"
+            )
     return CurveMeasure(carrier=gb, w=w, s=s, states=states)
 
 
@@ -270,7 +280,7 @@ def _gliding_contacts(scenario, states: np.ndarray):
     """
     th = scenario.thresholds
     X = states[:, sym.X]
-    lo, hi = scenario.domain_lo - 1e-9, scenario.domain_hi + 1e-9
+    lo, hi = np.array(scenario.box[:2]), np.array(scenario.box[2:])
     bad = np.abs(scenario.boundary.phi_on_rows(X)) > th.boundary_tol
     bad |= ~((lo <= X) & (X <= hi)).all(axis=1)  # geo.in_domain per row, NaN outside
     if bad.any():
@@ -303,12 +313,14 @@ def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) ->
     return a_t * dt + (a_x1 * dx1 + a_x2 * dx2) + (a_xi1 * dxi1 + a_xi2 * dxi2)
 
 
+@np.errstate(all="ignore")
 def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction, f=None) -> float:
     """Absolute defect of the weak transport identity for the triple (mu, nu, a).
 
     Raises SupportLeak when a does not vanish at the carrier's endpoints,
     since the s-integration by parts then picks up uncontrolled boundary
-    terms.
+    terms. numpy's warnings are off: a residual that is not finite raises
+    StepFailure.
     """
     s, Y = cm.s, cm.states
     ends = a.value_batch(Y[[0, -1]])
@@ -344,7 +356,10 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
         dza = np.einsum("ij,ij->i", a.gradient_batch(arc.states)[:, sym.XI], d[:2].T)
         term_glide += float(np.trapezoid(arc.density * (dza / hz2p) / alpha, arc.s))
 
-    return abs(term_mu + term_atoms + term_glide)
+    residual = abs(term_mu + term_atoms + term_glide)
+    if not np.isfinite(residual):
+        raise StepFailure(f"transport residual {residual} is not finite")
+    return residual
 
 
 # ---------------------------------------------------------------------------

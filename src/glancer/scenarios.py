@@ -34,6 +34,7 @@ from .geometry import (
     identity_metric,
     inverse_2x2,
     newton_to_boundary,
+    widened_box,
 )
 from .symbol import ClassifyThresholds
 
@@ -142,6 +143,7 @@ class Scenario:
     def __post_init__(self):
         self.domain_lo = np.asarray(self.domain_lo, dtype=float)
         self.domain_hi = np.asarray(self.domain_hi, dtype=float)
+        self.box = widened_box(self.domain_lo, self.domain_hi)
 
     @property
     def config_hash(self) -> str:

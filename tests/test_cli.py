@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import glancer
-from glancer import cli, flow
+from glancer import cli, flow, gcc
 from glancer import scenarios as scen
 from glancer.symbol import PhasePoint
 from test_gcc import OUTSIDE_THE_GRAMMAR
@@ -401,21 +401,69 @@ _GCC = ["gcc", "--scenario", "strip", "--region", "x1", "--samples", "2", "--t-h
         *(_QUASI_NORMAL + [f"--tolerance={v}"] for v in ("nan", "inf", "-1e-3")),
         _GCC + ["--workers=0"],
         _GCC + ["--workers=-3"],
+        _GCC + ["--seed=-1"],
+        ["continuity", "--scenario", "strip", "--start", "0,0.1,0.45,1,0.6,0.8",
+         "--delta", "1e-2", "--samples", "2", "--seed=-1"],
+        ["trace", "--scenario", "strip", "--start", "0,0,0.5,1,1,0", "--seed=-1"],
     ],
     ids=[
         "transport-tolerance-nan", "transport-tolerance-inf", "transport-tolerance-negative",
         "quasi-normal-tolerance-nan", "quasi-normal-tolerance-inf",
         "quasi-normal-tolerance-negative", "workers-zero", "workers-negative",
+        "gcc-seed-negative", "continuity-seed-negative", "trace-seed-negative",
     ],
 )
 def test_out_of_range_tolerance_or_workers_exits_two(tmp_path, capsys, argv):
-    """A tolerance that is not finite and nonnegative, or fewer than one
-    worker, is a config error: not a run that fails every check (exit 1) or
-    an audit that quietly runs serially."""
+    """A tolerance that is not finite and nonnegative, fewer than one worker
+    or a negative seed is a config error: not a run that fails every check
+    (exit 1), an audit that quietly runs serially, or numpy's traceback."""
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and argv[-1].split("=")[0] in err["detail"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        {"kind": "constant", "value": 5000},
+        {"kind": "constant", "value": -5000},
+        {"kind": "expression", "expr": "x1 * 2 ** 1023 * 2 ** 1023"},
+    ],
+    ids=["weights-underflow", "weights-overflow", "potential-overflows"],
+)
+def test_damping_weights_off_the_floats_fail_the_step(tmp_path, capsys, potential):
+    """A potential whose damping weights exp(-int f) leave the floats (0,
+    inf, or f itself not finite) is a StepFailure naming the sample's s:
+    exit 1 with one JSON error line, no NaN residual, no traceback, no
+    numpy warning and no artifact."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**STRIP, "potential": potential}))
+    out = tmp_path / "out"
+    argv = ["verify-transport", "--scenario", str(scenario), "--start", "0,0.1,0.45,1,0.6,0.8",
+            "--t-horizon", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "StepFailure" and "at s = " in err["detail"]
+    assert not list(out.iterdir())
+
+
+def test_overflowing_region_prints_no_numpy_warning(tmp_path, capsys):
+    """A region whose value overflows decides silently, as the comparison of
+    inf decides: stderr stays empty and the verdict is the one it was."""
+    argv = ["gcc", "--scenario", "strip", "--region", "x1 * 2 ** 1023 * 2 ** 1023",
+            "--samples", "2", "--t-horizon", "0.5", "--workers", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "FailsWithWitness"
+    assert captured.err == ""
+    region = gcc.region_from_expression("x1 * 2 ** 1023 * 2 ** 1023")
+    assert region.contains(0.0, [1.0, 0.5]) and not region.contains(0.0, [-1.0, 0.5])
+    X = np.array([[1.0, 0.5], [-1.0, 0.5], [0.0, 0.5]])
+    assert region.entered(np.zeros(3), X).tolist() == [True, False, False]
 
 
 _PAST_FLOATS = {
