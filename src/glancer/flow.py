@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import geometry as geo
 from . import symbol as sym
@@ -1042,6 +1041,10 @@ def _min_distances(P, variants) -> np.ndarray:
     whatever other rows it is given, so every minimum is the all-pairs
     minimum to the bit.
     """
+    # scipy.spatial costs a quarter second to import; only continuity and
+    # the support check come here
+    from scipy.spatial.distance import cdist
+
     rows = np.concatenate([r for r, _ in variants])
     pens = np.concatenate([p for _, p in variants])
     order = np.argsort(rows[:, sym.T], kind="stable")

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ChartDegenerate,
@@ -460,6 +459,8 @@ def _trace_boundary(scenario, m0: np.ndarray, half_span: float, step: float):
     Euclidean arc length, b the boundary point, e the Euclidean inward unit
     normal dphi/|dphi|.
     """
+    from scipy.interpolate import CubicSpline  # only charts load scipy.interpolate
+
     bnd = scenario.boundary
 
     def tangent(d):
@@ -506,6 +507,8 @@ def build_quasi_normal_chart(scenario, m0) -> Chart:
     n' from dG0 = Pu^T g P + P^T g Pu + P^T (dg . b') P for the flattened
     metric G0 = P^T g P, P = [b', e], Pu = [b'', e'].
     """
+    from scipy.interpolate import CubicSpline
+
     m0 = np.asarray(m0, dtype=float)
     if not abs(scenario.boundary.phi(m0)) <= 1e-6:
         raise NotOnBoundary(f"m0 must lie on the boundary, phi = {scenario.boundary.phi(m0):.3e}")

@@ -16,12 +16,12 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import jsonschema
 
 from . import jet
 from .errors import StepFailure, ValidationError
@@ -123,9 +123,57 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate re-checks the schema against its metaschema
-# on every call, which costs more than the validation itself.
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # bool is an int in Python but not a number in JSON Schema
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+}
+
+
+def _equal(instance, const) -> bool:
+    """JSON Schema equality with a scalar constant: True does not equal 1."""
+    return instance is const or (not isinstance(instance, bool) and instance == const)
+
+
+def _conforms(instance, schema: dict) -> bool:
+    """Whether jsonschema accepts instance under schema, for the keywords
+    CONFIG_SCHEMA uses; jsonschema itself is imported only to word a rejection.
+
+    As in jsonschema, a keyword passes an instance of a type it does not
+    constrain, and exclusiveMinimum fails only on instance <= minimum, so it
+    passes NaN.
+    """
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_IS_TYPE[t](instance) for t in types):
+        return False
+    if "const" in schema and not _equal(instance, schema["const"]):
+        return False
+    if "enum" in schema and not any(_equal(instance, c) for c in schema["enum"]):
+        return False
+    if isinstance(instance, dict):
+        props = schema.get("properties", {})
+        if any(key not in instance for key in schema.get("required", ())):
+            return False
+        if schema.get("additionalProperties") is False and not props.keys() >= instance.keys():
+            return False
+        if not all(_conforms(instance[key], sub) for key, sub in props.items() if key in instance):
+            return False
+    if isinstance(instance, list):
+        if not schema.get("minItems", 0) <= len(instance) <= schema.get("maxItems", math.inf):
+            return False
+        if "items" in schema and not all(_conforms(item, schema["items"]) for item in instance):
+            return False
+    low = schema.get("exclusiveMinimum")
+    if low is not None and _IS_TYPE["number"](instance) and instance <= low:
+        return False
+    if "if" in schema and _conforms(instance, schema["if"]):
+        if not _conforms(instance, schema["then"]):
+            return False
+    return all(_conforms(instance, sub) for sub in schema.get("allOf", ()))
+
 
 @dataclass
 class Scenario:
@@ -416,8 +464,11 @@ def _reject_corners(boundary: BoundaryDef, lo, hi) -> None:
 
 def resolve_config(config: dict) -> dict:
     """Validate against the schema and fill defaults; returns the resolved dict."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
-    if error is not None:
+    if not _conforms(config, CONFIG_SCHEMA):
+        import jsonschema
+
+        validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+        error = jsonschema.exceptions.best_match(validator.iter_errors(config))
         raise ValidationError(f"scenario config invalid: {error.message}") from error
     if "builtin" not in config and "boundary" not in config:
         raise ValidationError("scenario config needs either 'builtin' or a 'boundary' block")

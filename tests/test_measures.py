@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -189,6 +190,41 @@ def test_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+WAVY = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "wavy.json"
+
+
+def test_common_commands_leave_scipy_and_jsonschema_unloaded(tmp_path):
+    """A builtin trace and a transport check on an expression scenario file
+    import neither scipy nor jsonschema; a rejected config imports
+    jsonschema to word the rejection, exit 2 with its message."""
+    src = str(Path(glancer.__file__).resolve().parents[1])
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": 1, "builtin": "strip", "params": {"height": -1.0}}')
+    wavy_start = ("0.0,-0.16507154133672985,0.04025441691165371,"
+                  "1.0,-0.09585803948820527,-0.9954410012735664")
+    code = f"""
+import sys, glancer, glancer.cli
+from glancer import cli
+out = {str(tmp_path / "out")!r}
+assert cli.main(["trace", "--scenario", "strip", "--start", "0,0,0,1,0,1",
+                 "--t-horizon", "3.2", "--out", out]) == 0
+assert cli.main(["verify-transport", "--scenario", {str(WAVY)!r}, "--start", {wavy_start!r},
+                 "--t-horizon", "1.2", "--h", "0.007", "--out", out]) == 0
+print(sorted({{m.partition(".")[0] for m in sys.modules}} & {{"scipy", "jsonschema"}}))
+sys.exit(cli.main(["trace", "--scenario", {str(bad)!r}, "--out", out]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stderr.splitlines()[-1] == json.dumps({
+        "error": "config",
+        "detail": "scenario config invalid: -1.0 is less than or equal to the minimum of 0",
+    })
 
 
 def test_weight_at_interpolates(half_plane):

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import warnings
@@ -292,6 +293,115 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out == "[0.5, 1.0, 1.5]\n"
+
+
+def test_config_schema_uses_only_the_keywords_the_walker_reads():
+    walked = {"type", "const", "enum", "required", "additionalProperties", "properties",
+              "items", "minItems", "maxItems", "exclusiveMinimum", "if", "then", "allOf"}
+    used, stack = set(), [scen.CONFIG_SCHEMA]
+    while stack:
+        schema = stack.pop()
+        used |= schema.keys()
+        stack += [schema[k] for k in ("items", "if", "then") if k in schema]
+        stack += list(schema.get("properties", {}).values()) + schema.get("allOf", [])
+    assert used <= walked, used - walked
+    assert all(not isinstance(c, (list, dict, bool)) for c in _schema_constants(scen.CONFIG_SCHEMA))
+
+
+def _schema_constants(schema):
+    """Every const and enum value in schema, which the walker compares as scalars."""
+    if isinstance(schema, dict):
+        yield from ([schema["const"]] if "const" in schema else []) + schema.get("enum", [])
+        for key, value in schema.items():
+            if key not in ("const", "enum", "required"):
+                yield from _schema_constants(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _schema_constants(value)
+
+
+# the configs mutations start from: the builtins, wavy.json, the README's
+# scenario blocks and one of each metric and potential kind
+_SEED_CONFIGS = (
+    [{"schema": 1, "builtin": name} for name in scen.BUILTIN_NAMES]
+    + [json.loads((Path(__file__).resolve().parents[1] / "perfbench/scenarios/wavy.json").read_text())]
+    + [json.loads(b) for b in re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)]
+    + [{
+        "schema": 1, "name": "n", "builtin": "annulus",
+        "params": {"r0": 0.5, "r1": 2.0, "box_half_width": 3.0},
+        "metric": {"kind": "diagonal", "entries": [1.0, 2.0]},
+        "potential": {"kind": "constant", "value": 0.5},
+        "band": 0.05,
+        "thresholds": {"eps_g": 1e-6, "eps_g2": 1e-6, "char_tol": 1e-8, "boundary_tol": 1e-9},
+    }, {
+        "schema": 1, "builtin": "strip", "params": {"height": 2.0},
+        "metric": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "potential": {"kind": "zero"},
+    }]
+)
+_KEYS = sorted({"extra"} | {
+    key for schema in [scen.CONFIG_SCHEMA] + list(scen.CONFIG_SCHEMA["properties"].values())
+    for key in schema.get("properties", {})
+})
+_ODD_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0, 1, 1.0, -1.5]),
+    st.sampled_from([True, False, None]),
+    st.sampled_from(["", "x2", "strip", "identity", "diagonal", "constant", "expression", "zero"]),
+    st.sampled_from([
+        [], [1.0], [1.0, 2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]], [["1", "0"], ["0", "1"]],
+        [[1.0, 0.0]], [[1.0, "0"], [0.0, True]], {}, {"kind": "expression"}, {"kind": "zero"},
+    ]),
+    st.sampled_from(_KEYS),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _slots(node, path=()):
+    """Paths of every dict value and list item under node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    config = copy.deepcopy(draw(st.sampled_from(_SEED_CONFIGS)))
+    for _ in range(draw(st.integers(0, 4))):
+        targets = [()] + list(_slots(config))
+        path = draw(st.sampled_from(targets))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else config
+        action = draw(st.sampled_from(["replace", "delete", "add", "append"]))
+        if action == "replace" and path:
+            parent[path[-1]] = copy.deepcopy(draw(_ODD_VALUES))
+        elif action == "delete" and path:
+            del parent[path[-1]]
+        elif action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = copy.deepcopy(draw(_ODD_VALUES))
+        elif action == "append" and isinstance(node, list):
+            node.append(copy.deepcopy(draw(_ODD_VALUES)))
+    return config
+
+
+_JSONSCHEMA = jsonschema.validators.validator_for(scen.CONFIG_SCHEMA)(scen.CONFIG_SCHEMA)
+
+
+@settings(max_examples=400)
+@given(_mutated_configs())
+# jsonschema fails exclusiveMinimum only on instance <= minimum, false for NaN
+@example({"schema": 1, "builtin": "strip", "params": {"height": float("nan")}})
+@example({"schema": 1, "builtin": "strip", "params": {"height": -float("inf")}})
+@example({"schema": 1, "builtin": "strip", "params": {"height": 0.0}})
+@example({"schema": True, "builtin": "strip"})
+@example({"schema": 1.0, "builtin": "strip", "band": False})
+@example({"schema": 1, "builtin": "strip", "band": True})
+@example({"schema": 1, "builtin": "strip", "metric": {"kind": "diagonal"}})
+@example({"schema": 1, "builtin": "strip", "potential": {"kind": "expression"}})
+def test_schema_walker_accepts_exactly_what_jsonschema_accepts(config):
+    assert scen._conforms(config, scen.CONFIG_SCHEMA) == _JSONSCHEMA.is_valid(config)
 
 
 def _radial_norm(x):
