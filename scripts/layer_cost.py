@@ -26,7 +26,14 @@ kind. Times are microseconds per call unless the key ends in ``_ms`` or
   ``flow.glide_trace_samples``, of the whole ``trace_generalized`` flight,
   T = 1, records included; h = 1e-3.
 * ``flow.event_us``: one ``flow._locate_scalar_zero`` locating the strip's
-  wall x2 = 0 to ``flow.EVENT_TOL`` within a step h = 1e-3 from x2 = 5e-4.
+  wall x2 = 0 to ``flow.EVENT_TOL`` within a step h = 1e-3 from x2 = 5e-4,
+  given phi at both ends of the step as the tracer gives them.
+* ``flow.event_substeps``: RK4 substeps per located event (the calls of
+  the locator's value function, each on one substep): ``strip`` for the
+  event of ``flow.event_us``; ``disk_1e-1``, ``disk_1e-2`` and
+  ``disk_1e-3`` over the events of a unit-disk trace from (1, 0) whose
+  chords meet the wall at incidence 1e-1, 1e-2 and 1e-3 rad (T = 0.5,
+  h = 1e-3; 2, 25 and 250 breaks).
 * ``symbol.gliding_field_us``: ``sym.gliding_field`` at the disk's gliding
   start.
 * ``measures.residual_us_per_sample``: ``transport_residual`` of the
@@ -175,16 +182,56 @@ def build_wavy_kernels():
     jet._build((phi,), derivs, True)
 
 
+def substeps_per_event(run):
+    """(run(), RK4 substeps per event it located): the calls of the
+    locator's value function, each on one substep, counted by wrapping
+    flow._locate_scalar_zero while run runs."""
+    locate, events, calls = flow._locate_scalar_zero, [0], [0]
+
+    def counted(rhs, y, h, value_of, *args):
+        def probe(z):
+            calls[0] += 1
+            return value_of(z)
+
+        events[0] += 1
+        return locate(rhs, y, h, probe, *args)
+
+    flow._locate_scalar_zero = counted
+    try:
+        out = run()
+    finally:
+        flow._locate_scalar_zero = locate
+    require(events[0] > 0, "no event located")
+    return out, sig(calls[0] / events[0])
+
+
+def disk_chords(disk, theta):
+    """The unit-disk trace from (1, 0) whose chords meet the wall at
+    incidence theta, T = 0.5, h = 1e-3."""
+    rho = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([-np.sin(theta), np.cos(theta)]))
+    gb = flow.trace_generalized(disk, rho, 0.5, flow.IntegratorParams(h=1e-3))
+    require(gb.break_set, f"the disk trace at {theta} has no break")
+
+
 def once_layers(table, strip, disk):
     rhs = flow._interior_rhs(strip, 1.0)
     y = start(strip, [0.0, 5e-4], [0.6, -0.8]).as_vector().tolist()
 
-    def locate():
-        return flow._locate_scalar_zero(rhs, y, 1e-3, lambda z: strip.boundary.phi(z[sym.X]),
-                                        flow.EVENT_TOL)
+    def phi(z):
+        return float(strip.boundary.phi(z[sym.X]))
 
-    require(abs(strip.boundary.phi(locate()[1][sym.X])) <= flow.EVENT_TOL, "no strip wall event")
+    ends = phi(y), phi(flow._rk4_step(rhs, y, 1e-3))
+
+    def locate():
+        return flow._locate_scalar_zero(rhs, y, 1e-3, phi, flow.EVENT_TOL, *ends)
+
+    hit, substeps = substeps_per_event(locate)
+    require(abs(phi(hit[1])) <= flow.EVENT_TOL, "no strip wall event")
     table["flow.event_us"] = fig(locate)
+    table["flow.event_substeps"] = {"strip": substeps} | {
+        f"disk_{theta}": substeps_per_event(lambda: disk_chords(disk, float(theta)))[1]
+        for theta in ("1e-1", "1e-2", "1e-3")
+    }
     rho = start(disk, [1.0, 0.0], [0.0, 1.0])
     tag = sym.classify_boundary_point(disk, rho).tag
     require(tag is Tag.GLIDING, f"the disk start classifies as {tag.value}")

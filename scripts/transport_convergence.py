@@ -54,7 +54,7 @@ def main(argv=None):
         gb = flow.trace_generalized(scenario, rho0, args.t_horizon, flow.IntegratorParams(h=h))
         cm = measures.dirac_on_bichar(scenario, gb, f=f)
         nu = measures.boundary_measure_of(scenario, cm)
-        res = measures.transport_residual(scenario, cm, nu, a, f=f)
+        res = measures.transport_residual(scenario, cm, nu, a)
         if residuals:
             order = np.log(residuals[-1][1] / res) / np.log(residuals[-1][0] / h)
             print(f"{h:10.1e}  {res:12.5e}  {order:6.2f}")

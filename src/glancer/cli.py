@@ -239,7 +239,7 @@ def cmd_verify_transport(args, scenario, out: Path) -> dict:
     cm = measures.dirac_on_bichar(scenario, gb, f=scenario.f)
     nu = measures.boundary_measure_of(scenario, cm)
     a = _default_test_function(gb)
-    residual = measures.transport_residual(scenario, cm, nu, a, f=scenario.f)
+    residual = measures.transport_residual(scenario, cm, nu, a)
     ok = True if args.tolerance is None else residual <= args.tolerance
     echo = {
         "h": args.h,

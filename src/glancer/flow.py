@@ -1,6 +1,6 @@
 """Generalized ray tracing with boundary events.
 
-Interior Hamiltonian integration with bisected boundary detection, specular
+Interior Hamiltonian integration with located boundary events, specular
 reflection, gliding arcs traced as a flow along the boundary curve, diffractive
 pass-through, the discrete glancing-step construction, and perturbation
 probes for flow continuity. States are packed [t, x1, x2, tau, xi1, xi2],
@@ -17,19 +17,22 @@ caller passes its step map and its projection and event checks, run after
 every step in this order:
 
 * interior piece: RK4 on the Hamiltonian field (_rk4_step); shell
-  projection, the phi crossing (bisected), the chart box, the tangency
-  (q = d(phi)/d(sigma) turning from - to +). The field is computed on
-  floats (sym.field_values) from the metric's float reading (MetricEval.at):
-  fixed under a constant metric, else one evaluation per RK stage, where
-  the projection and q at the new state share one evaluation through the
-  reading's last-point memo, which the next step's k1 reuses;
+  projection, the phi crossing, the chart box, the tangency (q =
+  d(phi)/d(sigma) turning from - to +; a turning point beyond the wall is
+  a crossing and a return within one step, and the crossing is the
+  event), each located within the step by _locate_scalar_zero. The field
+  is computed on floats (sym.field_values) from the metric's float
+  reading (MetricEval.at): fixed under a constant metric, else one
+  evaluation per RK stage, where the projection and q at the new state
+  share one evaluation through the reading's last-point memo, which the
+  next step's k1 reuses;
 * gliding piece: RK4 on (t, x1, x2), one boundary derivs and metric g
   evaluation per stage, k1 taken from the settled sample; the chart box, x
   settled on phi = 0 and xi rebuilt there, the hp2z exit hysteresis (two
   consecutive samples above GLIDING_EXIT);
 * chord flight to its apex (glancing-step construction): RK4 as for the
   interior; the chart box, shell projection, q turning from + to -
-  (bisected).
+  (located as above).
 
 Every product on a 2-vector, a 2x2 matrix or a phase row is taken on
 floats: the shell rescale, q (sym.contact_values' hpz), the Newton steps
@@ -86,7 +89,7 @@ log = logging.getLogger("glancer.flow")
 
 INTERIOR = "Interior"
 GLIDING = "Gliding"
-EVENT_TOL = 1e-10  # |phi| at a bisected boundary crossing
+EVENT_TOL = 1e-10  # |phi| of a step start on the wall, and the most a located crossing may read
 GLIDING_EXIT = 1e-7  # hp2z above which a gliding piece hands off to the interior
 
 
@@ -241,28 +244,59 @@ def _check_characteristic(scenario, rho: PhasePoint) -> None:
         raise NotCharacteristic(f"p(rho) = {p0:.3e}; start must lie on the characteristic set")
 
 
-def _locate_scalar_zero(rhs, y_from, h, value_of, tol):
-    """Bisect sigma in (0, h] for a sign change of value_of along RK4 substeps.
+def _locate_scalar_zero(rhs, y_from, h, value_of, tol, v_lo, v_hi, start_zero=False):
+    """Locate the sign change of value_of along RK4 substeps sigma in (0, h]
+    from y_from: the Illinois method (Dowell & Jarratt, BIT 1971),
+    safeguarded by bisection and iterated to rounding (Shampine, Gladwell &
+    Brankin, ACM TOMS 1991).
 
-    value_of maps a packed state to a scalar that is >= 0-side at sigma=0 and
-    < 0 at sigma=h. Returns (sigma, state) at the located zero, or None.
+    value_of maps a packed state to a scalar that reads v_lo (>= 0-side) at
+    sigma = 0 and v_hi <= 0 at sigma = h, as the caller holds them: phi
+    depends on x alone, which the shell rescale leaves, and q at the
+    rescaled state has the sign of q at the substep (the rescale scales xi
+    by a positive factor), so no probe is spent on either end. Each probe
+    is one RK4 substep from y_from, at the regula falsi point of the
+    bracket, with the kept end's value halved when the same end is kept
+    twice. The probe bisects instead when that point leaves the open
+    bracket, when the bracket has not halved over the last two probes, or,
+    with start_zero (value_of has a second zero at sigma = 0), while the
+    bracket still starts there. The search ends at a zero value or when
+    the bracket can no longer shrink in floating point. Returns (sigma,
+    state) at the probed end of the bracket with the smaller |value| if
+    that is within tol, else at the last probe with a value that is not >
+    0, or None if there is none.
     """
     lo, hi = 0.0, h
-    best = None
+    ends = [None, None]  # (|value|, sigma, state) at the probed lo and hi
+    moved = 0  # the end the last probe moved: +1 lo, -1 hi
+    widths = [math.inf] * 2  # the bracket widths before the last two probes
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        y_mid = _rk4_step(rhs, y_from, mid)
-        v = value_of(y_mid)
-        if abs(v) <= tol:
-            return mid, y_mid
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
-            best = (mid, y_mid)
-        if hi - lo < 1e-16 * max(1.0, h):
+        width = hi - lo
+        sig = 0.5 * (lo + hi)
+        if width <= 0.5 * widths[0] and (lo > 0.0 or not start_zero):
+            secant = lo + width * (v_lo / (v_lo - v_hi))
+            if lo < secant < hi:
+                sig = secant
+        if not lo < sig < hi:
             break
-    return best
+        y = _rk4_step(rhs, y_from, sig)
+        v = value_of(y)
+        if v == 0.0:
+            return sig, y
+        if v > 0.0:
+            lo, v_lo, ends[0] = sig, v, (v, sig, y)
+            if moved > 0:
+                v_hi *= 0.5
+            moved = 1
+        else:
+            hi, v_hi, ends[1] = sig, v, (abs(v), sig, y)
+            if moved < 0:
+                v_lo *= 0.5
+            moved = -1
+        widths = widths[1:] + [width]
+    near = min((e for e in ends if e is not None and e[0] <= tol), default=ends[1],
+               key=lambda e: e[0])
+    return None if near is None else near[1:]
 
 
 _CHART_EXIT = ("chart_exit", 0.0, None)
@@ -489,10 +523,14 @@ def integrate_interior(
     """Trace the Hamiltonian flow until the span ends or the boundary is met.
 
     The trace runs on the internal clock sigma in [s_span[0], s_span[1]];
-    recorded s values are direction * sigma. Boundary crossings are bisected
-    to |phi| <= EVENT_TOL and returned classified. Exact tangential contacts
-    (phi dips to 0 with no sign change) are also detected and returned as
-    boundary events, so diffractive pass-throughs are visible to the caller.
+    recorded s values are direction * sigma. Boundary crossings are located
+    to rounding (_locate_scalar_zero), at |phi| <= EVENT_TOL, and returned
+    classified; a step start within EVENT_TOL of the wall that leaves the
+    domain is the crossing itself, and so is the crossing of a step whose
+    turning point of phi lies beyond the wall, though both its ends lie
+    inside. Exact tangential contacts (phi dips to 0 with no sign change)
+    are also detected and returned as boundary events, so diffractive
+    pass-throughs are visible to the caller.
     """
     params = params or IntegratorParams()
     _check_characteristic(scenario, rho0)
@@ -512,6 +550,28 @@ def integrate_interior(
         raise StepFailure(f"interior start lies outside the domain: phi = {phi_prev:.3e}")
     skip = int(_skip_tangency_steps)
 
+    def crossing(y, h, phi_end):
+        """The boundary event of the step of length h from y, at whose end
+        phi reads phi_end < 0: the located crossing, or y itself, the last
+        accepted state, when it lies on the wall (phi <= EVENT_TOL, which the
+        start check bounds below) and leaves the domain there."""
+        on_wall = phi_prev <= EVENT_TOL
+        found = None
+        if phi_prev > 0.0 or q_prev > 0.0:
+            # a step that starts on the wall as it enters the domain has a
+            # second zero at its start
+            found = _locate_scalar_zero(rhs, y, h, phi_of, EVENT_TOL, phi_prev, phi_end,
+                                        on_wall and q_prev > 0.0)
+        if found is None or found[0] < 1e-12 * h:
+            if on_wall and q_prev < 0.0:
+                return "boundary", 0.0, None
+            if found is None:
+                raise StepFailure("boundary location failed to bracket the crossing")
+            raise StepFailure("boundary crossing at zero step; reduce the step size")
+        sig_hit, y_hit = found
+        _rescale_char(scenario, y_hit)
+        return "boundary", sig_hit, y_hit
+
     def advance(y, y_new, h):
         nonlocal phi_prev, q_prev, skip
         _rescale_char(scenario, y_new)
@@ -522,14 +582,7 @@ def integrate_interior(
         # overshoots the boundary usually leaves the box as well when the
         # box is the closure of the domain, and must still count as a hit.
         if phi_new < -1e-14:
-            found = _locate_scalar_zero(rhs, y, h, phi_of, EVENT_TOL)
-            if found is None:
-                raise StepFailure("boundary bisection failed to bracket the crossing")
-            sig_hit, y_hit = found
-            if sig_hit < 1e-12 * h:
-                raise StepFailure("boundary crossing at zero step; reduce the step size")
-            _rescale_char(scenario, y_hit)
-            return "boundary", sig_hit, y_hit
+            return crossing(y, h, phi_new)
 
         if not geo.in_domain(scenario, y_new[sym.X]):
             return _CHART_EXIT
@@ -539,14 +592,18 @@ def integrate_interior(
         elif q_prev < 0.0 <= q_new and min(phi_prev, phi_new) <= params.tangency_gate:
             # The trajectory stopped approaching the boundary inside this
             # step; if the turning point actually reaches phi = 0 it is a
-            # tangential contact (diffractive or worse), not a crossing.
-            # q runs negative to positive here, so bisect on -q.
-            found = _locate_scalar_zero(rhs, y, h, lambda yy: -q_of(yy), 1e-12)
+            # tangential contact (diffractive or worse), not a crossing; if
+            # it lies beyond the wall, the step crossed the wall and came
+            # back. q runs negative to positive here, so the search is on -q.
+            found = _locate_scalar_zero(rhs, y, h, lambda yy: -q_of(yy), 1e-12, -q_prev, -q_new)
             if found is not None:
                 sig_t, y_t = found
-                if abs(phi_of(y_t)) <= max(b_tol, 10.0 * EVENT_TOL):
+                phi_t = phi_of(y_t)
+                if abs(phi_t) <= max(b_tol, 10.0 * EVENT_TOL):
                     _rescale_char(scenario, y_t)
                     return "boundary", sig_t, y_t
+                if phi_t < -1e-14:
+                    return crossing(y, sig_t, phi_t)
 
         phi_prev, q_prev = phi_new, q_new
         return None
@@ -866,7 +923,7 @@ def glancing_step_construct(
         _rescale_char(scenario, y_new)
         q_new = q_of(y_new)
         if q_prev > 0.0 >= q_new:
-            found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12)
+            found = _locate_scalar_zero(rhs, y, h, q_of, 1e-12, q_prev, q_new)
             if found is not None:
                 sig_t, y_t = found
                 _rescale_char(scenario, y_t)

@@ -127,12 +127,17 @@ class TestFunction:
 
 @dataclass
 class CurveMeasure:
-    """Weighted line measure along a traced ray; immutable after build."""
+    """Weighted line measure along a traced ray; immutable after build.
+
+    f_vals holds the damping potential's values at the carrier samples
+    (None without one), which transport_residual reads.
+    """
 
     carrier: flow.GenBicharacteristic
     w: np.ndarray
     s: np.ndarray
     states: np.ndarray
+    f_vals: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(self.w <= 0.0):
@@ -156,9 +161,12 @@ def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeas
     StepFailure naming the first such sample's s.
     """
     s, states, _, _ = gb.all_samples()
+    vals = None
     if f is None:
         w = np.ones_like(s)
     else:
+        # one scalar call per row: a row evaluation of an expression with **
+        # would not give the same bits
         vals = np.array([float(f(row[sym.T], row[sym.X])) for row in states])
         # scipy.integrate.cumulative_trapezoid(vals, s, initial=0.0), to the bit
         integral = np.concatenate(([0.0], np.cumsum(np.diff(s) * (vals[1:] + vals[:-1]) / 2.0)))
@@ -170,7 +178,7 @@ def dirac_on_bichar(scenario, gb: flow.GenBicharacteristic, f=None) -> CurveMeas
                 f"damping weight w = {w[i]:.6g} from f = {vals[i]:.6g} at s = {s[i]:.6g}: "
                 "f and w must be finite and w > 0"
             )
-    return CurveMeasure(carrier=gb, w=w, s=s, states=states)
+    return CurveMeasure(carrier=gb, w=w, s=s, states=states, f_vals=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +322,11 @@ def _hamiltonian_directional(scenario, states: np.ndarray, grads: np.ndarray) ->
 
 
 @np.errstate(all="ignore")
-def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction, f=None) -> float:
+def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestFunction) -> float:
     """Absolute defect of the weak transport identity for the triple (mu, nu, a).
+
+    The damping potential is the one mu was built with (dirac_on_bichar's f),
+    read at the samples from cm.f_vals.
 
     Raises SupportLeak when a does not vanish at the carrier's endpoints,
     since the s-integration by parts then picks up uncontrolled boundary
@@ -332,10 +343,7 @@ def transport_residual(scenario, cm: CurveMeasure, nu: BoundaryMeasure, a: TestF
     avals = a.value_batch(Y)
     grads = a.gradient_batch(Y)
     hpa = _hamiltonian_directional(scenario, Y, grads)
-    if f is None:
-        fvals = np.zeros_like(s)
-    else:
-        fvals = np.array([float(f(row[sym.T], row[sym.X])) for row in Y])
+    fvals = np.zeros_like(s) if cm.f_vals is None else cm.f_vals
     term_mu = float(np.trapezoid(cm.w * (hpa - fvals * avals), s))
 
     term_atoms = 0.0

@@ -177,7 +177,7 @@ def test_criterion_05_transport_identity():
             gb = flow.trace_generalized(half_plane, rho0, 2.4, flow.IntegratorParams(h=h))
             cm = measures.dirac_on_bichar(half_plane, gb, f=f)
             nu = measures.boundary_measure_of(half_plane, cm)
-            residuals.append(measures.transport_residual(half_plane, cm, nu, a, f=f))
+            residuals.append(measures.transport_residual(half_plane, cm, nu, a))
         _, states, _, _ = gb.all_samples()
         assert a.value_batch(states).max() > 0.01, "bump misses the trajectory"
         br = gb.break_set[0]

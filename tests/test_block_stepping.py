@@ -282,9 +282,11 @@ def test_random_band_starts_match_single_steps(name, depth, angle, horizon, trac
 def test_band_steps_are_planned_at_a_bounce():
     # one bounce on the unit disk at 60 degrees to the normal. The ray spends
     # about 100 of its 500 steps inside the band, all with q of one sign
-    # per step: 39 pointwise phi calls (one per run plus the bisection of
-    # the hit), against 147 when every band step is taken alone and 530
-    # for the twin; the bound 60 leaves room for a few more single steps
+    # per step: 15 pointwise phi calls (one per run plus the location of
+    # the hit), against 506 for the twin; the bound 60 leaves room for a
+    # few more single steps. The hit at s = 0.25 falls on the step grid, so
+    # each of the two pieces holds 251 samples, the first ending at the
+    # step start on the wall
     base = scen.builtin("disk_interior")
     calls = []
 
@@ -298,7 +300,7 @@ def test_band_steps_are_planned_at_a_bounce():
     for sc in (counting, stepped_twin(counting)):
         calls.clear()
         gb = flow.trace_generalized(sc, rho0, 1.0, flow.IntegratorParams(h=1e-3))
-        assert len(gb.break_set) == 1 and gb.n_samples == 503
+        assert len(gb.break_set) == 1 and gb.n_samples == 502
         counts.append(len(calls))
     planned, stepped = counts
     assert planned < 60 < 500 < stepped

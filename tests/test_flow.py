@@ -332,25 +332,40 @@ def _reference_rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _reference_locate(rhs, y_from, h, value_of, tol):
-    """The earlier event bisection on numpy rows (flow._locate_scalar_zero
-    with _reference_rk4_step substeps)."""
+def _reference_locate(rhs, y_from, h, value_of, tol, v_lo, v_hi, start_zero=False):
+    """flow._locate_scalar_zero's safeguarded Illinois iteration, with
+    _reference_rk4_step substeps on numpy rows."""
     lo, hi = 0.0, h
-    best = None
+    ends = [None, None]
+    moved = 0
+    widths = [np.inf] * 2
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        y_mid = _reference_rk4_step(rhs, y_from, mid)
-        v = value_of(y_mid)
-        if abs(v) <= tol:
-            return mid, y_mid
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
-            best = (mid, y_mid)
-        if hi - lo < 1e-16 * max(1.0, h):
+        width = hi - lo
+        sig = 0.5 * (lo + hi)
+        if width <= 0.5 * widths[0] and (lo > 0.0 or not start_zero):
+            secant = lo + width * (v_lo / (v_lo - v_hi))
+            if lo < secant < hi:
+                sig = secant
+        if not lo < sig < hi:
             break
-    return best
+        y = _reference_rk4_step(rhs, y_from, sig)
+        v = value_of(y)
+        if v == 0.0:
+            return sig, y
+        if v > 0.0:
+            lo, v_lo, ends[0] = sig, v, (v, sig, y)
+            if moved > 0:
+                v_hi *= 0.5
+            moved = 1
+        else:
+            hi, v_hi, ends[1] = sig, v, (abs(v), sig, y)
+            if moved < 0:
+                v_lo *= 0.5
+            moved = -1
+        widths = widths[1:] + [width]
+    near = min((e for e in ends if e is not None and e[0] <= tol), default=ends[1],
+               key=lambda e: e[0])
+    return None if near is None else near[1:]
 
 
 def _reference_project_gliding(scenario, y):
@@ -481,6 +496,13 @@ def test_glide_time_reversal(name):
     assert np.max(np.abs(back.pieces[-1].states[-1] - rho0.as_vector())) <= 1e-12
 
 
+EPS = np.finfo(float).eps
+# |phi| at a located break: the locator iterates to rounding, so phi read
+# there is zero to the rounding of its evaluation, a few ulps of
+# max(1, |x|) on every builtin wall
+LOCATED_PHI = 8.0 * EPS
+
+
 def _reversal_starts(scenario, name, rng, n):
     """n starts with tau = 1 and a uniform direction, uniform over the domain
     at phi > 1e-3; on the strip at |x1| <= 8, so that no trace of T = 3
@@ -500,13 +522,14 @@ def _reversal_starts(scenario, name, rng, n):
 @pytest.mark.parametrize("name, seed", [("strip", 1), ("disk_interior", 2), ("annulus", 3)])
 def test_interior_time_reversal(name, seed):
     """Trace forward to T = 3, then backward from the last sample: the start
-    comes back within sum_b C EVENT_TOL / |hpz_b| over the breaks of both
+    comes back within sum_b C LOCATED_PHI / |hpz_b| over the breaks of both
     traces, plus rounding.
 
     C = 16, from a first-order count per break under the identity metric
     (tau = 1, |dphi| = 1 on every wall, hpz = 2 cos(theta) at incidence
-    theta). The break is located where |phi| = e <= EVENT_TOL, off the
-    crossing by ds = e / |hpz| <= X = EVENT_TOL / |hpz| along the ray. The
+    theta). The break is located where |phi| = e <= LOCATED_PHI (the
+    locator iterates to rounding), off the crossing by ds = e / |hpz| <= X
+    = LOCATED_PHI / |hpz| along the ray. The
     reflection there, in the wall's normal at that point, keeps the
     invariant of the wall's symmetry (x1-momentum on the strip, angular
     momentum on the disk and the annulus), so the rest of the trace is the
@@ -533,7 +556,7 @@ def test_interior_time_reversal(name, seed):
         back = flow.trace_generalized(scenario, end, 3.0, params, direction=-1)
         assert not fwd.junctions and not back.junctions
         breaks = fwd.break_set + back.break_set
-        kicks = sum(flow.EVENT_TOL / abs(sym.hpz(scenario, br.rho_minus)) for br in breaks)
+        kicks = sum(LOCATED_PHI / abs(sym.hpz(scenario, br.rho_minus)) for br in breaks)
         _, states, _, _ = fwd.all_samples()
         rounding = 16.0 * eps * max(1.0, np.abs(states[:, sym.X]).max())
         rounding *= fwd.n_samples + back.n_samples
@@ -705,6 +728,194 @@ def test_grazing_limit_of_the_piece_budget(disk):
 
 
 # ---------------------------------------------------------------------------
+# the billiard oracle: under the identity metric every builtin is a
+# straight-line billiard
+
+# the walls of each identity-metric builtin, (kind, size, side): a line is
+# x2 = size with the domain at side * (x2 - size) > 0, a circle |x| = size
+# with the domain at side * (size - |x|) > 0
+BILLIARD_WALLS = {
+    "half_plane": [("line", 0.0, 1.0)],
+    "strip": [("line", 0.0, 1.0), ("line", 1.0, -1.0)],
+    "disk_interior": [("circle", 1.0, 1.0)],
+    "disk_exterior": [("circle", 1.0, -1.0)],
+    "annulus": [("circle", 0.5, -1.0), ("circle", 1.0, 1.0)],
+}
+
+
+def _wall_normal(wall, x):
+    """The unit gradient of the wall's phi at x (it points into the domain)."""
+    kind, size, side = wall
+    if kind == "line":
+        return np.array([0.0, side])
+    return -side * x / np.sqrt(x @ x)
+
+
+def _first_hit(walls, x, v):
+    """(ds, wall): the least ds > 0 at which the line x + v ds meets a wall
+    it approaches, from the quadratic |x + v ds|^2 = size^2 (roots taken
+    without cancellation) or the linear x2 + v2 ds = size; None if none."""
+    best = None
+    for wall in walls:
+        kind, size, side = wall
+        if kind == "line":
+            if side * v[1] >= 0.0:
+                continue
+            ds = (size - x[1]) / v[1]
+        else:
+            a, b, c = v @ v, 2.0 * (x @ v), x @ x - size * size
+            disc = b * b - 4.0 * a * c
+            if side < 0.0 and (b >= 0.0 or disc < 0.0):
+                continue  # moving away from the obstacle, or passing it
+            qq = -0.5 * (b - np.sqrt(max(disc, 0.0))) if b < 0.0 else -0.5 * (b + np.sqrt(disc))
+            # the larger root leaves a disk; the smaller enters an obstacle
+            ds = (qq / a if b < 0.0 else c / qq) if side > 0.0 else c / qq
+        if ds > 0.0 and (best is None or ds < best[0]):
+            best = (ds, wall)
+    return best
+
+
+def _billiard_start(name, alpha, theta, sense, u):
+    """(rho0, s_hit): a tau = 1 start whose ray meets the first wall of name
+    at incidence theta from the tangent, at s_hit, a share u of the way
+    from the wall behind it (s_hit <= 0.5). alpha places the hit: x1 =
+    alpha on a line, the polar angle alpha on a circle."""
+    wall = BILLIARD_WALLS[name][-1 if name == "annulus" else 0]
+    kind, size, _ = wall
+    if kind == "line":
+        p, tangent = np.array([alpha, size]), np.array([1.0, 0.0])
+    else:
+        p, tangent = size * np.array([np.cos(alpha), np.sin(alpha)]), np.array([-np.sin(alpha), np.cos(alpha)])
+    d = sense * np.cos(theta) * tangent - np.sin(theta) * _wall_normal(wall, p)
+    back = _first_hit(BILLIARD_WALLS[name], p, -2.0 * d)
+    s_hit = u * min(0.5, back[0] if back is not None else 0.5)
+    return PhasePoint(0.0, p - 2.0 * s_hit * d, 1.0, d), s_hit
+
+
+def _billiard_errors(name, rho0, gb, h, located_phi):
+    """Per break of the forward trace gb from rho0: (s error, its bound, state
+    error, its bound, the bound with located_phi = EVENT_TOL). Each break is
+    compared with the exact chord from the traced state after the break
+    before it (or rho0), so the errors do not accumulate.
+
+    The bound, for a break b at which the exact chord meets its wall with
+    rate q_b = d(phi)/ds = grad(phi) . 2 xi (|grad phi| = 1 on every wall):
+    * rounding: R_b = 16 eps max(1, |x|) (N_b + 2), for the N_b RK4 steps
+      of the chord (each rounds x, the clock and the shell rescale of xi by
+      a few ulps; RK4 is exact on a straight line otherwise) and the
+      exact oracle's own arithmetic;
+    * location: the located state reads |phi| <= located_phi, so the exact
+      phi there is at most located_phi + R_b. Along the chord d(phi)/ds
+      moves by at most |v|^2 / r = 8 per unit of s (|v| = 2, wall radius r
+      >= 1/2; 8 x2^2 <= 8 on the strip), far less than |q_b| / 2 over the
+      errors found here, so the break s lies within
+      ds_b = 2 (located_phi + R_b) / |q_b| of the exact hit s*;
+    * state: t and x move with speed 2 along the chord, and the reflection
+      in the unit normal at the located x, which turns by at most
+      |dx| / r <= 2 |dx|, moves xi by at most 3 |dxi| + 4 |dn|; every
+      component of rho_minus and rho_plus lies within 16 (ds_b + R_b) of
+      the exact chord end and its exact reflection.
+    """
+    walls = BILLIARD_WALLS[name]
+    out = []
+    s0, t0, x0, xi0 = 0.0, rho0.t, rho0.x, rho0.xi
+    for br in gb.break_set:
+        hit = _first_hit(walls, x0, 2.0 * xi0)
+        assert hit is not None, f"a break at s = {br.s} where the exact ray meets no wall"
+        ds, wall = hit
+        x_hit = x0 + 2.0 * ds * xi0
+        n = _wall_normal(wall, x_hit)
+        q = abs(2.0 * (n @ xi0))
+        exact_minus = np.array([t0 - 2.0 * ds, *x_hit, 1.0, *xi0])
+        exact_plus = exact_minus.copy()
+        exact_plus[sym.XI] = xi0 - 2.0 * (xi0 @ n) * n
+        steps = int((br.s - s0) / h) + 1
+        rounding = 16.0 * EPS * max(1.0, np.abs(x_hit).max()) * (steps + 2)
+        bound_s = 2.0 * (located_phi + rounding) / q
+        old_s = 2.0 * (flow.EVENT_TOL + rounding) / q
+        err_state = max(np.abs(br.rho_minus.as_vector() - exact_minus).max(),
+                        np.abs(br.rho_plus.as_vector() - exact_plus).max())
+        out.append((abs(br.s - (s0 + ds)), bound_s, err_state, 16.0 * (bound_s + rounding), old_s))
+        s0, t0, x0, xi0 = br.s, br.rho_plus.t, br.rho_plus.x, br.rho_plus.xi
+    return out, (s0, x0, xi0)
+
+
+@given(
+    name=st.sampled_from(sorted(BILLIARD_WALLS)),
+    alpha=st.floats(-3.0, 3.0),
+    log_theta=st.floats(np.log(1e-4), np.log(1.0)),
+    sense=st.sampled_from([1.0, -1.0]),
+    u=st.floats(0.05, 0.95),
+)
+def test_breaks_match_the_exact_billiard(name, alpha, log_theta, sense, u):
+    """Every break of an identity-metric trace lies on the exact chord from
+    the state after the break before it, within the bound of
+    _billiard_errors; the incidence theta is log-uniform down to 1e-4 rad,
+    over a horizon of 256 theta past the first hit (so at most about 128
+    bounces on the circles, within the piece budget of 256)."""
+    theta = float(np.exp(log_theta))
+    scenario = scen.builtin(name)
+    rho0, s_hit = _billiard_start(name, alpha, theta, sense, u)
+    assert scenario.boundary.phi(rho0.x) > scenario.thresholds.boundary_tol
+    h = 1e-3
+    horizon = 2.0 * s_hit + min(1.0, 256.0 * theta)
+    gb = flow.trace_generalized(scenario, rho0, horizon, flow.IntegratorParams(h=h))
+    assert not gb.junctions and gb.break_set
+    errors, (s_last, x_last, xi_last) = _billiard_errors(name, rho0, gb, h, LOCATED_PHI)
+    for err_s, bound_s, err_state, bound_state, _ in errors:
+        assert err_s <= bound_s
+        assert err_state <= bound_state
+    # and no wall is met between the last break and the horizon
+    tail = _first_hit(BILLIARD_WALLS[name], x_last, 2.0 * xi_last)
+    assert tail is None or s_last + tail[0] >= horizon / 2.0 - 1e-9
+
+
+def test_grazing_breaks_are_located_to_rounding(disk):
+    """At theta = 1e-3 on the unit disk (250 breaks by T = 0.5, as in the
+    piece-budget test) every break meets the bound of _billiard_errors, which
+    is at least 10^3 tighter there than the one a location to |phi| <=
+    EVENT_TOL would allow."""
+    theta, h = 1e-3, 1e-3
+    rho0 = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([-np.sin(theta), np.cos(theta)]))
+    gb = flow.trace_generalized(disk, rho0, 0.5, flow.IntegratorParams(h=h))
+    assert len(gb.break_set) == 250
+    errors, _ = _billiard_errors("disk_interior", rho0, gb, h, LOCATED_PHI)
+    for err_s, bound_s, err_state, bound_state, old_s in errors:
+        assert err_s <= bound_s and err_state <= bound_state
+        assert bound_s <= 1e-3 * old_s
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0])
+def test_a_chord_through_the_obstacle_within_one_step_breaks(exterior, alpha):
+    """At incidence 1e-4 the ray would cross the unit obstacle over s =
+    sin(1e-4) < h, so both ends of the step that holds the hit (mid-step,
+    s = 0.2505) lie outside the obstacle: the turning point of phi inside
+    the step lies beyond the wall, and the crossing before it is the
+    break, within the bound of _billiard_errors."""
+    h = 1e-3
+    rho0, s_hit = _billiard_start("disk_exterior", alpha, 1e-4, 1.0, 0.501)
+    assert s_hit == pytest.approx(0.2505)
+    gb = flow.trace_generalized(exterior, rho0, 2.0 * s_hit + 0.1, flow.IntegratorParams(h=h))
+    assert len(gb.break_set) == 1
+    errors, _ = _billiard_errors("disk_exterior", rho0, gb, h, LOCATED_PHI)
+    for err_s, bound_s, err_state, bound_state, _ in errors:
+        assert err_s <= bound_s and err_state <= bound_state
+
+
+@pytest.mark.parametrize("x2", [0.0, -1e-15])
+def test_a_start_on_the_wall_that_leaves_is_its_own_crossing(half_plane, x2):
+    """A start within EVENT_TOL of the wall, heading out, has no crossing to
+    locate after it: the boundary event is the start itself, at s = 0, and
+    the piece ends there, its one sample not repeated."""
+    rho0 = PhasePoint(0.0, np.array([0.0, x2]), 1.0, np.array([0.6, -0.8]))
+    piece, ev = flow.integrate_interior(half_plane, rho0, (0.0, 1.0), flow.IntegratorParams(h=1e-3))
+    assert ev.reason == "boundary" and ev.s == 0.0
+    assert np.array_equal(ev.rho.as_vector(), rho0.as_vector())
+    assert ev.bclass.tag is Tag.HYPERBOLIC_OUT
+    assert np.array_equal(piece.s, [0.0])
+
+
+# ---------------------------------------------------------------------------
 # interior flow under a non-constant metric
 
 
@@ -743,21 +954,35 @@ def _reference_interior(scenario, rho0, s_span, params, direction):
     phi_prev, q_prev = phi_of(y0), q_of(y0)
     contact_tol = max(scenario.thresholds.boundary_tol, 10.0 * flow.EVENT_TOL)
 
+    def crossing(y, h, phi_end):
+        on_wall = phi_prev <= flow.EVENT_TOL
+        found = None
+        if phi_prev > 0.0 or q_prev > 0.0:
+            found = _reference_locate(rhs, y, h, phi_of, flow.EVENT_TOL, phi_prev, phi_end,
+                                      on_wall and q_prev > 0.0)
+        if (found is None or found[0] < 1e-12 * h) and on_wall and q_prev < 0.0:
+            return "boundary", 0.0, None
+        sig, y_hit = found
+        rescale(y_hit)
+        return "boundary", sig, y_hit
+
     def advance(y, y_new, h):
         nonlocal phi_prev, q_prev
         rescale(y_new)
         phi_new, q_new = phi_of(y_new), q_of(y_new)
         if phi_new < -1e-14:
-            sig, y_hit = _reference_locate(rhs, y, h, phi_of, flow.EVENT_TOL)
-            rescale(y_hit)
-            return "boundary", sig, y_hit
+            return crossing(y, h, phi_new)
         if not geo.in_domain(scenario, y_new[sym.X]):
             return flow._CHART_EXIT
         if q_prev < 0.0 <= q_new and min(phi_prev, phi_new) <= params.tangency_gate:
-            found = _reference_locate(rhs, y, h, lambda yy: -q_of(yy), 1e-12)
-            if found is not None and abs(phi_of(found[1])) <= contact_tol:
-                rescale(found[1])
-                return "boundary", *found
+            found = _reference_locate(rhs, y, h, lambda yy: -q_of(yy), 1e-12, -q_prev, -q_new)
+            if found is not None:
+                phi_t = phi_of(found[1])
+                if abs(phi_t) <= contact_tol:
+                    rescale(found[1])
+                    return "boundary", *found
+                if phi_t < -1e-14:
+                    return crossing(y, found[0], phi_t)
         phi_prev, q_prev = phi_new, q_new
         return None
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
 import glancer
-from glancer import flow, measures
+from glancer import cli, flow, measures
 from glancer import geometry as geo
 from glancer import scenarios as scen
 from glancer import symbol as sym
@@ -352,8 +352,27 @@ def test_transport_residual_with_damping(half_plane):
     assert_not_vacuous(gb, a)
     cm = measures.dirac_on_bichar(half_plane, gb, f=f)
     nu = measures.boundary_measure_of(half_plane, cm)
-    res = measures.transport_residual(half_plane, cm, nu, a, f=f)
+    res = measures.transport_residual(half_plane, cm, nu, a)
     assert 0.0 < res < 1e-5
+
+
+def test_verify_transport_evaluates_the_potential_once_per_sample():
+    """dirac_on_bichar keeps the potential's values on the curve measure, and
+    transport_residual reads them: n_samples calls of f in all."""
+    strip = scen.builtin("strip", potential={"kind": "expression", "expr": "0.1 * x1 * x2"})
+    calls = [0]
+
+    def f(t, x):
+        calls[0] += 1
+        return strip.f(t, x)
+
+    rho0 = PhasePoint.from_vector(np.array([0.0, 0.1, 0.45, 1.0, 0.6, 0.8]))
+    gb = flow.trace_generalized(strip, rho0, 5.0, flow.IntegratorParams(h=1e-3))
+    cm = measures.dirac_on_bichar(strip, gb, f=f)
+    nu = measures.boundary_measure_of(strip, cm)
+    a = cli._default_test_function(gb)
+    measures.transport_residual(strip, cm, nu, a)
+    assert calls[0] == gb.n_samples
 
 
 def test_transport_residual_exact_on_gliding_arc(disk):
