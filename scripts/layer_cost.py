@@ -26,8 +26,10 @@ kind. Times are microseconds per call unless the key ends in ``_ms`` or
   ``flow.glide_trace_samples``, of the whole ``trace_generalized`` flight,
   T = 1, records included; h = 1e-3.
 * ``flow.event_us``: one ``flow._locate_scalar_zero`` locating the strip's
-  wall x2 = 0 to ``flow.EVENT_TOL`` within a step h = 1e-3 from x2 = 5e-4,
-  given phi at both ends of the step as the tracer gives them.
+  wall x2 = 0 to ``flow.EVENT_TOL`` within a step h = 1e-3 from
+  x2 = pi * 1e-4, given phi at both ends of the step as the tracer gives
+  them. The start puts the hit at no dyadic fraction of h, which bisection
+  would probe exactly (from x2 = 5e-4 the hit lies at 5h/16).
 * ``flow.event_substeps``: RK4 substeps per located event (the calls of
   the locator's value function, each on one substep): ``strip`` for the
   event of ``flow.event_us``; ``disk_1e-1``, ``disk_1e-2`` and
@@ -59,6 +61,9 @@ kind. Times are microseconds per call unless the key ends in ``_ms`` or
   traces, the first 6 sampler starts in both directions, T = 0.3, h =
   2e-3, one run), ``gcc.chart_audit_s`` and ``gcc.chart_audit_verdict``
   (the region ``x2 - 0.06`` over 8 sampler starts, T = 0.5, h = 2e-3).
+* ``gcc.witness_audit_ms``: ``gcc.gcc_check`` of the strip region
+  ``0.2 - x2`` over the first sampler start (seed 0), a witness, T = 3,
+  h = 1e-3.
 * ``scenarios.load_ms``: one ``scenarios.load_scenario`` of wavy.json after
   its first; ``jet.kernel_build_us``: building the three jet kernels that
   loading wavy.json builds, past the kernel memo, as a new process does.
@@ -215,7 +220,7 @@ def disk_chords(disk, theta):
 
 def once_layers(table, strip, disk):
     rhs = flow._interior_rhs(strip, 1.0)
-    y = start(strip, [0.0, 5e-4], [0.6, -0.8]).as_vector().tolist()
+    y = start(strip, [0.0, np.pi * 1e-4], [0.6, -0.8]).as_vector().tolist()
 
     def phi(z):
         return float(strip.boundary.phi(z[sym.X]))
@@ -256,6 +261,11 @@ def once_layers(table, strip, disk):
 
     require(check().ok, "support points fail the step check")
     table["measures.support_check_us_per_point"] = fig(check, len(trimmed))
+    region, params = gcc.region_from_expression("0.2 - x2"), flow.IntegratorParams(h=1e-3)
+    samples = gcc.default_sampler(strip, 1, seed=0)
+    us, report = best_us(lambda: gcc.gcc_check(strip, region, 3.0, samples, params))
+    require(report.verdict == "FailsWithWitness", f"the strip audit reads {report.verdict}")
+    table["gcc.witness_audit_ms"] = sig(us / 1e3)
     table["scenarios.load_ms"] = fig(lambda: scen.load_scenario(WAVY), 1e3)
     table["jet.kernel_build_us"] = fig(build_wavy_kernels)
 

@@ -11,10 +11,10 @@ Every ray flight runs through one fixed-step marcher, _march. Flights,
 event location (_locate_scalar_zero) and the straight-run planner step
 with one RK4, _rk4_increment, on lists of floats; numpy rows are built only
 where _march records the samples and in the planner's array passes. _march
-takes the steps (the last clipped to the span), enforces the step budget
-and finiteness, records the samples and applies the chart-box policy. Each
-caller passes its step map and its projection and event checks, run after
-every step in this order:
+takes the steps (the last one ends on the span end), enforces the step
+budget and finiteness, records the samples and applies the chart-box
+policy. Each caller passes its step map and its projection and event
+checks, run after every step in this order:
 
 * interior piece: RK4 on the Hamiltonian field (_rk4_step); shell
   projection, the phi crossing, the chart box, the tangency (q =
@@ -300,11 +300,13 @@ def _locate_scalar_zero(rhs, y_from, h, value_of, tol, v_lo, v_hi, start_zero=Fa
 
 
 _CHART_EXIT = ("chart_exit", 0.0, None)
+_LAST_STEP = 1.0 + 1e-9  # a remainder of the span under this many steps h is one step
 
 
 def _march(kind, step, y, s_span, params, direction, advance, plan=None):
     """Fixed steps y_new = step(y, h) on the clock sigma in s_span; recorded s =
-    direction * sigma.
+    direction * sigma. A remainder of the span under h (1 + 1e-9) is one
+    last step, after which sigma is the span end exactly.
 
     step maps the last accepted state and a step length to the next state;
     the interior pieces pass partial(_rk4_step, rhs), the gliding piece its
@@ -330,7 +332,8 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
     sig = sig0
     steps = 0
     event = None
-    while sig < sig1 - 1e-15:
+    reach = params.h * _LAST_STEP
+    while sig < sig1:
         run = plan(y, sig, steps) if plan is not None else None
         if run is not None:
             sigs, states = run
@@ -343,7 +346,8 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
             sig = float(sigs[-1])
             y = states[-1].tolist()
             continue
-        h = min(params.h, sig1 - sig)
+        last = sig1 - sig < reach
+        h = sig1 - sig if last else params.h
         try:
             y_new = step(y, h)
         except OutOfChart:
@@ -357,7 +361,7 @@ def _march(kind, step, y, s_span, params, direction, advance, plan=None):
         event = advance(y, y_new, h)
         if event is not None:
             break
-        sig += h
+        sig = sig1 if last else sig + h
         ss.append(sgn * sig)
         ys.append(y_new)
         y = y_new
@@ -442,7 +446,8 @@ class _StraightRuns:
         """Plan the chunk of full steps from y; False when none is possible."""
         params = self.params
         n = min(self.size, params.max_steps - steps)
-        if n < 1 or self.sig1 - sig < params.h:
+        reach = params.h * _LAST_STEP
+        if n < 1 or self.sig1 - sig < reach:
             return False
         if self.cycle is None:
             settled = self._settle(y)
@@ -453,8 +458,7 @@ class _StraightRuns:
         vs, incs, j, origin = self.cycle
         self.size *= 2
         sigs = np.add.accumulate(np.concatenate(([sig], np.full(n, params.h))))
-        prev = sigs[:-1]
-        full = (prev < self.sig1 - 1e-15) & (params.h <= self.sig1 - prev)
+        full = self.sig1 - sigs[:-1] >= reach
         n = int(full.argmin()) if not full.all() else n
         sigs = sigs[: n + 1]
         rows = np.arange(steps - origin, steps - origin + n + 1)
@@ -743,13 +747,15 @@ def trace_generalized(
     t_horizon: float,
     params: IntegratorParams | None = None,
     direction: int = 1,
+    until=None,
 ) -> GenBicharacteristic:
     """Trace the full broken/gliding ray until |t - t0| reaches t_horizon.
 
     direction=+1 advances the curve parameter s forward, -1 backward; since
     dt/ds = -2 tau, time runs opposite to s for tau > 0 either way. Breaks
     are always recorded with rho_plus = Sigma(rho_minus) regardless of the
-    trace direction.
+    trace direction. until, when given, is called with each piece as it is
+    traced, and a true answer ends the trace with that piece.
     """
     params = params or IntegratorParams()
     if t_horizon <= 0:
@@ -793,7 +799,7 @@ def trace_generalized(
         else:
             raise NotCharacteristic(f"cannot start a trace from a {bc.tag.value} point")
 
-    while sigma < sigma_max - 1e-15:
+    while sigma < sigma_max:
         if len(pieces) >= params.max_pieces:
             raise MaxPiecesExceeded(f"more than {params.max_pieces} trajectory pieces")
         if mode == "interior":
@@ -804,6 +810,8 @@ def trace_generalized(
             piece, ev = integrate_gliding(scenario, rho, (sigma, sigma_max), params, direction)
         pieces.append(piece)
         sigma = abs(ev.s)
+        if until is not None and until(piece):
+            break
         if ev.reason in ("span_end", "chart_exit"):
             if ev.reason == "chart_exit":
                 log.info("%s piece left the chart at s = %.6g", piece.kind, ev.s)

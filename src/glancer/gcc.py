@@ -124,57 +124,56 @@ def default_sampler(scenario, n: int, seed: int = 0):
     return out
 
 
-def _entered_over_trace(scenario, region, T, rho, params, window):
-    """Trace both directions in t-windows; stop at the first region entry.
+def _entered_over_trace(scenario, region, T, rho, params):
+    """(True, hit time) at the first region entry over |t - t0| <= T, else
+    (False, (forward, backward)), the two full traces.
 
-    A characteristic start in the region is entered at hit time 0, before
-    any trace.
+    Each direction is traced once and stops after the piece that enters
+    the region. A characteristic start in the region is entered at hit time
+    0, before any trace.
     """
     flow._check_characteristic(scenario, rho)
     start = rho.as_vector()[None]
     if region.entered(start[:, sym.T], start[:, sym.X])[0]:
         return True, 0.0
-    t0 = rho.t
+
+    def enters(piece):
+        return bool(region.entered(piece.states[:, sym.T], piece.states[:, sym.X]).any())
+
+    traces = []
     for direction in (1, -1):
-        cur = rho
-        t_done = 0.0
-        while t_done < T - 1e-12:
-            w = min(window, T - t_done)
-            gb = flow.trace_generalized(scenario, cur, w, params, direction)
-            s, states, kinds, idx = gb.all_samples()
-            mask = region.entered(states[:, sym.T], states[:, sym.X])
-            if mask.any():
-                i = int(np.argmax(mask))
-                return True, abs(float(states[i, sym.T]) - t0)
-            t_adv = abs(float(states[-1, sym.T]) - cur.t)
-            if t_adv <= 1e-12:
-                log.info("trace stalled (chart exit?) at t_done = %.3g", t_done)
-                break
-            t_done += t_adv
-            cur = PhasePoint.from_vector(states[-1])
-    return False, None
+        gb = flow.trace_generalized(scenario, rho, T, params, direction, until=enters)
+        states = gb.pieces[-1].states  # the pieces before it did not enter
+        mask = region.entered(states[:, sym.T], states[:, sym.X])
+        if mask.any():
+            return True, abs(float(states[int(np.argmax(mask)), sym.T]) - rho.t)
+        traces.append(gb)
+    return False, tuple(traces)
 
 
-def _audit_one(scenario, region, T, rho, params, window):
-    """("entered", hit time), ("witness", None) or ("skipped", reason) for one start."""
+def _audit_one(scenario, region, T, rho, params):
+    """("entered", hit time), ("witness", traces) or ("skipped", reason) for one start."""
     try:
-        ent, hit = _entered_over_trace(scenario, region, T, rho, params, window)
+        ent, payload = _entered_over_trace(scenario, region, T, rho, params)
     except GlancerError as exc:
         return "skipped", str(exc)
-    return ("entered" if ent else "witness"), hit
+    return ("entered" if ent else "witness"), payload
 
 
-def _audit_chunk(config, region_expr, T, rows, params, window):
-    """_audit_one over the rows in order, up to and including the first witness."""
-    scenario = scen.from_config(config)
-    region = ObservationRegion(expression=region_expr)
+def _audit_starts(scenario, region, T, starts, params):
+    """_audit_one over the starts in order, up to and including the first witness."""
     out = []
-    for row in rows:
-        rho = PhasePoint.from_vector(np.asarray(row, dtype=float))
-        out.append(_audit_one(scenario, region, T, rho, params, window))
+    for rho in starts:
+        out.append(_audit_one(scenario, region, T, rho, params))
         if out[-1][0] == "witness":
             break
     return out
+
+
+def _audit_chunk(config, region_expr, T, starts, params):
+    """_audit_starts in a worker, on the scenario and region rebuilt there."""
+    region = ObservationRegion(expression=region_expr)
+    return _audit_starts(scen.from_config(config), region, T, starts, params)
 
 
 def gcc_check(
@@ -187,13 +186,14 @@ def gcc_check(
 ) -> GccReport:
     """Audit the control condition on the sampled starts.
 
-    Each start is traced for time T forward and backward, in windows with
-    early exit on region entry; a window spans max(T / 8, 4 h). A start
+    Each start is traced once forward and once backward over |t - t0| <= T,
+    and each trace stops after the piece that enters the region. A start
     that lies in the region counts as entered at hit time 0 without a trace,
     so it is entered, not skipped, even where its trace would fail; one off
-    the characteristic set is still skipped. The first
-    non-entering start (in sampler order, independent of worker count) is
-    re-traced in full and returned as the witness. With workers > 1 the
+    the characteristic set, or one whose trace fails (more than max_pieces
+    pieces, say), is skipped. The first non-entering start (in sampler
+    order, independent of worker count) is the witness, with its two traces
+    over T as they were traced for the audit. With workers > 1 the
     starts go to a process pool in chunks, at most one per worker at a time;
     their results are read in sampler order, and no chunk is submitted after
     one holds a witness. A scenario that its config does not rebuild (a
@@ -202,25 +202,24 @@ def gcc_check(
     if T <= 0:
         raise ValueError("T must be positive")
     params = params or flow.IntegratorParams()
-    window = max(T / 8.0, 4.0 * params.h)
     samples = list(sampler)
     if not samples:
         raise ValueError("no samples to audit")
     t_begin = time.perf_counter()
-    results: list = [None] * len(samples)
 
     # workers rebuild the scenario with from_config, which needs a resolved config
     if workers is not None and workers > 1 and "schema" in scenario.config:
         from concurrent.futures import ProcessPoolExecutor
 
+        results: list = [None] * len(samples)
         chunk = max(1, min(len(samples) // workers + 1, workers * 8))
         los = range(0, len(samples), chunk)
         with ProcessPoolExecutor(max_workers=workers) as pool:
 
             def submit(lo):
-                rows = [rho.as_vector() for rho in samples[lo : lo + chunk]]
+                starts = samples[lo : lo + chunk]
                 return pool.submit(
-                    _audit_chunk, scenario.config, region.expression, T, rows, params, window
+                    _audit_chunk, scenario.config, region.expression, T, starts, params
                 )
 
             # At most `workers` chunks are submitted at a time: the executor
@@ -236,21 +235,19 @@ def gcc_check(
                 if k + workers < len(los):
                     futs.append(submit(los[k + workers]))
     else:
-        for i, rho in enumerate(samples):
-            results[i] = _audit_one(scenario, region, T, rho, params, window)
-            if results[i][0] == "witness":
-                break
+        results = _audit_starts(scenario, region, T, samples, params)
 
     # One tally for both branches: it stops at the first witness in sampler
     # order, so the counts do not depend on how far the workers ran ahead.
     n_entered = 0
     n_skipped = 0
     hit_times = []
-    witness_idx = None
+    witness = witness_backward = w_start = None
     for i, r in enumerate(results):
         status, payload = r
         if status == "witness":
-            witness_idx = i
+            w_start = samples[i]
+            witness, witness_backward = payload
             break
         if status == "entered":
             n_entered += 1
@@ -259,11 +256,6 @@ def gcc_check(
             log.warning("sample %d skipped: %s", i, payload)
             n_skipped += 1
 
-    witness = witness_backward = w_start = None
-    if witness_idx is not None:
-        w_start = samples[witness_idx]
-        witness = flow.trace_generalized(scenario, w_start, T, params, direction=1)
-        witness_backward = flow.trace_generalized(scenario, w_start, T, params, direction=-1)
     return GccReport(
         verdict="HoldsOnSample" if w_start is None else "FailsWithWitness",
         witness=witness,

@@ -158,6 +158,42 @@ def test_gcc_failure_writes_witness(tmp_path, capsys):
     assert "FailsWithWitness" in report
 
 
+README_GCC = ["gcc", "--scenario", "strip", "--region", "0.2 - x2", "--t-horizon", "10",
+              "--samples", "64"]
+
+
+def test_pooled_gcc_writes_the_serial_bytes_under_every_start_method(tmp_path):
+    """The README gcc line with two workers started by forkserver (Python
+    3.14's default on Linux) and by spawn, whose workers import glancer
+    afresh and pickle the witness traces back, writes the bytes of one
+    worker; each run in its own process."""
+    script = (
+        "import multiprocessing, sys\n"
+        "from glancer import cli\n"
+        "method, workers, out = sys.argv[1:4]\n"
+        "if method != 'serial':\n"
+        "    multiprocessing.set_start_method(method)\n"
+        "sys.exit(cli.main(sys.argv[4:] + ['--workers', workers, '--out', out]))\n"
+    )
+    src = str(Path(glancer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {"serial": "1", "forkserver": "2", "spawn": "2"}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script, method, workers,
+                          str(tmp_path / method), *README_GCC],
+                         env=env, stdout=subprocess.DEVNULL)
+        for method, workers in runs.items()
+    ]
+    assert [p.wait() for p in procs] == [1, 1, 1]  # the strip audit has a witness
+    files = {
+        method: [(tmp_path / method / f).read_bytes() for f in ("gcc_report.csv", "witness.jsonl")]
+        for method in runs
+    }
+    assert files["forkserver"] == files["serial"]
+    assert files["spawn"] == files["serial"]
+
+
 def test_json_lines_refuse_non_finite_values():
     # header, event, vertex and contact lines: NaN and infinities are not JSON
     for bad in (float("nan"), float("inf"), float("-inf")):

@@ -74,6 +74,18 @@ def test_trace_lands_exactly_on_the_horizon(half_plane):
     assert abs(states[-1, 0] - 0.25) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("horizon", np.linspace(0.1, 3.0, 30).tolist())
+def test_the_last_step_ends_on_the_horizon(half_plane, horizon):
+    # the remainder of the span that rounding leaves is one last step, not a
+    # step of a few ulps after a full one
+    h = 1e-3
+    rho0 = PhasePoint(0.0, np.array([0.0, 1.0]), 1.0, np.array([0.6, 0.8]))
+    gb = flow.trace_generalized(half_plane, rho0, horizon, flow.IntegratorParams(h=h))
+    s = gb.all_samples()[0]
+    assert s[-1] == horizon / 2
+    assert s[-1] - s[-2] > h / 2
+
+
 def test_start_on_boundary_incoming_reflects_first(half_plane):
     rho0 = PhasePoint(0.0, np.array([0.0, 0.0]), 1.0, np.array([0.6, -0.8]))
     gb = flow.trace_generalized(half_plane, rho0, 1.0, flow.IntegratorParams(h=1e-3))

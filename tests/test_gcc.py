@@ -161,11 +161,39 @@ def test_parallel_matches_serial_on_a_chart_scenario(disk_chart, expr, verdict):
 def test_chunk_stops_at_its_first_witness(strip):
     region = gcc.region_from_expression("0.2 - x2")
     # the first start is horizontal at x2 = 0.5, a witness; the rest follow it
-    rows = [rho.as_vector() for rho in gcc.default_sampler(strip, 8)]
-    out = gcc._audit_chunk(
-        strip.config, region.expression, 2.0, rows, FAST, 0.5
-    )
-    assert out == [("witness", None)]
+    starts = gcc.default_sampler(strip, 8)
+    out = gcc._audit_chunk(strip.config, region.expression, 2.0, starts, FAST)
+    assert [kind for kind, _ in out] == ["witness"]
+    forward, backward = out[0][1]
+    for gb, direction in ((forward, 1), (backward, -1)):
+        full = flow.trace_generalized(strip, starts[0], 2.0, FAST, direction)
+        assert np.array_equal(gb.all_samples()[1], full.all_samples()[1])
+
+
+def test_a_witness_is_traced_once_per_direction(strip, monkeypatch):
+    # the witness traces are the audit's own, one per direction
+    trace, calls = flow.trace_generalized, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "trace_generalized", counted)
+    region = gcc.region_from_expression("0.2 - x2")
+    samples = gcc.default_sampler(strip, 1, seed=0)
+    report = gcc.gcc_check(strip, region, 3.0, samples, params=flow.IntegratorParams(h=1e-3))
+    assert report.verdict == "FailsWithWitness"
+    assert [rho is samples[0] for rho in calls] == [True, True]
+
+
+def test_a_start_past_the_piece_budget_is_skipped(disk):
+    # a chord at incidence 0.005 rad breaks about 400 times over T = 4, past
+    # max_pieces = 256, and never reaches the central disk
+    theta = 0.005
+    rho = PhasePoint(0.0, np.array([1.0, 0.0]), 1.0, np.array([-np.sin(theta), np.cos(theta)]))
+    region = gcc.region_from_expression("0.1 - hypot(x1, x2)")
+    report = gcc.gcc_check(disk, region, 4.0, [rho], params=flow.IntegratorParams(h=1e-3))
+    assert (report.verdict, report.n_entered, report.n_skipped) == ("HoldsOnSample", 0, 1)
 
 
 def test_report_summary_fields(strip):
