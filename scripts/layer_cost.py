@@ -63,7 +63,16 @@ kind. Times are microseconds per call unless the key ends in ``_ms`` or
   (the region ``x2 - 0.06`` over 8 sampler starts, T = 0.5, h = 2e-3).
 * ``gcc.witness_audit_ms``: ``gcc.gcc_check`` of the strip region
   ``0.2 - x2`` over the first sampler start (seed 0), a witness, T = 3,
-  h = 1e-3.
+  h = 1e-3; ``flow.records_us_per_line``: ``flow.trajectory_records`` of
+  that witness, both directions, per sample line.
+* Straight-run planning (``flow._StraightRuns``), on ``strip_continuity``,
+  the reference of the README's strip ``continuity`` start (T = 5, both
+  directions), and on ``disk_graze``, a unit-disk trace from
+  (0, -(1 - 1e-6)) whose chords meet the wall at 0.02 rad (xi =
+  (cos 0.02, -sin 0.02), T = 4, 101 pieces); h = 1e-3:
+  ``flow.plan_builds_per_piece``, the plan builds (calls of ``_build``)
+  per piece that builds one, and ``flow.straight_piece_us``, the traces'
+  time per piece (every piece is a straight interior piece).
 * ``scenarios.load_ms``: one ``scenarios.load_scenario`` of wavy.json after
   its first; ``jet.kernel_build_us``: building the three jet kernels that
   loading wavy.json builds, past the kernel memo, as a new process does.
@@ -266,6 +275,10 @@ def once_layers(table, strip, disk):
     us, report = best_us(lambda: gcc.gcc_check(strip, region, 3.0, samples, params))
     require(report.verdict == "FailsWithWitness", f"the strip audit reads {report.verdict}")
     table["gcc.witness_audit_ms"] = sig(us / 1e3)
+    witness = [(report.witness_backward, -1), (report.witness, 1)]
+    us, lines = best_us(lambda: [line for gb, d in witness
+                                 for line in flow.trajectory_records(gb, record="sample", direction=d)])
+    table["flow.records_us_per_line"] = sig(us / len(lines))
     table["scenarios.load_ms"] = fig(lambda: scen.load_scenario(WAVY), 1e3)
     table["jet.kernel_build_us"] = fig(build_wavy_kernels)
 
@@ -300,6 +313,41 @@ def continuity_layers(table, strip):
         distance.cdist = cdist
     table["flow.semi_distance_pairs_per_row"] = round(pairs[0] / len(P), 1)
     table["flow.semi_distance_all_pairs_per_row"] = sum(len(rows) for rows, _ in variants)
+
+
+def builds_per_piece(run):
+    """Calls of flow._StraightRuns._build per plan hook that makes one,
+    counted by wrapping it while run runs."""
+    build, builds = flow._StraightRuns._build, []
+
+    def counted(runs, *args):
+        builds.append(runs)  # held, so that no two hooks share an id
+        return build(runs, *args)
+
+    flow._StraightRuns._build = counted
+    try:
+        run()
+    finally:
+        flow._StraightRuns._build = build
+    return sig(len(builds) / len({id(r) for r in builds}))
+
+
+def plan_layers(table, strip, disk):
+    params = flow.IntegratorParams(h=1e-3)
+    rho0 = PhasePoint.from_vector(np.array([0.0, 0.1, 0.45, 1.0, 0.6, 0.8]))
+    graze = PhasePoint(0.0, np.array([0.0, -(1.0 - 1e-6)]), 1.0,
+                       np.array([np.cos(0.02), -np.sin(0.02)]))
+    traces = {
+        "strip_continuity": lambda: [flow.trace_generalized(strip, rho0, 5.0, params, d)
+                                     for d in (1, -1)],
+        "disk_graze": lambda: [flow.trace_generalized(disk, graze, 4.0, params)],
+    }
+    for name, run in traces.items():
+        kinds = [p.kind for gb in run() for p in gb.pieces]
+        require(set(kinds) == {flow.INTERIOR}, f"the {name} traces have pieces {set(kinds)}")
+        require(name != "disk_graze" or len(kinds) == 101, f"the disk graze has {len(kinds)} pieces")
+        table.setdefault("flow.plan_builds_per_piece", {})[name] = builds_per_piece(run)
+        table.setdefault("flow.straight_piece_us", {})[name] = fig(run, len(kinds))
 
 
 def jets_per_step(cs, chart, h=2e-3):
@@ -369,6 +417,7 @@ def main():
     boundary_layers(table, walls)
     once_layers(table, strip, disk)
     continuity_layers(table, strip)
+    plan_layers(table, strip, disk)
     print(json.dumps(table, sort_keys=True))
     return 0
 

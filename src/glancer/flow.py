@@ -43,21 +43,24 @@ CPU to the next.
 
 Under a constant metric an interior piece is a straight line with a fixed
 covector, and most of its steps are planned rather than taken one by one
-(_StraightRuns, the plan hook of _march). The rows ahead are built in one
-array pass per chunk, with the same bits the loop would produce, and
-screened at once with the row forms of phi and the chart box: a step whose
-start and end rows are finite, above phi = 1e-9 and inside the box is
-recorded in bulk when both rows lie above the tangency gate by 1e-9, or,
-inside the gate band, when the row q (from the boundary's row derivatives)
-cannot turn from - to + across it: q >= m at its start or q <= -m at its
-end, with the margin m = 1e-9 * max(1, |tau|) for the rounding between row
-and scalar q. Every other step, at the boundary, a possible tangency, the
-box edge or the span end, runs through the loop and its checks above, so
-every event is decided as before.
+(_StraightRuns, the plan hook of _march). A piece is planned once, with
+the bits the loop would produce: its t, x1 and x2 columns are accumulated
+in windows that double, the x columns screened with the row forms of phi
+and the chart box up to the first row that fails, and the rows are built
+up to there. A step whose start and end rows lie above phi = 1e-9 and
+inside the box is recorded in bulk when both rows lie above the tangency
+gate by 1e-9, or, inside the gate band, when the row q (from the
+boundary's row derivatives) cannot turn from - to + across it: q >= m at
+its start or q <= -m at its end, with the margin m = 1e-9 * max(1, |tau|)
+for the rounding between row and scalar q. Every other step, at the
+boundary, a possible tangency, the box edge or the span end, runs through
+the loop and its checks above, so every event is decided as before.
 
-Sample records are written as JSON lines from a fixed template of repr
-floats (trajectory_records), with the bytes json.dumps(..., sort_keys=True)
-would write; a non-finite value raises ValueError instead of becoming NaN.
+Sample records are written as JSON lines from a template of repr floats
+per piece (trajectory_records), in which the floats that keep their bytes
+over the piece are written once, with the bytes json.dumps(...,
+sort_keys=True) would write; a non-finite value raises ValueError instead
+of becoming NaN.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -383,23 +387,32 @@ class _StraightRuns:
     There the RK4 increment depends on (tau, xi) alone, and xi changes only
     through the shell projection, a map of xi that settles at once into a
     fixed point or a short cycle. The rows ahead are then (tau, xi) from that
-    cycle and t, x accumulated from its increments; np.add.accumulate adds
-    in order, as the loop does, so the rows carry the loop's bits. They are
-    planned in chunks that double (64, 128, ... rows) up to the span end and
-    the step budget, and screened at once, step by step. A row is clear when
-    it is finite, phi > 1e-9 and it lies more than 1e-12 inside the widened
-    chart box. A step between two clear rows is clear when both rows lie
-    above the tangency gate band, phi > max(tangency_gate, 0) + 1e-9, or
-    when q = sgn * 2 dphi . (g^-1 xi) cannot turn from - to + across it:
-    q >= margin at its start or q <= -margin at its end, with the margin
-    1e-9 * max(1, |tau|) (q is of degree 1 in (tau, xi)). The margin covers
-    the rounding difference between the row q, read from derivs_on_rows
-    only for the steps that touch the band, and the scalar q the loop
-    reads. A clear step passes every check of the interior advance; any
-    other step is left to the loop.
+    cycle and t, x1, x2, each a 1-D column accumulated from the cycle's
+    increments; np.add.accumulate adds in order, as the loop does, so the
+    rows carry the loop's bits.
+
+    A piece is planned once, at the first row the loop offers. The x columns
+    are screened first, in windows that double (64, 128, ... steps), up to
+    the first row that is not clear, the span end or the step budget; the
+    full rows and the q screen are then built up to that row only. A row is
+    clear when phi > 1e-9 and it lies more than 1e-12 inside the widened
+    chart box (so its x is finite). A step between two clear rows is clear
+    when both rows lie above the tangency gate band, phi >
+    max(tangency_gate, 0) + 1e-9, or when q = sgn * 2 dphi . (g^-1 xi) cannot
+    turn from - to + across it: q >= margin at its start or q <= -margin at
+    its end, with the margin 1e-9 * max(1, |tau|) (q is of degree 1 in (tau,
+    xi)). The margin covers the rounding difference between the row q, read
+    from derivs_on_rows only at the rows of the steps that touch the band,
+    and the scalar q the loop reads. A clear step passes every check of the
+    interior advance; any other step, and every step past the planned rows,
+    is left to the loop.
     """
 
-    FIRST_CHUNK = 64
+    # steps. A window pass has a fixed cost of about 850 rows' screening,
+    # so a smaller first window costs a short piece more passes than it
+    # saves rows; the first window also bounds what a short piece screens
+    # past its end.
+    FIRST_WINDOW = 64
     MAX_CYCLE = 8
     FLOOR = 1e-9  # phi of a clear row; also the q margin per unit of max(1, |tau|)
 
@@ -412,25 +425,26 @@ class _StraightRuns:
         self.level = max(params.tangency_gate, 0.0) + self.FLOOR
         self.lo = np.array(scenario.box[:2]) + 1e-12
         self.hi = np.array(scenario.box[2:]) - 1e-12
-        self.size = self.FIRST_CHUNK
-        self.dead = False
-        self.cycle = None  # (vs, incs, j, steps at vs[0]) from _settle
-        self.chunk = None  # (steps at row 0, sigmas, states, clear steps)
+        self.built = False
+        self.plan = None  # (steps at row 0, sigmas, states, clear steps)
 
     def _settle(self, y):
         """(tau, xi) rows and step increments from y until they repeat.
 
         Returns (vs, incs, j): row k has (tau, xi) = vs[k] and takes the
         increment incs[k]; rows from j on cycle through vs[j:]. None when no
-        cycle shows within MAX_CYCLE rows or the projection fails. Rows are
-        compared by their bytes, so -0.0 and 0.0 stay apart.
+        cycle shows within MAX_CYCLE rows, the projection fails or the cycle
+        holds a value that is not finite. Rows are compared by their bytes,
+        so -0.0 and 0.0 stay apart.
         """
         h = self.params.h
         keys, vs, incs = [], [], []
         for _ in range(self.MAX_CYCLE):
             key = np.array(y[sym.TAU :]).tobytes()
             if key in keys:
-                return np.array(vs), np.array(incs), keys.index(key)
+                if not all(map(math.isfinite, chain(*vs, *incs))):
+                    return None
+                return np.array(vs), incs, keys.index(key)
             keys.append(key)
             vs.append(y[sym.TAU :])
             inc = _rk4_increment(self.rhs, y, h)
@@ -443,74 +457,103 @@ class _StraightRuns:
         return None
 
     def _build(self, y, sig, steps):
-        """Plan the chunk of full steps from y; False when none is possible."""
+        """The plan of the full steps from y, or None when none is possible."""
         params = self.params
-        n = min(self.size, params.max_steps - steps)
-        reach = params.h * _LAST_STEP
-        if n < 1 or self.sig1 - sig < reach:
-            return False
-        if self.cycle is None:
-            settled = self._settle(y)
-            if settled is None:
-                self.dead = True
-                return False
-            self.cycle = (*settled, steps)
-        vs, incs, j, origin = self.cycle
-        self.size *= 2
-        sigs = np.add.accumulate(np.concatenate(([sig], np.full(n, params.h))))
-        full = self.sig1 - sigs[:-1] >= reach
-        n = int(full.argmin()) if not full.all() else n
-        sigs = sigs[: n + 1]
-        rows = np.arange(steps - origin, steps - origin + n + 1)
-        k = np.where(rows < j, rows, j + (rows - j) % (len(vs) - j))
-        # (t, x) accumulate; (tau, xi) come from the cycle
+        h, reach, sig1 = params.h, params.h * _LAST_STEP, self.sig1
+        # the full steps the budget and the span leave, and one more: the
+        # sigmas decide
+        cap = min(params.max_steps - steps, int((sig1 - sig) / h) + 1)
+        if cap < 1 or sig1 - sig < reach:
+            return None
+        settled = self._settle(y)
+        if settled is None:
+            return None
+        vs, incs, j = settled
+        # per cycle row, the increments of the columns sigma, t, x1, x2
+        inc = np.array([(h, *d[: sym.TAU]) for d in incs]).T
+
+        def cycle(a, b):
+            """The cycle rows of rows a, ..., b - 1; at a fixed point a slice
+            that broadcasts."""
+            if len(vs) == 1:
+                return slice(None)
+            r = np.arange(a, b)
+            return np.where(r < j, r, j + (r - j) % (len(vs) - j))
+
+        # The columns in windows of rows a, ..., b (steps a, ..., b - 1), row
+        # a the last of the window before, each window twice the last; the
+        # x columns are screened up to the first row that is not clear
+        lo, hi = self.lo[:, None], self.hi[:, None]
+        phi_rows = self.scenario.boundary.phi_on_rows
+        parts = []
+        col, a, w = np.array([sig, *y[: sym.TAU]]), 0, self.FIRST_WINDOW
+        while True:
+            b = min(a + w, cap)
+            cols = np.empty((4, b - a + 1))
+            cols[:, 0] = col
+            cols[:, 1:] = inc[:, cycle(a, b)]
+            np.add.accumulate(cols, axis=1, out=cols)
+            X = cols[2:]
+            phi = phi_rows(X.T)
+            ok = (phi > self.FLOOR) & ((X > lo) & (X < hi)).all(axis=0)
+            bad = int(ok.argmin())  # the first row that is not clear, if any
+            n = b - a if ok[bad] else bad - 1  # the clear steps
+            if n > 0 and sig1 - cols[0, n - 1] < reach:  # the span ends first
+                n = int(np.count_nonzero(sig1 - cols[0, :n] >= reach))
+            if n < b - a or b == cap:
+                parts.append((cols[:, : n + 1], phi[: n + 1]))
+                break
+            parts.append((cols[:, :-1], phi[:-1]))
+            col, a, w = cols[:, -1], b, 2 * w
+        n += a
+        if n < 1:
+            return None
+        cols, phi = parts[0] if len(parts) == 1 else (
+            np.concatenate([c for c, _ in parts], axis=1), np.concatenate([p for _, p in parts]))
+        if not np.isfinite(cols[1]).all():  # a t the loop refuses: it steps alone
+            return None
         states = np.empty((n + 1, len(y)))
-        tx = np.concatenate(([y[: sym.TAU]], incs[k[:-1], : sym.TAU]))
-        np.add.accumulate(tx, axis=0, out=states[:, : sym.TAU])
-        states[:, sym.TAU :] = vs[k]
-        X = states[:, sym.X]
-        with np.errstate(all="ignore"):
-            phi = self.scenario.boundary.phi_on_rows(X)
-            ok = (
-                np.isfinite(states).all(axis=1)
-                & (phi > self.FLOOR)
-                & ((X > self.lo) & (X < self.hi)).all(axis=1)
-            )
-            clear = ok[:-1] & ok[1:]
-            # steps that touch the gate band are clear only by the q screen
-            band = np.flatnonzero(clear & ~((phi[:-1] > self.level) & (phi[1:] > self.level)))
-            if band.size:
-                q = np.full(n + 1, np.nan)
-                at = np.union1d(band, band + 1)
-                q[at] = self._q_rows(states[at])
-                m = self.FLOOR * max(1.0, abs(float(y[sym.TAU])))
-                clear[band] = (q[band] >= m) | (q[band + 1] <= -m)
-        self.chunk = (steps, sigs, states, clear)
-        return True
+        states[:, : sym.TAU] = cols[1:].T
+        states[:, sym.TAU :] = vs[cycle(0, n + 1)]
+        clear = np.ones(n, dtype=bool)
+        # steps that touch the gate band are clear only by the q screen
+        above = phi > self.level
+        band = np.flatnonzero(~(above[:-1] & above[1:]))
+        if band.size:
+            at = np.zeros(n + 1, dtype=bool)
+            at[band] = at[band + 1] = True
+            q = np.empty(n + 1)
+            q[at] = self._q_rows(states[at])
+            m = self.FLOOR * max(1.0, abs(float(y[sym.TAU])))
+            clear[band] = (q[band] >= m) | (q[band + 1] <= -m)
+        return steps, cols[0], states, clear
 
     def _q_rows(self, rows):
-        """q = sgn * hpz at each row, from the boundary's row derivatives."""
+        """q = sgn * hpz = sgn * 2 dphi . (g^-1 xi) at each row, from the
+        boundary's row derivatives, in the order sym.contact_values takes."""
         X = rows[:, sym.X]
-        d = self.scenario.boundary.derivs_on_rows(X)
-        xi1, xi2 = rows[:, sym.XI].T
-        gi = self.scenario.metric.at_rows(X)[0]
-        return self.sgn * sym.contact_values(d, gi, None, rows[:, sym.TAU], xi1, xi2)[1]
+        d1, d2 = self.scenario.boundary.derivs_on_rows(X)[:2]
+        s1, s2 = geo.sharp(self.scenario.metric.at_rows(X)[0], *rows[:, sym.XI].T)
+        return self.sgn * (2.0 * (d1 * s1 + d2 * s2))
 
     def __call__(self, y, sig, steps):
-        if self.dead:
+        if not self.built:
+            self.built = True
+            with np.errstate(all="ignore"):
+                self.plan = self._build(y, sig, steps)
+        if self.plan is None:
             return None
-        i = -1 if self.chunk is None else steps - self.chunk[0]
-        if i < 0 or i >= len(self.chunk[1]) - 1:  # no chunk, or y is past its rows
-            if not self._build(y, sig, steps):
-                return None
-            i = 0
-        elif np.array(y).tobytes() != self.chunk[2][i].tobytes():
-            self.dead = True  # the loop left the plan: it steps alone from here
+        row0, sigs, states, clear = self.plan
+        i = steps - row0
+        if i >= len(clear):  # past the planned rows: the loop steps alone
             return None
-        _, sigs, states, clear = self.chunk
+        if i and np.array(y).tobytes() != states[i].tobytes():
+            self.plan = None  # the loop left the plan: it steps alone from here
+            return None
         # the run takes the clear steps from row i up to the first other step
         rest = clear[i:]
-        k = i + 1 + (len(rest) if rest.all() else int(rest.argmin()))
+        k = int(rest.argmin())
+        k = i + 1 + (len(rest) if rest[k] else k)
         if k == i + 1:
             return None
         return sigs[i + 1 : k], states[i + 1 : k]
@@ -1241,15 +1284,17 @@ def continuity_probe(
 # export helpers
 
 
-def _sample_template(fixed: dict) -> str:
+def _sample_template(fixed: dict, consts) -> str:
     """%-template of a sample line with the fixed fields written in.
 
     The keys come in sorted order, as json.dumps(..., sort_keys=True) puts
-    them; the float fields s, t, tau, x and xi (the last two pairs) are %r
-    slots in that order, so a line is the template % (s, t, tau, x1, x2,
-    xi1, xi2). repr is the float form json.dumps writes.
+    them. consts holds, for each float field in the order s, t, tau, x1, x2,
+    xi1, xi2, a value to write in, or None for a %r slot; so a line is the
+    template % (the floats of the slots, in that order). repr is the float
+    form json.dumps writes.
     """
-    slots = {"s": "%r", "t": "%r", "tau": "%r", "x": "[%r, %r]", "xi": "[%r, %r]"}
+    v = ["%r" if c is None else repr(c) for c in consts]
+    slots = {"s": v[0], "t": v[1], "tau": v[2], "x": f"[{v[3]}, {v[4]}]", "xi": f"[{v[5]}, {v[6]}]"}
     items = []
     for key in sorted({**fixed, **slots}):
         if key in slots:
@@ -1264,8 +1309,10 @@ def trajectory_records(gb: GenBicharacteristic, **fields) -> list[str]:
 
     A line holds s, t, x, tau, xi, piece_kind, piece_index and the given
     fields (say record="sample"), byte for byte as json.dumps(..., sort_keys=
-    True) writes that dict. A non-finite s or state raises ValueError, as
-    json.dumps(..., allow_nan=False) does.
+    True) writes that dict. A float that keeps its bytes over a piece (tau
+    always, xi on a straight piece) is written into the piece's template
+    once; -0.0 and 0.0 differ in their bytes. A non-finite s or state
+    raises ValueError, as json.dumps(..., allow_nan=False) does.
     """
     lines = []
     for k, p in enumerate(gb.pieces):
@@ -1273,8 +1320,13 @@ def trajectory_records(gb: GenBicharacteristic, **fields) -> list[str]:
         cols = np.column_stack((p.s, st[:, [sym.T, sym.TAU]], st[:, sym.X], st[:, sym.XI]))
         if not np.isfinite(cols).all():
             raise ValueError(f"non-finite sample in trajectory piece {k}")
-        template = _sample_template({**fields, "piece_kind": p.kind, "piece_index": k})
-        lines += [template % row for row in map(tuple, cols.tolist())]
+        if not len(cols):
+            continue
+        bits = cols.view(np.int64)
+        const = (bits == bits[0]).all(axis=0)
+        consts = [v if c else None for v, c in zip(cols[0].tolist(), const.tolist())]
+        template = _sample_template({**fields, "piece_kind": p.kind, "piece_index": k}, consts)
+        lines += [template % row for row in map(tuple, cols[:, ~const].tolist())]
     return lines
 
 

@@ -360,34 +360,27 @@ def newton_to_boundary(boundary: BoundaryDef, X: np.ndarray, steps: int, tol: fl
     on every row of the (N, 2) array X: the row form of newton_to_level
     without a metric, evaluated through ``phi_on_rows`` and ``derivs_on_rows``.
 
-    Each row takes at most ``steps`` steps and stops on its own, and is not
-    evaluated again, at a point with |phi| <= tol, at one with
-    |dphi|^2 < 1e-24, or before a step longer than max_step. Returns
-    (X, phi, dphi) with N rows each, at the points where the rows stopped;
-    what a degenerate dphi there means is for the caller to decide.
+    Each row takes at most ``steps`` steps and stops on its own at a point
+    with |phi| <= tol, at one with |dphi|^2 < 1e-24, or before a step longer
+    than max_step. A row that stops keeps its point, so every later pass
+    evaluates it to the same values and stops it again at the same test:
+    the passes run on all rows, and a mask takes the steps of the others.
+    Returns (X, phi, dphi) with N rows each, at the points where the rows
+    stopped; what a degenerate dphi there means is for the caller to decide.
     """
     X = np.array(X, dtype=float)
-    phi = np.empty(len(X))
-    dphi = np.empty_like(X)
-    live = np.arange(len(X))
-    Y = X
     for k in range(steps + 1):
-        p, d = boundary.phi_on_rows(Y), boundary.derivs_on_rows(Y)[:2].T
-        phi[live], dphi[live] = p, d
+        phi, dphi = boundary.phi_on_rows(X), boundary.derivs_on_rows(X)[:2].T
         if k == steps:
             break
-        nd2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        go = ~((np.abs(p) <= tol) | (nd2 < 1e-24))
-        if not go.all():
-            live, Y, p, d, nd2 = live[go], Y[go], p[go], d[go], nd2[go]
-        step = (p / nd2)[:, None] * d
-        go = ~(np.hypot(step[:, 0], step[:, 1]) > max_step)
-        if not go.all():
-            live, Y, step = live[go], Y[go], step[go]
-        if not live.size:
+        nd2 = dphi[:, 0] * dphi[:, 0] + dphi[:, 1] * dphi[:, 1]
+        go = ~((np.abs(phi) <= tol) | (nd2 < 1e-24))
+        with np.errstate(all="ignore"):  # the rows that stop here may divide by 0
+            step = (phi / nd2)[:, None] * dphi
+        go &= ~(np.hypot(step[:, 0], step[:, 1]) > max_step)
+        if not go.any():
             break
-        Y = Y - step
-        X[live] = Y
+        X[go] -= step[go]
     return X, phi, dphi
 
 

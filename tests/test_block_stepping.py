@@ -157,7 +157,7 @@ def test_step_budget_runs_out_at_the_same_step():
     assert ev.reason == "span_end"
     n_steps = len(piece) - 1
     for sc in (scenario, stepped_twin(scenario)):
-        # the budget ends inside the first planned chunks and near the span end
+        # the budget ends inside the first planned windows and near the span end
         for budget in (100, 1000, n_steps - 1):
             with pytest.raises(MaxStepsExceeded):
                 flow.integrate_interior(sc, rho0, span, flow.IntegratorParams(max_steps=budget))
@@ -324,3 +324,50 @@ def test_row_q_is_well_inside_the_screen_margin(name):
         scalar = np.array([q_of(y) for y in rows])
         margin = runs.FLOOR * max(1.0, tau)
         assert np.abs(runs._q_rows(rows) - scalar).max() <= 1e-4 * margin
+
+
+@pytest.mark.parametrize(
+    "name, x, xi, horizon, n_pieces",
+    [
+        # the README's continuity start, its reference traced both ways
+        pytest.param("strip", [0.1, 0.45], [0.6, 0.8], 5.0, 10, id="strip-continuity"),
+        # chords meeting the unit circle at 0.02 rad
+        pytest.param("disk_interior", [0.0, -(1.0 - 1e-6)], [np.cos(0.02), -np.sin(0.02)], 4.0,
+                     101, id="disk-graze"),
+    ],
+)
+def test_a_planned_piece_is_planned_in_one_pass(name, x, xi, horizon, n_pieces, monkeypatch):
+    # one planning pass per piece (every piece here asks for one); its x
+    # screen runs in windows that double from 64 steps, so it screens at
+    # most twice the rows the runs hand to the marcher and 64 more per piece
+    base = scen.builtin(name)
+    screened = []
+
+    def phi_rows(X):
+        screened.append(len(X))
+        return base.boundary.phi_rows(X)
+
+    scenario = dataclasses.replace(
+        base, boundary=dataclasses.replace(base.boundary, phi_rows=phi_rows))
+    builds, handed = [], []
+    build, call = flow._StraightRuns._build, flow._StraightRuns.__call__
+
+    def counted_build(self, *args):
+        builds.append(self)
+        return build(self, *args)
+
+    def counted_call(self, *args):
+        run = call(self, *args)
+        handed.append(0 if run is None else len(run[0]))
+        return run
+
+    monkeypatch.setattr(flow._StraightRuns, "_build", counted_build)
+    monkeypatch.setattr(flow._StraightRuns, "__call__", counted_call)
+    rho0 = PhasePoint(0.0, np.array(x), 1.0, np.array(xi))
+    params = flow.IntegratorParams(h=1e-3)
+    directions = (1, -1) if name == "strip" else (1,)
+    traces = [flow.trace_generalized(scenario, rho0, horizon, params, d) for d in directions]
+    assert sum(len(gb.pieces) for gb in traces) == n_pieces
+    # builds holds every plan it counts, so no two of them share an id
+    assert len({id(r) for r in builds}) == len(builds) == n_pieces
+    assert sum(screened) <= 2 * sum(handed) + 64 * n_pieces

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -864,11 +864,15 @@ def test_breaks_match_the_exact_billiard(name, alpha, log_theta, sense, u):
     the state after the break before it, within the bound of
     _billiard_errors; the incidence theta is log-uniform down to 1e-4 rad,
     over a horizon of 256 theta past the first hit (so at most about 128
-    bounces on the circles, within the piece budget of 256)."""
+    bounces on the circles, within the piece budget of 256). Near theta =
+    1e-4 and u = 0.05 a circle's chord behind the hit is so short that the
+    start lies within boundary_tol of the wall (phi = 9.8e-10 at annulus,
+    alpha = 0, log_theta = -9.203125, u = 0.05078125): a boundary start,
+    which this property of interior starts does not take."""
     theta = float(np.exp(log_theta))
     scenario = scen.builtin(name)
     rho0, s_hit = _billiard_start(name, alpha, theta, sense, u)
-    assert scenario.boundary.phi(rho0.x) > scenario.thresholds.boundary_tol
+    assume(scenario.boundary.phi(rho0.x) > scenario.thresholds.boundary_tol)
     h = 1e-3
     horizon = 2.0 * s_hit + min(1.0, 256.0 * theta)
     gb = flow.trace_generalized(scenario, rho0, horizon, flow.IntegratorParams(h=h))
@@ -1480,7 +1484,10 @@ def _dict_lines(gb, **fields):
 
 def _odd_trace(n_pieces=12):
     # -0.0, a subnormal, 1e300, values whose repr needs 17 digits, and
-    # enough pieces for a two-digit piece_index
+    # enough pieces for a two-digit piece_index. From the fifth piece on,
+    # tau and xi keep their bytes over the piece, as on a straight piece,
+    # and some pieces hold other columns the sample lines take as constant
+    # or not: all -0.0, 0.0 mixed with -0.0, s and t constant, one row
     rng = np.random.default_rng(7)
     odd = np.array([-0.0, 5e-324, 2.5e-310, 1e300, -1e300, 0.1 + 0.2, 1 / 3, 1e16, 123.0])
     pieces = []
@@ -1488,6 +1495,18 @@ def _odd_trace(n_pieces=12):
         states = rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-20, 20, size=(5, 6))
         states.flat[rng.integers(0, 30, size=4)] = rng.choice(odd, size=4)
         s = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, float(k)])
+        if k >= 4:
+            states[:, sym.TAU :] = states[0, sym.TAU :]
+        if k == 5:
+            states[:, sym.XI.start] = -0.0
+        if k in (6, 8):
+            states[:, sym.X.start + 1] = [0.0, -0.0, 0.0, 0.0, -0.0]
+        if k == 8:
+            states[:, sym.XI] = [[-0.0, 0.0]] * 5
+        if k == 9:
+            s[:], states[:, sym.T] = 5e-324, -0.0
+        if k == 10:
+            s, states = s[:1], states[:1]
         kind = flow.GLIDING if k % 3 == 1 else flow.INTERIOR
         pieces.append(flow.TrajectoryPiece(kind, s, states))
     return flow.GenBicharacteristic(pieces, [], [])

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -533,18 +534,19 @@ def test_loading_silences_numpy_warnings_off_phi_domain():
     assert scenario.boundary.phi(np.array([0.0, 0.5])) > 0
 
 
-def _scalar_corner_verdict(boundary, lo, hi, n=41):
-    """The corner check with each grid point run alone, as a one-row batch."""
+def _corner_points_one_by_one(boundary, lo, hi, n=41):
+    """The corner check's Newton steps with each grid point run alone, as a
+    one-row batch: (X, phi, dphi) over the grid, in the check's order."""
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
-    max_step = 2.0 * float(np.linalg.norm(hi - lo))
+    w1, w2 = (hi - lo).tolist()
+    max_step = 2.0 * math.sqrt(w1 * w1 + w2 * w2)
+    rows = []
     with np.errstate(all="ignore"):
         for a in xs:
             for b in ys:
-                _, v, d = geo.newton_to_boundary(boundary, np.array([[a, b]]), 3, 1e-10, max_step)
-                if abs(v[0]) <= 1e-10 and float(d[0] @ d[0]) < 1e-16:
-                    return True
-    return False
+                rows.append(geo.newton_to_boundary(boundary, np.array([[a, b]]), 3, 1e-10, max_step))
+    return tuple(np.concatenate(part) for part in zip(*rows))
 
 
 POWER = "x2 - 0.2 * x1 ** 2 + 0.1 * abs(x1) ** 1.5"
@@ -569,15 +571,28 @@ CORNER_BOXES = [
 
 @pytest.mark.parametrize("box", CORNER_BOXES, ids=["origin", "off-grid", "no-origin", "edge"])
 @pytest.mark.parametrize("expr", CORNER_EXPRESSIONS)
-def test_batched_corner_check_matches_scalar_loop(expr, box):
+def test_batched_corner_check_matches_scalar_loop(expr, box, monkeypatch):
+    # the batch stops each row on its own: its points, phi and dphi carry
+    # the bytes of the rows run alone, and so does the verdict
     lo, hi = np.array(box[0]), np.array(box[1])
     boundary = scen._expression_boundary(expr)
+    batched = []
+
+    def recorded(*args):
+        batched.append(geo.newton_to_boundary(*args))
+        return batched[-1]
+
+    monkeypatch.setattr(scen, "newton_to_boundary", recorded)
     try:
         scen._reject_corners(boundary, lo, hi)
         rejected = False
     except ValidationError:
         rejected = True
-    assert rejected == _scalar_corner_verdict(boundary, lo, hi)
+    X, v, d = _corner_points_one_by_one(boundary, lo, hi)
+    assert rejected == bool(((np.abs(v) <= 1e-10) & (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < 1e-16)).any())
+    assert len(batched) == 1
+    for got, want in zip(batched[0], (X, v, d)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_expression_phi_has_numpy_semantics_at_any_point_form():
